@@ -28,6 +28,7 @@ from .tuples import (
     build_expair,
     build_mn_nn,
     build_sn,
+    default_templates,
     format_tuple_trace,
     parse_tuple_trace,
     program_tuple_trace_prob,
@@ -144,7 +145,7 @@ def _cmd_distance(args) -> dict:
             "depth": args.depth,
             "state_cap": args.state_cap,
         }
-    value, witness = tuple_distance_lb(a, b, None, args.max_len)
+    value, witness = tuple_distance_lb(a, b, default_templates(universe), args.max_len)
     return {
         "kind": "tuple",
         "mode": "lower-bound",

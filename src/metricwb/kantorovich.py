@@ -267,23 +267,11 @@ def _pivot_until_optimal(tab, rhs, basis, cost, banned) -> Fraction:
                     leave = i
         if leave < 0:
             raise Unbounded("objective is unbounded")
-        piv = tab[leave][enter]
-        inv = _ONE / piv
-        tab[leave] = [a * inv for a in tab[leave]]
-        rhs[leave] *= inv
-        prow = tab[leave]
-        pb = rhs[leave]
-        for i in range(m):
-            if i != leave:
-                f = tab[i][enter]
-                if f:
-                    tab[i] = [a - f * b for a, b in zip(tab[i], prow)]
-                    rhs[i] -= f * pb
+        _raw_pivot(tab, rhs, basis, leave, enter)
         f = zrow[enter]
         if f:
-            zrow = [a - f * b for a, b in zip(zrow, prow)]
-            zval -= f * pb
-        basis[leave] = enter
+            zrow = [a - f * b for a, b in zip(zrow, tab[leave])]
+            zval -= f * rhs[leave]
 
 
 def lift_primal(

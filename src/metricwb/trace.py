@@ -13,9 +13,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .dist import EMPTY, Dist, dirac
+from .dist import EMPTY, Dist, dirac, mix
 from .errors import NotAffine, NotClosed, ParseError
 from .parser import parse
 from .semantics import _eval, _require_program, _step
@@ -37,7 +37,6 @@ from .terms import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 TENSOR_HOLE_1 = "x"
 TENSOR_HOLE_2 = "y"
@@ -91,27 +90,25 @@ def trace_accept(m: Term, s: Sequence) -> Fraction:
     """Probability that program m passes every action of s in order."""
     _require_program(m)
     check_trace(s)
-    return _accept(m, tuple(s))
+    d = _eval(m)
+    for a in s:
+        d = d.bind(lambda v: _trace_step(v, a))
+    return d.weight()
 
 
-def _accept(t: Term, s: tuple) -> Fraction:
-    if not is_value(t):
-        return sum((p * _accept(v, s) for v, p in _eval(t).items()), _ZERO)
-    if not s:
-        return _ONE
-    a, rest = s[0], s[1:]
-    if isinstance(t, Abs) and isinstance(a, AppAction):
-        return _accept(substitute(t.body, t.var, a.value), rest)
-    if isinstance(t, Pair) and isinstance(a, TensorAction):
-        total = _ZERO
-        for v, p in _eval(t.first).items():
-            for w, q in _eval(t.second).items():
-                inst = substitute(
-                    substitute(a.body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w
-                )
-                total += p * q * _accept(inst, rest)
-        return total
-    return _ZERO  # action kind does not match the value shape
+def _trace_step(t: Term, a) -> Dist[Term]:
+    """Value distribution after playing action a against the value t. The
+    action must already be checked; a kind that does not match the shape
+    of t loses all mass."""
+    if isinstance(a, AppAction) and isinstance(t, Abs):
+        return _eval(substitute(t.body, t.var, a.value))
+    if isinstance(a, TensorAction) and isinstance(t, Pair):
+        return mix(
+            (p * q, _eval(substitute(substitute(a.body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w)))
+            for v, p in _eval(t.first).items()
+            for w, q in _eval(t.second).items()
+        )
+    return EMPTY
 
 
 def reduce_to_values(d: Dist[Term]) -> Dist[Term]:
@@ -164,6 +161,49 @@ def enumerate_traces(
         yield from itertools.product(actions, repeat=n)
 
 
+def explore(
+    start: tuple, actions: Callable, step: Callable, max_len: int, visit: Callable
+) -> None:
+    """Breadth-first walk over action words played against a pair of
+    distributions. At each length, visit(word, da, db) sees every frontier
+    node in order and says whether to extend it; kept nodes are extended in
+    order by each action of actions(support), every support state s moving
+    to step(s, action). A successor pair some earlier word reached is
+    skipped: same future, and the earlier word comes first in
+    length-lexicographic order, so first witnesses survive."""
+    frontier = [((), *start)]
+    seen = {start}
+    for length in range(max_len + 1):
+        kept = [node for node in frontier if visit(*node)]
+        if length == max_len:
+            return
+        frontier = []
+        for word, da, db in kept:
+            for a in actions(set(da.support()) | set(db.support())):
+                ca = da.bind(lambda s: step(s, a))
+                cb = db.bind(lambda s: step(s, a))
+                if (ca, cb) not in seen:
+                    seen.add((ca, cb))
+                    frontier.append((word + (a,), ca, cb))
+
+
+def widest_gap(start: tuple, actions: Callable, step: Callable, max_len: int) -> tuple:
+    """Largest weight gap over the words explore reaches, with the first
+    word attaining it. A node whose mass on both sides is at most the best
+    gap so far is not extended: probabilities only shrink along a word."""
+    best, witness = _ZERO, ()
+
+    def visit(word: tuple, da: Dist, db: Dist) -> bool:
+        nonlocal best, witness
+        wa, wb = da.weight(), db.weight()
+        if abs(wa - wb) > best:
+            best, witness = abs(wa - wb), word
+        return max(wa, wb) > best
+
+    explore(start, actions, step, max_len, visit)
+    return best, witness
+
+
 def trace_distance_lb(
     m: Term,
     n: Term,
@@ -171,17 +211,13 @@ def trace_distance_lb(
     max_len: int,
     tensor_templates: Sequence[Term] = (),
 ) -> tuple[Fraction, Trace]:
-    """Largest trace-probability gap over the enumerated traces, with the
+    """Largest trace-probability gap over all traces up to max_len, with the
     first trace attaining it. A lower bound on the full trace distance."""
-    best: Optional[Fraction] = None
-    witness: Trace = ()
-    for s in enumerate_traces(universe, max_len, tensor_templates):
-        delta = abs(trace_accept(m, s) - trace_accept(n, s))
-        if best is None or delta > best:
-            best, witness = delta, s
-    if best is None:
-        best = _ZERO
-    return best, witness
+    _require_program(m)
+    _require_program(n)
+    alphabet = [s[0] for s in enumerate_traces(universe, 1, tensor_templates) if s]
+    check_trace(alphabet)
+    return widest_gap((_eval(m), _eval(n)), lambda _: alphabet, _trace_step, max_len)
 
 
 def app_combinations(
@@ -194,14 +230,14 @@ def app_combinations(
     Linear atoms may each occur at most once per tree; repeat atoms are
     unrestricted. Deterministic order, alpha-deduplicated.
     """
-    atoms = [(t, frozenset([i]), size(t)) for i, t in enumerate(linear_atoms)]
-    atoms += [(t, frozenset(), size(t)) for t in repeat_atoms]
+    atoms = [(t, frozenset([i]), max(size(t), 1)) for i, t in enumerate(linear_atoms)]
+    atoms += [(t, frozenset(), max(size(t), 1)) for t in repeat_atoms]
 
     def build(cap: int, used: frozenset) -> Iterator[tuple[Term, frozenset, int]]:
         for t, mask, sz in atoms:
             if sz <= cap and not (mask & used):
                 yield t, used | mask, sz
-        if cap >= 2:  # an application needs two operands of size >= 1
+        if cap >= 2:  # two operands, each counted as size >= 1 (even omega)
             for lt, lu, ls in build(cap - 1, used):
                 for rt, ru, rs in build(cap - ls, lu):
                     yield App(lt, rt), ru, ls + rs

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .dist import EMPTY, Dist, dirac
-from .errors import InvalidAction, ParseError
+from .errors import InvalidAction, NotAffine, ParseError
 from .parser import parse
-from .semantics import _require_program, eval_big
+from .semantics import _eval, _require_program, eval_big
 from .terms import (
     Abs,
     Choice,
@@ -25,6 +25,7 @@ from .terms import (
     Pair,
     Term,
     Var,
+    affine_violation,
     fresh,
     identity,
     is_value,
@@ -32,9 +33,8 @@ from .terms import (
     rename_free,
     substitute,
 )
-from .trace import app_combinations, dedupe_values
+from .trace import app_combinations, dedupe_values, widest_gap
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 TupleState = tuple  # of closed value Terms
@@ -80,12 +80,18 @@ def _shape_error(a) -> Optional[str]:
         extra = a.body.free_vars - allowed
         if extra:
             return f"argument mentions '{min(extra)}' outside the consumed set"
-        if isinstance(a.body, Var):
-            return None
-        if isinstance(a.body, Abs):
+        if isinstance(a.body, (Var, Abs)):
             return None
         return "argument must be a variable or an abstraction"
     return f"not a tuple action: {a!r}"
+
+
+def _check_affine_argument(a) -> None:
+    # Each consumed component may be used at most once by the argument.
+    if isinstance(a, Appl):
+        reason = affine_violation(map(component_name, a.consumed), a.body)
+        if reason is not None:
+            raise NotAffine(reason)
 
 
 def check_tuple_trace(s: Sequence) -> None:
@@ -93,14 +99,19 @@ def check_tuple_trace(s: Sequence) -> None:
         err = _shape_error(a)
         if err is not None:
             raise InvalidAction(err)
+        _check_affine_argument(a)
 
 
 def tuple_step(k: TupleState, a) -> Dist[TupleState]:
-    """Successor distribution of tuple k under action a; raises
-    InvalidAction when a does not apply to k."""
-    err = _shape_error(a)
-    if err is not None:
-        raise InvalidAction(err)
+    """Successor distribution of tuple k under action a, both checked
+    first; raises InvalidAction when a does not apply to k."""
+    _check_tuple_state(k)
+    check_tuple_trace((a,))
+    return _tuple_step(k, a)
+
+
+def _tuple_step(k: TupleState, a) -> Dist[TupleState]:
+    # k and a are already checked; evaluation skips the affinity re-check.
     n = len(k)
     if isinstance(a, Cut):
         if a.pos > n:
@@ -108,13 +119,11 @@ def tuple_step(k: TupleState, a) -> Dist[TupleState]:
         comp = k[a.pos - 1]
         if not isinstance(comp, Pair):
             raise InvalidAction(f"component {a.pos} is not a pair")
-        d1 = eval_big(comp.first)
-        d2 = eval_big(comp.second)
-        parts = []
-        for v, p in d1.items():
-            for w, q in d2.items():
-                parts.append((k[: a.pos - 1] + (v, w) + k[a.pos :], p * q))
-        return Dist(parts)
+        return Dist(
+            (k[: a.pos - 1] + (v, w) + k[a.pos :], p * q)
+            for v, p in _eval(comp.first).items()
+            for w, q in _eval(comp.second).items()
+        )
 
     if a.pos > n:
         raise InvalidAction(f"appl position {a.pos} exceeds tuple length {n}")
@@ -126,17 +135,14 @@ def tuple_step(k: TupleState, a) -> Dist[TupleState]:
     arg = a.body
     for j in a.consumed:
         arg = substitute(arg, component_name(j), k[j - 1])
-    result = eval_big(substitute(comp.body, comp.var, arg))
     gone = set(a.consumed)
-    parts = []
-    for w, p in result.items():
-        row = tuple(
+    return _eval(substitute(comp.body, comp.var, arg)).map_elems(
+        lambda w: tuple(
             w if pos == a.pos else k[pos - 1]
             for pos in range(1, n + 1)
             if pos == a.pos or pos not in gone
         )
-        parts.append((row, p))
-    return Dist(parts)
+    )
 
 
 def _check_tuple_state(k: TupleState) -> None:
@@ -153,7 +159,7 @@ def step_or_zero(k: TupleState, a) -> Dist[TupleState]:
     if err is not None:
         raise InvalidAction(err)
     try:
-        return tuple_step(k, a)
+        return _tuple_step(k, a)
     except InvalidAction:
         return EMPTY
 
@@ -163,12 +169,7 @@ def tuple_trace_prob(k: TupleState, s: Sequence) -> Fraction:
     sitting on states an action does not apply to is lost."""
     _check_tuple_state(k)
     check_tuple_trace(s)
-    d = dirac(k)
-    for a in s:
-        if not d:
-            return _ZERO
-        d = d.bind(lambda state: step_or_zero(state, a))
-    return d.weight()
+    return _play(dirac(k), s).weight()
 
 
 def program_tuple_trace_prob(m: Term, s: Sequence) -> Fraction:
@@ -176,12 +177,13 @@ def program_tuple_trace_prob(m: Term, s: Sequence) -> Fraction:
     play the trace."""
     _require_program(m)
     check_tuple_trace(s)
-    d = eval_big(m).map_elems(lambda v: (v,))
+    return _play(eval_big(m).map_elems(lambda v: (v,)), s).weight()
+
+
+def _play(d: Dist[TupleState], s: Sequence) -> Dist[TupleState]:
     for a in s:
-        if not d:
-            return _ZERO
         d = d.bind(lambda state: step_or_zero(state, a))
-    return d.weight()
+    return d
 
 
 # --- distinguished example families -------------------------------------
@@ -310,6 +312,17 @@ def default_templates(
     )
 
 
+def _check_templates(templates: ActionTemplates) -> None:
+    for v in templates.values:
+        _require_program(v)
+        if not isinstance(v, Abs):
+            raise InvalidAction(f"template value is not an abstraction: {pretty(v)}")
+    for t in templates.abs_templates:
+        reason = affine_violation((_SLOT,), t)
+        if reason is not None:
+            raise NotAffine(reason)
+
+
 def enumerate_actions(
     states: Iterable[TupleState], templates: ActionTemplates
 ) -> list:
@@ -359,51 +372,22 @@ def tuple_distance_lb(
     """Largest tuple-trace probability gap between programs m and n over
     traces up to max_len, with the first witness in search order.
 
-    The search is breadth-first by trace length. Two exact reductions keep
-    it tractable: branches whose joint successor distributions coincide are
-    explored once (identical futures), and a branch is dropped when neither
-    side retains more mass than the current best gap (trace probabilities
-    only shrink under extension).
+    The search is trace.widest_gap: breadth-first, exploring branches with
+    identical joint distributions once and dropping branches that keep no
+    more mass than the best gap. Templates are checked once here, so the
+    steps skip the affinity check.
     """
     if template_set is None:
         template_set = default_templates()
-    _require_program(m)
-    _require_program(n)
+    _check_templates(template_set)
     dm = eval_big(m).map_elems(lambda v: (v,))
     dn = eval_big(n).map_elems(lambda v: (v,))
-
-    best: Optional[Fraction] = None
-    witness: TupleTrace = ()
-    visited: set = set()
-    frontier: list[tuple[TupleTrace, Dist, Dist]] = [((), dm, dn)]
-    visited.add((dm, dn))
-
-    for length in range(max_len + 1):
-        nxt: list[tuple[TupleTrace, Dist, Dist]] = []
-        for trace, da, db in frontier:
-            delta = abs(da.weight() - db.weight())
-            if best is None or delta > best:
-                best, witness = delta, trace
-        if length == max_len:
-            break
-        for trace, da, db in frontier:
-            if max(da.weight(), db.weight()) <= best:
-                continue  # no extension can widen the gap past best
-            support = set(da.support()) | set(db.support())
-            for a in enumerate_actions(support, template_set):
-                ca = da.bind(lambda k: step_or_zero(k, a))
-                cb = db.bind(lambda k: step_or_zero(k, a))
-                key = (ca, cb)
-                if key in visited:
-                    continue
-                visited.add(key)
-                if max(ca.weight(), cb.weight()) <= best:
-                    continue
-                nxt.append((trace + (a,), ca, cb))
-        frontier = nxt
-        if not frontier:
-            break
-    return best if best is not None else _ZERO, witness
+    return widest_gap(
+        (dm, dn),
+        lambda support: enumerate_actions(support, template_set),
+        step_or_zero,
+        max_len,
+    )
 
 
 # --- surface syntax for tuple traces ------------------------------------
@@ -479,6 +463,7 @@ def parse_tuple_trace(text: str) -> TupleTrace:
         err = _shape_error(a)
         if err is not None:
             raise ParseError(err, pos)
+        _check_affine_argument(a)
         out.append(a)
         pos = end + 1
     return tuple(out)

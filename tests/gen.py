@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from metricwb.dist import Dist
+from metricwb.dist import Dist, dirac
 from metricwb.terms import (
     Abs,
     App,
@@ -27,8 +27,8 @@ from metricwb.terms import (
     size,
     substitute,
 )
-from metricwb.trace import AppAction, TensorAction
-from metricwb.tuples import build_mn_nn, skewed_choice
+from metricwb.trace import AppAction, TensorAction, explore
+from metricwb.tuples import build_mn_nn, enumerate_actions, skewed_choice, step_or_zero
 from metricwb.types import Arrow, Base, IOTA, Tensor, Type
 
 ZERO = Fraction(0)
@@ -539,37 +539,27 @@ def partition_violations(
     {Pr_K = 1 and Pr_H >= u_bound}. Probabilities only shrink when a trace
     is extended, so once a prefix lands in the first class every extension
     stays there and the branch is closed; only second-class prefixes are
-    expanded. Branches with identical distribution pairs share all future
-    probabilities and are classified once.
+    expanded. trace.explore classifies identical distribution pairs once.
     """
-    from metricwb.dist import dirac
-    from metricwb.tuples import enumerate_actions, step_or_zero
-
-    start = ((), dirac(k_state), dirac(h_state))
-    frontier = [start]
-    seen = {(start[1], start[2])}
     checked = 0
     violations: list = []
-    for length in range(max_len + 1):
-        nxt: list = []
-        for trace, dk, dh in frontier:
-            pk, ph = dk.weight(), dh.weight()
-            checked += 1
-            if pk == 0 and ph <= HALF:
-                continue
-            if pk == 1 and ph >= u_bound:
-                if length == max_len:
-                    continue
-                support = set(dk.support()) | set(dh.support())
-                for a in enumerate_actions(support, templates):
-                    ck = dk.bind(lambda s: step_or_zero(s, a))
-                    ch = dh.bind(lambda s: step_or_zero(s, a))
-                    key = (ck, ch)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    nxt.append((trace + (a,), ck, ch))
-                continue
-            violations.append((trace, pk, ph))
-        frontier = nxt
+
+    def classify(trace, dk, dh) -> bool:
+        nonlocal checked
+        checked += 1
+        pk, ph = dk.weight(), dh.weight()
+        if pk == 0 and ph <= HALF:
+            return False
+        if pk == 1 and ph >= u_bound:
+            return True
+        violations.append((trace, pk, ph))
+        return False
+
+    explore(
+        (dirac(k_state), dirac(h_state)),
+        lambda support: enumerate_actions(support, templates),
+        step_or_zero,
+        max_len,
+        classify,
+    )
     return checked, violations

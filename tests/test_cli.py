@@ -150,6 +150,25 @@ class TestDistance:
         assert payload["witness"] == WITNESS
         assert payload["witness_tuple_lengths"] == [2, 2, 2]
 
+    def test_tuple_kind_at_length_five(self, capsys):
+        # The default templates share the binder y with the components they
+        # are applied to; evaluation must not reject the nested reuse.
+        payload = payload_of(
+            capsys,
+            "distance", "--kind", "tuple", NOISY, CLEAN, "--max-len", "5",
+        )
+        assert payload["distance"] == "3/4"
+        assert payload["witness"] == WITNESS
+
+    def test_tuple_kind_honours_the_universe(self, capsys):
+        argv = ("distance", "--kind", "tuple", "\\f. f (\\u. u) (\\u. omega)",
+                "\\f. \\u. u", "--max-len", "2")
+        default = payload_of(capsys, *argv)
+        assert default["witness"] == "appl(1; ; \\x. x); appl(1; ; \\x. x)"
+        payload = payload_of(capsys, *argv, "--universe", "\\a. \\b. a")
+        assert payload["distance"] == "1/1"
+        assert payload["witness"] == "appl(1; ; \\y. y); appl(1; ; \\a. \\b. a)"
+
     def test_universe_flag_takes_a_term_list(self, capsys):
         payload = payload_of(
             capsys,
@@ -217,6 +236,8 @@ class TestRobustness:
             ("eval", "\\x. x x"),
             ("trace-prob", "\\x. x", "app(omega)"),
             ("distance", "--kind", "trace", "I", "x y"),
+            ("trace-prob", "<\\z. z, \\q. q>", "cut(1); appl(1; x2; \\y. x2 x2)"),
+            ("distance", "--kind", "tuple", "I", "I", "--universe", "omega"),
         ],
     )
     def test_bad_inputs_never_crash(self, capsys, argv):

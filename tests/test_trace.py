@@ -15,7 +15,8 @@ from metricwb import (
     trace_accept,
     trace_distance_lb,
 )
-from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, pretty
+from metricwb.dist import Dist
+from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, pretty, size, substitute
 from metricwb.trace import (
     AppAction,
     TensorAction,
@@ -24,6 +25,7 @@ from metricwb.trace import (
     default_tensor_templates,
     encode_theta_trace,
     enumerate_traces,
+    explore,
     format_trace,
 )
 
@@ -157,6 +159,11 @@ class TestAppCombinations:
         for t in app_combinations([Var("x"), Var("y")], [I], 5):
             assert size(t) <= 5
 
+    def test_size_zero_atoms_terminate(self):
+        out = app_combinations([Var("x")], [OMEGA], 3)
+        assert App(Var("x"), OMEGA) in out
+        assert all(size(t) <= 3 for t in out)
+
     def test_no_duplicates_and_deterministic(self):
         out = app_combinations([Var("x"), Var("y")], [I], 5)
         assert len(out) == len(set(out))
@@ -191,6 +198,63 @@ class TestDistanceLowerBound:
     def test_symmetry(self):
         m = parse("(\\x. x) (+) omega")
         assert trace_distance_lb(m, I, (I,), 2)[0] == trace_distance_lb(I, m, (I,), 2)[0]
+
+
+def reference_accept(t, s) -> Fraction:
+    """Trace probability by recursion on the word over gen.naive_eval; it
+    shares no code with the search's step function."""
+    total = Fraction(0)
+    for v, p in gen.naive_eval(t).items():
+        if not s:
+            total += p
+        elif isinstance(s[0], AppAction) and isinstance(v, Abs):
+            total += p * reference_accept(substitute(v.body, v.var, s[0].value), s[1:])
+        elif isinstance(s[0], TensorAction) and isinstance(v, Pair):
+            for a, q in gen.naive_eval(v.first).items():
+                for b, r in gen.naive_eval(v.second).items():
+                    inst = substitute(substitute(s[0].body, "x", a), "y", b)
+                    total += p * q * r * reference_accept(inst, s[1:])
+    return total
+
+
+class TestExplore:
+    def test_visits_by_length_and_skips_reached_pairs(self):
+        words = []
+
+        def visit(word, da, db):
+            words.append(word)
+            return word != ("b",)
+
+        explore(
+            (dirac(0), dirac(0)),
+            lambda support: ("a", "b", "c"),
+            lambda s, a: dirac(s + 1) if a == "a" else dirac(s + 2) if a == "b" else Dist(),
+            2,
+            visit,
+        )
+        # ("b",) is not extended; ("a", "a") reaches the pair of ("b",), and
+        # ("a", "c") and every extension of ("c",) the empty pair of ("c",)
+        assert words == [(), ("a",), ("b",), ("c",), ("a", "b")]
+
+    def test_search_returns_the_first_maximiser_of_the_enumeration(self):
+        rng = random.Random(20260390)
+        universes = ((I,), (I, parse("\\a. \\b. a")))
+        for i in range(60):
+            m = gen.random_program(rng, max_size=12, fuel=3)
+            n = gen.random_program(rng, max_size=12, fuel=3)
+            universe = universes[i % 2]
+            templates = tuple(rng.sample(default_tensor_templates(universe), i % 4))
+            max_len = i % 4
+            first = None
+            for s in enumerate_traces(universe, max_len, templates):
+                gap = abs(reference_accept(m, s) - reference_accept(n, s))
+                if not templates:
+                    em, en = lts_trace_accept(dirac(m), s), lts_trace_accept(dirac(n), s)
+                    assert abs(em - en) == gap
+                if first is None or gap > first[0]:
+                    first = (gap, s)
+            got = trace_distance_lb(m, n, universe, max_len, templates)
+            assert got == first, (pretty(m), pretty(n), universe, templates, max_len)
 
 
 class TestLtsView:

@@ -7,6 +7,7 @@ import pytest
 import gen
 from metricwb import (
     InvalidAction,
+    NotAffine,
     build_expair,
     build_mn_nn,
     build_sn,
@@ -22,7 +23,7 @@ from metricwb import (
 )
 from metricwb.dist import Dist
 from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, pretty
-from metricwb.trace import AppAction
+from metricwb.trace import AppAction, default_tensor_templates, trace_distance_lb
 from metricwb.tuples import (
     ActionTemplates,
     Appl,
@@ -85,6 +86,19 @@ class TestSteps:
             tuple_step((I, I), Appl(1, (2,), Var("x9")))
         with pytest.raises(InvalidAction, match="positive"):
             tuple_step((CLEAN,), Cut(0))
+
+    def test_an_argument_uses_each_consumed_component_once(self):
+        twice = Appl(1, (2,), parse("\\y. x2 x2"))
+        with pytest.raises(NotAffine):
+            tuple_step((I, I), twice)
+        with pytest.raises(NotAffine):
+            program_tuple_trace_prob(CLEAN, (Cut(1), twice))
+        with pytest.raises(NotAffine):
+            parse_tuple_trace("cut(1); appl(1; x2; \\y. x2 x2)")
+
+    def test_components_must_be_affine(self):
+        with pytest.raises(NotAffine):
+            tuple_step((parse("\\x. x x"),), Appl(1, (), I))
 
     def test_step_or_zero_turns_inapplicability_into_no_mass(self):
         assert not step_or_zero((I,), Cut(1))
@@ -270,6 +284,34 @@ class TestDistanceSearch:
     def test_respects_a_restricted_template_set(self):
         v, _ = tuple_distance_lb(NOISY, CLEAN, value_templates((I,)), 3)
         assert v == F(3, 4)
+
+    def test_templates_are_checked_at_entry(self):
+        with pytest.raises(NotAffine):
+            tuple_distance_lb(NOISY, CLEAN, value_templates((parse("\\x. x x"),)), 3)
+        bad = ActionTemplates(abs_templates=(Abs("y", App(Var("$j"), Var("$j"))),))
+        with pytest.raises(NotAffine):
+            tuple_distance_lb(NOISY, CLEAN, bad, 3)
+
+
+class TestBinderHygiene:
+    def test_searches_never_raise_not_affine(self):
+        # Actions substitute the same template and universe values into
+        # terms that already contain their binders; the searches evaluate
+        # without re-checking affinity, so the nested reuse is harmless.
+        rng = random.Random(20260391)
+        universe = (I, parse("\\a. \\b. a"))
+        templates = default_templates(universe)
+        tensor = default_tensor_templates(universe)
+        for i in range(200):
+            m = gen.random_program(rng, max_size=12, fuel=3)
+            n = gen.random_program(rng, max_size=12, fuel=3)
+            max_len = 1 + i % 5
+            for v, w in (
+                tuple_distance_lb(m, n, templates, max_len),
+                trace_distance_lb(m, n, universe, max_len, tensor),
+            ):
+                assert 0 <= v <= 1
+                assert len(w) <= max_len
 
 
 class TestAgreementWithTraces:
