@@ -78,7 +78,13 @@ def _eval(t: Term) -> Dist[Term]:
                     for av, q in da.items():
                         parts.append((p * q, _eval(substitute(fv.body, fv.var, av))))
                 else:
-                    logger.warning("discarding stuck application of a pair")
+                    logger.warning(
+                        "discarding stuck application of a pair: %s applied to %s"
+                        " drops mass %s",
+                        fv,
+                        a,
+                        p * da.weight(),
+                    )
             d = mix(parts)
         case LetPair(x, y, m, b):
             parts = []
@@ -90,7 +96,12 @@ def _eval(t: Term) -> Dist[Term]:
                             inst = substitute(substitute(b, x, v1), y, v2)
                             parts.append((p * q1 * q2, _eval(inst)))
                 else:
-                    logger.warning("discarding stuck let on an abstraction")
+                    logger.warning(
+                        "discarding stuck let on an abstraction: %s destructured as a pair"
+                        " drops mass %s",
+                        mv,
+                        p,
+                    )
             d = mix(parts)
         case Var(name):
             raise NotClosed(f"free variable '{name}' reached evaluation")

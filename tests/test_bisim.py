@@ -8,20 +8,25 @@ from metricwb import (
     BudgetExceeded,
     NonConvergence,
     bisim_distance,
+    build_mn_nn,
     parse,
     trace_distance_lb,
+    u_seq,
 )
 from metricwb.bisim import (
     EVAL_LABEL,
     LmcState,
+    _lifted,
     apply_F,
     bisim_metric,
     build_lmc,
     dval,
     prog,
 )
-from metricwb.kantorovich import PseudoMetric
+from metricwb.dist import Dist
+from metricwb.kantorovich import PseudoMetric, lift_dual, lift_primal
 from metricwb.terms import OMEGA, identity
+from metricwb.trace import default_tensor_templates
 
 I = identity()
 HALF = Fraction(1, 2)
@@ -109,6 +114,77 @@ class TestFunctional:
     def test_non_convergence_is_reported(self):
         with pytest.raises(NonConvergence):
             bisim_distance(I, OMEGA, (I,), 2, iteration_cap=1)
+
+
+class TestLifting:
+    STATES = ("a", "b", "c")
+
+    def check(self, mu, d, e):
+        assert _lifted(mu, d, e) == lift_primal(mu, d, e)[0] == lift_dual(mu, d, e)
+
+    def test_closed_forms_agree_with_both_lp_routes(self):
+        rng = random.Random(20260353)
+        corners = (Fraction(0), Fraction(1, 4), Fraction(3, 4), Fraction(1))
+        for _ in range(40):
+            mu = gen.random_metric(rng, self.STATES)
+            for s in self.STATES:
+                for t in self.STATES:
+                    for p in corners:
+                        for q in corners:
+                            self.check(mu, Dist([(s, p)]), Dist([(t, q)]))
+            for _ in range(20):
+                d = gen.random_dist(rng, [rng.choice(self.STATES)], allow_empty=True)
+                e = gen.random_dist(rng, [rng.choice(self.STATES)], allow_empty=True)
+                self.check(mu, d, e)
+
+    def test_larger_supports_fall_back_to_the_lp(self):
+        rng = random.Random(20260354)
+        mu = gen.random_metric(rng, self.STATES)
+        d = Dist([("a", Fraction(1, 2)), ("b", Fraction(1, 4))])
+        e = Dist([("b", Fraction(1, 8)), ("c", Fraction(3, 4))])
+        self.check(mu, d, e)
+        self.check(mu, Dist([]), d)
+
+
+class TestOnTheFly:
+    def test_agrees_with_the_dense_fixpoint(self):
+        # The root's pair graph is closed under the functional, so the
+        # distance must equal the all-pairs fixpoint read at the root.
+        rng = random.Random(20260352)
+        candidates = (I, parse("\\a. \\b. a"))
+        tensor = default_tensor_templates()
+        for _ in range(100):
+            m = gen.random_program(rng, max_size=15, fuel=4)
+            n = gen.random_program(rng, max_size=15, fuel=4)
+            universe = rng.sample(candidates, rng.randint(0, 2))
+            templates = rng.sample(tensor, rng.randint(0, 4))
+            depth = rng.randint(0, 3)
+            frag = build_lmc(m, n, universe, depth, tensor_templates=templates)
+            want = bisim_metric(frag).get(prog(m), prog(n))
+            got = bisim_distance(m, n, universe, depth, tensor_templates=templates)
+            assert got == want
+
+    def test_every_shared_label_is_followed(self):
+        # Only the second universe value separates the two programs.
+        m = parse("\\x. x (\\u. u) (\\u. omega)")
+        n = parse("\\x. x (\\u. u) (\\u. u)")
+        k = parse("\\a. \\b. a")
+        assert bisim_distance(m, n, (k,), 2) == 0
+        assert bisim_distance(m, n, (k, I), 2) == 1
+
+    @pytest.mark.parametrize(
+        "n, want", [(1, Fraction(1, 2)), (2, Fraction(5, 8)), (3, Fraction(43, 64))]
+    )
+    def test_tower_family(self, n, want):
+        m, nn = build_mn_nn(n)
+        value = bisim_distance(
+            m, nn, (I,), 2 * n + 1, tensor_templates=default_tensor_templates()
+        )
+        assert value == want == 1 - u_seq(n)
+
+    def test_universe_entries_must_be_values(self):
+        with pytest.raises(ValueError, match="not a value"):
+            build_lmc(parse("\\x. \\y. y"), I, (OMEGA,), 3)
 
 
 class TestDistance:

@@ -139,6 +139,26 @@ class TestDistance:
         assert payload["distance"] == "1/2"
         assert payload["depth"] == 4
 
+    def test_bisim_kind_with_a_universe_that_reuses_binders(self, capsys):
+        # Applying \a. \b. a to itself nests a binder inside its own scope;
+        # the fragment must evaluate it instead of rejecting it as non-affine.
+        payload = payload_of(
+            capsys,
+            "distance", "--kind", "bisim", "\\x. x", "\\x. x",
+            "--universe", "\\a. \\b. a", "--depth", "3",
+        )
+        assert payload["distance"] == "0/1"
+
+    def test_bisim_kind_rejects_a_universe_entry_that_is_not_a_value(self, capsys):
+        code, out, err = run(
+            capsys,
+            "distance", "--kind", "bisim", "\\x. \\y. y", "\\x. x",
+            "--universe", "omega", "--depth", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert "app action argument is not a value" in err
+
     def test_tuple_kind(self, capsys):
         payload = payload_of(
             capsys,

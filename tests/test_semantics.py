@@ -74,6 +74,25 @@ class TestBigStep:
         assert not out
         assert "stuck let" in caplog.text
 
+    def test_stuck_warnings_name_the_redex_and_the_mass(self, caplog):
+        clear_memo()
+        t = parse("let <a, b> = (\\x. x) (+) <\\y. y, \\z. z> in a")
+        with caplog.at_level("WARNING", logger="metricwb"):
+            eval_big(t)
+        (record,) = caplog.records
+        assert record.args == (I, HALF)  # formatted only when printed
+        assert record.getMessage().endswith("\\x. x destructured as a pair drops mass 1/2")
+
+        clear_memo()
+        t = parse("(<\\x. x, \\y. y> (+) \\z. z) ((\\a. a) (+) (omega (+) omega))")
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="metricwb"):
+            assert eval_big(t).weight() == Fraction(1, 4)
+        (record,) = caplog.records
+        assert "stuck application" in record.getMessage()
+        assert record.args[-1] == Fraction(1, 4)  # half the function side, half the argument
+        clear_memo()
+
     def test_partial_stuckness_keeps_the_good_branch(self):
         clear_memo()
         t = App(parse("(\\x. x) (+) <omega, omega>"), parse("\\y. y"))

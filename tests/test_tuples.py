@@ -8,6 +8,7 @@ import gen
 from metricwb import (
     InvalidAction,
     NotAffine,
+    bisim_distance,
     build_expair,
     build_mn_nn,
     build_sn,
@@ -312,6 +313,16 @@ class TestBinderHygiene:
             ):
                 assert 0 <= v <= 1
                 assert len(w) <= max_len
+
+    def test_bisimulation_never_raises_not_affine(self):
+        # The fragment substitutes universe values into terms that may
+        # already hold their binders, so it evaluates without re-checking.
+        rng = random.Random(20260392)
+        universe = (I, parse("\\a. \\b. a"))
+        for i in range(100):
+            m = gen.random_program(rng, max_size=12, fuel=3)
+            n = gen.random_program(rng, max_size=12, fuel=3)
+            assert 0 <= bisim_distance(m, n, universe, 1 + i % 3) <= 1
 
 
 class TestAgreementWithTraces:
