@@ -9,6 +9,7 @@ adjust verbosity. Exit codes: 0 success, 1 bad input, 2 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -20,7 +21,7 @@ from .bisim import bisim_distance
 from .dist import frac_str
 from .errors import MetricWbError, ParseError
 from .parser import parse
-from .semantics import eval_big
+from .semantics import clear_memo, eval_big
 from .terms import Term, affine_violation, identity, pretty
 from .trace import format_trace, parse_trace, trace_accept, trace_distance_lb
 from .tuples import (
@@ -204,7 +205,10 @@ def _cmd_examples(args) -> dict:
     return payload
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process. Commands are looked up by name at dispatch
+    # time, so rebinding a _cmd_* function takes effect.
     p = argparse.ArgumentParser(
         prog="metricwb",
         description="Exact distances between affine probabilistic lambda-terms.",
@@ -215,16 +219,13 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("term")
     c.add_argument("--ctx", default="", help="comma-separated free variables")
     c.add_argument("--typed", action="store_true", help="also infer a simple type")
-    c.set_defaults(fn=_cmd_check)
 
     e = sub.add_parser("eval", help="value distribution of a closed program")
     e.add_argument("term")
-    e.set_defaults(fn=_cmd_eval)
 
     t = sub.add_parser("trace-prob", help="probability of passing a trace")
     t.add_argument("term")
     t.add_argument("trace", help="eps, app(V); ... or cut(i); appl(i; g; C); ...")
-    t.set_defaults(fn=_cmd_trace_prob)
 
     d = sub.add_parser("distance", help="distance between two programs")
     d.add_argument("--kind", required=True, choices=("trace", "bisim", "tuple"))
@@ -234,12 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--max-len", type=int, default=4, dest="max_len")
     d.add_argument("--depth", type=int, default=6)
     d.add_argument("--state-cap", type=int, default=10000, dest="state_cap")
-    d.set_defaults(fn=_cmd_distance)
 
     x = sub.add_parser("examples", help="reproduce the worked example families")
     x.add_argument("--which", default="all", choices=("expair", "mn-nn", "all"))
     x.add_argument("--n", type=int, default=4, help="largest tower level")
-    x.set_defaults(fn=_cmd_examples)
 
     return p
 
@@ -259,8 +258,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    clear_memo()  # memo hits carry the binder names of earlier evaluations
     try:
-        out = args.fn(args)
+        out = globals()["_cmd_" + args.command.replace("-", "_")](args)
         code = 0
         if isinstance(out, tuple):
             out, code = out

@@ -212,12 +212,21 @@ def trace_distance_lb(
     tensor_templates: Sequence[Term] = (),
 ) -> tuple[Fraction, Trace]:
     """Largest trace-probability gap over all traces up to max_len, with the
-    first trace attaining it. A lower bound on the full trace distance."""
+    first trace attaining it. A lower bound on the full trace distance.
+    Each node tries only the actions that fit some value of its support:
+    the others lose all mass on both sides."""
     _require_program(m)
     _require_program(n)
     alphabet = [s[0] for s in enumerate_traces(universe, 1, tensor_templates) if s]
     check_trace(alphabet)
-    return widest_gap((_eval(m), _eval(n)), lambda _: alphabet, _trace_step, max_len)
+    apps = [a for a in alphabet if isinstance(a, AppAction)]
+    tensors = [a for a in alphabet if isinstance(a, TensorAction)]
+
+    def actions(support: set) -> list:
+        fits = {type(t) for t in support}
+        return (apps if Abs in fits else []) + (tensors if Pair in fits else [])
+
+    return widest_gap((_eval(m), _eval(n)), actions, _trace_step, max_len)
 
 
 def app_combinations(

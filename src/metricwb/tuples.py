@@ -132,17 +132,39 @@ def _tuple_step(k: TupleState, a) -> Dist[TupleState]:
     comp = k[a.pos - 1]
     if not isinstance(comp, Abs):
         raise InvalidAction(f"component {a.pos} is not an abstraction")
-    arg = a.body
-    for j in a.consumed:
-        arg = substitute(arg, component_name(j), k[j - 1])
     gone = set(a.consumed)
-    return _eval(substitute(comp.body, comp.var, arg)).map_elems(
+    return _eval(substitute(comp.body, comp.var, _argument(k, a))).map_elems(
         lambda w: tuple(
             w if pos == a.pos else k[pos - 1]
             for pos in range(1, n + 1)
             if pos == a.pos or pos not in gone
         )
     )
+
+
+def _argument(k: TupleState, a: Appl) -> Term:
+    arg = a.body
+    for j in a.consumed:
+        arg = substitute(arg, component_name(j), k[j - 1])
+    return arg
+
+
+def _effect(k: TupleState, a):
+    """Everything _tuple_step(k, a) depends on besides k: two actions with
+    equal effects on k give equal successor distributions. None when a
+    does not apply to k. An abstraction that ignores its variable makes
+    the argument irrelevant; arguments compare up to alpha-equivalence."""
+    n = len(k)
+    if isinstance(a, Cut):
+        return a.pos if a.pos <= n and isinstance(k[a.pos - 1], Pair) else None
+    if a.pos > n or any(j > n for j in a.consumed):
+        return None
+    comp = k[a.pos - 1]
+    if not isinstance(comp, Abs):
+        return None
+    if comp.var not in comp.body.free_vars:
+        return a.pos, a.consumed
+    return a.pos, a.consumed, _argument(k, a)
 
 
 def _check_tuple_state(k: TupleState) -> None:
@@ -327,7 +349,10 @@ def enumerate_actions(
     states: Iterable[TupleState], templates: ActionTemplates
 ) -> list:
     """Deterministically ordered actions worth trying from the given
-    support: a cut or application wherever some state has the right shape."""
+    support: a cut or application wherever some state has the right shape.
+    An action is left out when an earlier one has the same effect on every
+    state, since both lead to the same successor distributions."""
+    states = list(states)
     max_len = 0
     pair_at: set[int] = set()
     abs_at: set[int] = set()
@@ -338,14 +363,17 @@ def enumerate_actions(
                 pair_at.add(pos)
             elif isinstance(comp, Abs):
                 abs_at.add(pos)
-    actions: list = [Cut(i) for i in sorted(pair_at)]
-    seen: set = set(actions)
+    actions: list = []
+    effects: set = set()
 
     def add(a) -> None:
-        if a not in seen:
-            seen.add(a)
+        key = tuple(_effect(k, a) for k in states)
+        if key not in effects:
+            effects.add(key)
             actions.append(a)
 
+    for i in sorted(pair_at):
+        add(Cut(i))
     for i in sorted(abs_at):
         for v in templates.values:
             add(Appl(i, (), v))

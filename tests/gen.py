@@ -24,11 +24,20 @@ from metricwb.terms import (
     Var,
     identity,
     is_value,
+    rename_free,
     size,
     substitute,
 )
-from metricwb.trace import AppAction, TensorAction, explore
-from metricwb.tuples import build_mn_nn, enumerate_actions, skewed_choice, step_or_zero
+from metricwb.semantics import eval_big
+from metricwb.trace import AppAction, TensorAction, explore, widest_gap
+from metricwb.tuples import (
+    Appl,
+    Cut,
+    build_mn_nn,
+    enumerate_actions,
+    skewed_choice,
+    step_or_zero,
+)
 from metricwb.types import Arrow, Base, IOTA, Tensor, Type
 
 ZERO = Fraction(0)
@@ -563,3 +572,38 @@ def partition_violations(
         classify,
     )
     return checked, violations
+
+
+# --- reference tuple actions: duplicates removed by action equality only --
+
+
+def reference_actions(states, templates) -> list:
+    """Every action the templates allow on the given support, in the order
+    tuples.enumerate_actions tries them, dropping only repeated actions and
+    none that merely act alike."""
+    states = list(states)
+    width = max((len(k) for k in states), default=0)
+
+    def positions(shape):
+        return sorted({i + 1 for k in states for i, c in enumerate(k) if isinstance(c, shape)})
+
+    out = [Cut(i) for i in positions(Pair)]
+    for i in positions(Abs):
+        others = [j for j in range(1, width + 1) if j != i]
+        out.extend(Appl(i, (), v) for v in templates.values)
+        if templates.component_args:
+            out.extend(Appl(i, (j,), Var(f"x{j}")) for j in others)
+        for t in templates.abs_templates:
+            if "$j" in t.free_vars:
+                out.extend(Appl(i, (j,), rename_free(t, {"$j": f"x{j}"})) for j in others)
+            else:
+                out.append(Appl(i, (), t))
+    return list(dict.fromkeys(out))
+
+
+def reference_tuple_search(m: Term, n: Term, templates, max_len: int) -> tuple:
+    """tuples.tuple_distance_lb over reference_actions."""
+    start = tuple(eval_big(t).map_elems(lambda v: (v,)) for t in (m, n))
+    return widest_gap(
+        start, lambda support: reference_actions(support, templates), step_or_zero, max_len
+    )

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from metricwb.cli import main
+from metricwb.parser import parse
+from metricwb.semantics import eval_big
 
 NOISY = "<\\z. (\\x. x) (+) omega, \\z. (\\x. x) (+) omega>"
 CLEAN = "<\\z. \\x. x, \\z. \\x. x>"
@@ -68,6 +70,13 @@ class TestEval:
             "weight": "1/2",
         }
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_output_ignores_earlier_evaluations(self, capsys):
+        # The eval memo matches terms up to alpha-equivalence, so a hit
+        # would print the binder names of the earlier evaluation.
+        eval_big(parse("(\\v3. v3) (+) omega"))
+        payload = payload_of(capsys, "eval", "(\\x. x) (+) omega")
+        assert payload["support"] == [{"elem": "\\x. x", "p": "1/2"}]
 
     def test_divergence_has_empty_support(self, capsys):
         payload = payload_of(capsys, "eval", "omega")

@@ -9,6 +9,7 @@ from metricwb import (
     NotClosed,
     dirac,
     encode_theta,
+    eval_big,
     lts_trace_accept,
     parse,
     parse_trace,
@@ -24,9 +25,11 @@ from metricwb.trace import (
     check_trace,
     default_tensor_templates,
     encode_theta_trace,
+    _trace_step,
     enumerate_traces,
     explore,
     format_trace,
+    widest_gap,
 )
 
 I = identity()
@@ -255,6 +258,30 @@ class TestExplore:
                     first = (gap, s)
             got = trace_distance_lb(m, n, universe, max_len, templates)
             assert got == first, (pretty(m), pretty(n), universe, templates, max_len)
+
+    def test_shape_filter_matches_the_full_alphabet(self):
+        # The search offers app actions only where its support has an
+        # abstraction and tensor actions only where it has a pair. Every
+        # third pair starts from pairs, where tensor actions matter.
+        rng = random.Random(20260404)
+        universes = ((I,), (I, parse("\\a. \\b. a")))
+        for i in range(60):
+            m, n = (
+                Pair(*(gen.random_value(rng, max_size=6, prefix=f"{side}{h}") for h in "ab"))
+                if i % 3 == 0
+                else gen.random_program(rng, max_size=12, fuel=3)
+                for side in "mn"
+            )
+            universe = universes[i % 2]
+            templates = tuple(rng.sample(default_tensor_templates(universe), 1 + i % 6))
+            max_len = 1 + i % 3
+            alphabet = [AppAction(v) for v in universe]
+            alphabet += [TensorAction(b) for b in templates]
+            full = widest_gap(
+                (eval_big(m), eval_big(n)), lambda _: alphabet, _trace_step, max_len
+            )
+            got = trace_distance_lb(m, n, universe, max_len, templates)
+            assert got == full, (pretty(m), pretty(n), universe, templates, max_len)
 
 
 class TestLtsView:

@@ -29,6 +29,7 @@ from metricwb.tuples import (
     ActionTemplates,
     Appl,
     Cut,
+    _effect,
     default_templates,
     enumerate_actions,
     format_tuple_trace,
@@ -42,6 +43,7 @@ I = identity()
 F = Fraction
 HALF = F(1, 2)
 
+K = parse("\\a. \\b. a")
 NOISY, CLEAN = build_expair()
 WITNESS = (Cut(1), Appl(1, (), I), Appl(2, (), I))
 
@@ -273,6 +275,72 @@ class TestActionEnumeration:
         assert len(a) == len(set(a))
 
 
+def random_tuple_state(rng, width: int) -> tuple:
+    """Closed values: abstractions ignoring their variable, random
+    abstractions (which may use it or not) and pairs of abstractions."""
+
+    def component(i: int):
+        kind = rng.randrange(3)
+        if kind == 0:
+            return Abs(f"d{i}", gen.random_program(rng, max_size=8, fuel=2))
+        if kind == 1:
+            return gen.random_value(rng, max_size=8, prefix=f"c{i}")
+        return Pair(*(gen.random_value(rng, max_size=6, prefix=f"p{i}{h}") for h in "ab"))
+
+    return tuple(component(i) for i in range(width))
+
+
+class TestDistinctEffects:
+    def test_equal_effects_give_equal_steps(self):
+        # Supports mix widths, so some actions reach past a state's end.
+        rng = random.Random(20260401)
+        templates = default_templates((I, K))
+        merged = {2: 0, 3: 0}
+        for _ in range(40):
+            states = [random_tuple_state(rng, rng.randint(1, 3)) for _ in range(2)]
+            actions = gen.reference_actions(states, templates)
+            for k in states:
+                by_effect: dict = {}
+                for a in actions:
+                    by_effect.setdefault(_effect(k, a), []).append(a)
+                for effect, group in by_effect.items():
+                    first = step_or_zero(k, group[0])
+                    for a in group[1:]:
+                        assert step_or_zero(k, a) == first, (k, group[0], a)
+                        if effect is not None:
+                            merged[len(effect)] += 1
+        # both vacuous (pos, consumed) and argument-carrying keys coincide
+        assert all(merged.values()), merged
+
+    def test_enumeration_keeps_the_first_action_of_each_effect(self):
+        rng = random.Random(20260402)
+        templates = default_templates((I, K))
+        for _ in range(40):
+            states = [random_tuple_state(rng, rng.randint(1, 3)) for _ in range(2)]
+            reference = gen.reference_actions(states, templates)
+            firsts = {}
+            for a in reference:
+                firsts.setdefault(tuple(_effect(k, a) for k in states), a)
+            assert enumerate_actions(states, templates) == list(firsts.values())
+
+    def test_search_matches_the_reference_enumeration(self):
+        rng = random.Random(20260403)
+        template_sets = (
+            default_templates(),
+            default_templates((K,)),
+            default_templates((I, K)),
+            value_templates((I, K)),
+        )
+        for i in range(100):
+            m = gen.random_program(rng, max_size=12, fuel=3)
+            n = gen.random_program(rng, max_size=12, fuel=3)
+            templates = template_sets[i % 4]
+            max_len = 1 + i % 4
+            got = tuple_distance_lb(m, n, templates, max_len)
+            want = gen.reference_tuple_search(m, n, templates, max_len)
+            assert got == want, (pretty(m), pretty(n), i)
+
+
 class TestDistanceSearch:
     def test_identical_programs(self):
         v, w = tuple_distance_lb(NOISY, NOISY, None, 3)
@@ -387,7 +455,7 @@ class TestPartitionWalker:
                         assert in_low or in_high
                         brute_total += 1
                         support = set(dk.support()) | set(dh.support())
-                        for a in enumerate_actions(support, templates):
+                        for a in gen.reference_actions(support, templates):
                             nxt.append((
                                 dk.bind(lambda s: step_or_zero(s, a)),
                                 dh.bind(lambda s: step_or_zero(s, a)),
