@@ -88,6 +88,8 @@ def build_lmc(
     universe value substituted into a term that already holds its binders
     reuses a binder name harmlessly.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     universe = dedupe_values(universe)
     for v in universe:
         _check_app_value(v)

@@ -120,10 +120,25 @@ def _cmd_trace_prob(args) -> dict:
     }
 
 
+# the bounds each distance kind honours, with their defaults
+_KIND_BOUNDS = {
+    "trace": {"max_len": 4},
+    "tuple": {"max_len": 4},
+    "bisim": {"depth": 6, "state_cap": 10000},
+}
+
+
 def _cmd_distance(args) -> dict:
     a = parse(args.term_a)
     b = parse(args.term_b)
     universe = _parse_universe(args.universe)
+    own = _KIND_BOUNDS[args.kind]
+    for name in ("max_len", "depth", "state_cap"):
+        if getattr(args, name) is None:
+            setattr(args, name, own.get(name))
+        elif name not in own:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to --kind {args.kind}")
     if args.kind == "trace":
         value, witness = trace_distance_lb(a, b, universe, args.max_len)
         return {
@@ -205,6 +220,16 @@ def _cmd_examples(args) -> dict:
     return payload
 
 
+def _natural(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process. Commands are looked up by name at dispatch
@@ -232,13 +257,14 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("term_a")
     d.add_argument("term_b")
     d.add_argument("--universe", default="I", help="comma-separated closed values")
-    d.add_argument("--max-len", type=int, default=4, dest="max_len")
-    d.add_argument("--depth", type=int, default=6)
-    d.add_argument("--state-cap", type=int, default=10000, dest="state_cap")
+    # no defaults here: _cmd_distance rejects the bounds its kind ignores
+    d.add_argument("--max-len", type=_natural, dest="max_len", help="trace, tuple (default 4)")
+    d.add_argument("--depth", type=_natural, help="bisim (default 6)")
+    d.add_argument("--state-cap", type=int, dest="state_cap", help="bisim (default 10000)")
 
     x = sub.add_parser("examples", help="reproduce the worked example families")
     x.add_argument("--which", default="all", choices=("expair", "mn-nn", "all"))
-    x.add_argument("--n", type=int, default=4, help="largest tower level")
+    x.add_argument("--n", type=_natural, default=4, help="largest tower level")
 
     return p
 

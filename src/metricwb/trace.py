@@ -187,20 +187,63 @@ def explore(
                     frontier.append((word + (a,), ca, cb))
 
 
-def widest_gap(start: tuple, actions: Callable, step: Callable, max_len: int) -> tuple:
+def widest_gap(
+    start: tuple,
+    actions: Callable,
+    step: Callable,
+    max_len: int,
+    effect: Callable = lambda s, a: a,
+) -> tuple:
     """Largest weight gap over the words explore reaches, with the first
     word attaining it. A node whose mass on both sides is at most the best
-    gap so far is not extended: probabilities only shrink along a word."""
+    gap so far is not extended: probabilities only shrink along a word.
+
+    step(s, a) depends on s and effect(s, a) alone, so each such pair is
+    stepped once per search. Words of length max_len are scored by their
+    weights, sum of p * |step(s, a)| on each side, without building their
+    distributions: a word reaching an earlier pair has that pair's gap,
+    which was scored first and so keeps its witness. That length only
+    reads the memo, since nothing extends its successors."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     best, witness = _ZERO, ()
+    memo: dict = {}  # state -> {effect: successor distribution}
+    last: list = []  # kept nodes of length max_len - 1
+
+    def memo_step(s, a) -> Dist:
+        row = memo.get(s)
+        if row is None:
+            row = memo[s] = {}
+        key = effect(s, a)
+        d = row.get(key)
+        if d is None:
+            d = row[key] = step(s, a)
+        return d
 
     def visit(word: tuple, da: Dist, db: Dist) -> bool:
         nonlocal best, witness
         wa, wb = da.weight(), db.weight()
         if abs(wa - wb) > best:
             best, witness = abs(wa - wb), word
-        return max(wa, wb) > best
+        keep = max(wa, wb) > best
+        if keep and len(word) == max_len - 1:
+            last.append((word, da, db))
+        return keep
 
-    explore(start, actions, step, max_len, visit)
+    def child_weight(d: Dist, a) -> Fraction:
+        total = _ZERO
+        for s, p in d.items():
+            row = memo.get(s)
+            child = None if row is None else row.get(effect(s, a))
+            total += p * (step(s, a) if child is None else child).weight()
+        return total
+
+    explore(start, actions, memo_step, max(max_len - 1, 0), visit)
+    for word, da, db in last:
+        for a in actions(set(da.support()) | set(db.support())):
+            gap = abs(child_weight(da, a) - child_weight(db, a))
+            if gap > best:
+                best, witness = gap, word + (a,)
     return best, witness
 
 

@@ -401,9 +401,10 @@ def tuple_distance_lb(
     traces up to max_len, with the first witness in search order.
 
     The search is trace.widest_gap: breadth-first, exploring branches with
-    identical joint distributions once and dropping branches that keep no
-    more mass than the best gap. Templates are checked once here, so the
-    steps skip the affinity check.
+    identical joint distributions once, dropping branches that keep no
+    more mass than the best gap, and stepping each state once per distinct
+    action effect. Templates are checked once here, so the steps skip the
+    affinity check.
     """
     if template_set is None:
         template_set = default_templates()
@@ -415,6 +416,7 @@ def tuple_distance_lb(
         lambda support: enumerate_actions(support, template_set),
         step_or_zero,
         max_len,
+        _effect,
     )
 
 

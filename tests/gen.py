@@ -29,7 +29,7 @@ from metricwb.terms import (
     substitute,
 )
 from metricwb.semantics import eval_big
-from metricwb.trace import AppAction, TensorAction, explore, widest_gap
+from metricwb.trace import AppAction, TensorAction, explore
 from metricwb.tuples import (
     Appl,
     Cut,
@@ -602,8 +602,20 @@ def reference_actions(states, templates) -> list:
 
 
 def reference_tuple_search(m: Term, n: Term, templates, max_len: int) -> tuple:
-    """tuples.tuple_distance_lb over reference_actions."""
+    """tuples.tuple_distance_lb over reference_actions, without
+    trace.widest_gap: explore builds every kept node up to max_len, stepping
+    each state anew, and each node is scored as it is visited."""
+    best, witness = ZERO, ()
+
+    def visit(word, da, db) -> bool:
+        nonlocal best, witness
+        wa, wb = da.weight(), db.weight()
+        if abs(wa - wb) > best:
+            best, witness = abs(wa - wb), word
+        return max(wa, wb) > best
+
     start = tuple(eval_big(t).map_elems(lambda v: (v,)) for t in (m, n))
-    return widest_gap(
-        start, lambda support: reference_actions(support, templates), step_or_zero, max_len
+    explore(
+        start, lambda support: reference_actions(support, templates), step_or_zero, max_len, visit
     )
+    return best, witness

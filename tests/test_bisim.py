@@ -60,6 +60,12 @@ class TestFragment:
         d = frag.successors(prog(COIN), EVAL_LABEL)
         assert d.get(dval(I)) == HALF
 
+    def test_negative_depth_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_lmc(I, COIN, (I,), -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            bisim_distance(I, COIN, (I,), -1)
+
     def test_depth_limits_value_interrogation(self):
         frag0 = build_lmc(I, OMEGA, (I,), 0)
         assert frag0.labels[dval(I)] == ()

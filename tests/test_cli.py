@@ -198,6 +198,43 @@ class TestDistance:
         assert payload["distance"] == "1/1"
         assert payload["witness"] == "appl(1; ; \\y. y); appl(1; ; \\a. \\b. a)"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "tuple", "I", "omega", "--max-len", "-1"),
+            ("--kind", "trace", "I", "omega", "--max-len", "-1"),
+            ("--kind", "bisim", "\\x. x", "\\x. (x (+) omega)", "--depth", "-1"),
+        ],
+    )
+    def test_negative_bounds_are_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "distance", *argv)
+        assert code == 1
+        assert out == ""
+        assert "nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "kind, flag",
+        [
+            ("trace", "--depth"),
+            ("trace", "--state-cap"),
+            ("tuple", "--depth"),
+            ("tuple", "--state-cap"),
+            ("bisim", "--max-len"),
+        ],
+    )
+    def test_bounds_of_another_kind_are_rejected(self, capsys, kind, flag):
+        code, out, err = run(capsys, "distance", "--kind", kind, "I", "omega", flag, "3")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} does not apply to --kind {kind}\n"
+
+    def test_each_kind_fills_in_its_own_defaults(self, capsys):
+        bisim = payload_of(capsys, "distance", "--kind", "bisim", "I", "omega")
+        assert (bisim["depth"], bisim["state_cap"]) == (6, 10000)
+        for kind in ("trace", "tuple"):
+            payload = payload_of(capsys, "distance", "--kind", kind, "I", "omega")
+            assert payload["max_len"] == 4
+
     def test_universe_flag_takes_a_term_list(self, capsys):
         payload = payload_of(
             capsys,
@@ -229,6 +266,12 @@ class TestExamples:
     def test_all_includes_both_families(self, capsys):
         payload = payload_of(capsys, "examples", "--n", "1")
         assert set(payload) == {"expair", "mn-nn"}
+
+    def test_negative_level_is_rejected(self, capsys):
+        code, out, err = run(capsys, "examples", "--which", "mn-nn", "--n", "-1")
+        assert code == 1
+        assert out == ""
+        assert "nonnegative" in err
 
 
 class TestRobustness:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -179,6 +180,10 @@ class TestDistanceLowerBound:
         assert v == 1
         assert w == EPS
 
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            trace_distance_lb(I, OMEGA, (I,), -1)
+
     def test_choice_against_identity(self):
         v, w = trace_distance_lb(parse("(\\x. x) (+) omega"), I, (I,), 3)
         assert v == HALF
@@ -282,6 +287,86 @@ class TestExplore:
             )
             got = trace_distance_lb(m, n, universe, max_len, templates)
             assert got == full, (pretty(m), pretty(n), universe, templates, max_len)
+
+
+# Toy search: side one starts at 0, side two at 10. "a" and "b" halve the
+# second side's mass and tie at gap 1/2; "a" then loops on its own pair;
+# "c" keeps the first side and drops the second.
+TOY = {
+    (0, "a"): dirac(1),
+    (10, "a"): Dist({11: HALF}),
+    (1, "a"): dirac(1),
+    (11, "a"): dirac(11),
+    (0, "b"): dirac(2),
+    (10, "b"): Dist({12: HALF}),
+    (0, "c"): dirac(3),
+}
+
+
+def toy_step(s, a):
+    return TOY.get((s, a), Dist())
+
+
+def first_maximiser(start, alphabet, step, max_len):
+    """Largest gap over every word up to max_len, each scored from the
+    start by folding step, with the first word in length-lexicographic
+    order attaining it."""
+    best = None
+    for n in range(max_len + 1):
+        for word in itertools.product(alphabet, repeat=n):
+            da, db = start
+            for a in word:
+                da = da.bind(lambda s: step(s, a))
+                db = db.bind(lambda s: step(s, a))
+            gap = abs(da.weight() - db.weight())
+            if best is None or gap > best[0]:
+                best = (gap, word)
+    return best
+
+
+class TestWidestGap:
+    START = (dirac(0), dirac(10))
+
+    def test_a_tie_at_the_last_length_keeps_the_first_witness(self):
+        # ("a", "a") reaches the pair of ("a",) again, and ("b",) ties it
+        got = widest_gap(self.START, lambda _: "ab", toy_step, 2)
+        assert got == (HALF, ("a",))
+        assert got == first_maximiser(self.START, "ab", toy_step, 2)
+
+    @pytest.mark.parametrize(
+        "max_len, want", [(0, (0, ())), (1, (1, ("c",))), (2, (1, ("c",)))]
+    )
+    def test_short_budgets(self, max_len, want):
+        got = widest_gap(self.START, lambda _: "abc", toy_step, max_len)
+        assert got == want
+        assert got == first_maximiser(self.START, "abc", toy_step, max_len)
+
+    def test_length_zero_scores_the_root_alone(self):
+        calls = []
+
+        def step(s, a):
+            calls.append((s, a))
+            return toy_step(s, a)
+
+        assert widest_gap((dirac(0), Dist()), lambda _: "abc", step, 0) == (1, ())
+        assert calls == []
+
+    def test_each_state_and_effect_is_stepped_once(self):
+        # both sides share state 0, and the effect says "a" and "b" act alike
+        calls = []
+
+        def step(s, a):
+            calls.append((s, a))
+            return dirac(s + 1)
+
+        got = widest_gap((dirac(0), dirac(0)), lambda _: "ab", step, 3, lambda s, a: None)
+        assert got == (0, ())
+        assert calls.count((0, "a")) == 1 and calls.count((1, "a")) == 1
+        assert (0, "b") not in calls and (1, "b") not in calls
+
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            widest_gap(self.START, lambda _: "abc", toy_step, -1)
 
 
 class TestLtsView:

@@ -350,6 +350,11 @@ class TestDistanceSearch:
         v, _ = tuple_distance_lb(NOISY, CLEAN, None, 0)
         assert v == 0
 
+    def test_negative_budget_is_rejected(self):
+        # the empty word alone separates these by 1
+        with pytest.raises(ValueError, match="nonnegative"):
+            tuple_distance_lb(I, OMEGA, None, -1)
+
     def test_respects_a_restricted_template_set(self):
         v, _ = tuple_distance_lb(NOISY, CLEAN, value_templates((I,)), 3)
         assert v == F(3, 4)
