@@ -90,6 +90,8 @@ def build_lmc(
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+    if state_cap < 0:
+        raise ValueError(f"state_cap must be nonnegative, got {state_cap}")
     universe = dedupe_values(universe)
     for v in universe:
         _check_app_value(v)

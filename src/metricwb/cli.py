@@ -161,6 +161,8 @@ def _cmd_distance(args) -> dict:
             "depth": args.depth,
             "state_cap": args.state_cap,
         }
+    if not universe:  # default_templates would fall back to the identity
+        raise ValueError("--universe names no value; --kind tuple needs at least one")
     value, witness = tuple_distance_lb(a, b, default_templates(universe), args.max_len)
     return {
         "kind": "tuple",
@@ -260,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # no defaults here: _cmd_distance rejects the bounds its kind ignores
     d.add_argument("--max-len", type=_natural, dest="max_len", help="trace, tuple (default 4)")
     d.add_argument("--depth", type=_natural, help="bisim (default 6)")
-    d.add_argument("--state-cap", type=int, dest="state_cap", help="bisim (default 10000)")
+    d.add_argument("--state-cap", type=_natural, dest="state_cap", help="bisim (default 10000)")
 
     x = sub.add_parser("examples", help="reproduce the worked example families")
     x.add_argument("--which", default="all", choices=("expair", "mn-nn", "all"))

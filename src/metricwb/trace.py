@@ -162,88 +162,85 @@ def enumerate_traces(
 
 
 def explore(
-    start: tuple, actions: Callable, step: Callable, max_len: int, visit: Callable
+    start: tuple, actions: Callable, effect: Callable, step: Callable, max_len: int, visit: Callable
 ) -> None:
     """Breadth-first walk over action words played against a pair of
-    distributions. At each length, visit(word, da, db) sees every frontier
-    node in order and says whether to extend it; kept nodes are extended in
-    order by each action of actions(support), every support state s moving
-    to step(s, action). A successor pair some earlier word reached is
-    skipped: same future, and the earlier word comes first in
-    length-lexicographic order, so first witnesses survive."""
+    distributions. At each length, visit(word, wa, wb) sees the weights of
+    every frontier word in order and says whether to extend it.
+
+    A kept node tries the candidates of actions(support) in order, where
+    the support lists the states of both sides. step(s, a) depends on s
+    and effect(s, a) alone; an effect of None means a does not apply to s,
+    so s keeps no mass and is never stepped. A candidate is skipped when
+    its effects on the support are all None, or all equal those of an
+    earlier candidate: it leads nowhere, or where that one led. Below
+    max_len each (state, effect) pair is stepped once per walk.
+
+    A successor pair some earlier word reached is skipped: same future,
+    and the earlier word comes first in length-lexicographic order, so
+    first witnesses survive. Words of length max_len are not built but
+    visited with their weights, sum of p * |step(s, a)| on each side, and
+    may repeat an earlier pair. That length only reads the memo, since
+    nothing extends its successors."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+    memo: dict = {}  # state -> {effect: successor distribution}
     frontier = [((), *start)]
     seen = {start}
-    for length in range(max_len + 1):
-        kept = [node for node in frontier if visit(*node)]
-        if length == max_len:
-            return
+    for length in range(max_len):
+        last = length == max_len - 1
+        kept = [(w, da, db) for w, da, db in frontier if visit(w, da.weight(), db.weight())]
         frontier = []
         for word, da, db in kept:
-            for a in actions(set(da.support()) | set(db.support())):
-                ca = da.bind(lambda s: step(s, a))
-                cb = db.bind(lambda s: step(s, a))
+            support = list(dict.fromkeys(da.support() + db.support()))
+            rows = [memo.get(s, {}) if last else memo.setdefault(s, {}) for s in support]
+            tried = {(None,) * len(support)}  # the effects of applying to no state
+            for a in actions(support):
+                effects = tuple([effect(s, a) for s in support])
+                if effects in tried:
+                    continue
+                tried.add(effects)
+                child = {}  # state -> successor, for the states a applies to
+                for s, row, e in zip(support, rows, effects):
+                    if e is not None:
+                        d = row.get(e)
+                        if d is None:
+                            d = step(s, a)
+                            if not last:
+                                row[e] = d
+                        child[s] = d
+                if last:
+                    visit(word + (a,), _child_weight(da, child), _child_weight(db, child))
+                    continue
+                ca = da.bind(lambda s: child.get(s, EMPTY))
+                cb = db.bind(lambda s: child.get(s, EMPTY))
                 if (ca, cb) not in seen:
                     seen.add((ca, cb))
                     frontier.append((word + (a,), ca, cb))
+    for word, da, db in frontier:  # the root alone when max_len is 0
+        visit(word, da.weight(), db.weight())
+
+
+def _child_weight(d: Dist, child: dict) -> Fraction:
+    """Weight of d bound to the successors in child, without building it."""
+    return sum((p * child.get(s, EMPTY).weight() for s, p in d.items()), _ZERO)
 
 
 def widest_gap(
-    start: tuple,
-    actions: Callable,
-    step: Callable,
-    max_len: int,
-    effect: Callable = lambda s, a: a,
+    start: tuple, actions: Callable, effect: Callable, step: Callable, max_len: int
 ) -> tuple:
     """Largest weight gap over the words explore reaches, with the first
     word attaining it. A node whose mass on both sides is at most the best
-    gap so far is not extended: probabilities only shrink along a word.
-
-    step(s, a) depends on s and effect(s, a) alone, so each such pair is
-    stepped once per search. Words of length max_len are scored by their
-    weights, sum of p * |step(s, a)| on each side, without building their
-    distributions: a word reaching an earlier pair has that pair's gap,
-    which was scored first and so keeps its witness. That length only
-    reads the memo, since nothing extends its successors."""
-    if max_len < 0:
-        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+    gap so far is not extended: probabilities only shrink along a word."""
     best, witness = _ZERO, ()
-    memo: dict = {}  # state -> {effect: successor distribution}
-    last: list = []  # kept nodes of length max_len - 1
 
-    def memo_step(s, a) -> Dist:
-        row = memo.get(s)
-        if row is None:
-            row = memo[s] = {}
-        key = effect(s, a)
-        d = row.get(key)
-        if d is None:
-            d = row[key] = step(s, a)
-        return d
-
-    def visit(word: tuple, da: Dist, db: Dist) -> bool:
+    def visit(word: tuple, wa: Fraction, wb: Fraction) -> bool:
         nonlocal best, witness
-        wa, wb = da.weight(), db.weight()
         if abs(wa - wb) > best:
             best, witness = abs(wa - wb), word
-        keep = max(wa, wb) > best
-        if keep and len(word) == max_len - 1:
-            last.append((word, da, db))
-        return keep
+        return max(wa, wb) > best
 
-    def child_weight(d: Dist, a) -> Fraction:
-        total = _ZERO
-        for s, p in d.items():
-            row = memo.get(s)
-            child = None if row is None else row.get(effect(s, a))
-            total += p * (step(s, a) if child is None else child).weight()
-        return total
-
-    explore(start, actions, memo_step, max(max_len - 1, 0), visit)
-    for word, da, db in last:
-        for a in actions(set(da.support()) | set(db.support())):
-            gap = abs(child_weight(da, a) - child_weight(db, a))
-            if gap > best:
-                best, witness = gap, word + (a,)
+    explore(start, actions, effect, step, max_len, visit)
     return best, witness
 
 
@@ -256,20 +253,22 @@ def trace_distance_lb(
 ) -> tuple[Fraction, Trace]:
     """Largest trace-probability gap over all traces up to max_len, with the
     first trace attaining it. A lower bound on the full trace distance.
-    Each node tries only the actions that fit some value of its support:
-    the others lose all mass on both sides."""
+    An action applies to the values whose kind it fits, so a node whose
+    support holds none of them does not try it."""
     _require_program(m)
     _require_program(n)
     alphabet = [s[0] for s in enumerate_traces(universe, 1, tensor_templates) if s]
     check_trace(alphabet)
-    apps = [a for a in alphabet if isinstance(a, AppAction)]
-    tensors = [a for a in alphabet if isinstance(a, TensorAction)]
+    return widest_gap(
+        (_eval(m), _eval(n)), lambda _: alphabet, _trace_effect, _trace_step, max_len
+    )
 
-    def actions(support: set) -> list:
-        fits = {type(t) for t in support}
-        return (apps if Abs in fits else []) + (tensors if Pair in fits else [])
 
-    return widest_gap((_eval(m), _eval(n)), actions, _trace_step, max_len)
+def _trace_effect(t: Term, a):
+    """Effect of action a on the value t for the search: a itself where its
+    kind fits t, None where _trace_step(t, a) loses all mass."""
+    fits = isinstance(t, Abs) if isinstance(a, AppAction) else isinstance(t, Pair)
+    return a if fits else None
 
 
 def app_combinations(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .dist import EMPTY, Dist, dirac
@@ -315,6 +316,14 @@ class ActionTemplates:
     component_args: bool = False
     abs_templates: tuple[Term, ...] = ()
 
+    @cached_property
+    def _arguments(self) -> tuple[Term, ...]:
+        """What enumerate_actions feeds an abstraction, in order and each
+        once: the values, the slot on its own when a component may be
+        handed over directly, then the abstraction templates."""
+        slot = (Var(_SLOT),) if self.component_args else ()
+        return dedupe_values(self.values + slot + self.abs_templates)
+
 
 def value_templates(values: Iterable[Term]) -> ActionTemplates:
     return ActionTemplates(values=dedupe_values(values))
@@ -348,11 +357,9 @@ def _check_templates(templates: ActionTemplates) -> None:
 def enumerate_actions(
     states: Iterable[TupleState], templates: ActionTemplates
 ) -> list:
-    """Deterministically ordered actions worth trying from the given
-    support: a cut or application wherever some state has the right shape.
-    An action is left out when an earlier one has the same effect on every
-    state, since both lead to the same successor distributions."""
-    states = list(states)
+    """Deterministically ordered candidate actions for the given support: a
+    cut or application wherever some state has the right shape, each
+    action once. The search skips those that act like an earlier one."""
     max_len = 0
     pair_at: set[int] = set()
     abs_at: set[int] = set()
@@ -363,31 +370,17 @@ def enumerate_actions(
                 pair_at.add(pos)
             elif isinstance(comp, Abs):
                 abs_at.add(pos)
-    actions: list = []
-    effects: set = set()
-
-    def add(a) -> None:
-        key = tuple(_effect(k, a) for k in states)
-        if key not in effects:
-            effects.add(key)
-            actions.append(a)
-
-    for i in sorted(pair_at):
-        add(Cut(i))
+    actions: list = [Cut(i) for i in sorted(pair_at)]
     for i in sorted(abs_at):
-        for v in templates.values:
-            add(Appl(i, (), v))
-        if templates.component_args:
-            for j in range(1, max_len + 1):
-                if j != i:
-                    add(Appl(i, (j,), Var(component_name(j))))
-        for tmpl in templates.abs_templates:
-            if _SLOT in tmpl.free_vars:
-                for j in range(1, max_len + 1):
-                    if j != i:
-                        add(Appl(i, (j,), rename_free(tmpl, {_SLOT: component_name(j)})))
+        for arg in templates._arguments:
+            if _SLOT in arg.free_vars:
+                actions += (
+                    Appl(i, (j,), rename_free(arg, {_SLOT: component_name(j)}))
+                    for j in range(1, max_len + 1)
+                    if j != i
+                )
             else:
-                add(Appl(i, (), tmpl))
+                actions.append(Appl(i, (), arg))
     return actions
 
 
@@ -403,8 +396,8 @@ def tuple_distance_lb(
     The search is trace.widest_gap: breadth-first, exploring branches with
     identical joint distributions once, dropping branches that keep no
     more mass than the best gap, and stepping each state once per distinct
-    action effect. Templates are checked once here, so the steps skip the
-    affinity check.
+    action effect (_effect). Templates are checked once here, so the steps
+    skip the affinity check.
     """
     if template_set is None:
         template_set = default_templates()
@@ -414,9 +407,9 @@ def tuple_distance_lb(
     return widest_gap(
         (dm, dn),
         lambda support: enumerate_actions(support, template_set),
+        _effect,
         step_or_zero,
         max_len,
-        _effect,
     )
 
 

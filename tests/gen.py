@@ -33,6 +33,7 @@ from metricwb.trace import AppAction, TensorAction, explore
 from metricwb.tuples import (
     Appl,
     Cut,
+    _effect,
     build_mn_nn,
     enumerate_actions,
     skewed_choice,
@@ -548,15 +549,15 @@ def partition_violations(
     {Pr_K = 1 and Pr_H >= u_bound}. Probabilities only shrink when a trace
     is extended, so once a prefix lands in the first class every extension
     stays there and the branch is closed; only second-class prefixes are
-    expanded. trace.explore classifies identical distribution pairs once.
+    expanded. trace.explore classifies identical distribution pairs below
+    max_len once.
     """
     checked = 0
     violations: list = []
 
-    def classify(trace, dk, dh) -> bool:
+    def classify(trace, pk, ph) -> bool:
         nonlocal checked
         checked += 1
-        pk, ph = dk.weight(), dh.weight()
         if pk == 0 and ph <= HALF:
             return False
         if pk == 1 and ph >= u_bound:
@@ -567,6 +568,7 @@ def partition_violations(
     explore(
         (dirac(k_state), dirac(h_state)),
         lambda support: enumerate_actions(support, templates),
+        _effect,
         step_or_zero,
         max_len,
         classify,
@@ -602,20 +604,27 @@ def reference_actions(states, templates) -> list:
 
 
 def reference_tuple_search(m: Term, n: Term, templates, max_len: int) -> tuple:
-    """tuples.tuple_distance_lb over reference_actions, without
-    trace.widest_gap: explore builds every kept node up to max_len, stepping
-    each state anew, and each node is scored as it is visited."""
+    """tuples.tuple_distance_lb re-derived without trace.explore: a plain
+    breadth-first search over reference_actions. Every word up to max_len
+    is built with step_or_zero and scored in order; no step is remembered,
+    no action is skipped for acting like another, and no word is skipped
+    for reaching an earlier pair. A word whose mass on both sides is at
+    most the best gap is not extended, since no extension can beat it."""
     best, witness = ZERO, ()
-
-    def visit(word, da, db) -> bool:
-        nonlocal best, witness
-        wa, wb = da.weight(), db.weight()
-        if abs(wa - wb) > best:
-            best, witness = abs(wa - wb), word
-        return max(wa, wb) > best
-
-    start = tuple(eval_big(t).map_elems(lambda v: (v,)) for t in (m, n))
-    explore(
-        start, lambda support: reference_actions(support, templates), step_or_zero, max_len, visit
-    )
+    frontier = [((), *(eval_big(t).map_elems(lambda v: (v,)) for t in (m, n)))]
+    for length in range(max_len + 1):
+        extend = []
+        for word, da, db in frontier:
+            wa, wb = da.weight(), db.weight()
+            if abs(wa - wb) > best:
+                best, witness = abs(wa - wb), word
+            if max(wa, wb) > best:
+                extend.append((word, da, db))
+        if length == max_len:
+            break
+        frontier = [
+            (word + (a,), *(d.bind(lambda s: step_or_zero(s, a)) for d in (da, db)))
+            for word, da, db in extend
+            for a in reference_actions(set(da.support()) | set(db.support()), templates)
+        ]
     return best, witness

@@ -66,6 +66,12 @@ class TestFragment:
         with pytest.raises(ValueError, match="nonnegative"):
             bisim_distance(I, COIN, (I,), -1)
 
+    def test_negative_state_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="state_cap must be nonnegative"):
+            build_lmc(I, COIN, (I,), 2, state_cap=-1)
+        with pytest.raises(ValueError, match="state_cap must be nonnegative"):
+            bisim_distance(I, COIN, (I,), 2, state_cap=-1)
+
     def test_depth_limits_value_interrogation(self):
         frag0 = build_lmc(I, OMEGA, (I,), 0)
         assert frag0.labels[dval(I)] == ()

@@ -198,12 +198,22 @@ class TestDistance:
         assert payload["distance"] == "1/1"
         assert payload["witness"] == "appl(1; ; \\y. y); appl(1; ; \\a. \\b. a)"
 
+    def test_tuple_kind_rejects_an_empty_universe(self, capsys):
+        # the templates would otherwise fall back to the identity unasked
+        code, out, err = run(
+            capsys, "distance", "--kind", "tuple", NOISY, CLEAN, "--universe", ""
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --universe ")
+
     @pytest.mark.parametrize(
         "argv",
         [
             ("--kind", "tuple", "I", "omega", "--max-len", "-1"),
             ("--kind", "trace", "I", "omega", "--max-len", "-1"),
             ("--kind", "bisim", "\\x. x", "\\x. (x (+) omega)", "--depth", "-1"),
+            ("--kind", "bisim", "I", "omega", "--state-cap", "-1"),
         ],
     )
     def test_negative_bounds_are_rejected(self, capsys, argv):

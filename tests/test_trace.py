@@ -225,24 +225,115 @@ def reference_accept(t, s) -> Fraction:
     return total
 
 
+def move(s, a):
+    """Toy effect: every action applies to every state as itself."""
+    return a
+
+
 class TestExplore:
     def test_visits_by_length_and_skips_reached_pairs(self):
-        words = []
+        seen = []
 
-        def visit(word, da, db):
-            words.append(word)
+        def visit(word, wa, wb):
+            seen.append((word, wa, wb))
             return word != ("b",)
 
         explore(
             (dirac(0), dirac(0)),
             lambda support: ("a", "b", "c"),
+            move,
             lambda s, a: dirac(s + 1) if a == "a" else dirac(s + 2) if a == "b" else Dist(),
-            2,
+            3,
             visit,
         )
-        # ("b",) is not extended; ("a", "a") reaches the pair of ("b",), and
-        # ("a", "c") and every extension of ("c",) the empty pair of ("c",)
-        assert words == [(), ("a",), ("b",), ("c",), ("a", "b")]
+        # ("b",) is not extended. Below the last length, ("a", "a") reaches
+        # the pair of ("b",) and ("a", "c") the empty pair of ("c",), and
+        # ("c",) has no state to step. The last length is visited by weight
+        # whether or not its pairs were reached before.
+        words = [word for word, _, _ in seen]
+        assert words == [
+            (), ("a",), ("b",), ("c",), ("a", "b"),
+            ("a", "b", "a"), ("a", "b", "b"), ("a", "b", "c"),
+        ]
+        weights = [(wa, wb) for _, wa, wb in seen]
+        assert weights == [(1, 1)] * 3 + [(0, 0)] + [(1, 1)] * 3 + [(0, 0)]
+
+    def test_a_candidate_acting_like_an_earlier_one_is_not_tried(self):
+        # "a" and "b" have the same effect on every state, so only "a" runs
+        calls, words = [], []
+
+        def step(s, a):
+            calls.append((s, a))
+            return dirac(s + 1)
+
+        explore(
+            (dirac(0), dirac(10)),
+            lambda support: "ab",
+            lambda s, a: "up",
+            step,
+            2,
+            lambda word, wa, wb: words.append(word) or True,
+        )
+        assert words == [(), ("a",), ("a", "a")]
+        assert all(a == "a" for _, a in calls)
+
+    def test_a_state_the_candidate_does_not_apply_to_is_never_stepped(self):
+        # "a" applies to state 0 only; the other half of the mass is lost
+        calls, seen = [], []
+
+        def step(s, a):
+            calls.append((s, a))
+            return dirac(s)
+
+        explore(
+            (Dist({0: HALF, 1: HALF}), dirac(0)),
+            lambda support: "a",
+            lambda s, a: a if s == 0 else None,
+            step,
+            2,
+            lambda word, wa, wb: seen.append((word, wa, wb)) or True,
+        )
+        assert seen == [((), 1, 1), (("a",), HALF, 1), (("a", "a"), HALF, 1)]
+        assert (1, "a") not in calls
+
+    def test_a_candidate_applying_to_no_state_is_not_tried(self):
+        calls, words = [], []
+
+        def step(s, a):
+            calls.append((s, a))
+            return dirac(s + 1)
+
+        explore(
+            (dirac(0), dirac(10)),
+            lambda support: "ca",
+            lambda s, a: None if a == "c" else a,
+            step,
+            2,
+            lambda word, wa, wb: words.append(word) or True,
+        )
+        assert words == [(), ("a",), ("a", "a")]
+        assert all(a == "a" for _, a in calls)
+
+    def test_each_state_and_effect_is_stepped_once_below_the_last_length(self):
+        # Side one stays at state 0 while side two spells the word, so every
+        # word holds a new pair. "c" is offered to the last length only.
+        calls = []
+
+        def step(s, a):
+            calls.append((s, a))
+            return dirac(0) if s == 0 else dirac(s + a)
+
+        def actions(support):
+            return "abc" if any(len(s) == 2 for s in support if s != 0) else "ab"
+
+        explore((dirac(0), dirac("")), actions, move, step, 3, lambda *_: True)
+        assert calls.count((0, "a")) == 1 and calls.count((0, "b")) == 1
+        # the last length reads the memo but does not fill it
+        assert calls.count((0, "c")) == 4
+
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            explore((dirac(0), dirac(0)), lambda _: "a", move, toy_step, -1, lambda *_: True)
 
     def test_search_returns_the_first_maximiser_of_the_enumeration(self):
         rng = random.Random(20260390)
@@ -283,7 +374,7 @@ class TestExplore:
             alphabet = [AppAction(v) for v in universe]
             alphabet += [TensorAction(b) for b in templates]
             full = widest_gap(
-                (eval_big(m), eval_big(n)), lambda _: alphabet, _trace_step, max_len
+                (eval_big(m), eval_big(n)), lambda _: alphabet, move, _trace_step, max_len
             )
             got = trace_distance_lb(m, n, universe, max_len, templates)
             assert got == full, (pretty(m), pretty(n), universe, templates, max_len)
@@ -329,7 +420,7 @@ class TestWidestGap:
 
     def test_a_tie_at_the_last_length_keeps_the_first_witness(self):
         # ("a", "a") reaches the pair of ("a",) again, and ("b",) ties it
-        got = widest_gap(self.START, lambda _: "ab", toy_step, 2)
+        got = widest_gap(self.START, lambda _: "ab", move, toy_step, 2)
         assert got == (HALF, ("a",))
         assert got == first_maximiser(self.START, "ab", toy_step, 2)
 
@@ -337,7 +428,7 @@ class TestWidestGap:
         "max_len, want", [(0, (0, ())), (1, (1, ("c",))), (2, (1, ("c",)))]
     )
     def test_short_budgets(self, max_len, want):
-        got = widest_gap(self.START, lambda _: "abc", toy_step, max_len)
+        got = widest_gap(self.START, lambda _: "abc", move, toy_step, max_len)
         assert got == want
         assert got == first_maximiser(self.START, "abc", toy_step, max_len)
 
@@ -348,25 +439,12 @@ class TestWidestGap:
             calls.append((s, a))
             return toy_step(s, a)
 
-        assert widest_gap((dirac(0), Dist()), lambda _: "abc", step, 0) == (1, ())
+        assert widest_gap((dirac(0), Dist()), lambda _: "abc", move, step, 0) == (1, ())
         assert calls == []
-
-    def test_each_state_and_effect_is_stepped_once(self):
-        # both sides share state 0, and the effect says "a" and "b" act alike
-        calls = []
-
-        def step(s, a):
-            calls.append((s, a))
-            return dirac(s + 1)
-
-        got = widest_gap((dirac(0), dirac(0)), lambda _: "ab", step, 3, lambda s, a: None)
-        assert got == (0, ())
-        assert calls.count((0, "a")) == 1 and calls.count((1, "a")) == 1
-        assert (0, "b") not in calls and (1, "b") not in calls
 
     def test_negative_budget_is_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            widest_gap(self.START, lambda _: "abc", toy_step, -1)
+            widest_gap(self.START, lambda _: "abc", move, toy_step, -1)
 
 
 class TestLtsView:

@@ -24,7 +24,7 @@ from metricwb import (
 )
 from metricwb.dist import Dist
 from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, pretty
-from metricwb.trace import AppAction, default_tensor_templates, trace_distance_lb
+from metricwb.trace import AppAction, default_tensor_templates, explore, trace_distance_lb
 from metricwb.tuples import (
     ActionTemplates,
     Appl,
@@ -312,16 +312,31 @@ class TestDistinctEffects:
         # both vacuous (pos, consumed) and argument-carrying keys coincide
         assert all(merged.values()), merged
 
-    def test_enumeration_keeps_the_first_action_of_each_effect(self):
+    def test_search_tries_the_first_action_of_each_effect(self):
+        # At max-len 1 every word the search tries is visited, reached pair
+        # or not, so the visits list exactly the actions it tries.
         rng = random.Random(20260402)
         templates = default_templates((I, K))
         for _ in range(40):
             states = [random_tuple_state(rng, rng.randint(1, 3)) for _ in range(2)]
-            reference = gen.reference_actions(states, templates)
             firsts = {}
-            for a in reference:
+            for a in gen.reference_actions(states, templates):
                 firsts.setdefault(tuple(_effect(k, a) for k in states), a)
-            assert enumerate_actions(states, templates) == list(firsts.values())
+            want = [((), 1, 1)] + [
+                ((a,), *(step_or_zero(k, a).weight() for k in states))
+                for key, a in firsts.items()
+                if any(e is not None for e in key)
+            ]
+            got = []
+            explore(
+                (dirac(states[0]), dirac(states[1])),
+                lambda support: enumerate_actions(support, templates),
+                _effect,
+                step_or_zero,
+                1,
+                lambda *node: got.append(node) or True,
+            )
+            assert got == want, states
 
     def test_search_matches_the_reference_enumeration(self):
         rng = random.Random(20260403)
