@@ -15,14 +15,13 @@ import logging
 import os
 import sys
 import traceback
-from fractions import Fraction
 
 from .bisim import bisim_distance
 from .dist import frac_str
-from .errors import MetricWbError, ParseError
-from .parser import parse
+from .errors import MetricWbError
+from .parser import parse, parse_terms
 from .semantics import clear_memo, eval_big
-from .terms import Term, affine_violation, identity, pretty
+from .terms import affine_violation, identity, pretty
 from .trace import format_trace, parse_trace, trace_accept, trace_distance_lb
 from .tuples import (
     Appl,
@@ -38,30 +37,6 @@ from .tuples import (
     u_seq,
 )
 from .types import infer, render_type
-
-
-def _split_top_level(text: str) -> list[str]:
-    """Split a comma-separated list of terms, ignoring commas nested in
-    parentheses or pair brackets."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "(<":
-            depth += 1
-        elif ch in ")>":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p for p in (p.strip() for p in parts) if p]
-
-
-def _parse_universe(text: str) -> list[Term]:
-    return [parse(p) for p in _split_top_level(text)]
 
 
 def _emit(payload: dict) -> None:
@@ -97,8 +72,7 @@ def _cmd_eval(args) -> dict:
 
 
 def _looks_like_tuple_trace(text: str) -> bool:
-    stripped = text.lstrip()
-    return stripped.startswith("cut(") or stripped.startswith("appl(")
+    return text.split("(", 1)[0].strip() in ("cut", "appl")
 
 
 def _cmd_trace_prob(args) -> dict:
@@ -131,7 +105,7 @@ _KIND_BOUNDS = {
 def _cmd_distance(args) -> dict:
     a = parse(args.term_a)
     b = parse(args.term_b)
-    universe = _parse_universe(args.universe)
+    universe = parse_terms(args.universe)
     own = _KIND_BOUNDS[args.kind]
     for name in ("max_len", "depth", "state_cap"):
         if getattr(args, name) is None:
@@ -214,11 +188,13 @@ def _mn_nn_report(n: int) -> list[dict]:
 
 
 def _cmd_examples(args) -> dict:
+    if args.which == "expair" and args.n is not None:
+        raise ValueError("--n does not apply to --which expair")
     payload: dict = {}
     if args.which in ("expair", "all"):
         payload["expair"] = _expair_report()
     if args.which in ("mn-nn", "all"):
-        payload["mn-nn"] = _mn_nn_report(args.n)
+        payload["mn-nn"] = _mn_nn_report(4 if args.n is None else args.n)
     return payload
 
 
@@ -266,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("examples", help="reproduce the worked example families")
     x.add_argument("--which", default="all", choices=("expair", "mn-nn", "all"))
-    x.add_argument("--n", type=_natural, default=4, help="largest tower level")
+    x.add_argument("--n", type=_natural, help="largest tower level, mn-nn and all (default 4)")
 
     return p
 

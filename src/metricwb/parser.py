@@ -11,21 +11,32 @@ Grammar, loosest to tightest:
 
 "I" abbreviates the identity combinator. Binders are alpha-renamed to fresh
 internal names during parsing; free variables keep their written names.
+
+Lists share the term tokens, plus ";" and natural numbers:
+
+    terms  := empty | term ("," term)*               parse_terms
+    items  := "eps" | item (";" item)*               parse_items
+
+An item reader (the trace and tuple-trace actions) takes the token stream
+and may call read_term. A stray, trailing or doubled separator is an error.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Callable, TypeVar
 
 from .errors import ParseError
 from .terms import OMEGA, Abs, App, Choice, LetPair, Pair, Term, Var, fresh, identity
 
-_TOKEN_RE = re.compile(r"\(\+\)|[\\().<>,=]|[A-Za-z_][A-Za-z0-9_']*")
+_TOKEN_RE = re.compile(r"\(\+\)|[\\().<>,;=]|[A-Za-z_][A-Za-z0-9_']*|[0-9]+")
 _KEYWORDS = frozenset({"let", "in", "omega", "I"})
 _ATOM_STARTS = frozenset({"(", "<", "omega", "I", "ident"})
 
+T = TypeVar("T")
 
-class _Tokens:
+
+class Tokens:
     def __init__(self, text: str):
         self.text = text
         self.toks: list[tuple[str, str, int]] = []  # (kind, value, position)
@@ -41,6 +52,8 @@ class _Tokens:
             tok = m.group()
             if tok[0].isalpha() or tok[0] == "_":
                 kind = tok if tok in _KEYWORDS else "ident"
+            elif tok[0].isdigit():
+                kind = "nat"
             else:
                 kind = tok
             self.toks.append((kind, tok, pos))
@@ -64,18 +77,54 @@ class _Tokens:
         self.i += 1
         return v
 
+    def separated(self, sep: str, read: Callable[[Tokens], T]) -> list[T]:
+        """One or more reads separated by sep."""
+        out = [read(self)]
+        while self.peek() == sep:
+            self.next()
+            out.append(read(self))
+        return out
+
+    def end(self) -> None:
+        k, v, pos = self.toks[self.i]
+        if k != "eof":
+            raise ParseError(f"trailing input {v!r}", pos)
+
 
 def parse(text: str) -> Term:
     """Parse a term; raises ParseError with the offending offset."""
-    ts = _Tokens(text)
-    t = _term(ts, {})
-    if ts.peek() != "eof":
-        k, v, pos = ts.toks[ts.i]
-        raise ParseError(f"trailing input {v!r}", pos)
+    ts = Tokens(text)
+    t = read_term(ts)
+    ts.end()
     return t
 
 
-def _term(ts: _Tokens, env: dict[str, str]) -> Term:
+def parse_terms(text: str) -> list[Term]:
+    """Parse a comma-separated list of terms; empty text is the empty list."""
+    ts = Tokens(text)
+    out = [] if ts.peek() == "eof" else ts.separated(",", read_term)
+    ts.end()
+    return out
+
+
+def parse_items(text: str, read_item: Callable[[Tokens], T]) -> list[T]:
+    """Parse "eps" as the empty list, or items separated by ";", each read
+    from the token stream by read_item."""
+    ts = Tokens(text)
+    if len(ts.toks) == 2 and ts.toks[0][1] == "eps":
+        return []
+    out = ts.separated(";", read_item)
+    ts.end()
+    return out
+
+
+def read_term(ts: Tokens) -> Term:
+    """Read one term from the stream, stopping before the first token that
+    cannot continue it."""
+    return _term(ts, {})
+
+
+def _term(ts: Tokens, env: dict[str, str]) -> Term:
     k = ts.peek()
     if k == "\\":
         ts.next()
@@ -102,7 +151,7 @@ def _term(ts: _Tokens, env: dict[str, str]) -> Term:
     return _choice(ts, env)
 
 
-def _choice(ts: _Tokens, env: dict[str, str]) -> Term:
+def _choice(ts: Tokens, env: dict[str, str]) -> Term:
     t = _app(ts, env)
     while ts.peek() == "(+)":
         ts.next()
@@ -113,14 +162,14 @@ def _choice(ts: _Tokens, env: dict[str, str]) -> Term:
     return t
 
 
-def _app(ts: _Tokens, env: dict[str, str]) -> Term:
+def _app(ts: Tokens, env: dict[str, str]) -> Term:
     t = _atom(ts, env)
     while ts.peek() in _ATOM_STARTS:
         t = App(t, _atom(ts, env))
     return t
 
 
-def _atom(ts: _Tokens, env: dict[str, str]) -> Term:
+def _atom(ts: Tokens, env: dict[str, str]) -> Term:
     k, v, pos = ts.next()
     if k == "(":
         t = _term(ts, env)

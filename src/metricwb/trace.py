@@ -10,14 +10,13 @@ compare these probabilities pointwise.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dist import EMPTY, Dist, dirac, mix
 from .errors import NotAffine, NotClosed, ParseError
-from .parser import parse
+from .parser import Tokens, parse_items, read_term
 from .semantics import _eval, _require_program, _step
 from .terms import (
     Abs,
@@ -169,9 +168,10 @@ def explore(
     every frontier word in order and says whether to extend it.
 
     A kept node tries the candidates of actions(support) in order, where
-    the support lists the states of both sides. step(s, a) depends on s
-    and effect(s, a) alone; an effect of None means a does not apply to s,
-    so s keeps no mass and is never stepped. A candidate is skipped when
+    the support lists the states of both sides. An action a moves a state
+    s by step(s, e) with e = effect(s, a), so the step depends on s and the
+    effect alone; an effect of None means a does not apply to s, so s
+    keeps no mass and is never stepped. A candidate is skipped when
     its effects on the support are all None, or all equal those of an
     earlier candidate: it leads nowhere, or where that one led. Below
     max_len each (state, effect) pair is stepped once per walk.
@@ -205,7 +205,7 @@ def explore(
                     if e is not None:
                         d = row.get(e)
                         if d is None:
-                            d = step(s, a)
+                            d = step(s, e)
                             if not last:
                                 row[e] = d
                         child[s] = d
@@ -346,27 +346,20 @@ def format_trace(s: Sequence) -> str:
     return "; ".join(parts)
 
 
-_ITEM_RE = re.compile(r"(app|tensor)\((.*)\)\s*", re.S)
-
-
 def parse_trace(text: str) -> Trace:
     """Inverse of format_trace; raises ParseError on malformed input."""
-    if text.strip() == "eps":
-        return ()
-    out = []
-    offset = 0
-    for chunk in text.split(";"):
-        stripped = chunk.strip()
-        pos = offset + chunk.index(stripped[0]) if stripped else offset
-        m = _ITEM_RE.fullmatch(stripped)
-        if m is None:
-            raise ParseError("expected app(term) or tensor(term)", pos)
-        t = parse(m.group(2))
-        if m.group(1) == "app":
-            _check_app_value(t)
-            out.append(AppAction(t))
-        else:
-            _check_tensor_body(t)
-            out.append(TensorAction(t))
-        offset += len(chunk) + 1
-    return tuple(out)
+    return tuple(parse_items(text, _read_action))
+
+
+def _read_action(ts: Tokens):
+    _, word, pos = ts.next()
+    if word not in ("app", "tensor"):
+        raise ParseError("expected app(term) or tensor(term)", pos)
+    ts.expect("(")
+    t = read_term(ts)
+    ts.expect(")")
+    if word == "app":
+        _check_app_value(t)
+        return AppAction(t)
+    _check_tensor_body(t)
+    return TensorAction(t)

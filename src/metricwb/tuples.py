@@ -9,7 +9,6 @@ the observer can correlate what it learned from both halves of a pair.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .dist import EMPTY, Dist, dirac
 from .errors import InvalidAction, NotAffine, ParseError
-from .parser import parse
+from .parser import Tokens, parse_items, read_term
 from .semantics import _eval, _require_program, eval_big
 from .terms import (
     Abs,
@@ -113,48 +112,20 @@ def tuple_step(k: TupleState, a) -> Dist[TupleState]:
 
 def _tuple_step(k: TupleState, a) -> Dist[TupleState]:
     # k and a are already checked; evaluation skips the affinity re-check.
-    n = len(k)
-    if isinstance(a, Cut):
-        if a.pos > n:
-            raise InvalidAction(f"cut position {a.pos} exceeds tuple length {n}")
-        comp = k[a.pos - 1]
-        if not isinstance(comp, Pair):
-            raise InvalidAction(f"component {a.pos} is not a pair")
-        return Dist(
-            (k[: a.pos - 1] + (v, w) + k[a.pos :], p * q)
-            for v, p in _eval(comp.first).items()
-            for w, q in _eval(comp.second).items()
-        )
-
-    if a.pos > n:
-        raise InvalidAction(f"appl position {a.pos} exceeds tuple length {n}")
-    if any(j > n for j in a.consumed):
-        raise InvalidAction("a consumed index exceeds the tuple length")
-    comp = k[a.pos - 1]
-    if not isinstance(comp, Abs):
-        raise InvalidAction(f"component {a.pos} is not an abstraction")
-    gone = set(a.consumed)
-    return _eval(substitute(comp.body, comp.var, _argument(k, a))).map_elems(
-        lambda w: tuple(
-            w if pos == a.pos else k[pos - 1]
-            for pos in range(1, n + 1)
-            if pos == a.pos or pos not in gone
-        )
-    )
-
-
-def _argument(k: TupleState, a: Appl) -> Term:
-    arg = a.body
-    for j in a.consumed:
-        arg = substitute(arg, component_name(j), k[j - 1])
-    return arg
+    e = _effect(k, a)
+    if e is None:
+        state = ", ".join(map(pretty, k))
+        raise InvalidAction(f"{format_tuple_trace((a,))} does not apply to ({state})")
+    return _successor(k, e)
 
 
 def _effect(k: TupleState, a):
-    """Everything _tuple_step(k, a) depends on besides k: two actions with
-    equal effects on k give equal successor distributions. None when a
-    does not apply to k. An abstraction that ignores its variable makes
-    the argument irrelevant; arguments compare up to alpha-equivalence."""
+    """Whether action a applies to tuple k, and everything its step needs
+    besides k: None where it does not apply, the position for a cut, and
+    (pos, consumed, argument) for an application, with the argument None
+    when the abstraction ignores its variable. Two actions with equal
+    effects on k give equal successors; arguments compare up to
+    alpha-equivalence."""
     n = len(k)
     if isinstance(a, Cut):
         return a.pos if a.pos <= n and isinstance(k[a.pos - 1], Pair) else None
@@ -164,8 +135,33 @@ def _effect(k: TupleState, a):
     if not isinstance(comp, Abs):
         return None
     if comp.var not in comp.body.free_vars:
-        return a.pos, a.consumed
-    return a.pos, a.consumed, _argument(k, a)
+        return a.pos, a.consumed, None
+    arg = a.body
+    for j in a.consumed:
+        arg = substitute(arg, component_name(j), k[j - 1])
+    return a.pos, a.consumed, arg
+
+
+def _successor(k: TupleState, e) -> Dist[TupleState]:
+    """Successor distribution of tuple k under an action whose effect on k
+    is e, as _effect gives it; e is not None."""
+    if isinstance(e, int):
+        comp = k[e - 1]
+        return Dist(
+            (k[: e - 1] + (v, w) + k[e:], p * q)
+            for v, p in _eval(comp.first).items()
+            for w, q in _eval(comp.second).items()
+        )
+    pos, consumed, arg = e
+    comp = k[pos - 1]
+    body = comp.body if arg is None else substitute(comp.body, comp.var, arg)
+    return _eval(body).map_elems(
+        lambda w: tuple(
+            w if i == pos else k[i - 1]
+            for i in range(1, len(k) + 1)
+            if i == pos or i not in consumed
+        )
+    )
 
 
 def _check_tuple_state(k: TupleState) -> None:
@@ -181,10 +177,8 @@ def step_or_zero(k: TupleState, a) -> Dist[TupleState]:
     err = _shape_error(a)
     if err is not None:
         raise InvalidAction(err)
-    try:
-        return _tuple_step(k, a)
-    except InvalidAction:
-        return EMPTY
+    e = _effect(k, a)
+    return EMPTY if e is None else _successor(k, e)
 
 
 def tuple_trace_prob(k: TupleState, s: Sequence) -> Fraction:
@@ -408,7 +402,7 @@ def tuple_distance_lb(
         (dm, dn),
         lambda support: enumerate_actions(support, template_set),
         _effect,
-        step_or_zero,
+        _successor,
         max_len,
     )
 
@@ -429,64 +423,34 @@ def format_tuple_trace(s: Sequence) -> str:
     return "; ".join(parts)
 
 
-_CUT_RE = re.compile(r"cut\(\s*(\d+)\s*\)")
-_APPL_RE = re.compile(r"appl\(\s*(\d+)\s*;([^;]*);(.*)\)\s*", re.S)
-_COMP_RE = re.compile(r"x(\d+)")
-
-
 def parse_tuple_trace(text: str) -> TupleTrace:
-    """Inverse of format_tuple_trace.
+    """Inverse of format_tuple_trace; raises ParseError on malformed input."""
+    return tuple(parse_items(text, _read_action))
 
-    Because appl items contain semicolons, items are recognised greedily:
-    each starts with 'cut(' or 'appl(' and runs to the matching close.
-    """
-    if text.strip() == "eps":
-        return ()
-    out = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        while pos < n and text[pos] in " \t\n;":
-            pos += 1
-        if pos >= n:
-            break
-        m = _CUT_RE.match(text, pos)
-        if m:
-            out.append(Cut(int(m.group(1))))
-            pos = m.end()
-            continue
-        if not text.startswith("appl(", pos):
-            raise ParseError("expected cut(i) or appl(i; ...; term)", pos)
-        depth = 0
-        end = pos
-        while end < n:
-            if text[end] == "(":
-                depth += 1
-            elif text[end] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            end += 1
-        if depth != 0:
-            raise ParseError("unbalanced parentheses in appl", pos)
-        m = _APPL_RE.fullmatch(text, pos, end + 1)
-        if m is None:
-            raise ParseError("malformed appl item", pos)
-        i = int(m.group(1))
-        gamma_text = m.group(2).strip()
-        consumed = []
-        if gamma_text:
-            for part in gamma_text.split(","):
-                cm = _COMP_RE.fullmatch(part.strip())
-                if cm is None:
-                    raise ParseError(f"bad component name {part.strip()!r}", pos)
-                consumed.append(int(cm.group(1)))
-        body = parse(m.group(3))
-        a = Appl(i, tuple(consumed), body)
-        err = _shape_error(a)
-        if err is not None:
-            raise ParseError(err, pos)
-        _check_affine_argument(a)
-        out.append(a)
-        pos = end + 1
-    return tuple(out)
+
+def _read_action(ts: Tokens):
+    _, word, pos = ts.next()
+    if word not in ("cut", "appl"):
+        raise ParseError("expected cut(i) or appl(i; ...; term)", pos)
+    ts.expect("(")
+    i = int(ts.expect("nat"))
+    if word == "cut":
+        a = Cut(i)
+    else:
+        ts.expect(";")
+        consumed = () if ts.peek() == ";" else tuple(ts.separated(",", _read_component))
+        ts.expect(";")
+        a = Appl(i, consumed, read_term(ts))
+    ts.expect(")")
+    err = _shape_error(a)
+    if err is not None:
+        raise ParseError(err, pos)
+    _check_affine_argument(a)
+    return a
+
+
+def _read_component(ts: Tokens) -> int:
+    _, name, pos = ts.next()
+    if name[:1] != "x" or not name[1:].isdigit():
+        raise ParseError(f"bad component name {name!r}", pos)
+    return int(name[1:])

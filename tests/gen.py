@@ -28,16 +28,16 @@ from metricwb.terms import (
     size,
     substitute,
 )
-from metricwb.semantics import eval_big
+from metricwb.semantics import _eval, eval_big
 from metricwb.trace import AppAction, TensorAction, explore
 from metricwb.tuples import (
     Appl,
     Cut,
     _effect,
+    _successor,
     build_mn_nn,
     enumerate_actions,
     skewed_choice,
-    step_or_zero,
 )
 from metricwb.types import Arrow, Base, IOTA, Tensor, Type
 
@@ -569,7 +569,7 @@ def partition_violations(
         (dirac(k_state), dirac(h_state)),
         lambda support: enumerate_actions(support, templates),
         _effect,
-        step_or_zero,
+        _successor,
         max_len,
         classify,
     )
@@ -603,13 +603,46 @@ def reference_actions(states, templates) -> list:
     return list(dict.fromkeys(out))
 
 
+def reference_tuple_step(k: tuple, a) -> "Dist | None":
+    """Successor distribution of tuple k under action a, or None where a
+    does not apply to k. Decides applicability from the action itself, as
+    tuples._effect does from the state, and always substitutes the argument,
+    which tuples._successor skips for an abstraction ignoring its variable.
+    Evaluates without the affinity re-check, like the search."""
+    width = len(k)
+    target = k[a.pos - 1] if a.pos <= width else None
+    if isinstance(a, Cut):
+        if not isinstance(target, Pair):
+            return None
+        return Dist(
+            (k[: a.pos - 1] + (v, w) + k[a.pos :], p * q)
+            for v, p in _eval(target.first).items()
+            for w, q in _eval(target.second).items()
+        )
+    if not isinstance(target, Abs) or any(j > width for j in a.consumed):
+        return None
+    arg = a.body
+    for j in a.consumed:
+        arg = substitute(arg, f"x{j}", k[j - 1])
+    kept = [j for j in range(1, width + 1) if j == a.pos or j not in a.consumed]
+    return _eval(substitute(target.body, target.var, arg)).map_elems(
+        lambda w: tuple(w if j == a.pos else k[j - 1] for j in kept)
+    )
+
+
+def _reference_or_zero(k: tuple, a) -> Dist:
+    d = reference_tuple_step(k, a)
+    return Dist() if d is None else d
+
+
 def reference_tuple_search(m: Term, n: Term, templates, max_len: int) -> tuple:
     """tuples.tuple_distance_lb re-derived without trace.explore: a plain
     breadth-first search over reference_actions. Every word up to max_len
-    is built with step_or_zero and scored in order; no step is remembered,
-    no action is skipped for acting like another, and no word is skipped
-    for reaching an earlier pair. A word whose mass on both sides is at
-    most the best gap is not extended, since no extension can beat it."""
+    is built with reference_tuple_step and scored in order; no step is
+    remembered, no action is skipped for acting like another, and no word
+    is skipped for reaching an earlier pair. A word whose mass on both
+    sides is at most the best gap is not extended, since no extension can
+    beat it."""
     best, witness = ZERO, ()
     frontier = [((), *(eval_big(t).map_elems(lambda v: (v,)) for t in (m, n)))]
     for length in range(max_len + 1):
@@ -623,7 +656,7 @@ def reference_tuple_search(m: Term, n: Term, templates, max_len: int) -> tuple:
         if length == max_len:
             break
         frontier = [
-            (word + (a,), *(d.bind(lambda s: step_or_zero(s, a)) for d in (da, db)))
+            (word + (a,), *(d.bind(lambda s: _reference_or_zero(s, a)) for d in (da, db)))
             for word, da, db in extend
             for a in reference_actions(set(da.support()) | set(db.support()), templates)
         ]

@@ -107,6 +107,10 @@ class TestTraceProb:
         assert payload["prob"] == "1/4"
         assert payload["tuple_lengths"] == [2, 2, 2]
 
+    def test_tuple_trace_may_space_its_first_action(self, capsys):
+        payload = payload_of(capsys, "trace-prob", NOISY, " cut (1); appl(1; ; I)")
+        assert (payload["kind"], payload["prob"]) == ("tuple", "1/2")
+
     def test_clean_pair_passes_surely(self, capsys):
         payload = payload_of(capsys, "trace-prob", CLEAN, WITNESS)
         assert payload["prob"] == "1/1"
@@ -245,6 +249,12 @@ class TestDistance:
             payload = payload_of(capsys, "distance", "--kind", kind, "I", "omega")
             assert payload["max_len"] == 4
 
+    def test_an_empty_universe_is_the_empty_list(self, capsys):
+        payload = payload_of(
+            capsys, "distance", "--kind", "trace", "I", "omega", "--universe", ""
+        )
+        assert payload["universe"] == []
+
     def test_universe_flag_takes_a_term_list(self, capsys):
         payload = payload_of(
             capsys,
@@ -277,6 +287,16 @@ class TestExamples:
         payload = payload_of(capsys, "examples", "--n", "1")
         assert set(payload) == {"expair", "mn-nn"}
 
+    def test_tower_report_defaults_to_level_four(self, capsys):
+        payload = payload_of(capsys, "examples", "--which", "mn-nn")
+        assert [r["n"] for r in payload["mn-nn"]] == [0, 1, 2, 3, 4]
+
+    def test_level_is_rejected_for_the_worked_pair(self, capsys):
+        code, out, err = run(capsys, "examples", "--which", "expair", "--n", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --n does not apply to --which expair\n"
+
     def test_negative_level_is_rejected(self, capsys):
         code, out, err = run(capsys, "examples", "--which", "mn-nn", "--n", "-1")
         assert code == 1
@@ -305,6 +325,28 @@ class TestRobustness:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "distance" in out
+
+    @pytest.mark.parametrize(
+        "argv, offset",
+        [
+            (("trace-prob", "I", "app(I);"), 7),
+            (("trace-prob", "I", "app(I);;app(I)"), 7),
+            (("trace-prob", "I", "; app(I)"), 0),
+            (("trace-prob", "<I, I>", "cut(1);"), 7),
+            (("trace-prob", "<I, I>", "cut(1);;cut(1)"), 7),
+            (("trace-prob", "<I, I>", "cut(1) cut(1)"), 7),
+            (("trace-prob", "<I, I>", "cut(1); appl(2; x1,; I)"), 19),
+            (("distance", "--kind", "trace", "I", "omega", "--universe", "I,"), 2),
+            (("distance", "--kind", "trace", "I", "omega", "--universe", ",,"), 0),
+            (("distance", "--kind", "trace", "I", "omega", "--universe", "I,,I"), 2),
+        ],
+    )
+    def test_stray_separators_are_rejected_with_an_offset(self, capsys, argv, offset):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.endswith(f"(at offset {offset})\n")
 
     def test_output_is_byte_stable(self, capsys):
         argv = ("distance", "--kind", "tuple", NOISY, CLEAN, "--max-len", "3")

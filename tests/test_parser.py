@@ -4,6 +4,7 @@ import pytest
 
 import gen
 from metricwb import ParseError, parse, pretty
+from metricwb.parser import parse_items, parse_terms
 from metricwb.terms import Abs, App, Choice, LetPair, OMEGA, Pair, Var, identity
 
 I = identity()
@@ -119,3 +120,49 @@ class TestRoundTrip:
         ]
         for t in cases:
             assert parse(pretty(t)) == t
+
+
+def read_nat(ts) -> int:
+    return int(ts.expect("nat"))
+
+
+class TestLists:
+    def test_empty_term_list(self):
+        assert parse_terms("") == []
+        assert parse_terms("  ") == []
+
+    def test_commas_inside_terms_do_not_separate(self):
+        got = parse_terms("I, <I, omega>, let <a, b> = omega in a")
+        assert got == [I, Pair(I, OMEGA), LetPair("a", "b", OMEGA, Var("a"))]
+
+    def test_term_lists_round_trip(self):
+        rng = random.Random(20261018)
+        for _ in range(100):
+            ts = [gen.random_program(rng, max_size=20, fuel=4) for _ in range(rng.randint(1, 3))]
+            assert parse_terms(", ".join(pretty(t) for t in ts)) == ts
+
+    def test_items(self):
+        assert parse_items("eps", read_nat) == []
+        assert parse_items(" eps ", read_nat) == []
+        assert parse_items("1; 20 ;3", read_nat) == [1, 20, 3]
+
+    def test_digits_stay_inside_names(self):
+        assert parse("x1") == Var("x1")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("I,", 2), (",I", 0), ("I,,I", 2), (",", 0), ("I; I", 1)],
+    )
+    def test_term_list_separators(self, text, position):
+        with pytest.raises(ParseError) as e:
+            parse_terms(text)
+        assert e.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("", 0), (";", 0), ("1;", 2), ("1;;2", 2), ("eps; 1", 0), ("1 2", 2), ("1, 2", 1)],
+    )
+    def test_item_separators(self, text, position):
+        with pytest.raises(ParseError) as e:
+            parse_items(text, read_nat)
+        assert e.value.position == position

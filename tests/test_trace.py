@@ -259,11 +259,12 @@ class TestExplore:
         assert weights == [(1, 1)] * 3 + [(0, 0)] + [(1, 1)] * 3 + [(0, 0)]
 
     def test_a_candidate_acting_like_an_earlier_one_is_not_tried(self):
-        # "a" and "b" have the same effect on every state, so only "a" runs
+        # "a" and "b" have the same effect on every state, so only "a" runs;
+        # the step is handed the effect, not the action
         calls, words = [], []
 
-        def step(s, a):
-            calls.append((s, a))
+        def step(s, e):
+            calls.append((s, e))
             return dirac(s + 1)
 
         explore(
@@ -275,7 +276,7 @@ class TestExplore:
             lambda word, wa, wb: words.append(word) or True,
         )
         assert words == [(), ("a",), ("a", "a")]
-        assert all(a == "a" for _, a in calls)
+        assert calls == [(0, "up"), (10, "up"), (1, "up"), (11, "up")]
 
     def test_a_state_the_candidate_does_not_apply_to_is_never_stepped(self):
         # "a" applies to state 0 only; the other half of the mass is lost

@@ -30,6 +30,7 @@ from metricwb.tuples import (
     Appl,
     Cut,
     _effect,
+    _successor,
     default_templates,
     enumerate_actions,
     format_tuple_trace,
@@ -293,23 +294,26 @@ def random_tuple_state(rng, width: int) -> tuple:
 class TestDistinctEffects:
     def test_equal_effects_give_equal_steps(self):
         # Supports mix widths, so some actions reach past a state's end.
+        # Each action's effect gives the reference step, so actions with
+        # equal effects step alike.
         rng = random.Random(20260401)
         templates = default_templates((I, K))
-        merged = {2: 0, 3: 0}
+        merged = {"vacuous": 0, "argument": 0}
         for _ in range(40):
             states = [random_tuple_state(rng, rng.randint(1, 3)) for _ in range(2)]
             actions = gen.reference_actions(states, templates)
             for k in states:
                 by_effect: dict = {}
                 for a in actions:
-                    by_effect.setdefault(_effect(k, a), []).append(a)
+                    want, effect = gen.reference_tuple_step(k, a), _effect(k, a)
+                    assert (effect is None) == (want is None), (k, a)
+                    if effect is not None:
+                        assert _successor(k, effect) == want, (k, a)
+                        by_effect.setdefault(effect, []).append(a)
                 for effect, group in by_effect.items():
-                    first = step_or_zero(k, group[0])
-                    for a in group[1:]:
-                        assert step_or_zero(k, a) == first, (k, group[0], a)
-                        if effect is not None:
-                            merged[len(effect)] += 1
-        # both vacuous (pos, consumed) and argument-carrying keys coincide
+                    if len(group) > 1:
+                        merged["vacuous" if effect[2] is None else "argument"] += 1
+        # both argument-free and argument-carrying effects coincide
         assert all(merged.values()), merged
 
     def test_search_tries_the_first_action_of_each_effect(self):
@@ -332,7 +336,7 @@ class TestDistinctEffects:
                 (dirac(states[0]), dirac(states[1])),
                 lambda support: enumerate_actions(support, templates),
                 _effect,
-                step_or_zero,
+                _successor,
                 1,
                 lambda *node: got.append(node) or True,
             )
