@@ -1,11 +1,13 @@
 """Bisimulation metric over the labelled Markov chain of programs.
 
 States alternate between programs (which can only be evaluated) and
-distinguished values (which can only be interrogated: applied to a
-universe value, or destructured through a tensor context). The metric
-functional takes, for each pair of states, the largest lifted distance
-over the actions available to both; iterating it from the zero metric
-climbs to the least fixpoint, the bisimulation distance.
+distinguished values (which can only be interrogated). A value's labels
+are the trace actions that fit it, app of a universe value or tensor
+through a template, and each moves it as trace.interrogate does for the
+trace distance. The metric functional takes, for each pair of states, the
+largest lifted distance over the actions available to both; iterating it
+from the zero metric climbs to the least fixpoint, the bisimulation
+distance.
 
 bisim_distance iterates only on the pairs the root pair's value depends
 on: the pair graph reachable from (prog m, prog n) through shared labels,
@@ -23,18 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .dist import Dist, dirac
+from .dist import Dist
 from .errors import BudgetExceeded, NonConvergence
 from .kantorovich import PseudoMetric, lift_primal
 from .semantics import _eval, _require_program
-from .terms import Abs, Pair, Term, substitute
-from .trace import (
-    TENSOR_HOLE_1,
-    TENSOR_HOLE_2,
-    _check_app_value,
-    _check_tensor_body,
-    dedupe_values,
-)
+from .terms import Term
+from .trace import alphabet, interrogate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -62,13 +58,8 @@ def dval(t: Term) -> LmcState:
 @dataclass
 class LmcFragment:
     states: list[LmcState]
-    trans: dict[tuple[LmcState, tuple], Dist[LmcState]]
-    labels: dict[LmcState, tuple[tuple, ...]]
-    universe: tuple[Term, ...]
-    max_depth: int
-
-    def successors(self, s: LmcState, label: tuple) -> Dist[LmcState]:
-        return self.trans[(s, label)]
+    trans: dict[tuple[LmcState, object], Dist[LmcState]]  # (state, label) -> successors
+    labels: dict[LmcState, tuple]  # EVAL_LABEL, or the trace actions a value answers
 
 
 def build_lmc(
@@ -92,18 +83,14 @@ def build_lmc(
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if state_cap < 0:
         raise ValueError(f"state_cap must be nonnegative, got {state_cap}")
-    universe = dedupe_values(universe)
-    for v in universe:
-        _check_app_value(v)
-    for body in tensor_templates:
-        _check_tensor_body(body)
+    actions = alphabet(universe, tensor_templates)
     _require_program(m)
     _require_program(n)
 
     states: list[LmcState] = []
     depth: dict[LmcState, int] = {}
-    trans: dict[tuple[LmcState, tuple], Dist[LmcState]] = {}
-    labels: dict[LmcState, tuple[tuple, ...]] = {}
+    trans: dict[tuple[LmcState, object], Dist[LmcState]] = {}
+    labels: dict[LmcState, tuple] = {}
     queue: deque[LmcState] = deque()
 
     def discover(s: LmcState, d: int) -> None:
@@ -125,7 +112,7 @@ def build_lmc(
     while queue:
         s = queue.popleft()
         d = depth[s]
-        out: list[tuple] = []
+        out: list = []
         if s.kind == "prog":
             succ = _eval(s.term).map_elems(dval)
             for t in succ.support():
@@ -133,36 +120,15 @@ def build_lmc(
             trans[(s, EVAL_LABEL)] = succ
             out.append(EVAL_LABEL)
         elif d < max_depth:
-            if isinstance(s.term, Abs):
-                for v in universe:
-                    label = ("app", v)
-                    succ = dirac(prog(substitute(s.term.body, s.term.var, v)))
-                    for t in succ.support():
-                        discover(t, d + 1)
-                    trans[(s, label)] = succ
-                    out.append(label)
-            elif isinstance(s.term, Pair) and tensor_templates:
-                d1 = _eval(s.term.first)
-                d2 = _eval(s.term.second)
-                for body in tensor_templates:
-                    label = ("tensor", body)
-                    parts = []
-                    for v, p in d1.items():
-                        for w, q in d2.items():
-                            inst = substitute(
-                                substitute(body, TENSOR_HOLE_1, v),
-                                TENSOR_HOLE_2,
-                                w,
-                            )
-                            parts.append((prog(inst), p * q))
-                    succ = Dist(parts)
-                    for t in succ.support():
-                        discover(t, d + 1)
-                    trans[(s, label)] = succ
-                    out.append(label)
+            for a, runs in interrogate(s.term, actions):
+                succ = Dist([(prog(r), p) for r, p in runs])
+                for t in succ.support():
+                    discover(t, d + 1)
+                trans[(s, a)] = succ
+                out.append(a)
         labels[s] = tuple(out)
 
-    return LmcFragment(states, trans, labels, universe, max_depth)
+    return LmcFragment(states, trans, labels)
 
 
 def _lifted(mu: PseudoMetric, ds: Dist, dt: Dist) -> Fraction:

@@ -19,7 +19,7 @@ import traceback
 from .bisim import bisim_distance
 from .dist import frac_str
 from .errors import MetricWbError
-from .parser import parse, parse_terms
+from .parser import parse, parse_terms, read_name
 from .semantics import clear_memo, eval_big
 from .terms import affine_violation, identity, pretty
 from .trace import format_trace, parse_trace, trace_accept, trace_distance_lb
@@ -36,7 +36,7 @@ from .tuples import (
     tuple_distance_lb,
     u_seq,
 )
-from .types import infer, render_type
+from .types import fresh_tvar, infer, render_type
 
 
 def _emit(payload: dict) -> None:
@@ -45,8 +45,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_check(args) -> tuple[dict, int]:
     t = parse(args.term)
-    ctx = tuple(args.ctx.split(",")) if args.ctx else ()
-    ctx = tuple(x.strip() for x in ctx if x.strip())
+    ctx = parse_terms(args.ctx, read_name)
     reason = affine_violation(ctx, t)
     payload = {
         "term": pretty(t),
@@ -57,7 +56,7 @@ def _cmd_check(args) -> tuple[dict, int]:
     ok = reason is None
     if args.typed:
         try:
-            payload["type"] = render_type(infer(t))
+            payload["type"] = render_type(infer(t, {x: fresh_tvar() for x in ctx}))
             payload["type_error"] = None
         except MetricWbError as e:
             payload["type"] = None

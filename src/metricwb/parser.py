@@ -15,6 +15,7 @@ internal names during parsing; free variables keep their written names.
 Lists share the term tokens, plus ";" and natural numbers:
 
     terms  := empty | term ("," term)*               parse_terms
+    names  := empty | ident ("," ident)*             parse_terms, read_name
     items  := "eps" | item (";" item)*               parse_items
 
 An item reader (the trace and tuple-trace actions) takes the token stream
@@ -99,12 +100,18 @@ def parse(text: str) -> Term:
     return t
 
 
-def parse_terms(text: str) -> list[Term]:
-    """Parse a comma-separated list of terms; empty text is the empty list."""
+def parse_terms(text: str, read_item: Callable[[Tokens], T] | None = None) -> list:
+    """Parse a comma-separated list of terms, or of what read_item reads;
+    empty text is the empty list."""
     ts = Tokens(text)
-    out = [] if ts.peek() == "eof" else ts.separated(",", read_term)
+    out = [] if ts.peek() == "eof" else ts.separated(",", read_item or read_term)
     ts.end()
     return out
+
+
+def read_name(ts: Tokens) -> str:
+    """Read one bare identifier, a free variable's name."""
+    return ts.expect("ident")
 
 
 def parse_items(text: str, read_item: Callable[[Tokens], T]) -> list[T]:

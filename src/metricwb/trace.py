@@ -36,6 +36,7 @@ from .terms import (
 )
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 TENSOR_HOLE_1 = "x"
 TENSOR_HOLE_2 = "y"
@@ -52,6 +53,9 @@ class TensorAction:
 
 
 Trace = tuple
+
+# the action class that fits each kind of value: the one kind rule of traces
+_KIND = {Abs: AppAction, Pair: TensorAction}
 
 
 def _check_app_value(v: Term) -> None:
@@ -95,19 +99,37 @@ def trace_accept(m: Term, s: Sequence) -> Fraction:
     return d.weight()
 
 
+def interrogate(t: Term, actions: Iterable) -> list:
+    """Each of the checked actions whose kind fits the value t, in order,
+    with the weighted programs it leaves before evaluation:
+    [(a, [(program, p), ...]), ...]. A pair's halves are evaluated once per
+    call, whatever the number of tensor actions."""
+    kind = _KIND.get(type(t))
+    out = []
+    halves = None
+    for a in actions:
+        if type(a) is not kind:
+            continue
+        if kind is AppAction:
+            out.append((a, [(substitute(t.body, t.var, a.value), _ONE)]))
+            continue
+        halves = halves or (_eval(t.first), _eval(t.second))
+        out.append((a, [
+            (substitute(substitute(a.body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w), p * q)
+            for v, p in halves[0].items()
+            for w, q in halves[1].items()
+        ]))
+    return out
+
+
 def _trace_step(t: Term, a) -> Dist[Term]:
-    """Value distribution after playing action a against the value t. The
-    action must already be checked; a kind that does not match the shape
-    of t loses all mass."""
-    if isinstance(a, AppAction) and isinstance(t, Abs):
-        return _eval(substitute(t.body, t.var, a.value))
-    if isinstance(a, TensorAction) and isinstance(t, Pair):
-        return mix(
-            (p * q, _eval(substitute(substitute(a.body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w)))
-            for v, p in _eval(t.first).items()
-            for w, q in _eval(t.second).items()
-        )
-    return EMPTY
+    """Value distribution after playing the checked action a against the
+    value t: the programs interrogate gives, each evaluated. A kind that
+    does not fit t loses all mass."""
+    runs = [run for _, rs in interrogate(t, (a,)) for run in rs]
+    if len(runs) == 1 and runs[0][1] == _ONE:  # a lone program: its own distribution
+        return _eval(runs[0][0])
+    return mix((p, _eval(e)) for e, p in runs)
 
 
 def reduce_to_values(d: Dist[Term]) -> Dist[Term]:
@@ -257,18 +279,25 @@ def trace_distance_lb(
     support holds none of them does not try it."""
     _require_program(m)
     _require_program(n)
-    alphabet = [s[0] for s in enumerate_traces(universe, 1, tensor_templates) if s]
-    check_trace(alphabet)
+    actions = alphabet(universe, tensor_templates)
     return widest_gap(
-        (_eval(m), _eval(n)), lambda _: alphabet, _trace_effect, _trace_step, max_len
+        (_eval(m), _eval(n)), lambda _: actions, _trace_effect, _trace_step, max_len
     )
+
+
+def alphabet(universe: Iterable[Term], tensor_templates: Sequence[Term] = ()) -> list:
+    """The actions of the one-action traces over universe and templates, in
+    order and checked: what the trace search and the bisimulation fragment
+    play against a value."""
+    actions = [s[0] for s in enumerate_traces(universe, 1, tensor_templates) if s]
+    check_trace(actions)
+    return actions
 
 
 def _trace_effect(t: Term, a):
     """Effect of action a on the value t for the search: a itself where its
     kind fits t, None where _trace_step(t, a) loses all mass."""
-    fits = isinstance(t, Abs) if isinstance(a, AppAction) else isinstance(t, Pair)
-    return a if fits else None
+    return a if type(a) is _KIND.get(type(t)) else None
 
 
 def app_combinations(

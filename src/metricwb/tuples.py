@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .dist import EMPTY, Dist, dirac
-from .errors import InvalidAction, NotAffine, ParseError
+from .errors import InvalidAction, NotAffine, NotClosed, ParseError
 from .parser import Tokens, parse_items, read_term
 from .semantics import _eval, _require_program, eval_big
 from .terms import (
@@ -54,7 +53,7 @@ class Appl:
 
 TupleTrace = tuple
 
-_SLOT = "$j"  # placeholder in abstraction templates for the consumed component
+_SLOT = "$j"  # marks where a template takes the consumed component
 
 
 def component_name(j: int) -> str:
@@ -107,11 +106,6 @@ def tuple_step(k: TupleState, a) -> Dist[TupleState]:
     first; raises InvalidAction when a does not apply to k."""
     _check_tuple_state(k)
     check_tuple_trace((a,))
-    return _tuple_step(k, a)
-
-
-def _tuple_step(k: TupleState, a) -> Dist[TupleState]:
-    # k and a are already checked; evaluation skips the affinity re-check.
     e = _effect(k, a)
     if e is None:
         state = ", ".join(map(pretty, k))
@@ -296,61 +290,29 @@ def u_seq(n: int) -> Fraction:
 # --- action templates and the distance lower bound ----------------------
 
 
-@dataclass(frozen=True)
-class ActionTemplates:
-    """What the observer may feed to an abstraction component.
-
-    values: closed values, consumed from nowhere.
-    component_args: allow handing over another component directly.
-    abs_templates: abstractions, optionally with a '$j' slot marking where
-    a consumed component is spliced in.
-    """
-
-    values: tuple[Term, ...] = ()
-    component_args: bool = False
-    abs_templates: tuple[Term, ...] = ()
-
-    @cached_property
-    def _arguments(self) -> tuple[Term, ...]:
-        """What enumerate_actions feeds an abstraction, in order and each
-        once: the values, the slot on its own when a component may be
-        handed over directly, then the abstraction templates."""
-        slot = (Var(_SLOT),) if self.component_args else ()
-        return dedupe_values(self.values + slot + self.abs_templates)
-
-
-def value_templates(values: Iterable[Term]) -> ActionTemplates:
-    return ActionTemplates(values=dedupe_values(values))
-
-
-def default_templates(
-    universe: Sequence[Term] = (), body_size_cap: int = 5
-) -> ActionTemplates:
-    """Values from the universe, single components, and small abstractions
-    applying their own argument, a component, and universe values."""
+def default_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
+    """What the observer feeds an abstraction component, in order and each
+    once: the universe values, the slot '$j' alone (hand over a consumed
+    component directly), then small abstractions applying their own
+    argument, the slot and universe values, up to body size 5."""
     consts = dedupe_values(universe) if universe else (identity(),)
-    y = Var("y")
-    bodies = app_combinations([y, Var(_SLOT)], consts, body_size_cap)
-    abs_templates = tuple(Abs("y", b) for b in bodies)
-    return ActionTemplates(
-        values=consts, component_args=True, abs_templates=abs_templates
-    )
+    bodies = app_combinations([Var("y"), Var(_SLOT)], consts, 5)
+    return dedupe_values((*consts, Var(_SLOT), *(Abs("y", b) for b in bodies)))
 
 
-def _check_templates(templates: ActionTemplates) -> None:
-    for v in templates.values:
-        _require_program(v)
-        if not isinstance(v, Abs):
-            raise InvalidAction(f"template value is not an abstraction: {pretty(v)}")
-    for t in templates.abs_templates:
+def _check_templates(templates: Sequence[Term]) -> None:
+    for t in templates:
+        extra = t.free_vars - {_SLOT}
+        if extra:
+            raise NotClosed(f"template mentions '{min(extra)}' besides {_SLOT}")
+        if not isinstance(t, Abs) and t != Var(_SLOT):
+            raise InvalidAction(f"template is neither {_SLOT} nor an abstraction: {pretty(t)}")
         reason = affine_violation((_SLOT,), t)
         if reason is not None:
             raise NotAffine(reason)
 
 
-def enumerate_actions(
-    states: Iterable[TupleState], templates: ActionTemplates
-) -> list:
+def enumerate_actions(states: Iterable[TupleState], templates: Sequence[Term]) -> list:
     """Deterministically ordered candidate actions for the given support: a
     cut or application wherever some state has the right shape, each
     action once. The search skips those that act like an earlier one."""
@@ -366,7 +328,7 @@ def enumerate_actions(
                 abs_at.add(pos)
     actions: list = [Cut(i) for i in sorted(pair_at)]
     for i in sorted(abs_at):
-        for arg in templates._arguments:
+        for arg in templates:
             if _SLOT in arg.free_vars:
                 actions += (
                     Appl(i, (j,), rename_free(arg, {_SLOT: component_name(j)}))
@@ -381,11 +343,14 @@ def enumerate_actions(
 def tuple_distance_lb(
     m: Term,
     n: Term,
-    template_set: Optional[ActionTemplates] = None,
+    template_set: Optional[Sequence[Term]] = None,
     max_len: int = 4,
 ) -> tuple[Fraction, TupleTrace]:
     """Largest tuple-trace probability gap between programs m and n over
-    traces up to max_len, with the first witness in search order.
+    traces up to max_len, with the first witness in search order. The
+    templates are the arguments fed to abstraction components, '$j' marking
+    a consumed component (default_templates by default); alpha-duplicates
+    are dropped.
 
     The search is trace.widest_gap: breadth-first, exploring branches with
     identical joint distributions once, dropping branches that keep no
@@ -393,8 +358,7 @@ def tuple_distance_lb(
     action effect (_effect). Templates are checked once here, so the steps
     skip the affinity check.
     """
-    if template_set is None:
-        template_set = default_templates()
+    template_set = dedupe_values(default_templates() if template_set is None else template_set)
     _check_templates(template_set)
     dm = eval_big(m).map_elems(lambda v: (v,))
     dn = eval_big(n).map_elems(lambda v: (v,))

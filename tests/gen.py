@@ -592,10 +592,7 @@ def reference_actions(states, templates) -> list:
     out = [Cut(i) for i in positions(Pair)]
     for i in positions(Abs):
         others = [j for j in range(1, width + 1) if j != i]
-        out.extend(Appl(i, (), v) for v in templates.values)
-        if templates.component_args:
-            out.extend(Appl(i, (j,), Var(f"x{j}")) for j in others)
-        for t in templates.abs_templates:
+        for t in templates:
             if "$j" in t.free_vars:
                 out.extend(Appl(i, (j,), rename_free(t, {"$j": f"x{j}"})) for j in others)
             else:

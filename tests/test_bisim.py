@@ -26,7 +26,7 @@ from metricwb.bisim import (
 from metricwb.dist import Dist
 from metricwb.kantorovich import PseudoMetric, lift_dual, lift_primal
 from metricwb.terms import OMEGA, identity
-from metricwb.trace import default_tensor_templates
+from metricwb.trace import AppAction, TensorAction, default_tensor_templates
 
 I = identity()
 HALF = Fraction(1, 2)
@@ -51,13 +51,13 @@ class TestFragment:
 
     def test_divergence_evaluates_to_the_empty_distribution(self):
         frag = build_lmc(I, OMEGA, (I,), 2)
-        assert not frag.successors(prog(OMEGA), EVAL_LABEL)
-        assert frag.successors(prog(I), EVAL_LABEL).get(dval(I)) == 1
+        assert not frag.trans[(prog(OMEGA), EVAL_LABEL)]
+        assert frag.trans[(prog(I), EVAL_LABEL)].get(dval(I)) == 1
 
     def test_choice_fragment(self):
         frag = build_lmc(I, COIN, (I,), 2)
         assert len(frag.states) == 3
-        d = frag.successors(prog(COIN), EVAL_LABEL)
+        d = frag.trans[(prog(COIN), EVAL_LABEL)]
         assert d.get(dval(I)) == HALF
 
     def test_negative_depth_is_rejected(self):
@@ -76,7 +76,7 @@ class TestFragment:
         frag0 = build_lmc(I, OMEGA, (I,), 0)
         assert frag0.labels[dval(I)] == ()
         frag1 = build_lmc(I, OMEGA, (I,), 1)
-        assert frag1.labels[dval(I)] == (("app", I),)
+        assert frag1.labels[dval(I)] == (AppAction(I),)
 
     def test_counterexample_fragment_size(self):
         frag = build_lmc(INNER, OUTER, (I,), 3)
@@ -93,7 +93,7 @@ class TestFragment:
         frag = build_lmc(p, p, (I,), 1)
         assert frag.labels[dval(p)] == ()
         frag = build_lmc(p, p, (I,), 1, tensor_templates=(Var("x"),))
-        assert frag.labels[dval(p)] == (("tensor", Var("x")),)
+        assert frag.labels[dval(p)] == (TensorAction(Var("x")),)
 
 
 class TestFunctional:

@@ -60,6 +60,21 @@ class TestCheck:
         assert payload["type"] is None
         assert payload["type_error"]
 
+    @pytest.mark.parametrize(
+        "ctx, offset", [("x,,y", 2), ("x,", 2), ("x y", 2), ("I", 0), (",x", 0)]
+    )
+    def test_context_entries_must_be_names(self, capsys, ctx, offset):
+        code, out, err = run(capsys, "check", "x", "--ctx", ctx)
+        assert code == 1
+        assert out == ""
+        assert f"(at offset {offset})" in err
+
+    def test_context_reaches_type_inference(self, capsys):
+        payload = payload_of(capsys, "check", "x y", "--ctx", " x , y ", "--typed")
+        assert payload["affine"] is True
+        assert payload["type"] == "iota"
+        assert payload["type_error"] is None
+
 
 class TestEval:
     def test_coin_distribution_bytes(self, capsys):

@@ -38,7 +38,7 @@ from metricwb.trace import (
     format_trace,
     trace_distance_lb,
 )
-from metricwb.tuples import ActionTemplates, format_tuple_trace, tuple_distance_lb
+from metricwb.tuples import format_tuple_trace, tuple_distance_lb
 
 DATA = Path(__file__).with_name("golden_library.json")
 SEED = 20261019
@@ -54,7 +54,7 @@ ABS_POOL = tuple(Abs("y", b) for b in app_combinations([Var("y"), Var("$j")], CA
 
 def template_set(values: list, component_args: bool, abs_templates: list):
     """The tuple template set feeding these arguments, in this order."""
-    return ActionTemplates(tuple(values), component_args, tuple(abs_templates))
+    return (*values, *([Var("$j")] if component_args else []), *abs_templates)
 
 
 def digest(text: str) -> str:
@@ -62,7 +62,7 @@ def digest(text: str) -> str:
 
 
 def label_text(label) -> str:
-    return "eval" if label == EVAL_LABEL else f"{label[0]}({pretty(label[1])})"
+    return "eval" if label == EVAL_LABEL else format_trace((label,))
 
 
 def fragment_text(frag) -> str:

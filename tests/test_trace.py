@@ -17,7 +17,8 @@ from metricwb import (
     trace_accept,
     trace_distance_lb,
 )
-from metricwb.dist import Dist
+from metricwb.dist import Dist, mix
+from metricwb.semantics import _eval
 from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, pretty, size, substitute
 from metricwb.trace import (
     AppAction,
@@ -30,6 +31,7 @@ from metricwb.trace import (
     enumerate_traces,
     explore,
     format_trace,
+    interrogate,
     widest_gap,
 )
 
@@ -101,6 +103,43 @@ class TestTraceValidation:
     def test_tensor_body_must_be_affine_in_the_holes(self):
         with pytest.raises(NotAffine):
             check_trace((TensorAction(App(Var("x"), Var("x"))),))
+
+
+class TestInterrogate:
+    K = parse("\\a. \\b. a")
+    ACTIONS = (TensorAction(Var("y")), AppAction(K), TensorAction(App(Var("x"), Var("y"))))
+
+    def test_fitting_actions_in_order_with_their_programs(self):
+        pair = Pair(parse("I (+) omega"), self.K)
+        a0, a1, a2 = self.ACTIONS
+        # x is the first half, y the second; weights multiply across halves
+        assert interrogate(pair, self.ACTIONS) == [(a0, [(self.K, HALF)]), (a2, [(App(I, self.K), HALF)])]
+        assert interrogate(I, self.ACTIONS) == [(a1, [(self.K, 1)])]
+        assert interrogate(pair, (a1,)) == []
+
+    def test_pair_halves_are_evaluated_once_per_call(self, monkeypatch):
+        import metricwb.trace as trace
+
+        calls = []
+        real = trace._eval
+        monkeypatch.setattr(trace, "_eval", lambda t: calls.append(t) or real(t))
+        interrogate(Pair(I, self.K), self.ACTIONS)
+        assert calls == [I, self.K]
+
+    def test_step_mixes_the_evaluated_runs(self):
+        # _trace_step hands back a lone run of weight 1 as its program's
+        # distribution; every step must equal the plain mixture of runs
+        rng = random.Random(20261020)
+        actions = (AppAction(I), *default_tensor_templates()[:12])
+        actions = actions[:1] + tuple(TensorAction(b) for b in actions[1:])
+        for i in range(100):
+            if i % 2:
+                t = gen.random_value(rng, max_size=8)
+            else:
+                t = Pair(*(gen.random_program(rng, max_size=8, fuel=3) for _ in range(2)))
+            for a in actions:
+                runs = [run for _, rs in interrogate(t, (a,)) for run in rs]
+                assert _trace_step(t, a) == mix((p, _eval(e)) for e, p in runs), (pretty(t), a)
 
 
 class TestEnumeration:

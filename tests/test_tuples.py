@@ -8,6 +8,7 @@ import gen
 from metricwb import (
     InvalidAction,
     NotAffine,
+    NotClosed,
     bisim_distance,
     build_expair,
     build_mn_nn,
@@ -26,7 +27,6 @@ from metricwb.dist import Dist
 from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, pretty
 from metricwb.trace import AppAction, default_tensor_templates, explore, trace_distance_lb
 from metricwb.tuples import (
-    ActionTemplates,
     Appl,
     Cut,
     _effect,
@@ -37,7 +37,6 @@ from metricwb.tuples import (
     skewed_choice,
     step_or_zero,
     trace_tuple_lengths,
-    value_templates,
 )
 
 I = identity()
@@ -230,24 +229,25 @@ class TestSkewedChoice:
 
 class TestActionEnumeration:
     def test_default_template_inventory(self):
+        # the identity, the slot alone, then 34 abstractions of which one,
+        # \y. y, repeats the identity
         t = default_templates()
-        assert t.values == (I,)
-        assert t.component_args is True
-        assert len(t.abs_templates) == 34
+        assert t[:2] == (I, Var("$j"))
+        assert len(t) == 35
+        assert all(isinstance(a, Abs) for a in t[2:])
 
     def test_universe_feeds_the_value_slot(self):
         k = parse("\\a. \\b. b")
         t = default_templates((I, k))
-        assert set(t.values) == {I, k}
+        assert t[:3] == (I, k, Var("$j"))
 
     def test_value_templates_are_bare_values(self):
-        t = value_templates((I,))
-        assert t.values == (I,)
-        assert t.component_args is False
-        assert t.abs_templates == ()
+        # a set of closed values hands over no component
+        acts = enumerate_actions([(I, I)], (I,))
+        assert acts == [Appl(1, (), I), Appl(2, (), I)]
 
     def test_actions_cover_cuts_and_applications(self):
-        templates = value_templates((I,))
+        templates = (I,)
         acts = enumerate_actions([(CLEAN,)], templates)
         assert acts == [Cut(1)]
         acts = enumerate_actions([(I, I)], templates)
@@ -256,13 +256,13 @@ class TestActionEnumeration:
         assert Appl(1, (2,), Var("x2")) not in acts
 
     def test_component_arguments_appear_when_enabled(self):
-        templates = ActionTemplates((I,), True, ())
+        templates = (I, Var("$j"))
         acts = enumerate_actions([(I, I)], templates)
         assert Appl(1, (2,), Var("x2")) in acts
         assert Appl(2, (1,), Var("x1")) in acts
 
     def test_mixed_support_contributes_all_shapes(self):
-        templates = value_templates((I,))
+        templates = (I,)
         acts = enumerate_actions([(CLEAN,), (I,)], templates)
         assert Cut(1) in acts
         assert Appl(1, (), I) in acts
@@ -348,7 +348,7 @@ class TestDistinctEffects:
             default_templates(),
             default_templates((K,)),
             default_templates((I, K)),
-            value_templates((I, K)),
+            (I, K),
         )
         for i in range(100):
             m = gen.random_program(rng, max_size=12, fuel=3)
@@ -375,15 +375,36 @@ class TestDistanceSearch:
             tuple_distance_lb(I, OMEGA, None, -1)
 
     def test_respects_a_restricted_template_set(self):
-        v, _ = tuple_distance_lb(NOISY, CLEAN, value_templates((I,)), 3)
+        v, _ = tuple_distance_lb(NOISY, CLEAN, (I,), 3)
         assert v == F(3, 4)
 
     def test_templates_are_checked_at_entry(self):
         with pytest.raises(NotAffine):
-            tuple_distance_lb(NOISY, CLEAN, value_templates((parse("\\x. x x"),)), 3)
-        bad = ActionTemplates(abs_templates=(Abs("y", App(Var("$j"), Var("$j"))),))
+            tuple_distance_lb(NOISY, CLEAN, (parse("\\x. x x"),), 3)
+        bad = (Abs("y", App(Var("$j"), Var("$j"))),)
         with pytest.raises(NotAffine):
             tuple_distance_lb(NOISY, CLEAN, bad, 3)
+
+    def test_templates_are_the_slot_or_abstractions(self):
+        # a non-abstraction would otherwise become an application's body
+        for bad in (Pair(I, I), App(I, I), App(Var("$j"), I)):
+            with pytest.raises(InvalidAction, match="neither"):
+                tuple_distance_lb(NOISY, CLEAN, (I, bad), 3)
+        with pytest.raises(NotClosed, match="'z'"):
+            tuple_distance_lb(NOISY, CLEAN, (Abs("y", Var("z")),), 3)
+
+    def test_duplicate_templates_are_dropped(self, monkeypatch):
+        # \y. y repeats I: every node lists each action once
+        import metricwb.tuples as tuples
+
+        listed = []
+        real = tuples.enumerate_actions
+        monkeypatch.setattr(
+            tuples, "enumerate_actions", lambda support, t: listed.append(real(support, t)) or listed[-1]
+        )
+        got = tuple_distance_lb(NOISY, CLEAN, (I, Abs("y", Var("y")), I), 3)
+        assert got == tuple_distance_lb(NOISY, CLEAN, (I,), 3)
+        assert listed and all(len(acts) == len(set(acts)) for acts in listed)
 
 
 class TestBinderHygiene:
@@ -458,7 +479,7 @@ class TestPartitionWalker:
     def test_walker_agrees_with_exhaustive_enumeration(self):
         # Cross-check the pruned classifier against a no-pruning sweep over
         # every action sequence, on budgets small enough to afford it.
-        templates = value_templates((I,))
+        templates = (I,)
         for n in (0, 1):
             u = u_seq(n)
             for k_state, h_state in gen.partition_instances(n)[:3]:
