@@ -21,10 +21,11 @@ from .dist import frac_str
 from .errors import MetricWbError
 from .parser import parse, parse_terms, read_name
 from .semantics import clear_memo, eval_big
-from .terms import affine_violation, identity, pretty
+from .terms import Abs, affine_violation, identity, pretty
 from .trace import format_trace, parse_trace, trace_accept, trace_distance_lb
 from .tuples import (
     Appl,
+    Templates,
     build_expair,
     build_mn_nn,
     build_sn,
@@ -101,6 +102,14 @@ _KIND_BOUNDS = {
 }
 
 
+@functools.cache
+def _tuple_templates(universe_text: str) -> Templates:
+    """default_templates of the --universe text, prepared once per text.
+    Keyed by the text, not the terms: alpha-equal universes still print
+    their own binder names in witnesses."""
+    return default_templates(parse_terms(universe_text))
+
+
 def _cmd_distance(args) -> dict:
     a = parse(args.term_a)
     b = parse(args.term_b)
@@ -136,7 +145,13 @@ def _cmd_distance(args) -> dict:
         }
     if not universe:  # default_templates would fall back to the identity
         raise ValueError("--universe names no value; --kind tuple needs at least one")
-    value, witness = tuple_distance_lb(a, b, default_templates(universe), args.max_len)
+    for v in universe:
+        if not isinstance(v, Abs):
+            raise ValueError(
+                f"--universe entry {pretty(v)} is not an abstraction;"
+                " --kind tuple feeds abstractions only"
+            )
+    value, witness = tuple_distance_lb(a, b, _tuple_templates(args.universe), args.max_len)
     return {
         "kind": "tuple",
         "mode": "lower-bound",

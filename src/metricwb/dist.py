@@ -1,8 +1,17 @@
-"""Finite subdistributions with exact rational weights."""
+"""Finite subdistributions with exact rational weights.
+
+A Dist stores positive integer numerators over one shared positive
+denominator, in lowest terms (gcd(den, *numerators) == 1), so each
+distribution has exactly one representation and equality and hashing
+compare it directly. bind, mix, map_elems, scale and dirac work on the
+integers. Fraction appears only at the interface: the constructor,
+weight, get, items, to_json and printed messages.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Generic, Hashable, Iterable, Iterator, Tuple, TypeVar
 
 from .errors import CoefficientOverflow
@@ -12,97 +21,142 @@ T = TypeVar("T", bound=Hashable)
 U = TypeVar("U", bound=Hashable)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Dist(Generic[T]):
     """Immutable finite map from elements to positive weights, total <= 1.
 
     Zero-weight entries are pruned on construction; equal elements (for
-    terms: alpha-equal) are merged.
+    terms: alpha-equal) are merged. The support keeps the order in which
+    elements first appear.
     """
 
-    __slots__ = ("_items", "_weight", "_hash")
+    __slots__ = ("_num", "_den", "_total", "_weight", "_hash")
 
     def __init__(self, items: "Iterable[tuple[T, Rational]] | dict[T, Rational]" = ()):
         if isinstance(items, dict):
             items = items.items()
-        acc: dict[T, Fraction] = {}
+        parts = []
         for elem, p in items:
-            p = Fraction(p)
-            if p < 0:
+            if type(p) is not Fraction:
+                p = Fraction(p)
+            if p.numerator < 0:
                 raise ValueError(f"negative weight {p} for {elem!r}")
-            if p == 0:
-                continue
-            acc[elem] = acc.get(elem, _ZERO) + p
-        total = sum(acc.values(), _ZERO)
-        if total > 1:
-            raise CoefficientOverflow(f"total mass {total} exceeds 1")
-        self._items = acc
-        self._weight = total
+            if p.numerator:
+                parts.append((elem, p.numerator, p.denominator))
+        den = lcm(*(d for _, _, d in parts))
+        num: dict = {}
+        for elem, n, d in parts:
+            num[elem] = num.get(elem, 0) + n * (den // d)
+        self._set(num, den)
+
+    def _set(self, num: dict, den: int) -> None:
+        # num holds positive numerators; bring them to lowest terms with den
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {e: n // g for e, n in num.items()}
+        total = sum(num.values())
+        if total > den:
+            raise CoefficientOverflow(f"total mass {Fraction(total, den)} exceeds 1")
+        self._num = num
+        self._den = den
+        self._total = total
+        self._weight: "Fraction | None" = None
         self._hash: "int | None" = None
 
     def weight(self) -> Rational:
-        return self._weight
+        w = self._weight
+        if w is None:
+            w = self._weight = Fraction(self._total, self._den)
+        return w
 
     def support(self) -> Tuple[T, ...]:
-        return tuple(self._items)
+        return tuple(self._num)
 
     def items(self) -> Iterator[tuple[T, Rational]]:
-        return iter(self._items.items())
+        den = self._den
+        return ((e, Fraction(n, den)) for e, n in self._num.items())
 
     def get(self, elem: T) -> Rational:
-        return self._items.get(elem, _ZERO)
+        n = self._num.get(elem)
+        return _ZERO if n is None else Fraction(n, self._den)
 
     def __contains__(self, elem) -> bool:
-        return elem in self._items
+        return elem in self._num
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._num)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, Dist):
             return NotImplemented
-        return self._items == other._items
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash(frozenset(self._items.items()))
+            h = self._hash = hash((self._den, frozenset(self._num.items())))
         return h
 
     def __repr__(self):
-        body = ", ".join(f"{e!r}: {p}" for e, p in self._items.items())
+        body = ", ".join(f"{e!r}: {p}" for e, p in self.items())
         return f"Dist({{{body}}})"
 
     def scale(self, c: Rational) -> "Dist[T]":
         c = Fraction(c)
-        return Dist((e, c * p) for e, p in self._items.items())
+        if c < 0:
+            for e, p in self.items():
+                raise ValueError(f"negative weight {c * p} for {e!r}")
+        if not c:
+            return EMPTY
+        k = c.numerator
+        return _make({e: k * n for e, n in self._num.items()}, c.denominator * self._den)
 
     def map_elems(self, f: Callable[[T], U]) -> "Dist[U]":
         """Pushforward along f; colliding images are merged."""
-        return Dist((f(e), p) for e, p in self._items.items())
+        acc: dict = {}
+        for e, n in self._num.items():
+            e = f(e)
+            acc[e] = acc.get(e, 0) + n
+        return _make(acc, self._den)
 
     def bind(self, k: "Callable[[T], Dist[U]]") -> "Dist[U]":
-        """Monadic bind: run k on every support element, weight and sum."""
-        acc: dict[U, Fraction] = {}
-        for e, p in self._items.items():
-            for e2, q in k(e).items():
-                acc[e2] = acc.get(e2, _ZERO) + p * q
-        return Dist(acc)
+        """Monadic bind: run k on every support element, weight and sum.
+        A point mass of weight 1 hands back k's own distribution."""
+        if self._den == 1:  # weight 1 on one element, or nothing at all
+            for e in self._num:
+                return k(e)
+            return self
+        m = self._den
+        return _make(*_weighted_sum([(n, m, k(e)) for e, n in self._num.items()]))
+
+    def bind_weight(self, k: "Callable[[T], Dist[U]]") -> Rational:
+        """self.bind(k).weight(), without building the distribution."""
+        parts = [(n, k(e)) for e, n in self._num.items()]
+        den = lcm(*(d._den for _, d in parts))
+        total = sum(n * d._total * (den // d._den) for n, d in parts)
+        return Fraction(total, self._den * den)
 
     def to_json(self, pretty_elem: Callable[[T], str] = str) -> dict:
         entries = sorted(
-            ((pretty_elem(e), p) for e, p in self._items.items()),
+            ((pretty_elem(e), p) for e, p in self.items()),
             key=lambda ep: ep[0],
         )
         return {
             "support": [{"elem": e, "p": frac_str(p)} for e, p in entries],
-            "weight": frac_str(self._weight),
+            "weight": frac_str(self.weight()),
         }
+
+
+def _make(num: dict, den: int) -> Dist:
+    """The Dist with weights num[e] / den, for positive numerators."""
+    d = object.__new__(Dist)
+    d._set(num, den)
+    return d
 
 
 def frac_str(p: Rational) -> str:
@@ -110,24 +164,41 @@ def frac_str(p: Rational) -> str:
 
 
 def dirac(elem: T) -> Dist[T]:
-    return Dist(((elem, _ONE),))
+    return _make({elem: 1}, 1)
 
 
 def mix(weighted: Iterable[tuple[Rational, Dist[T]]]) -> Dist[T]:
     """Convex combination sum(c_i * d_i); raises CoefficientOverflow if the
     coefficients sum past 1."""
-    acc: dict[T, Fraction] = {}
-    total_c = _ZERO
+    parts = []
+    tn, td = 0, 1  # the coefficients so far sum to tn / td
     for c, d in weighted:
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if c < 0:
             raise ValueError(f"negative mixing coefficient {c}")
-        total_c += c
-        if total_c > 1:
-            raise CoefficientOverflow(f"mixing coefficients total {total_c}")
-        for e, p in d.items():
-            acc[e] = acc.get(e, _ZERO) + c * p
-    return Dist(acc)
+        cn, cd = c.numerator, c.denominator
+        den = lcm(td, cd)
+        tn, td = tn * (den // td) + cn * (den // cd), den
+        if tn > td:
+            raise CoefficientOverflow(f"mixing coefficients total {Fraction(tn, td)}")
+        parts.append((cn, cd, d))
+    acc, den = _weighted_sum(parts)
+    if 0 in acc.values():  # a zero coefficient still places its elements
+        acc = {e: n for e, n in acc.items() if n}
+    return _make(acc, den)
+
+
+def _weighted_sum(parts: list) -> tuple[dict, int]:
+    """Numerators and denominator of the sum of (n / m) * d over the
+    (n, m, d) in parts; elements in order of first appearance."""
+    den = lcm(*(m * d._den for _, m, d in parts))
+    acc: dict = {}
+    for n, m, d in parts:
+        f = n * (den // (m * d._den))
+        for e, q in d._num.items():
+            acc[e] = acc.get(e, 0) + f * q
+    return acc, den
 
 
 EMPTY: Dist = Dist()

@@ -72,37 +72,40 @@ def _eval(t: Term) -> Dist[Term]:
             d = mix(((_HALF, _eval(l)), (_HALF, _eval(r))))
         case App(f, a):
             df, da = _eval(f), _eval(a)
-            parts = []
-            for fv, p in df.items():
+
+            def call(fv: Term) -> Dist[Term]:
                 if isinstance(fv, Abs):
-                    for av, q in da.items():
-                        parts.append((p * q, _eval(substitute(fv.body, fv.var, av))))
-                else:
-                    logger.warning(
-                        "discarding stuck application of a pair: %s applied to %s"
-                        " drops mass %s",
-                        fv,
-                        a,
-                        p * da.weight(),
-                    )
-            d = mix(parts)
+                    return da.bind(lambda av: _eval(substitute(fv.body, fv.var, av)))
+                logger.warning(
+                    "discarding stuck application of a pair: %s applied to %s"
+                    " drops mass %s",
+                    fv,
+                    a,
+                    df.get(fv) * da.weight(),
+                )
+                return EMPTY
+
+            d = df.bind(call)
         case LetPair(x, y, m, b):
-            parts = []
-            for mv, p in _eval(m).items():
+            dm = _eval(m)
+
+            def split(mv: Term) -> Dist[Term]:
                 if isinstance(mv, Pair):
                     d1, d2 = _eval(mv.first), _eval(mv.second)
-                    for v1, q1 in d1.items():
-                        for v2, q2 in d2.items():
-                            inst = substitute(substitute(b, x, v1), y, v2)
-                            parts.append((p * q1 * q2, _eval(inst)))
-                else:
-                    logger.warning(
-                        "discarding stuck let on an abstraction: %s destructured as a pair"
-                        " drops mass %s",
-                        mv,
-                        p,
+                    return d1.bind(
+                        lambda v1: d2.bind(
+                            lambda v2: _eval(substitute(substitute(b, x, v1), y, v2))
+                        )
                     )
-            d = mix(parts)
+                logger.warning(
+                    "discarding stuck let on an abstraction: %s destructured as a pair"
+                    " drops mass %s",
+                    mv,
+                    dm.get(mv),
+                )
+                return EMPTY
+
+            d = dm.bind(split)
         case Var(name):
             raise NotClosed(f"free variable '{name}' reached evaluation")
         case _:

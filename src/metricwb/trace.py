@@ -231,21 +231,16 @@ def explore(
                             if not last:
                                 row[e] = d
                         child[s] = d
+                successor = lambda s: child.get(s, EMPTY)
                 if last:
-                    visit(word + (a,), _child_weight(da, child), _child_weight(db, child))
+                    visit(word + (a,), da.bind_weight(successor), db.bind_weight(successor))
                     continue
-                ca = da.bind(lambda s: child.get(s, EMPTY))
-                cb = db.bind(lambda s: child.get(s, EMPTY))
+                ca, cb = da.bind(successor), db.bind(successor)
                 if (ca, cb) not in seen:
                     seen.add((ca, cb))
                     frontier.append((word + (a,), ca, cb))
     for word, da, db in frontier:  # the root alone when max_len is 0
         visit(word, da.weight(), db.weight())
-
-
-def _child_weight(d: Dist, child: dict) -> Fraction:
-    """Weight of d bound to the successors in child, without building it."""
-    return sum((p * child.get(s, EMPTY).weight() for s, p in d.items()), _ZERO)
 
 
 def widest_gap(
@@ -275,14 +270,17 @@ def trace_distance_lb(
 ) -> tuple[Fraction, Trace]:
     """Largest trace-probability gap over all traces up to max_len, with the
     first trace attaining it. A lower bound on the full trace distance.
-    An action applies to the values whose kind it fits, so a node whose
-    support holds none of them does not try it."""
+    An action applies to the values whose kind it fits, so a node offers
+    only the actions of the kinds its support holds, in alphabet order."""
     _require_program(m)
     _require_program(n)
     actions = alphabet(universe, tensor_templates)
-    return widest_gap(
-        (_eval(m), _eval(n)), lambda _: actions, _trace_effect, _trace_step, max_len
-    )
+
+    def offered(support: list) -> list:
+        kinds = {_KIND.get(type(s)) for s in support}
+        return [a for a in actions if type(a) in kinds]
+
+    return widest_gap((_eval(m), _eval(n)), offered, _trace_effect, _trace_step, max_len)
 
 
 def alphabet(universe: Iterable[Term], tensor_templates: Sequence[Term] = ()) -> list:

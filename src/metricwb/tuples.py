@@ -141,10 +141,9 @@ def _successor(k: TupleState, e) -> Dist[TupleState]:
     is e, as _effect gives it; e is not None."""
     if isinstance(e, int):
         comp = k[e - 1]
-        return Dist(
-            (k[: e - 1] + (v, w) + k[e:], p * q)
-            for v, p in _eval(comp.first).items()
-            for w, q in _eval(comp.second).items()
+        head, tail = k[: e - 1], k[e:]
+        return _eval(comp.first).bind(
+            lambda v: _eval(comp.second).map_elems(lambda w: head + (v, w) + tail)
         )
     pos, consumed, arg = e
     comp = k[pos - 1]
@@ -290,18 +289,56 @@ def u_seq(n: int) -> Fraction:
 # --- action templates and the distance lower bound ----------------------
 
 
-def default_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
+def default_templates(universe: Sequence[Term] = ()) -> "Templates":
     """What the observer feeds an abstraction component, in order and each
     once: the universe values, the slot '$j' alone (hand over a consumed
     component directly), then small abstractions applying their own
-    argument, the slot and universe values, up to body size 5."""
+    argument, the slot and universe values, up to body size 5. The set
+    comes prepared (see prepare_templates)."""
     consts = dedupe_values(universe) if universe else (identity(),)
     bodies = app_combinations([Var("y"), Var(_SLOT)], consts, 5)
-    return dedupe_values((*consts, Var(_SLOT), *(Abs("y", b) for b in bodies)))
+    return prepare_templates((*consts, Var(_SLOT), *(Abs("y", b) for b in bodies)))
 
 
-def _check_templates(templates: Sequence[Term]) -> None:
-    for t in templates:
+class Templates(tuple):
+    """A template set as the tuple search uses it: the arguments, in order,
+    without alpha-duplicates and checked; prepare_templates builds one. It
+    keeps the (consumed, argument) list of each tuple width once built. A
+    copy, Templates(t), starts with an empty table, and tuple_distance_lb
+    makes one per search, so a search renames each slot template once per
+    component."""
+
+    def __new__(cls, templates: Iterable[Term]):
+        self = super().__new__(cls, templates)
+        self._by_width: dict[int, list] = {}
+        return self
+
+    def arguments(self, width: int) -> list:
+        args = self._by_width.get(width)
+        if args is None:
+            args = self._by_width[width] = _arguments(self, width)
+        return args
+
+
+def _arguments(templates: Iterable[Term], width: int) -> list:
+    """(consumed, argument) for each template in order: a closed one as it
+    is, a slot one once per component x1 .. x<width>."""
+    return [
+        pair
+        for t in templates
+        for pair in (
+            [((j,), rename_free(t, {_SLOT: component_name(j)})) for j in range(1, width + 1)]
+            if _SLOT in t.free_vars
+            else [((), t)]
+        )
+    ]
+
+
+def prepare_templates(templates: Iterable[Term]) -> Templates:
+    """The template set with alpha-duplicates dropped, each template
+    checked: '$j' itself, or a closed affine abstraction apart from '$j'."""
+    out = Templates(dedupe_values(templates))
+    for t in out:
         extra = t.free_vars - {_SLOT}
         if extra:
             raise NotClosed(f"template mentions '{min(extra)}' besides {_SLOT}")
@@ -310,12 +347,14 @@ def _check_templates(templates: Sequence[Term]) -> None:
         reason = affine_violation((_SLOT,), t)
         if reason is not None:
             raise NotAffine(reason)
+    return out
 
 
 def enumerate_actions(states: Iterable[TupleState], templates: Sequence[Term]) -> list:
     """Deterministically ordered candidate actions for the given support: a
     cut or application wherever some state has the right shape, each
-    action once. The search skips those that act like an earlier one."""
+    action once. The search skips those that act like an earlier one. A
+    Templates set keeps its renamed slot templates from call to call."""
     max_len = 0
     pair_at: set[int] = set()
     abs_at: set[int] = set()
@@ -327,16 +366,13 @@ def enumerate_actions(states: Iterable[TupleState], templates: Sequence[Term]) -
             elif isinstance(comp, Abs):
                 abs_at.add(pos)
     actions: list = [Cut(i) for i in sorted(pair_at)]
-    for i in sorted(abs_at):
-        for arg in templates:
-            if _SLOT in arg.free_vars:
-                actions += (
-                    Appl(i, (j,), rename_free(arg, {_SLOT: component_name(j)}))
-                    for j in range(1, max_len + 1)
-                    if j != i
-                )
-            else:
-                actions.append(Appl(i, (), arg))
+    if abs_at:
+        if isinstance(templates, Templates):
+            args = templates.arguments(max_len)
+        else:
+            args = _arguments(templates, max_len)
+        for i in sorted(abs_at):
+            actions += (Appl(i, consumed, arg) for consumed, arg in args if i not in consumed)
     return actions
 
 
@@ -349,17 +385,21 @@ def tuple_distance_lb(
     """Largest tuple-trace probability gap between programs m and n over
     traces up to max_len, with the first witness in search order. The
     templates are the arguments fed to abstraction components, '$j' marking
-    a consumed component (default_templates by default); alpha-duplicates
-    are dropped.
+    a consumed component (default_templates by default); a set that is not
+    yet prepared goes through prepare_templates, which drops
+    alpha-duplicates and checks it, so the steps skip the affinity check.
 
     The search is trace.widest_gap: breadth-first, exploring branches with
     identical joint distributions once, dropping branches that keep no
     more mass than the best gap, and stepping each state once per distinct
-    action effect (_effect). Templates are checked once here, so the steps
-    skip the affinity check.
+    action effect (_effect).
     """
-    template_set = dedupe_values(default_templates() if template_set is None else template_set)
-    _check_templates(template_set)
+    if template_set is None:
+        template_set = default_templates()
+    elif isinstance(template_set, Templates):
+        template_set = Templates(template_set)  # a table of its own for this search
+    else:
+        template_set = prepare_templates(template_set)
     dm = eval_big(m).map_elems(lambda v: (v,))
     dn = eval_big(n).map_elems(lambda v: (v,))
     return widest_gap(

@@ -12,6 +12,7 @@ import itertools
 from fractions import Fraction
 
 from metricwb.dist import Dist, dirac
+from metricwb.errors import CoefficientOverflow
 from metricwb.terms import (
     Abs,
     App,
@@ -268,6 +269,104 @@ def naive_eval(t: Term) -> dict:
                         out[rv] = out.get(rv, ZERO) + p * q1 * q2 * r
         return out
     raise TypeError(f"not a closed program: {t!r}")
+
+
+# --- reference distributions: every weight a Fraction ---------------------
+
+
+class ReferenceDist:
+    """The Fraction-weighted subdistribution that metricwb.dist.Dist
+    replaced with integer numerators over one denominator. It keeps one
+    Fraction per element and re-normalises on every operation; the
+    property tests in test_dist.py hold the two to the same answers,
+    insertion order and error messages."""
+
+    __slots__ = ("_items", "_weight", "_hash")
+
+    def __init__(self, items=()):
+        if isinstance(items, dict):
+            items = items.items()
+        acc: dict = {}
+        for elem, p in items:
+            p = Fraction(p)
+            if p < 0:
+                raise ValueError(f"negative weight {p} for {elem!r}")
+            if p == 0:
+                continue
+            acc[elem] = acc.get(elem, ZERO) + p
+        total = sum(acc.values(), ZERO)
+        if total > 1:
+            raise CoefficientOverflow(f"total mass {total} exceeds 1")
+        self._items = acc
+        self._weight = total
+        self._hash = None
+
+    def weight(self) -> Fraction:
+        return self._weight
+
+    def support(self) -> tuple:
+        return tuple(self._items)
+
+    def items(self):
+        return iter(self._items.items())
+
+    def get(self, elem) -> Fraction:
+        return self._items.get(elem, ZERO)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __eq__(self, other):
+        if not isinstance(other, ReferenceDist):
+            return NotImplemented
+        return self._items == other._items
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self._items.items()))
+        return self._hash
+
+    def __repr__(self):
+        body = ", ".join(f"{e!r}: {p}" for e, p in self._items.items())
+        return f"Dist({{{body}}})"
+
+    def scale(self, c) -> "ReferenceDist":
+        c = Fraction(c)
+        return ReferenceDist((e, c * p) for e, p in self._items.items())
+
+    def map_elems(self, f) -> "ReferenceDist":
+        return ReferenceDist((f(e), p) for e, p in self._items.items())
+
+    def bind(self, k) -> "ReferenceDist":
+        acc: dict = {}
+        for e, p in self._items.items():
+            for e2, q in k(e).items():
+                acc[e2] = acc.get(e2, ZERO) + p * q
+        return ReferenceDist(acc)
+
+    def to_json(self, pretty_elem=str) -> dict:
+        entries = sorted(
+            ((pretty_elem(e), p) for e, p in self._items.items()), key=lambda ep: ep[0]
+        )
+        return {
+            "support": [{"elem": e, "p": f"{p.numerator}/{p.denominator}"} for e, p in entries],
+            "weight": f"{self._weight.numerator}/{self._weight.denominator}",
+        }
+
+
+def reference_mix(weighted) -> ReferenceDist:
+    acc: dict = {}
+    total_c = ZERO
+    for c, d in weighted:
+        c = Fraction(c)
+        if c < 0:
+            raise ValueError(f"negative mixing coefficient {c}")
+        total_c += c
+        if total_c > 1:
+            raise CoefficientOverflow(f"mixing coefficients total {total_c}")
+        for e, p in d.items():
+            acc[e] = acc.get(e, ZERO) + c * p
+    return ReferenceDist(acc)
 
 
 # --- random distributions and ground metrics -----------------------------

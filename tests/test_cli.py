@@ -226,6 +226,25 @@ class TestDistance:
         assert out == ""
         assert err.startswith("error: --universe ")
 
+    @pytest.mark.parametrize("universe", ["I, <I,I>", "omega", "I (+) I"])
+    def test_tuple_kind_names_the_universe_entry_that_is_no_abstraction(self, capsys, universe):
+        # the user passed no templates, so the message points at the flag
+        code, out, err = run(
+            capsys, "distance", "--kind", "tuple", "I", "omega", "--universe", universe
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --universe entry ")
+        assert "--kind tuple feeds abstractions only" in err
+
+    def test_tuple_templates_keep_the_binder_names_of_each_universe(self, capsys):
+        # templates are prepared once per universe text: an alpha-equal
+        # universe still prints its own names
+        argv = ("distance", "--kind", "tuple", "\\x. x", "\\x. omega", "--max-len", "1")
+        for name in ("a", "b", "a"):
+            payload = payload_of(capsys, *argv, "--universe", f"\\{name}. {name}")
+            assert payload["witness"] == f"appl(1; ; \\{name}. {name})"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from metricwb import CoefficientOverflow, dirac, frac_str, mix, parse, weight
 from metricwb.dist import EMPTY, Dist
+
+import gen
 
 I = parse("\\x. x")
 K = parse("\\x. omega")
@@ -136,3 +139,99 @@ class TestJson:
         assert frac_str(Fraction(1)) == "1/1"
         assert frac_str(Fraction(0)) == "0/1"
         assert frac_str(Fraction(21, 64)) == "21/64"
+
+
+# --- against the Fraction-weighted reference -----------------------------
+
+# ints, strings and terms; \y. y is alpha-equal to I, so it merges with I
+# under the first key either one was given
+ELEMS = (0, 1, 2, "a", "b", I, parse("\\y. y"), K)
+elem = st.sampled_from(ELEMS)
+weight_64 = st.fractions(min_value=0, max_value=1, max_denominator=64)
+small = st.fractions(min_value=0, max_value=Fraction(1, 4), max_denominator=64)
+entries = st.lists(st.tuples(elem, small), max_size=4)  # total at most 1
+coefficient = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-Fraction(1, 8), max_value=Fraction(5, 4), max_denominator=64),
+)
+
+
+def outcome(make):
+    try:
+        return make()
+    except (ValueError, CoefficientOverflow) as e:
+        return (type(e), str(e))
+
+
+def assert_same(new, ref):
+    """The two agree on every observation: the outcome of the operation,
+    the elements with their weights in insertion order (keys compared by
+    repr, so merged terms keep the same binder names), the weight, get
+    and the JSON form."""
+    if isinstance(ref, tuple):
+        assert new == ref
+        return
+    assert [(repr(e), p) for e, p in new.items()] == [(repr(e), p) for e, p in ref.items()]
+    assert list(new.support()) == list(ref.support())
+    assert new.weight() == ref.weight()
+    assert len(new) == len(ref)
+    assert all(new.get(e) == ref.get(e) for e in ELEMS)
+    assert new.to_json(str) == ref.to_json(str)
+    assert repr(new) == repr(ref)
+
+
+class TestAgainstReference:
+    @given(st.lists(st.tuples(elem, coefficient), max_size=6))
+    def test_construction(self, raw):
+        # merging, pruning zero weights, a negative weight, an overweight total
+        assert_same(outcome(lambda: Dist(raw)), outcome(lambda: gen.ReferenceDist(raw)))
+
+    @given(entries, st.dictionaries(elem, entries))
+    def test_bind(self, raw, kernel):
+        new = Dist(raw).bind(lambda e: Dist(kernel.get(e, ())))
+        ref = gen.ReferenceDist(raw).bind(lambda e: gen.ReferenceDist(kernel.get(e, ())))
+        assert_same(new, ref)
+
+    @given(st.lists(st.tuples(coefficient, entries), max_size=4))
+    # a part with coefficient 0 still fixes where its elements come first
+    @example([(Fraction(0), [(1, HALF)]), (HALF, [(0, HALF), (1, HALF)])])
+    def test_mix(self, parts):
+        new = outcome(lambda: mix((c, Dist(r)) for c, r in parts))
+        ref = outcome(lambda: gen.reference_mix((c, gen.ReferenceDist(r)) for c, r in parts))
+        assert_same(new, ref)
+
+    @given(entries, st.dictionaries(elem, elem))
+    def test_map_elems(self, raw, f):
+        new = Dist(raw).map_elems(lambda e: f.get(e, e))
+        ref = gen.ReferenceDist(raw).map_elems(lambda e: f.get(e, e))
+        assert_same(new, ref)
+
+    @given(entries, st.fractions(min_value=-1, max_value=8, max_denominator=64))
+    def test_scale(self, raw, c):
+        new = outcome(lambda: Dist(raw).scale(c))
+        ref = outcome(lambda: gen.ReferenceDist(raw).scale(c))
+        assert_same(new, ref)
+
+    @given(entries, entries)
+    def test_equality_and_hash(self, raw_a, raw_b):
+        a, b = Dist(raw_a), Dist(raw_b)
+        ra, rb = gen.ReferenceDist(raw_a), gen.ReferenceDist(raw_b)
+        assert (a == b) == (ra == rb)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert a == Dist(list(reversed(raw_a))) and hash(a) == hash(Dist(list(reversed(raw_a))))
+
+    @given(entries, st.dictionaries(elem, entries))
+    def test_bind_weight(self, raw, kernel):
+        d = Dist(raw)
+        k = lambda e: Dist(kernel.get(e, ()))  # noqa: E731
+        assert d.bind_weight(k) == d.bind(k).weight()
+
+    @given(st.lists(st.tuples(elem, weight_64), max_size=3))
+    def test_lowest_terms(self, raw):
+        # one representation per distribution: gcd(den, *numerators) == 1
+        d = outcome(lambda: Dist(raw))
+        if isinstance(d, Dist):
+            nums = list(d._num.values())
+            assert math.gcd(d._den, *nums) == 1
+            assert all(n > 0 for n in nums) and sum(nums) <= d._den

@@ -246,6 +246,34 @@ class TestDistanceLowerBound:
         m = parse("(\\x. x) (+) omega")
         assert trace_distance_lb(m, I, (I,), 2)[0] == trace_distance_lb(I, m, (I,), 2)[0]
 
+    def test_a_node_offers_only_the_kinds_its_support_holds(self, monkeypatch):
+        # abstractions alone are never offered the tensor templates
+        import metricwb.trace as trace
+
+        offers = []
+        real = trace.widest_gap
+
+        def spy(start, actions, *rest):
+            def offered(support):
+                out = actions(support)
+                offers.append((support, out))
+                return out
+
+            return real(start, offered, *rest)
+
+        monkeypatch.setattr(trace, "widest_gap", spy)
+        tensor = default_tensor_templates()
+        alphabet = trace.alphabet((I,), tensor)
+        m, n = parse("\\x. <I, I> (+) omega"), parse("\\x. <I, I>")
+        got = trace_distance_lb(m, n, (I,), 3, tensor)
+        kinds = [{type(t) for t in support} for support, _ in offers]
+        assert {Abs} in kinds and {Pair} in kinds
+        for support, out in offers:
+            fits = {trace._KIND.get(type(t)) for t in support}
+            assert out == [a for a in alphabet if type(a) in fits]
+        monkeypatch.undo()
+        assert got == trace_distance_lb(m, n, (I,), 3, tensor)
+
 
 def reference_accept(t, s) -> Fraction:
     """Trace probability by recursion on the word over gen.naive_eval; it

@@ -33,7 +33,9 @@ from metricwb.tuples import (
     _successor,
     default_templates,
     enumerate_actions,
+    Templates,
     format_tuple_trace,
+    prepare_templates,
     skewed_choice,
     step_or_zero,
     trace_tuple_lengths,
@@ -274,6 +276,24 @@ class TestActionEnumeration:
         b = enumerate_actions(states, templates)
         assert a == b
         assert len(a) == len(set(a))
+
+    def test_prepared_templates_list_the_reference_actions_in_order(self):
+        # the renamed slot templates are built once per width and kept
+        rng = random.Random(20261018)
+        templates = default_templates((I, K))
+        assert isinstance(templates, Templates)
+        for _ in range(40):
+            states = [random_tuple_state(rng, rng.randint(1, 4)) for _ in range(2)]
+            got = enumerate_actions(states, templates)
+            assert list(map(repr, got)) == list(map(repr, gen.reference_actions(states, templates)))
+        assert templates.arguments(3) is templates.arguments(3)
+
+    def test_a_prepared_set_is_deduplicated_and_checked_once(self):
+        templates = prepare_templates((I, Abs("y", Var("y")), Var("$j"), I))
+        assert templates == (I, Var("$j"))
+        assert prepare_templates(templates) == templates
+        with pytest.raises(InvalidAction):
+            prepare_templates((I, OMEGA))
 
 
 def random_tuple_state(rng, width: int) -> tuple:
