@@ -25,7 +25,6 @@ from .terms import Abs, affine_violation, identity, pretty
 from .trace import format_trace, parse_trace, trace_accept, trace_distance_lb
 from .tuples import (
     Appl,
-    Templates,
     build_expair,
     build_mn_nn,
     build_sn,
@@ -102,14 +101,6 @@ _KIND_BOUNDS = {
 }
 
 
-@functools.cache
-def _tuple_templates(universe_text: str) -> Templates:
-    """default_templates of the --universe text, prepared once per text.
-    Keyed by the text, not the terms: alpha-equal universes still print
-    their own binder names in witnesses."""
-    return default_templates(parse_terms(universe_text))
-
-
 def _cmd_distance(args) -> dict:
     a = parse(args.term_a)
     b = parse(args.term_b)
@@ -151,7 +142,7 @@ def _cmd_distance(args) -> dict:
                 f"--universe entry {pretty(v)} is not an abstraction;"
                 " --kind tuple feeds abstractions only"
             )
-    value, witness = tuple_distance_lb(a, b, _tuple_templates(args.universe), args.max_len)
+    value, witness = tuple_distance_lb(a, b, default_templates(universe), args.max_len)
     return {
         "kind": "tuple",
         "mode": "lower-bound",

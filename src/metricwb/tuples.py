@@ -289,56 +289,18 @@ def u_seq(n: int) -> Fraction:
 # --- action templates and the distance lower bound ----------------------
 
 
-def default_templates(universe: Sequence[Term] = ()) -> "Templates":
+def default_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
     """What the observer feeds an abstraction component, in order and each
     once: the universe values, the slot '$j' alone (hand over a consumed
     component directly), then small abstractions applying their own
-    argument, the slot and universe values, up to body size 5. The set
-    comes prepared (see prepare_templates)."""
+    argument, the slot and universe values, up to body size 5."""
     consts = dedupe_values(universe) if universe else (identity(),)
     bodies = app_combinations([Var("y"), Var(_SLOT)], consts, 5)
-    return prepare_templates((*consts, Var(_SLOT), *(Abs("y", b) for b in bodies)))
+    return dedupe_values((*consts, Var(_SLOT), *(Abs("y", b) for b in bodies)))
 
 
-class Templates(tuple):
-    """A template set as the tuple search uses it: the arguments, in order,
-    without alpha-duplicates and checked; prepare_templates builds one. It
-    keeps the (consumed, argument) list of each tuple width once built. A
-    copy, Templates(t), starts with an empty table, and tuple_distance_lb
-    makes one per search, so a search renames each slot template once per
-    component."""
-
-    def __new__(cls, templates: Iterable[Term]):
-        self = super().__new__(cls, templates)
-        self._by_width: dict[int, list] = {}
-        return self
-
-    def arguments(self, width: int) -> list:
-        args = self._by_width.get(width)
-        if args is None:
-            args = self._by_width[width] = _arguments(self, width)
-        return args
-
-
-def _arguments(templates: Iterable[Term], width: int) -> list:
-    """(consumed, argument) for each template in order: a closed one as it
-    is, a slot one once per component x1 .. x<width>."""
-    return [
-        pair
-        for t in templates
-        for pair in (
-            [((j,), rename_free(t, {_SLOT: component_name(j)})) for j in range(1, width + 1)]
-            if _SLOT in t.free_vars
-            else [((), t)]
-        )
-    ]
-
-
-def prepare_templates(templates: Iterable[Term]) -> Templates:
-    """The template set with alpha-duplicates dropped, each template
-    checked: '$j' itself, or a closed affine abstraction apart from '$j'."""
-    out = Templates(dedupe_values(templates))
-    for t in out:
+def _check_templates(templates: Sequence[Term]) -> None:
+    for t in templates:
         extra = t.free_vars - {_SLOT}
         if extra:
             raise NotClosed(f"template mentions '{min(extra)}' besides {_SLOT}")
@@ -347,6 +309,18 @@ def prepare_templates(templates: Iterable[Term]) -> Templates:
         reason = affine_violation((_SLOT,), t)
         if reason is not None:
             raise NotAffine(reason)
+
+
+def _arguments(templates: Iterable[Term], width: int) -> list:
+    """(consumed, argument) for each template in order: one with '$j' once
+    per component x1 .. x<width>, any other as it is, consuming the
+    components it names."""
+    out: list = []
+    for t in templates:
+        if _SLOT in t.free_vars:
+            out += (((j,), rename_free(t, {_SLOT: component_name(j)})) for j in range(1, width + 1))
+        else:
+            out.append((tuple(sorted(int(x[1:]) for x in t.free_vars)), t))
     return out
 
 
@@ -354,7 +328,9 @@ def enumerate_actions(states: Iterable[TupleState], templates: Sequence[Term]) -
     """Deterministically ordered candidate actions for the given support: a
     cut or application wherever some state has the right shape, each
     action once. The search skips those that act like an earlier one. A
-    Templates set keeps its renamed slot templates from call to call."""
+    template with '$j' gives one argument per other component; a template
+    that names components x<j> instead consumes them, which is how
+    tuple_distance_lb passes its '$j' templates renamed once per width."""
     max_len = 0
     pair_at: set[int] = set()
     abs_at: set[int] = set()
@@ -367,10 +343,7 @@ def enumerate_actions(states: Iterable[TupleState], templates: Sequence[Term]) -
                 abs_at.add(pos)
     actions: list = [Cut(i) for i in sorted(pair_at)]
     if abs_at:
-        if isinstance(templates, Templates):
-            args = templates.arguments(max_len)
-        else:
-            args = _arguments(templates, max_len)
+        args = _arguments(templates, max_len)
         for i in sorted(abs_at):
             actions += (Appl(i, consumed, arg) for consumed, arg in args if i not in consumed)
     return actions
@@ -385,30 +358,29 @@ def tuple_distance_lb(
     """Largest tuple-trace probability gap between programs m and n over
     traces up to max_len, with the first witness in search order. The
     templates are the arguments fed to abstraction components, '$j' marking
-    a consumed component (default_templates by default); a set that is not
-    yet prepared goes through prepare_templates, which drops
-    alpha-duplicates and checks it, so the steps skip the affinity check.
+    a consumed component (default_templates by default); alpha-duplicates
+    are dropped.
 
     The search is trace.widest_gap: breadth-first, exploring branches with
     identical joint distributions once, dropping branches that keep no
     more mass than the best gap, and stepping each state once per distinct
-    action effect (_effect).
+    action effect (_effect). Templates are checked once here, so the steps
+    skip the affinity check, and each '$j' template is renamed once per
+    component for the whole search.
     """
-    if template_set is None:
-        template_set = default_templates()
-    elif isinstance(template_set, Templates):
-        template_set = Templates(template_set)  # a table of its own for this search
-    else:
-        template_set = prepare_templates(template_set)
+    template_set = dedupe_values(default_templates() if template_set is None else template_set)
+    _check_templates(template_set)
+    by_width: dict[int, tuple[Term, ...]] = {}
+
+    def actions(support):
+        width = max(map(len, support), default=0)
+        if width not in by_width:
+            by_width[width] = tuple(arg for _, arg in _arguments(template_set, width))
+        return enumerate_actions(support, by_width[width])
+
     dm = eval_big(m).map_elems(lambda v: (v,))
     dn = eval_big(n).map_elems(lambda v: (v,))
-    return widest_gap(
-        (dm, dn),
-        lambda support: enumerate_actions(support, template_set),
-        _effect,
-        _successor,
-        max_len,
-    )
+    return widest_gap((dm, dn), actions, _effect, _successor, max_len)
 
 
 # --- surface syntax for tuple traces ------------------------------------

@@ -238,8 +238,7 @@ class TestDistance:
         assert "--kind tuple feeds abstractions only" in err
 
     def test_tuple_templates_keep_the_binder_names_of_each_universe(self, capsys):
-        # templates are prepared once per universe text: an alpha-equal
-        # universe still prints its own names
+        # an alpha-equal universe still prints its own binder names
         argv = ("distance", "--kind", "tuple", "\\x. x", "\\x. omega", "--max-len", "1")
         for name in ("a", "b", "a"):
             payload = payload_of(capsys, *argv, "--universe", f"\\{name}. {name}")

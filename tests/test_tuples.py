@@ -23,6 +23,7 @@ from metricwb import (
     tuple_trace_prob,
     u_seq,
 )
+from metricwb import tuples
 from metricwb.dist import Dist
 from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, pretty
 from metricwb.trace import AppAction, default_tensor_templates, explore, trace_distance_lb
@@ -33,9 +34,7 @@ from metricwb.tuples import (
     _successor,
     default_templates,
     enumerate_actions,
-    Templates,
     format_tuple_trace,
-    prepare_templates,
     skewed_choice,
     step_or_zero,
     trace_tuple_lengths,
@@ -277,23 +276,30 @@ class TestActionEnumeration:
         assert a == b
         assert len(a) == len(set(a))
 
-    def test_prepared_templates_list_the_reference_actions_in_order(self):
-        # the renamed slot templates are built once per width and kept
+    def test_templates_renamed_per_width_list_the_same_actions(self):
+        # the search hands each '$j' template over already renamed to the
+        # component it consumes; the actions and their order stay the same
         rng = random.Random(20261018)
         templates = default_templates((I, K))
-        assert isinstance(templates, Templates)
         for _ in range(40):
             states = [random_tuple_state(rng, rng.randint(1, 4)) for _ in range(2)]
-            got = enumerate_actions(states, templates)
-            assert list(map(repr, got)) == list(map(repr, gen.reference_actions(states, templates)))
-        assert templates.arguments(3) is templates.arguments(3)
+            width = max(map(len, states))
+            renamed = tuple(arg for _, arg in tuples._arguments(templates, width))
+            want = list(map(repr, gen.reference_actions(states, templates)))
+            assert list(map(repr, enumerate_actions(states, templates))) == want
+            assert list(map(repr, enumerate_actions(states, renamed))) == want
 
-    def test_a_prepared_set_is_deduplicated_and_checked_once(self):
-        templates = prepare_templates((I, Abs("y", Var("y")), Var("$j"), I))
-        assert templates == (I, Var("$j"))
-        assert prepare_templates(templates) == templates
-        with pytest.raises(InvalidAction):
-            prepare_templates((I, OMEGA))
+    def test_a_search_renames_each_slot_template_once_per_component(self, monkeypatch):
+        templates = default_templates()
+        slots = sum("$j" in t.free_vars for t in templates)
+        calls = []
+        real = tuples.rename_free
+        monkeypatch.setattr(tuples, "rename_free", lambda t, m: calls.append(m) or real(t, m))
+        max_len = 6
+        got = tuple_distance_lb(*build_mn_nn(3), templates, max_len)
+        assert got[0] == 1 - u_seq(3)
+        # at most one renaming per slot template and component of each width
+        assert 0 < len(calls) <= slots * sum(range(1, max_len + 2))
 
 
 def random_tuple_state(rng, width: int) -> tuple:
