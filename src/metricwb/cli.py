@@ -3,7 +3,8 @@
 Output is JSON on stdout, deterministic byte-for-byte for a fixed input:
 keys are sorted and every probability is printed as num/den. Diagnostics
 and logging go to stderr; set METRIC_WB_LOG=debug|info|warning|error to
-adjust verbosity. Exit codes: 0 success, 1 bad input, 2 internal error.
+adjust verbosity. Exit codes: 0 success, 1 bad input (including input
+nested too deeply for Python's recursion limit), 2 internal error.
 """
 
 from __future__ import annotations
@@ -277,6 +278,10 @@ def main(argv=None) -> int:
         return code
     except (MetricWbError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return 1
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        sys.stderr.write(f"error: input nests too deeply for Python's recursion limit ({limit})\n")
         return 1
     except Exception:
         traceback.print_exc()

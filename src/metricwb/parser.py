@@ -30,7 +30,12 @@ from typing import Callable, TypeVar
 from .errors import ParseError
 from .terms import OMEGA, Abs, App, Choice, LetPair, Pair, Term, Var, fresh, identity
 
-_TOKEN_RE = re.compile(r"\(\+\)|[\\().<>,;=]|[A-Za-z_][A-Za-z0-9_']*|[0-9]+")
+# One match per token; finditer skips the whitespace between tokens, and
+# any other character falls to "bad".
+_TOKEN_RE = re.compile(
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<nat>[0-9]+)"
+    r"|(?P<sym>\(\+\)|[\\().<>,;=])|(?P<bad>\S)"
+)
 _KEYWORDS = frozenset({"let", "in", "omega", "I"})
 _ATOM_STARTS = frozenset({"(", "<", "omega", "I", "ident"})
 
@@ -41,25 +46,13 @@ class Tokens:
     def __init__(self, text: str):
         self.text = text
         self.toks: list[tuple[str, str, int]] = []  # (kind, value, position)
-        pos = 0
-        n = len(text)
-        while pos < n:
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            tok = m.group()
-            if tok[0].isalpha() or tok[0] == "_":
-                kind = tok if tok in _KEYWORDS else "ident"
-            elif tok[0].isdigit():
-                kind = "nat"
-            else:
-                kind = tok
+        for m in _TOKEN_RE.finditer(text):
+            group, tok, pos = m.lastgroup, m.group(), m.start()
+            if group == "bad":
+                raise ParseError(f"unexpected character {tok!r}", pos)
+            kind = tok if group == "sym" or tok in _KEYWORDS else group
             self.toks.append((kind, tok, pos))
-            pos = m.end()
-        self.toks.append(("eof", "", n))
+        self.toks.append(("eof", "", len(text)))
         self.i = 0
 
     def peek(self) -> str:

@@ -5,6 +5,13 @@ through interned de-Bruijn skeletons so that both are O(1) after the first
 use of a node. Subterm sharing is preserved everywhere (substitution copies
 only the path it rewrites), which keeps the deeply nested example families
 tractable even though their fully expanded trees are astronomically large.
+
+Affinity is judged from one summary per node, computed once and cached: the
+first double use, the binder names, and whether a binder is reused along one
+scope chain. A double use is an overlap of the `free_vars` of two subterms
+that both run. `affine_violation` reports a double use, then a free variable
+outside the context, then a binder named like a context variable, then a
+binder reused within its own scope.
 """
 
 from __future__ import annotations
@@ -39,24 +46,13 @@ def _intern(key: tuple) -> int:
     return sid
 
 
-class _Conflict:
-    """Marks an affinity violation found while collecting variable uses."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str):
-        self.message = message
-
-
 class Term:
-    __slots__ = ("free_vars", "_skel", "_size", "_uses", "_binders", "_rebind")
+    __slots__ = ("free_vars", "_skel", "_size", "_scope")
 
     def __init__(self):
         self._skel: Optional[int] = None
         self._size: Optional[int] = None
-        self._uses: "frozenset[str] | _Conflict | None" = None
-        self._binders: Optional[frozenset] = None
-        self._rebind: Optional[bool] = None
+        self._scope: "tuple[Optional[str], frozenset, bool] | None" = None
 
     def _skel_id(self, binders: tuple[str, ...] = ()) -> int:
         # A skeleton computed under binders the term never mentions equals
@@ -264,114 +260,73 @@ def size(t: Term) -> int:
     return s
 
 
-def _collect_uses(t: Term) -> "frozenset[str] | _Conflict":
-    """Free variables used by t, or a conflict if some variable is consumed
-    twice. Choice branches may share (only one runs); everything else splits."""
-    u = t._uses
-    if u is not None:
-        return u
-    match t:
-        case Var(name):
-            u = frozenset((name,))
-        case Omega():
-            u = frozenset()
-        case Abs(x, b):
-            ub = _collect_uses(b)
-            u = ub if isinstance(ub, _Conflict) else ub - {x}
-        case App(f, a):
-            u = _merge_disjoint(_collect_uses(f), _collect_uses(a), "an application")
-        case Choice(l, r):
-            ul, ur = _collect_uses(l), _collect_uses(r)
-            if isinstance(ul, _Conflict):
-                u = ul
-            elif isinstance(ur, _Conflict):
-                u = ur
-            else:
-                u = ul | ur
-        case Pair(a, b):
-            u = _merge_disjoint(_collect_uses(a), _collect_uses(b), "a pair")
-        case LetPair(x, y, m, b):
-            ub = _collect_uses(b)
-            if not isinstance(ub, _Conflict):
-                ub = ub - {x, y}
-            u = _merge_disjoint(_collect_uses(m), ub, "a let binding")
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-    t._uses = u
-    return u
-
-
 def _display(name: str) -> str:
     return name.split("%", 1)[0] or name
 
 
-def _merge_disjoint(ua, ub, where: str) -> "frozenset[str] | _Conflict":
-    if isinstance(ua, _Conflict):
-        return ua
-    if isinstance(ub, _Conflict):
-        return ub
-    overlap = ua & ub
-    if overlap:
-        offender = _display(min(overlap))
-        return _Conflict(f"variable '{offender}' is used on both sides of {where}")
-    return ua | ub
+def _double_use(left: frozenset, right: frozenset, where: str) -> Optional[str]:
+    if left.isdisjoint(right):
+        return None
+    offender = _display(min(left & right))
+    return f"variable '{offender}' is used on both sides of {where}"
 
 
-def _bound_names(t: Term) -> frozenset:
-    b = t._binders
-    if b is not None:
-        return b
+_LEAF_SCOPE = (None, frozenset(), False)
+
+
+def _scope(t: Term) -> tuple[Optional[str], frozenset, bool]:
+    """(first double use as a message or None, binder names, whether a
+    binder is reused along one scope chain), cached on the node.
+
+    Choice branches may share (only one runs); children are checked before
+    the node, the left child first. Binder names must be distinct along any
+    scope chain, mirroring the disjoint context extension of the typing
+    rules; parallel reuse is fine.
+    """
+    s = t._scope
+    if s is not None:
+        return s
     match t:
         case Var(_) | Omega():
-            b = frozenset()
-        case Abs(x, body):
-            b = _bound_names(body) | {x}
-        case App(f, a) | Choice(f, a) | Pair(f, a):
-            b = _bound_names(f) | _bound_names(a)
-        case LetPair(x, y, m, body):
-            b = _bound_names(m) | _bound_names(body) | {x, y}
-    t._binders = b
-    return b
-
-
-def _rebind_ok(t: Term) -> bool:
-    # Binder names must be distinct along any scope chain, mirroring the
-    # disjoint context extension of the typing rules. Parallel reuse is fine.
-    ok = t._rebind
-    if ok is not None:
-        return ok
-    match t:
-        case Var(_) | Omega():
-            ok = True
+            s = _LEAF_SCOPE
         case Abs(x, b):
-            ok = x not in _bound_names(b) and _rebind_ok(b)
-        case App(f, a) | Choice(f, a) | Pair(f, a):
-            ok = _rebind_ok(f) and _rebind_ok(a)
+            use, binders, reused = _scope(b)
+            s = (use, binders | {x}, reused or x in binders)
+        case Choice(l, r):
+            (ul, bl, rl), (ur, br, rr) = _scope(l), _scope(r)
+            s = (ul or ur, bl | br, rl or rr)
+        case App(l, r) | Pair(l, r):
+            (ul, bl, rl), (ur, br, rr) = _scope(l), _scope(r)
+            where = "an application" if isinstance(t, App) else "a pair"
+            use = ul or ur or _double_use(l.free_vars, r.free_vars, where)
+            s = (use, bl | br, rl or rr)
         case LetPair(x, y, m, b):
-            ok = (
-                x not in _bound_names(b)
-                and y not in _bound_names(b)
-                and _rebind_ok(m)
-                and _rebind_ok(b)
-            )
-    t._rebind = ok
-    return ok
+            (um, bm, rm), (ub, bb, rb) = _scope(m), _scope(b)
+            inner = b.free_vars - {x, y}
+            use = um or ub or _double_use(m.free_vars, inner, "a let binding")
+            s = (use, bm | bb | {x, y}, rm or rb or x in bb or y in bb)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    t._scope = s
+    return s
 
 
 def affine_violation(ctx: Iterable[str], t: Term) -> Optional[str]:
     """None if ctx |- t is derivable in the affine discipline, else a
-    human-readable reason."""
+    human-readable reason: a double use, then a free variable outside ctx,
+    then a binder named like a context variable, then a binder reused
+    within its own scope."""
+    use, binders, reused = _scope(t)
+    if use:
+        return use
     ctx_set = frozenset(ctx)
-    u = _collect_uses(t)
-    if isinstance(u, _Conflict):
-        return u.message
     missing = t.free_vars - ctx_set
     if missing:
         return f"variable '{_display(min(missing))}' is not in the context"
-    clash = ctx_set & _bound_names(t)
+    clash = ctx_set & binders
     if clash:
         return f"binder '{_display(min(clash))}' shadows a context variable"
-    if not _rebind_ok(t):
+    if reused:
         return "a binder is reused within its own scope"
     return None
 

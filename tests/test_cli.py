@@ -402,3 +402,20 @@ class TestRobustness:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "(" * 250 + "I" + ")" * 250),
+            ("eval", " ".join(["I"] * 1500)),
+            ("check", "\\x. " * 990 + "x"),
+        ],
+        ids=["parentheses", "application-chain", "binders"],
+    )
+    def test_deep_input_names_the_recursion_limit(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Python's recursion limit" in err
+        assert "Traceback" not in err

@@ -37,10 +37,15 @@ def answers() -> list[str]:
     return lines
 
 
-def test_seeded_answers():
+def summary() -> tuple[int, str]:
+    """The number of violations among the answers, and their digest."""
     lines = answers()
-    assert sum(not line.endswith(" None") for line in lines) == VIOLATIONS
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIGEST
+    violations = sum(not line.endswith(" None") for line in lines)
+    return violations, hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_seeded_answers():
+    assert summary() == (VIOLATIONS, DIGEST)
 
 
 def used_twice(name: str, where: str) -> str:
@@ -87,6 +92,6 @@ def test_reason(ctx, term, expected):
 
 
 if __name__ == "__main__":
-    lines = answers()
-    print("VIOLATIONS =", sum(not line.endswith(" None") for line in lines))
-    print("DIGEST =", repr(hashlib.sha256("\n".join(lines).encode()).hexdigest()))
+    violations, digest = summary()
+    print(f"VIOLATIONS = {violations}")
+    print(f'DIGEST = "{digest}"')
