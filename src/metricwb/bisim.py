@@ -5,17 +5,22 @@ distinguished values (which can only be interrogated). A value's labels
 are the trace actions that fit it, app of a universe value or tensor
 through a template, and each moves it as trace.interrogate does for the
 trace distance. The metric functional takes, for each pair of states, the
-largest lifted distance over the actions available to both; iterating it
-from the zero metric climbs to the least fixpoint, the bisimulation
-distance.
+largest lifted distance over the actions available to both; its least
+fixpoint is the bisimulation distance.
 
-bisim_distance iterates only on the pairs the root pair's value depends
-on: the pair graph reachable from (prog m, prog n) through shared labels,
+bisim_distance solves only the pairs the root pair's value depends on:
+the pair graph reachable from (prog m, prog n) through shared labels,
 after the on-the-fly approach of Bacci, Bacci, Larsen and Mardare (TACAS
-2013). That set is closed under the functional, so each iterate equals
-the all-pairs iterate on it. Liftings between supports of at most one
-point have a closed form; larger supports go through the exact LP.
-apply_F and bisim_metric keep the all-pairs fixpoint as the oracle.
+2013). It condenses that graph into strongly connected components and
+solves them successors first. A pair on no cycle is lifted once, from its
+solved successors. A cyclic component is solved exactly: partition
+refinement finds its pairs at distance 0, and the rest comes from
+strategy iteration over label choices, each choice evaluated by policy
+iteration over optimal couplings with one exact linear solve per set of
+couplings (after Tang and van Breugel, CONCUR 2016). Liftings where one
+support has at most one point have a closed form; larger supports go
+through the exact LP. apply_F and bisim_metric keep the all-pairs Kleene
+iteration from zero as the oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .dist import Dist
@@ -131,20 +137,42 @@ def build_lmc(
     return LmcFragment(states, trans, labels)
 
 
+def _coupling(mu: PseudoMetric, ds: Dist, dt: Dist) -> tuple[Fraction, list]:
+    """An optimal transport plan between ds and dt under mu, with its cost:
+    (cost, [(s, t, mass shipped from s to t), ...]). Mass not shipped is
+    unmatched, at unit price on either side.
+
+    Without an LP when one support has at most one point. Against an empty
+    side all mass goes unmatched. Against p·δs, shipping x to t costs
+    x·mu(s, t) and saves 2x of unmatched price, a net saving of x·(2 -
+    mu(s, t)) ≥ x; so the optimum ships min(what is left of p, q_t) to
+    each t, cheapest first, and costs p + Σ q_t minus the savings."""
+    value = ds.weight() + dt.weight()
+    if not ds or not dt:
+        return value, []
+    if len(ds) == 1:
+        ((s, p),) = ds.items()
+        options = [(mu.get(s, t), s, t, q) for t, q in dt.items()]
+    elif len(dt) == 1:
+        ((t, p),) = dt.items()
+        options = [(mu.get(s, t), s, t, q) for s, q in ds.items()]
+    else:
+        value, plan = lift_primal(mu, ds, dt)
+        return value, [(s, t, x) for (s, t), x in plan.h.items()]
+    shipped = []
+    for cost, s, t, q in sorted(options, key=itemgetter(0)):
+        x = min(p, q)
+        value -= x * (2 - cost)
+        shipped.append((s, t, x))
+        p -= x
+        if not p:
+            break
+    return value, shipped
+
+
 def _lifted(mu: PseudoMetric, ds: Dist, dt: Dist) -> Fraction:
-    """Lifted distance between ds and dt, without an LP when neither
-    support has two points. Against an empty side all mass goes unmatched;
-    p·δs against q·δt ships min(p, q) at cost mu(s, t), since shipping
-    costs at most 1 and leaving both ends unmatched costs 2."""
-    if not ds:
-        return dt.weight()
-    if not dt:
-        return ds.weight()
-    if len(ds) == 1 and len(dt) == 1:
-        ((s, p),), ((t, q),) = ds.items(), dt.items()
-        return min(p, q) * mu.get(s, t) + abs(p - q)
-    value, _ = lift_primal(mu, ds, dt)
-    return value
+    """Lifted distance between ds and dt: the cost of an optimal plan."""
+    return _coupling(mu, ds, dt)[0]
 
 
 def apply_F(frag: LmcFragment, mu: PseudoMetric) -> PseudoMetric:
@@ -185,6 +213,11 @@ def bisim_metric(
     raise NonConvergence(f"no fixpoint after {iteration_cap} iterations")
 
 
+Key = tuple[int, int]  # a pair of states: (lower index, higher index)
+Succ = tuple[Dist, Dist]  # the two successor distributions of one label
+Graph = dict[Key, tuple[list[Succ], list[Key]]]
+
+
 class _PairMetric:
     """Distances on unordered pairs of a fragment's states, keyed by
     (lower index, higher index) and read like a PseudoMetric."""
@@ -193,9 +226,9 @@ class _PairMetric:
 
     def __init__(self, states: Sequence[LmcState]):
         self.index = {s: i for i, s in enumerate(states)}
-        self.values: dict[tuple[int, int], Fraction] = {}
+        self.values: dict[Key, Fraction] = {}
 
-    def key(self, s: LmcState, t: LmcState) -> Optional[tuple[int, int]]:
+    def key(self, s: LmcState, t: LmcState) -> Optional[Key]:
         """The pair's key; None on the diagonal."""
         i, j = self.index[s], self.index[t]
         if i == j:
@@ -207,17 +240,16 @@ class _PairMetric:
         return _ZERO if key is None else self.values[key]
 
 
-def _pair_graph(
-    frag: LmcFragment, mu: _PairMetric, root: tuple[int, int]
-) -> dict[tuple[int, int], list[tuple[Dist, Dist]]]:
+def _pair_graph(frag: LmcFragment, mu: _PairMetric, root: Key) -> Graph:
     """Off-diagonal pairs reachable from root through labels both states
     answer to. Each pair maps to the successor distributions of its shared
-    labels, in the lower-index state's label order, as apply_F visits them."""
-    graph: dict[tuple[int, int], list[tuple[Dist, Dist]]] = {}
-    todo: list[Optional[tuple[int, int]]] = [root]
+    labels, in the lower-index state's label order as apply_F visits them,
+    and to the keys of the off-diagonal pairs of their supports."""
+    graph: Graph = {}
+    todo = [root]
     while todo:
         key = todo.pop()
-        if key is None or key in graph:
+        if key in graph:
             continue
         s, t = frag.states[key[0]], frag.states[key[1]]
         t_labels = set(frag.labels[t])
@@ -226,13 +258,49 @@ def _pair_graph(
             for label in frag.labels[s]
             if label in t_labels
         ]
-        graph[key] = succ
-        for ds, dt in succ:
-            todo += (mu.key(a, b) for a in ds.support() for b in dt.support())
+        nxt = dict.fromkeys(
+            mu.key(a, b) for ds, dt in succ for a in ds.support() for b in dt.support()
+        )
+        nxt.pop(None, None)
+        graph[key] = (succ, list(nxt))
+        todo += nxt
     return graph
 
 
-def _best_lift(mu: _PairMetric, succ: list[tuple[Dist, Dist]]) -> Fraction:
+def _components(graph: Graph, root: Key):
+    """Strongly connected components of the pair graph, by Tarjan's
+    algorithm with an explicit stack. Each is yielded once, after every
+    component it reaches: in reverse topological order, the order in which
+    they can be solved."""
+    index: dict[Key, int] = {root: 0}
+    low = {root: 0}
+    stack, on_stack = [root], {root}
+    work = [(root, iter(graph[root][1]))]
+    while work:
+        v, succ = work[-1]
+        for w in succ:
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append(w)
+                on_stack.add(w)
+                work.append((w, iter(graph[w][1])))
+                break
+            if w in on_stack:
+                low[v] = min(low[v], index[w])
+        else:
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while not comp or comp[-1] != v:
+                    comp.append(stack.pop())
+                    on_stack.remove(comp[-1])
+                yield comp
+
+
+def _best_lift(mu: _PairMetric, succ: list[Succ]) -> Fraction:
     """The functional at one pair: its largest lifting over shared labels."""
     best = _ZERO
     for ds, dt in succ:
@@ -244,20 +312,163 @@ def _best_lift(mu: _PairMetric, succ: list[tuple[Dist, Dist]]) -> Fraction:
     return best
 
 
+def _refine(mu: _PairMetric, keys: list[Key], succ_of) -> list[Key]:
+    """The pairs of keys where the least fixpoint of the functional over
+    the labels succ_of(key) is positive, the pairs outside keys read from
+    mu. Partition refinement: start with every pair in the zero set, read
+    the pairs in it as 0 and the others as 1, and drop each pair with a
+    positive lifting, until none drops. The set left is the largest whose
+    zero reading lifts to 0, which is the least fixpoint's zero set.
+    Leaves every pair of keys at 0 in mu."""
+    for key in keys:
+        mu.values[key] = _ZERO
+    changed = True
+    while changed:
+        changed = False
+        for key in keys:
+            if mu.values[key]:
+                continue
+            if any(_lifted(mu, ds, dt) for ds, dt in succ_of(key)):
+                mu.values[key] = _ONE
+                changed = True
+    live = [key for key in keys if mu.values[key]]
+    for key in live:
+        mu.values[key] = _ZERO
+    return live
+
+
+def _least_solution(
+    mu: _PairMetric, keys: list[Key], choice: dict[Key, Succ], plans: dict[Key, list]
+) -> None:
+    """Values on keys of fixed labels and plans, into mu: the least
+    solution of x_k = c_k + Σ_j h_kj·x_j, where plan k ships h_kj to pair j
+    of keys and c_k is the rest of its cost (unmatched mass, and mass
+    shipped to pairs outside keys, read from mu). Pairs that reach no
+    positive c_k along the plans get 0. The others form a transient Markov
+    chain, so the system on them is regular, and Gauss-Jordan elimination
+    solves it exactly."""
+    inside = set(keys)
+    rows: dict[Key, tuple[Fraction, dict[Key, Fraction]]] = {}
+    preds: dict[Key, list[Key]] = {key: [] for key in keys}
+    for key in keys:
+        ds, dt = choice[key]
+        c, h = ds.weight() + dt.weight(), {}
+        for s, t, x in plans[key]:
+            c -= 2 * x
+            j = mu.key(s, t)
+            if j in inside:
+                h[j] = h.get(j, _ZERO) + x
+                preds[j].append(key)
+            else:
+                c += x * mu.get(s, t)
+        rows[key] = (c, h)
+    reach = [key for key in keys if rows[key][0]]
+    seen = set(reach)
+    for key in reach:
+        fresh = [k for k in preds[key] if k not in seen]
+        seen.update(fresh)
+        reach += fresh
+    for key in keys:
+        mu.values[key] = _ZERO
+    eqs = {
+        key: (c, {j: x for j, x in h.items() if j in seen})
+        for key, (c, h) in rows.items()
+        if key in seen
+    }
+    for k in eqs:
+        c, h = eqs[k]
+        scale = 1 / (1 - h.pop(k, _ZERO))
+        c, h = c * scale, {j: x * scale for j, x in h.items()}
+        eqs[k] = (c, h)
+        for other, (oc, oh) in eqs.items():
+            b = oh.pop(k, None)
+            if b is not None:
+                for j, x in h.items():
+                    oh[j] = oh.get(j, _ZERO) + b * x
+                eqs[other] = (oc + b * c, oh)
+    for key, (c, _) in eqs.items():
+        mu.values[key] = c
+
+
+def _evaluate(mu: _PairMetric, keys: list[Key], choice: dict[Key, Succ]) -> None:
+    """Least fixpoint on keys of the functional with each pair held to the
+    lifting of its chosen label, into mu; the pairs outside keys are read
+    from mu.
+
+    Past its zero set (_refine), that functional has one fixpoint. Policy
+    iteration over couplings finds it: solve fixed plans exactly
+    (_least_solution), then give each pair an optimal plan under that
+    value wherever it costs less than the value. The value of plans never
+    lies below the least fixpoint; each change lowers it strictly at the
+    pairs changed, and plans are vertices of their transport polytopes, so
+    none comes back; and a value no change improves is a fixpoint that is
+    0 on the zero set, hence the least one."""
+    live = _refine(mu, keys, lambda key: (choice[key],))
+    plans: dict[Key, list] = {}
+    while True:
+        moved = False
+        for key in live:
+            cost, plan = _coupling(mu, *choice[key])
+            if key not in plans or cost < mu.values[key]:
+                plans[key] = plan
+                moved = True
+        if not moved:
+            return
+        _least_solution(mu, live, choice, plans)
+
+
+def _solve_cycle(mu: _PairMetric, graph: Graph, comp: list[Key]) -> None:
+    """Least fixpoint of the functional on one cyclic component, whose
+    successors outside it are solved.
+
+    Its zero set comes from _refine over every shared label. The rest is
+    solved by strategy iteration over label choices: evaluate the current
+    choice exactly (_evaluate), then move each pair to its label of
+    largest lifting under that value wherever it beats the value. The
+    value of a choice never exceeds the least fixpoint; each move raises
+    it strictly at the pairs moved, so no choice comes back; and a value
+    no move improves is a fixpoint, hence the least one."""
+    live = _refine(mu, comp, lambda key: graph[key][0])
+    choice: dict[Key, Succ] = {}
+    while True:
+        moved = False
+        for key in live:
+            succ = graph[key][0]
+            lifts = [_lifted(mu, ds, dt) for ds, dt in succ]
+            best = max(lifts)
+            if key not in choice or best > mu.values[key]:
+                choice[key] = succ[lifts.index(best)]
+                moved = True
+        if not moved:
+            return
+        _evaluate(mu, live, choice)
+
+
+def _solve(mu: _PairMetric, graph: Graph, root: Key) -> None:
+    """Least fixpoint of the functional on the pair graph, into mu.values:
+    one strongly connected component at a time, successors first. A pair
+    on no cycle is lifted once, from its solved successors."""
+    for comp in _components(graph, root):
+        succ, nxt = graph[comp[0]]
+        if len(comp) > 1 or comp[0] in nxt:
+            _solve_cycle(mu, graph, comp)
+        else:
+            mu.values[comp[0]] = _best_lift(mu, succ)
+
+
 def bisim_distance(
     m: Term,
     n: Term,
     universe: Sequence[Term],
     max_depth: int,
     state_cap: int = 10000,
-    iteration_cap: int = 256,
     tensor_templates: Sequence[Term] = (),
 ) -> Fraction:
     """Bisimulation distance between programs m and n on the fragment
-    reachable within max_depth interaction rounds.
-
-    Iterates the functional from zero on the root's pair graph only, with
-    the same cap as bisim_metric and the same value on (prog m, prog n)."""
+    reachable within max_depth interaction rounds: the least fixpoint of
+    the functional, read at (prog m, prog n), equal to bisim_metric's
+    value there wherever that converges. Only the root's pair graph is
+    solved, by _solve."""
     frag = build_lmc(
         m,
         n,
@@ -270,13 +481,5 @@ def bisim_distance(
     root = mu.key(prog(m), prog(n))
     if root is None:
         return _ZERO
-    graph = _pair_graph(frag, mu, root)
-    mu.values = dict.fromkeys(graph, _ZERO)
-    for _ in range(iteration_cap):
-        nxt = {key: _best_lift(mu, succ) for key, succ in graph.items()}
-        if nxt == mu.values:
-            return nxt[root]
-        if any(mu.values[key] > v for key, v in nxt.items()):
-            raise AssertionError("metric iteration must be monotone")
-        mu.values = nxt
-    raise NonConvergence(f"no fixpoint after {iteration_cap} iterations")
+    _solve(mu, _pair_graph(frag, mu, root), root)
+    return mu.values[root]

@@ -42,7 +42,10 @@ class BudgetExceeded(MetricWbError):
 
 
 class NonConvergence(MetricWbError):
-    """Fixpoint iteration failed to stabilise within the iteration cap."""
+    """Fixpoint iteration failed to stabilise within the iteration cap.
+
+    Only the all-pairs oracle bisim.bisim_metric raises it; bisim_distance
+    solves cycles exactly and needs no cap."""
 
 
 class InvalidAction(MetricWbError):

@@ -7,6 +7,7 @@ import gen
 from metricwb import (
     BudgetExceeded,
     NonConvergence,
+    bisim,
     bisim_distance,
     build_mn_nn,
     parse,
@@ -16,7 +17,13 @@ from metricwb import (
 from metricwb.bisim import (
     EVAL_LABEL,
     LmcState,
+    _best_lift,
+    _components,
+    _evaluate,
     _lifted,
+    _pair_graph,
+    _PairMetric,
+    _solve,
     apply_F,
     bisim_metric,
     build_lmc,
@@ -124,8 +131,9 @@ class TestFunctional:
             bisim_metric(frag, iteration_cap=len(frag.states) + 1)
 
     def test_non_convergence_is_reported(self):
+        frag = build_lmc(I, OMEGA, (I,), 2)
         with pytest.raises(NonConvergence):
-            bisim_distance(I, OMEGA, (I,), 2, iteration_cap=1)
+            bisim_metric(frag, iteration_cap=1)
 
 
 class TestLifting:
@@ -148,6 +156,24 @@ class TestLifting:
                 d = gen.random_dist(rng, [rng.choice(self.STATES)], allow_empty=True)
                 e = gen.random_dist(rng, [rng.choice(self.STATES)], allow_empty=True)
                 self.check(mu, d, e)
+
+    def test_one_sided_closed_form_agrees_with_both_lp_routes(self):
+        # One point against a spread side, in either orientation. Four
+        # distance levels make ties in mu common, and the zero level and
+        # the diagonal give zero-distance points; either side may carry
+        # more mass than the other.
+        rng = random.Random(20260355)
+        states = ("a", "b", "c", "d")
+        levels = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))
+        for _ in range(200):
+            mu = PseudoMetric(states)
+            for i, s in enumerate(states):
+                for t in states[i + 1 :]:
+                    mu.set(s, t, rng.choice(levels))
+            point = Dist([(rng.choice(states), rng.choice(levels[1:]))])
+            spread = gen.random_dist(rng, rng.sample(states, rng.randint(2, 4)))
+            self.check(mu, point, spread)
+            self.check(mu, spread, point)
 
     def test_larger_supports_fall_back_to_the_lp(self):
         rng = random.Random(20260354)
@@ -293,3 +319,171 @@ class TestAdequacy:
             n = gen.random_program(rng, max_size=15, fuel=4)
             gap = abs(eval_big(m).weight() - eval_big(n).weight())
             assert bisim_distance(m, n, (I,), 1) >= gap
+
+
+def _is_cyclic(graph, comp):
+    return len(comp) > 1 or comp[0] in graph[comp[0]][1]
+
+
+def _kleene(states, graph, rounds):
+    """Kleene iteration of the functional from zero on a whole pair graph:
+    the last iterate and whether it was a fixpoint."""
+    mu = _PairMetric(states)
+    mu.values = dict.fromkeys(graph, Fraction(0))
+    for _ in range(rounds):
+        nxt = {key: _best_lift(mu, succ) for key, (succ, _) in graph.items()}
+        if nxt == mu.values:
+            return mu.values, True
+        mu.values = nxt
+    return mu.values, False
+
+
+class TestCycles:
+    # Universe values that return abstractions re-enter the fragment: a
+    # value applied to one of them can come back to a state seen before,
+    # so pair graphs have cycles and Kleene iteration may never stop.
+    REENTERING = tuple(
+        map(
+            parse,
+            (
+                "\\x. \\z. z (+) omega",
+                "\\x. x (+) omega",
+                "\\x. \\z. (\\y. y) (+) z",
+                "\\a. \\b. a",
+                "\\x. x",
+            ),
+        )
+    )
+
+    def test_agrees_with_the_dense_iteration_on_cyclic_pair_graphs(self):
+        # Where bisim_metric's loop stops, the root values agree. Where it
+        # has not stopped after 32 rounds, the answer is at least its last
+        # iterate, and the solved pair graph is a fixpoint of apply_F.
+        rng = random.Random(20260356)
+        cyclic = unconverged = 0
+        while cyclic < 20:
+            m, n = (
+                rng.choice(self.REENTERING)
+                if rng.random() < 0.5
+                else gen.random_program(rng, max_size=12, fuel=3)
+                for _ in range(2)
+            )
+            universe = rng.sample(self.REENTERING, rng.randint(1, 3))
+            depth = rng.randint(1, 3)
+            frag = build_lmc(m, n, universe, depth)
+            mu = _PairMetric(frag.states)
+            root = mu.key(prog(m), prog(n))
+            if root is None:
+                continue
+            graph = _pair_graph(frag, mu, root)
+            if not any(_is_cyclic(graph, c) for c in _components(graph, root)):
+                continue
+            cyclic += 1
+            got = bisim_distance(m, n, universe, depth)
+            dense = PseudoMetric.zero(frag.states)
+            for _ in range(32):
+                nxt = apply_F(frag, dense)
+                if nxt == dense:
+                    assert got == dense.get(prog(m), prog(n))
+                    break
+                dense = nxt
+            else:
+                unconverged += 1
+                assert got >= dense.get(prog(m), prog(n))
+                _solve(mu, graph, root)
+                assert mu.values[root] == got
+                solved = PseudoMetric.zero(frag.states)
+                for (i, j), v in mu.values.items():
+                    solved.set(frag.states[i], frag.states[j], v)
+                image = apply_F(frag, solved)
+                for i, j in mu.values:
+                    s, t = frag.states[i], frag.states[j]
+                    assert image.get(s, t) == solved.get(s, t)
+        assert unconverged >= 5
+
+    def test_random_pair_graphs_against_kleene_iteration(self):
+        # Pair graphs over plain states, where every pair answers to up
+        # to three labels with supports of up to three points: cycles mix
+        # the choice of label with the choice of coupling. The answer is a
+        # fixpoint at every pair, at least every Kleene iterate, equal to
+        # the limit where Kleene stops, and close to it where it does not.
+        rng = random.Random(20260357)
+        weights = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+        def random_dist(states):
+            items, total = [], Fraction(0)
+            for s in rng.sample(states, rng.randint(0, min(3, len(states)))):
+                p = rng.choice(weights)
+                if total + p <= 1:
+                    items.append((s, p))
+                    total += p
+            return Dist(items)
+
+        for _ in range(60):
+            states = tuple(range(rng.randint(2, 5)))
+            mu = _PairMetric(states)
+            graph = {}
+            for i in states:
+                for j in states[i + 1 :]:
+                    succ = [
+                        (random_dist(states), random_dist(states))
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                    nxt = dict.fromkeys(
+                        mu.key(a, b)
+                        for ds, dt in succ
+                        for a in ds.support()
+                        for b in dt.support()
+                    )
+                    nxt.pop(None, None)
+                    graph[(i, j)] = (succ, list(nxt))
+            _solve(mu, graph, (0, 1))
+            for key, v in mu.values.items():
+                assert _best_lift(mu, graph[key][0]) == v
+            iterate, stopped = _kleene(states, graph, 30)
+            for key, v in mu.values.items():
+                if stopped:
+                    assert v == iterate[key]
+                else:
+                    assert iterate[key] <= v < iterate[key] + Fraction(1, 100)
+
+    def test_a_label_that_only_loops_back_adds_nothing(self):
+        # Pair (0, 1) answers to one label leading back to itself and one
+        # worth 1/2. Every value in [1/2, 1] is a fixpoint; the least is 1/2.
+        stay = (Dist([(0, 1)]), Dist([(1, 1)]))
+        half = (Dist([(2, 1)]), Dist([(2, Fraction(1, 2))]))
+        for succ in ([stay, half], [half, stay]):
+            mu = _PairMetric(range(3))
+            _solve(mu, {(0, 1): (succ, [(0, 1)])}, (0, 1))
+            assert mu.values == {(0, 1): HALF}
+
+
+    def test_a_coupling_that_only_loops_back_is_found_from_any_start(self):
+        # Pairs (0, 1) and (2, 3) share one label whose two couplings either
+        # stay on the two pairs or leave for (0, 3) and (1, 2), both at 1/2.
+        # Read at 1, leaving looks cheaper, and the value 1/2 it leads to is
+        # a fixpoint, but staying costs nothing: the least fixpoint is 0.
+        succ = (Dist([(0, HALF), (2, HALF)]), Dist([(1, HALF), (3, HALF)]))
+        mu = _PairMetric(range(4))
+        mu.values = {(0, 1): 1, (2, 3): 1, (0, 3): HALF, (1, 2): HALF}
+        _evaluate(mu, [(0, 1), (2, 3)], {(0, 1): succ, (2, 3): succ})
+        assert mu.values[(0, 1)] == mu.values[(2, 3)] == 0
+
+
+class TestWork:
+    @pytest.mark.parametrize("n, pairs", [(1, 98), (2, 195), (3, 292)])
+    def test_each_pair_of_an_acyclic_graph_is_lifted_once(self, monkeypatch, n, pairs):
+        lifted = []
+        best_lift = bisim._best_lift
+
+        def counting(mu, succ):
+            lifted.append(id(succ))
+            return best_lift(mu, succ)
+
+        monkeypatch.setattr(bisim, "_best_lift", counting)
+        m, nn = build_mn_nn(n)
+        value = bisim_distance(
+            m, nn, (I,), 2 * n + 1, tensor_templates=default_tensor_templates()
+        )
+        assert value == 1 - u_seq(n)
+        assert len(lifted) == len(set(lifted)) == pairs

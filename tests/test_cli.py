@@ -177,6 +177,19 @@ class TestDistance:
         )
         assert payload["distance"] == "0/1"
 
+    @pytest.mark.parametrize("depth", ["1", "2", "3"])
+    def test_bisim_kind_solves_a_cycle_exactly(self, capsys, depth):
+        # Under the one label the two values map to each other, d = d/2 +
+        # 1/2: Kleene iteration from zero climbs 1 - 2^-k and never stops,
+        # but the least fixpoint is 1.
+        payload = payload_of(
+            capsys,
+            "distance", "--kind", "bisim",
+            "\\x. x (+) omega", "\\x. \\z. z (+) omega",
+            "--universe", "\\x. \\z. z (+) omega", "--depth", depth,
+        )
+        assert payload["distance"] == "1/1"
+
     def test_bisim_kind_rejects_a_universe_entry_that_is_not_a_value(self, capsys):
         code, out, err = run(
             capsys,
