@@ -13,11 +13,11 @@ the pair graph reachable from (prog m, prog n) through shared labels,
 after the on-the-fly approach of Bacci, Bacci, Larsen and Mardare (TACAS
 2013). It condenses that graph into strongly connected components and
 solves them successors first. A pair on no cycle is lifted once, from its
-solved successors. A cyclic component is solved exactly: partition
-refinement finds its pairs at distance 0, and the rest comes from
-strategy iteration over label choices, each choice evaluated by policy
-iteration over optimal couplings with one exact linear solve per set of
-couplings (after Tang and van Breugel, CONCUR 2016). Liftings where one
+solved successors. A cyclic component is solved exactly by strategy
+iteration over label choices. Each choice is evaluated by partition
+refinement, which finds its pairs at distance 0, and policy iteration
+over optimal couplings on the rest, with one exact linear solve per set
+of couplings (after Tang and van Breugel, CONCUR 2016). Liftings where one
 support has at most one point have a closed form; larger supports go
 through the exact LP. apply_F and bisim_metric keep the all-pairs Kleene
 iteration from zero as the oracle.
@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .dist import Dist
 from .errors import BudgetExceeded, NonConvergence
@@ -93,22 +93,18 @@ def build_lmc(
     _require_program(m)
     _require_program(n)
 
-    states: list[LmcState] = []
-    depth: dict[LmcState, int] = {}
+    depth: dict[LmcState, int] = {}  # each state at its least depth, in discovery order
     trans: dict[tuple[LmcState, object], Dist[LmcState]] = {}
     labels: dict[LmcState, tuple] = {}
     queue: deque[LmcState] = deque()
 
     def discover(s: LmcState, d: int) -> None:
-        # Re-enqueue on a shallower rediscovery: depth gates how far value
-        # states are interrogated, so it must be the minimum over all paths.
+        # States alternate prog(d) -> dval(d) -> prog(d + 1), so the queue
+        # holds them in order of depth and a state is first found at its
+        # least depth.
         if s not in depth:
-            if len(states) >= state_cap:
+            if len(depth) >= state_cap:
                 raise BudgetExceeded(f"state cap {state_cap} exceeded")
-            depth[s] = d
-            states.append(s)
-            queue.append(s)
-        elif d < depth[s]:
             depth[s] = d
             queue.append(s)
 
@@ -134,7 +130,7 @@ def build_lmc(
                 out.append(a)
         labels[s] = tuple(out)
 
-    return LmcFragment(states, trans, labels)
+    return LmcFragment(list(depth), trans, labels)
 
 
 def _coupling(mu: PseudoMetric, ds: Dist, dt: Dist) -> tuple[Fraction, list]:
@@ -179,7 +175,7 @@ def apply_F(frag: LmcFragment, mu: PseudoMetric) -> PseudoMetric:
     """One step of the metric functional: for each state pair, the largest
     lifted distance over the labels both states answer to. Pairs with no
     common label (in particular program vs value) are at distance zero."""
-    out = PseudoMetric.zero(frag.states)
+    out = PseudoMetric(frag.states)
     for i, s in enumerate(frag.states):
         s_labels = frag.labels[s]
         for t in frag.states[i + 1 :]:
@@ -201,8 +197,12 @@ def bisim_metric(
     frag: LmcFragment, iteration_cap: int = 256
 ) -> PseudoMetric:
     """Least fixpoint of the metric functional, by exact iteration from the
-    zero metric. Raises NonConvergence if it has not stabilised in time."""
-    mu = PseudoMetric.zero(frag.states)
+    zero metric. Raises NonConvergence if it has not stabilised in time.
+
+    It iterates every state pair of the fragment, so a cycle worth strictly
+    between 0 and 1 anywhere in it can raise NonConvergence, even outside
+    the root's pair graph, where bisim_distance gives an exact answer."""
+    mu = PseudoMetric(frag.states)
     for _ in range(iteration_cap):
         nxt = apply_F(frag, mu)
         if nxt == mu:
@@ -213,34 +213,12 @@ def bisim_metric(
     raise NonConvergence(f"no fixpoint after {iteration_cap} iterations")
 
 
-Key = tuple[int, int]  # a pair of states: (lower index, higher index)
+Key = tuple[int, int]  # a pair of states, as PseudoMetric.key gives it
 Succ = tuple[Dist, Dist]  # the two successor distributions of one label
 Graph = dict[Key, tuple[list[Succ], list[Key]]]
 
 
-class _PairMetric:
-    """Distances on unordered pairs of a fragment's states, keyed by
-    (lower index, higher index) and read like a PseudoMetric."""
-
-    __slots__ = ("index", "values")
-
-    def __init__(self, states: Sequence[LmcState]):
-        self.index = {s: i for i, s in enumerate(states)}
-        self.values: dict[Key, Fraction] = {}
-
-    def key(self, s: LmcState, t: LmcState) -> Optional[Key]:
-        """The pair's key; None on the diagonal."""
-        i, j = self.index[s], self.index[t]
-        if i == j:
-            return None
-        return (i, j) if i < j else (j, i)
-
-    def get(self, s: LmcState, t: LmcState) -> Fraction:
-        key = self.key(s, t)
-        return _ZERO if key is None else self.values[key]
-
-
-def _pair_graph(frag: LmcFragment, mu: _PairMetric, root: Key) -> Graph:
+def _pair_graph(frag: LmcFragment, mu: PseudoMetric, root: Key) -> Graph:
     """Off-diagonal pairs reachable from root through labels both states
     answer to. Each pair maps to the successor distributions of its shared
     labels, in the lower-index state's label order as apply_F visits them,
@@ -300,7 +278,7 @@ def _components(graph: Graph, root: Key):
                 yield comp
 
 
-def _best_lift(mu: _PairMetric, succ: list[Succ]) -> Fraction:
+def _best_lift(mu: PseudoMetric, succ: list[Succ]) -> Fraction:
     """The functional at one pair: its largest lifting over shared labels."""
     best = _ZERO
     for ds, dt in succ:
@@ -312,9 +290,9 @@ def _best_lift(mu: _PairMetric, succ: list[Succ]) -> Fraction:
     return best
 
 
-def _refine(mu: _PairMetric, keys: list[Key], succ_of) -> list[Key]:
-    """The pairs of keys where the least fixpoint of the functional over
-    the labels succ_of(key) is positive, the pairs outside keys read from
+def _refine(mu: PseudoMetric, keys: list[Key], choice: dict[Key, Succ]) -> list[Key]:
+    """The pairs of keys where the least fixpoint of the functional held
+    to the chosen labels is positive, the pairs outside keys read from
     mu. Partition refinement: start with every pair in the zero set, read
     the pairs in it as 0 and the others as 1, and drop each pair with a
     positive lifting, until none drops. The set left is the largest whose
@@ -328,7 +306,7 @@ def _refine(mu: _PairMetric, keys: list[Key], succ_of) -> list[Key]:
         for key in keys:
             if mu.values[key]:
                 continue
-            if any(_lifted(mu, ds, dt) for ds, dt in succ_of(key)):
+            if _lifted(mu, *choice[key]):
                 mu.values[key] = _ONE
                 changed = True
     live = [key for key in keys if mu.values[key]]
@@ -338,18 +316,21 @@ def _refine(mu: _PairMetric, keys: list[Key], succ_of) -> list[Key]:
 
 
 def _least_solution(
-    mu: _PairMetric, keys: list[Key], choice: dict[Key, Succ], plans: dict[Key, list]
+    mu: PseudoMetric, keys: list[Key], choice: dict[Key, Succ], plans: dict[Key, list]
 ) -> None:
-    """Values on keys of fixed labels and plans, into mu: the least
-    solution of x_k = c_k + Σ_j h_kj·x_j, where plan k ships h_kj to pair j
-    of keys and c_k is the rest of its cost (unmatched mass, and mass
-    shipped to pairs outside keys, read from mu). Pairs that reach no
-    positive c_k along the plans get 0. The others form a transient Markov
-    chain, so the system on them is regular, and Gauss-Jordan elimination
-    solves it exactly."""
+    """Values on keys of fixed labels and plans, into mu: the solution of
+    x_k = c_k + Σ_j h_kj·x_j, where plan k ships h_kj to pair j of keys and
+    c_k is the rest of its cost (unmatched mass, and mass shipped to pairs
+    outside keys, read from mu), by exact Gauss-Jordan elimination.
+
+    keys lie outside the zero set of their chosen labels (_refine), so
+    from every pair of keys the plans reach a positive c_k: pairs that
+    reached none would cost 0 when read as 0, and the zero set would not
+    be the largest. A row with c_k > 0 ships less than all its mass within
+    keys, so the plans form a transient Markov chain on keys and the
+    system is regular."""
     inside = set(keys)
-    rows: dict[Key, tuple[Fraction, dict[Key, Fraction]]] = {}
-    preds: dict[Key, list[Key]] = {key: [] for key in keys}
+    eqs: dict[Key, tuple[Fraction, dict[Key, Fraction]]] = {}
     for key in keys:
         ds, dt = choice[key]
         c, h = ds.weight() + dt.weight(), {}
@@ -358,23 +339,9 @@ def _least_solution(
             j = mu.key(s, t)
             if j in inside:
                 h[j] = h.get(j, _ZERO) + x
-                preds[j].append(key)
             else:
                 c += x * mu.get(s, t)
-        rows[key] = (c, h)
-    reach = [key for key in keys if rows[key][0]]
-    seen = set(reach)
-    for key in reach:
-        fresh = [k for k in preds[key] if k not in seen]
-        seen.update(fresh)
-        reach += fresh
-    for key in keys:
-        mu.values[key] = _ZERO
-    eqs = {
-        key: (c, {j: x for j, x in h.items() if j in seen})
-        for key, (c, h) in rows.items()
-        if key in seen
-    }
+        eqs[key] = (c, h)
     for k in eqs:
         c, h = eqs[k]
         scale = 1 / (1 - h.pop(k, _ZERO))
@@ -390,7 +357,7 @@ def _least_solution(
         mu.values[key] = c
 
 
-def _evaluate(mu: _PairMetric, keys: list[Key], choice: dict[Key, Succ]) -> None:
+def _evaluate(mu: PseudoMetric, keys: list[Key], choice: dict[Key, Succ]) -> None:
     """Least fixpoint on keys of the functional with each pair held to the
     lifting of its chosen label, into mu; the pairs outside keys are read
     from mu.
@@ -403,7 +370,7 @@ def _evaluate(mu: _PairMetric, keys: list[Key], choice: dict[Key, Succ]) -> None
     pairs changed, and plans are vertices of their transport polytopes, so
     none comes back; and a value no change improves is a fixpoint that is
     0 on the zero set, hence the least one."""
-    live = _refine(mu, keys, lambda key: (choice[key],))
+    live = _refine(mu, keys, choice)
     plans: dict[Key, list] = {}
     while True:
         moved = False
@@ -417,22 +384,22 @@ def _evaluate(mu: _PairMetric, keys: list[Key], choice: dict[Key, Succ]) -> None
         _least_solution(mu, live, choice, plans)
 
 
-def _solve_cycle(mu: _PairMetric, graph: Graph, comp: list[Key]) -> None:
+def _solve_cycle(mu: PseudoMetric, graph: Graph, comp: list[Key]) -> None:
     """Least fixpoint of the functional on one cyclic component, whose
     successors outside it are solved.
 
-    Its zero set comes from _refine over every shared label. The rest is
-    solved by strategy iteration over label choices: evaluate the current
-    choice exactly (_evaluate), then move each pair to its label of
-    largest lifting under that value wherever it beats the value. The
-    value of a choice never exceeds the least fixpoint; each move raises
-    it strictly at the pairs moved, so no choice comes back; and a value
-    no move improves is a fixpoint, hence the least one."""
-    live = _refine(mu, comp, lambda key: graph[key][0])
+    Strategy iteration over label choices, from the component at 0 (its
+    pairs are not in mu yet, and a missing pair reads 0): evaluate the
+    current choice exactly (_evaluate), then move each pair to its label
+    of largest lifting under that value wherever it beats the value. The
+    value of a choice never exceeds the least fixpoint, so a pair whose
+    least fixpoint is 0 never moves; each move raises the value strictly
+    at the pairs moved, so no choice comes back; and a value no move
+    improves is a fixpoint, hence the least one."""
     choice: dict[Key, Succ] = {}
     while True:
         moved = False
-        for key in live:
+        for key in comp:
             succ = graph[key][0]
             lifts = [_lifted(mu, ds, dt) for ds, dt in succ]
             best = max(lifts)
@@ -441,10 +408,10 @@ def _solve_cycle(mu: _PairMetric, graph: Graph, comp: list[Key]) -> None:
                 moved = True
         if not moved:
             return
-        _evaluate(mu, live, choice)
+        _evaluate(mu, comp, choice)
 
 
-def _solve(mu: _PairMetric, graph: Graph, root: Key) -> None:
+def _solve(mu: PseudoMetric, graph: Graph, root: Key) -> None:
     """Least fixpoint of the functional on the pair graph, into mu.values:
     one strongly connected component at a time, successors first. A pair
     on no cycle is lifted once, from its solved successors."""
@@ -477,7 +444,7 @@ def bisim_distance(
         state_cap=state_cap,
         tensor_templates=tensor_templates,
     )
-    mu = _PairMetric(frag.states)
+    mu = PseudoMetric(frag.states)
     root = mu.key(prog(m), prog(n))
     if root is None:
         return _ZERO

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Hashable, Optional, Sequence
 
 from .dist import Dist
 from .errors import Infeasible, Unbounded
@@ -22,64 +22,62 @@ _ONE = Fraction(1)
 
 
 class PseudoMetric:
-    """Symmetric [0,1]-valued matrix with zero diagonal over indexed states."""
+    """Symmetric [0,1]-valued distances with zero diagonal over indexed
+    states, stored sparsely: values holds each pair once, keyed by (lower
+    index, higher index), and a missing key reads 0."""
 
-    __slots__ = ("states", "index", "_m")
+    __slots__ = ("states", "index", "values")
 
     def __init__(self, states: Sequence[Hashable]):
         self.states = tuple(states)
         self.index = {s: i for i, s in enumerate(self.states)}
         if len(self.index) != len(self.states):
             raise ValueError("duplicate states")
-        n = len(self.states)
-        self._m = [[_ZERO] * n for _ in range(n)]
+        self.values: dict[tuple[int, int], Fraction] = {}
 
-    @classmethod
-    def zero(cls, states: Sequence[Hashable]) -> "PseudoMetric":
-        return cls(states)
+    def key(self, s, t) -> Optional[tuple[int, int]]:
+        """The pair's key; None on the diagonal."""
+        i, j = self.index[s], self.index[t]
+        if i == j:
+            return None
+        return (i, j) if i < j else (j, i)
 
     def get(self, s, t) -> Fraction:
-        return self._m[self.index[s]][self.index[t]]
+        key = self.key(s, t)
+        return _ZERO if key is None else self.values.get(key, _ZERO)
 
     def set(self, s, t, value: Fraction) -> None:
         value = Fraction(value)
         if not _ZERO <= value <= _ONE:
             raise ValueError(f"metric value {value} outside [0, 1]")
-        i, j = self.index[s], self.index[t]
-        if i == j:
-            if value != 0:
-                raise ValueError("diagonal must stay zero")
-            return
-        self._m[i][j] = value
-        self._m[j][i] = value
+        key = self.key(s, t)
+        if key is not None:
+            self.values[key] = value
+        elif value:
+            raise ValueError("diagonal must stay zero")
 
     def copy(self) -> "PseudoMetric":
         out = PseudoMetric(self.states)
-        out._m = [row[:] for row in self._m]
+        out.values = dict(self.values)
         return out
 
     def __eq__(self, other):
         if not isinstance(other, PseudoMetric):
             return NotImplemented
-        return self.states == other.states and self._m == other._m
-
-    def __hash__(self):
-        return hash((self.states, tuple(map(tuple, self._m))))
+        return (
+            self.states == other.states
+            and self.pointwise_le(other)
+            and other.pointwise_le(self)
+        )
 
     def pointwise_le(self, other: "PseudoMetric") -> bool:
-        return all(
-            a <= b for ra, rb in zip(self._m, other._m) for a, b in zip(ra, rb)
-        )
+        return all(v <= other.values.get(k, _ZERO) for k, v in self.values.items())
 
     def triangle_defect(self) -> Fraction:
         """Worst violation of the triangle inequality; 0 for a pseudometric."""
-        worst = _ZERO
-        m, n = self._m, len(self.states)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    worst = max(worst, m[i][j] - m[i][k] - m[k][j])
-        return worst
+        s = self.states
+        gaps = (self.get(a, b) - self.get(a, c) - self.get(c, b) for a in s for b in s for c in s)
+        return max(gaps, default=_ZERO)
 
 
 @dataclass

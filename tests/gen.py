@@ -8,6 +8,7 @@ echo. All randomness flows through an explicit random.Random instance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from metricwb.terms import (
     Pair,
     Term,
     Var,
+    affine_violation,
     identity,
     is_value,
     rename_free,
@@ -756,4 +758,64 @@ def reference_tuple_search(m: Term, n: Term, templates, max_len: int) -> tuple:
             for word, da, db in extend
             for a in reference_actions(set(da.support()) | set(db.support()), templates)
         ]
+    return best, witness
+
+
+# --- the context oracle: small contexts by brute force --------------------
+
+HOLE = "[·]"  # a variable no parsed program can mention
+
+
+def contexts(max_size: int) -> list:
+    """Every closed affine one-hole context up to max_size, one per
+    alpha-class, as a term whose only free variable is HOLE. The size
+    counts 1 per variable, omega, abstraction, application, pair or choice
+    node and 2 per let. Binders are named by their depth, '%0', '%1', ...,
+    which neither the parser nor terms.fresh ever produces. A choice may
+    hold the hole in both branches, since only one of them runs."""
+
+    @functools.cache
+    def of_size(k: int, depth: int) -> list:
+        # every term of size k under depth binders, however it uses them
+        if k == 1:
+            return [Var(f"%{i}") for i in range(depth)] + [Var(HOLE), OMEGA]
+        x, y = f"%{depth}", f"%{depth + 1}"
+        out = [Abs(x, b) for b in of_size(k - 1, depth + 1)]
+        for j in range(1, k - 1):
+            for l, r in itertools.product(of_size(j, depth), of_size(k - 1 - j, depth)):
+                out += (App(l, r), Pair(l, r), Choice(l, r))
+        for j in range(1, k - 2):
+            bodies = of_size(k - 2 - j, depth + 2)
+            for m, b in itertools.product(of_size(j, depth), bodies):
+                out.append(LetPair(x, y, m, b))
+        return out
+
+    every = (c for k in range(1, max_size + 1) for c in of_size(k, 0))
+    return list(
+        dict.fromkeys(
+            c
+            for c in every
+            if HOLE in c.free_vars and affine_violation((HOLE,), c) is None
+        )
+    )
+
+
+def plug(c: Term, m: Term) -> Term:
+    """C[M]. M is closed, so plain substitution captures nothing."""
+    return substitute(c, HOLE, m)
+
+
+def context_gap(c: Term, m: Term, n: Term) -> Fraction:
+    """|Pr(C[M] converges) - Pr(C[N] converges)|."""
+    return abs(_eval(plug(c, m)).weight() - _eval(plug(c, n)).weight())
+
+
+def best_context(m: Term, n: Term, max_size: int) -> tuple:
+    """(widest gap, first context that opens it) over contexts(max_size):
+    a lower bound on the context distance between closed programs m and n."""
+    best, witness = ZERO, Var(HOLE)
+    for c in contexts(max_size):
+        gap = context_gap(c, m, n)
+        if gap > best:
+            best, witness = gap, c
     return best, witness

@@ -22,7 +22,6 @@ from metricwb.bisim import (
     _evaluate,
     _lifted,
     _pair_graph,
-    _PairMetric,
     _solve,
     apply_F,
     bisim_metric,
@@ -93,6 +92,33 @@ class TestFragment:
         with pytest.raises(BudgetExceeded):
             build_lmc(INNER, OUTER, (I,), 3, state_cap=4)
 
+    def test_a_value_answers_iff_its_least_depth_is_below_the_cut(self):
+        # build_lmc meets states in order of depth and keeps the depth it
+        # first sees; _least_depths recomputes it from the transitions.
+        # With a universe value and a template, every value fits an action.
+        rng = random.Random(20261019)
+        tensor = default_tensor_templates()
+        below = at_cut = 0
+        for _ in range(150):
+            m, n = (
+                rng.choice(TestCycles.REENTERING)
+                if rng.random() < 0.5
+                else gen.random_program(rng, max_size=12, fuel=3)
+                for _ in range(2)
+            )
+            universe = rng.sample(TestCycles.REENTERING, rng.randint(1, 3))
+            templates = rng.sample(tensor, rng.randint(1, 3))
+            max_depth = rng.randint(0, 3)
+            frag = build_lmc(m, n, universe, max_depth, tensor_templates=templates)
+            depth = _least_depths(frag, (prog(m), prog(n)))
+            assert depth.keys() == set(frag.states)
+            for s in frag.states:
+                if s.kind == "dval":
+                    assert bool(frag.labels[s]) == (depth[s] < max_depth)
+                    below += depth[s] < max_depth
+                    at_cut += depth[s] == max_depth
+        assert below >= 300 and at_cut >= 100
+
     def test_tensor_labels_appear_only_with_templates(self):
         from metricwb.terms import Pair, Var
 
@@ -106,17 +132,17 @@ class TestFragment:
 class TestFunctional:
     def test_first_iteration_separates_by_termination(self):
         frag = build_lmc(I, OMEGA, (I,), 2)
-        mu1 = apply_F(frag, PseudoMetric.zero(frag.states))
+        mu1 = apply_F(frag, PseudoMetric(frag.states))
         assert mu1.get(prog(I), prog(OMEGA)) == 1
 
     def test_first_iteration_on_the_choice_pair(self):
         frag = build_lmc(I, COIN, (I,), 2)
-        mu1 = apply_F(frag, PseudoMetric.zero(frag.states))
+        mu1 = apply_F(frag, PseudoMetric(frag.states))
         assert mu1.get(prog(I), prog(COIN)) == HALF
 
     def test_mixed_kind_pairs_share_no_labels(self):
         frag = build_lmc(I, OMEGA, (I,), 2)
-        mu1 = apply_F(frag, PseudoMetric.zero(frag.states))
+        mu1 = apply_F(frag, PseudoMetric(frag.states))
         assert mu1.get(prog(I), dval(I)) == 0
 
     def test_fixpoint_property(self):
@@ -321,6 +347,23 @@ class TestAdequacy:
             assert bisim_distance(m, n, (I,), 1) >= gap
 
 
+def _least_depths(frag, roots):
+    """Each state's least depth from roots, by relaxing over frag.trans:
+    an interrogation costs 1 and an evaluation 0."""
+    depth = dict.fromkeys(roots, 0)
+    changed = True
+    while changed:
+        changed = False
+        for (s, label), succ in frag.trans.items():
+            if s in depth:
+                d = depth[s] + (label != EVAL_LABEL)
+                for t in succ.support():
+                    if d < depth.get(t, d + 1):
+                        depth[t] = d
+                        changed = True
+    return depth
+
+
 def _is_cyclic(graph, comp):
     return len(comp) > 1 or comp[0] in graph[comp[0]][1]
 
@@ -328,7 +371,7 @@ def _is_cyclic(graph, comp):
 def _kleene(states, graph, rounds):
     """Kleene iteration of the functional from zero on a whole pair graph:
     the last iterate and whether it was a fixpoint."""
-    mu = _PairMetric(states)
+    mu = PseudoMetric(states)
     mu.values = dict.fromkeys(graph, Fraction(0))
     for _ in range(rounds):
         nxt = {key: _best_lift(mu, succ) for key, (succ, _) in graph.items()}
@@ -371,7 +414,7 @@ class TestCycles:
             universe = rng.sample(self.REENTERING, rng.randint(1, 3))
             depth = rng.randint(1, 3)
             frag = build_lmc(m, n, universe, depth)
-            mu = _PairMetric(frag.states)
+            mu = PseudoMetric(frag.states)
             root = mu.key(prog(m), prog(n))
             if root is None:
                 continue
@@ -380,7 +423,7 @@ class TestCycles:
                 continue
             cyclic += 1
             got = bisim_distance(m, n, universe, depth)
-            dense = PseudoMetric.zero(frag.states)
+            dense = PseudoMetric(frag.states)
             for _ in range(32):
                 nxt = apply_F(frag, dense)
                 if nxt == dense:
@@ -392,13 +435,9 @@ class TestCycles:
                 assert got >= dense.get(prog(m), prog(n))
                 _solve(mu, graph, root)
                 assert mu.values[root] == got
-                solved = PseudoMetric.zero(frag.states)
-                for (i, j), v in mu.values.items():
-                    solved.set(frag.states[i], frag.states[j], v)
-                image = apply_F(frag, solved)
-                for i, j in mu.values:
-                    s, t = frag.states[i], frag.states[j]
-                    assert image.get(s, t) == solved.get(s, t)
+                image = apply_F(frag, mu)
+                for key, v in mu.values.items():
+                    assert image.values.get(key, 0) == v
         assert unconverged >= 5
 
     def test_random_pair_graphs_against_kleene_iteration(self):
@@ -421,7 +460,7 @@ class TestCycles:
 
         for _ in range(60):
             states = tuple(range(rng.randint(2, 5)))
-            mu = _PairMetric(states)
+            mu = PseudoMetric(states)
             graph = {}
             for i in states:
                 for j in states[i + 1 :]:
@@ -453,7 +492,7 @@ class TestCycles:
         stay = (Dist([(0, 1)]), Dist([(1, 1)]))
         half = (Dist([(2, 1)]), Dist([(2, Fraction(1, 2))]))
         for succ in ([stay, half], [half, stay]):
-            mu = _PairMetric(range(3))
+            mu = PseudoMetric(range(3))
             _solve(mu, {(0, 1): (succ, [(0, 1)])}, (0, 1))
             assert mu.values == {(0, 1): HALF}
 
@@ -464,7 +503,7 @@ class TestCycles:
         # Read at 1, leaving looks cheaper, and the value 1/2 it leads to is
         # a fixpoint, but staying costs nothing: the least fixpoint is 0.
         succ = (Dist([(0, HALF), (2, HALF)]), Dist([(1, HALF), (3, HALF)]))
-        mu = _PairMetric(range(4))
+        mu = PseudoMetric(range(4))
         mu.values = {(0, 1): 1, (2, 3): 1, (0, 3): HALF, (1, 2): HALF}
         _evaluate(mu, [(0, 1), (2, 3)], {(0, 1): succ, (2, 3): succ})
         assert mu.values[(0, 1)] == mu.values[(2, 3)] == 0
@@ -487,3 +526,42 @@ class TestWork:
         )
         assert value == 1 - u_seq(n)
         assert len(lifted) == len(set(lifted)) == pairs
+
+    def test_components_at_zero_solve_no_linear_system(self, monkeypatch):
+        # A label choice's value never exceeds the least fixpoint, so a
+        # component whose least fixpoint is 0 keeps its first choices, and
+        # _evaluate's zero set takes every pair of it. The CLI's universe
+        # at depth 3 makes cyclic components of this kind only.
+        solves = []
+        least_solution, solve_cycle = bisim._least_solution, bisim._solve_cycle
+        zero_components = 0
+
+        def counting(*args):
+            solves.append(args)
+            return least_solution(*args)
+
+        def watched(mu, graph, comp):
+            nonlocal zero_components
+            before = len(solves)
+            solve_cycle(mu, graph, comp)
+            if not any(mu.values[key] for key in comp):
+                assert len(solves) == before
+                zero_components += 1
+
+        monkeypatch.setattr(bisim, "_least_solution", counting)
+        monkeypatch.setattr(bisim, "_solve_cycle", watched)
+        # two pairs that only lead to each other
+        swap = (Dist([(2, HALF)]), Dist([(3, HALF)]))
+        back = (Dist([(0, 1)]), Dist([(1, 1)]))
+        mu = PseudoMetric(range(4))
+        graph = {(0, 1): ([swap], [(2, 3)]), (2, 3): ([back], [(0, 1)])}
+        _solve(mu, graph, (0, 1))
+        assert mu.values == {(0, 1): 0, (2, 3): 0}
+        rng = random.Random(20261020)
+        universe = (I, parse("\\a. \\b. a"))
+        for _ in range(400):
+            m = gen.random_program(rng, max_size=15, fuel=4)
+            n = gen.random_program(rng, max_size=15, fuel=4)
+            bisim_distance(m, n, universe, 3)
+        assert zero_components >= 10
+        assert not solves

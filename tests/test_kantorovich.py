@@ -39,6 +39,13 @@ class TestPseudoMetric:
             mu.set("a", "a", HALF)
         mu.set("a", "a", F(0))
 
+    def test_a_missing_pair_reads_zero(self):
+        lo, hi = PseudoMetric(["a", "b", "c"]), PseudoMetric(["a", "b", "c"])
+        hi.set("b", "a", F(0))
+        assert lo.values == {} and hi.values == {(0, 1): 0}
+        assert lo.get("a", "b") == hi.get("a", "b") == 0
+        assert lo == hi
+
     def test_duplicate_states_rejected(self):
         with pytest.raises(ValueError):
             PseudoMetric(["a", "a"])
