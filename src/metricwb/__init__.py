@@ -7,7 +7,6 @@ from .dist import Dist, Rational, dirac, frac_str, mix, weight
 from .errors import (
     BudgetExceeded,
     CoefficientOverflow,
-    Infeasible,
     InvalidAction,
     IsValue,
     MetricWbError,
@@ -18,7 +17,7 @@ from .errors import (
     TypeCheckError,
     Unbounded,
 )
-from .kantorovich import PseudoMetric, TransportPlan, lift_dual, lift_primal, solve_lp_exact
+from .kantorovich import PseudoMetric, lift_dual, lift_primal, solve_lp_exact
 from .parser import parse
 from .semantics import eval_big, eval_small, step_count_bound, step_one
 from .terms import (

@@ -19,8 +19,8 @@ refinement, which finds its pairs at distance 0, and policy iteration
 over optimal couplings on the rest, with one exact linear solve per set
 of couplings (after Tang and van Breugel, CONCUR 2016). Liftings where one
 support has at most one point have a closed form; larger supports go
-through the exact LP. apply_F and bisim_metric keep the all-pairs Kleene
-iteration from zero as the oracle.
+through kantorovich.lift_primal's exact simplex. apply_F and bisim_metric
+keep the all-pairs Kleene iteration from zero as the oracle.
 """
 
 from __future__ import annotations
@@ -133,10 +133,10 @@ def build_lmc(
     return LmcFragment(list(depth), trans, labels)
 
 
-def _coupling(mu: PseudoMetric, ds: Dist, dt: Dist) -> tuple[Fraction, list]:
+def _coupling(mu: PseudoMetric, ds: Dist, dt: Dist) -> tuple[Fraction, dict]:
     """An optimal transport plan between ds and dt under mu, with its cost:
-    (cost, [(s, t, mass shipped from s to t), ...]). Mass not shipped is
-    unmatched, at unit price on either side.
+    (cost, {(s, t): mass shipped from s to t}), as lift_primal gives it.
+    Mass not shipped is unmatched, at unit price on either side.
 
     Without an LP when one support has at most one point. Against an empty
     side all mass goes unmatched. Against p·δs, shipping x to t costs
@@ -145,7 +145,7 @@ def _coupling(mu: PseudoMetric, ds: Dist, dt: Dist) -> tuple[Fraction, list]:
     each t, cheapest first, and costs p + Σ q_t minus the savings."""
     value = ds.weight() + dt.weight()
     if not ds or not dt:
-        return value, []
+        return value, {}
     if len(ds) == 1:
         ((s, p),) = ds.items()
         options = [(mu.get(s, t), s, t, q) for t, q in dt.items()]
@@ -153,13 +153,12 @@ def _coupling(mu: PseudoMetric, ds: Dist, dt: Dist) -> tuple[Fraction, list]:
         ((t, p),) = dt.items()
         options = [(mu.get(s, t), s, t, q) for s, q in ds.items()]
     else:
-        value, plan = lift_primal(mu, ds, dt)
-        return value, [(s, t, x) for (s, t), x in plan.h.items()]
-    shipped = []
+        return lift_primal(mu, ds, dt)
+    shipped = {}
     for cost, s, t, q in sorted(options, key=itemgetter(0)):
         x = min(p, q)
         value -= x * (2 - cost)
-        shipped.append((s, t, x))
+        shipped[(s, t)] = x
         p -= x
         if not p:
             break
@@ -316,7 +315,7 @@ def _refine(mu: PseudoMetric, keys: list[Key], choice: dict[Key, Succ]) -> list[
 
 
 def _least_solution(
-    mu: PseudoMetric, keys: list[Key], choice: dict[Key, Succ], plans: dict[Key, list]
+    mu: PseudoMetric, keys: list[Key], choice: dict[Key, Succ], plans: dict[Key, dict]
 ) -> None:
     """Values on keys of fixed labels and plans, into mu: the solution of
     x_k = c_k + Σ_j h_kj·x_j, where plan k ships h_kj to pair j of keys and
@@ -334,7 +333,7 @@ def _least_solution(
     for key in keys:
         ds, dt = choice[key]
         c, h = ds.weight() + dt.weight(), {}
-        for s, t, x in plans[key]:
+        for (s, t), x in plans[key].items():
             c -= 2 * x
             j = mu.key(s, t)
             if j in inside:
@@ -369,9 +368,12 @@ def _evaluate(mu: PseudoMetric, keys: list[Key], choice: dict[Key, Succ]) -> Non
     lies below the least fixpoint; each change lowers it strictly at the
     pairs changed, and plans are vertices of their transport polytopes, so
     none comes back; and a value no change improves is a fixpoint that is
-    0 on the zero set, hence the least one."""
+    0 on the zero set, hence the least one. lift_primal solves the packing
+    polytope, which is the transport polytope with its unmatched-mass
+    slacks dropped: the shipped masses fix the slacks, so the two have the
+    same vertices. The closed forms' greedy plans are vertices too."""
     live = _refine(mu, keys, choice)
-    plans: dict[Key, list] = {}
+    plans: dict[Key, dict] = {}
     while True:
         moved = False
         for key in live:

@@ -29,10 +29,6 @@ class CoefficientOverflow(MetricWbError):
     """Mixing coefficients exceed total mass 1."""
 
 
-class Infeasible(MetricWbError):
-    """Linear program has no feasible point."""
-
-
 class Unbounded(MetricWbError):
     """Linear program objective is unbounded."""
 

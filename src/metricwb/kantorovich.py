@@ -1,8 +1,11 @@
 """Exact transport lifting of a state metric to subdistributions.
 
-The primal program ships mass h between supports at cost mu and pays unit
-price for unmatched mass on either side. The dual is implemented from its
-own formulation (after substituting away the free variables) rather than
+Both routes solve a packing program: maximise c.x subject to A.x <= b and
+x >= 0, with b >= 0. Such a program is feasible at x = 0, so the simplex
+starts from the slack basis, where every constraint's slack is basic, and
+needs no first phase. The primal ships mass between the supports to save
+the unit price of unmatched mass; the dual is built from its own
+constraints, after shifting its variables to be nonnegative, rather than
 read off the primal solution, so the two routes genuinely cross-check.
 All arithmetic is over Fraction; the simplex uses Bland's rule, so it
 terminates on degenerate instances too.
@@ -10,15 +13,15 @@ terminates on degenerate instances too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Optional, Sequence
 
 from .dist import Dist
-from .errors import Infeasible, Unbounded
+from .errors import Unbounded
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_TWO = Fraction(2)
 
 
 class PseudoMetric:
@@ -80,259 +83,119 @@ class PseudoMetric:
         return max(gaps, default=_ZERO)
 
 
-@dataclass
-class TransportPlan:
-    """Primal solution: shipped mass h plus unmatched slack on each side."""
-
-    h: dict = field(default_factory=dict)  # (s, t) -> mass
-    w: dict = field(default_factory=dict)  # s -> unmatched in d
-    z: dict = field(default_factory=dict)  # t -> unmatched in e
-
-    def row_sum(self, s) -> Fraction:
-        total = sum((v for (a, _), v in self.h.items() if a == s), _ZERO)
-        return total + self.w.get(s, _ZERO)
-
-    def col_sum(self, t) -> Fraction:
-        total = sum((v for (_, b), v in self.h.items() if b == t), _ZERO)
-        return total + self.z.get(t, _ZERO)
-
-
 def solve_lp_exact(
-    objective: dict,
-    constraints: Sequence[tuple[dict, str, Fraction]],
-    minimize: bool = True,
+    objective: dict, constraints: Sequence[tuple[dict, Fraction]]
 ) -> tuple[Fraction, dict]:
-    """Optimise c.x over {x >= 0 : constraints}, exactly.
+    """Maximise c.x over {x >= 0 : a.x <= b for each (a, b) in
+    constraints}, exactly.
 
-    Variables are the keys of the objective and constraint dictionaries;
-    senses are '<=', '>=', or '='. Returns (optimal value, assignment on
-    the objective's variables). Raises Infeasible or Unbounded.
+    Variables are the keys of the objective and constraint dictionaries,
+    in order of first appearance. Every b must be nonnegative, so that the
+    slack basis is feasible. Returns (optimal value, assignment on the
+    objective's variables). Raises ValueError on a negative b and
+    Unbounded if the objective is.
     """
-    var_order: list = []
-    seen = set()
-    for src in (objective, *(c for c, _, _ in constraints)):
+    col_of: dict = {}
+    for src in (objective, *(a for a, _ in constraints)):
         for k in src:
-            if k not in seen:
-                seen.add(k)
-                var_order.append(k)
-    nv = len(var_order)
-    col_of = {k: i for i, k in enumerate(var_order)}
+            col_of.setdefault(k, len(col_of))
+    nv, m = len(col_of), len(constraints)
 
-    sign = _ONE if minimize else -_ONE
-    cost = [sign * Fraction(objective.get(k, _ZERO)) for k in var_order]
-
-    rows: list[list[Fraction]] = []
+    # Rows: one per constraint, with its slack column nv + i, then the
+    # objective row, whose entries are the reduced costs (-c at the start)
+    # and whose right-hand side is the current value.
+    tab: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    senses: list[str] = []
-    for coeffs, sense, b in constraints:
-        if sense not in ("<=", ">=", "="):
-            raise ValueError(f"bad sense {sense!r}")
-        row = [_ZERO] * nv
-        for k, c in coeffs.items():
-            row[col_of[k]] += Fraction(c)
+    for i, (coeffs, b) in enumerate(constraints):
         b = Fraction(b)
         if b < 0:
-            row = [-c for c in row]
-            b = -b
-            sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        rows.append(row)
+            raise ValueError(f"right-hand side {b} is negative")
+        row = [_ZERO] * (nv + m)
+        for k, c in coeffs.items():
+            row[col_of[k]] += Fraction(c)
+        row[nv + i] = _ONE
+        tab.append(row)
         rhs.append(b)
-        senses.append(sense)
+    zrow = [_ZERO] * (nv + m)
+    for k, c in objective.items():
+        zrow[col_of[k]] -= Fraction(c)
+    tab.append(zrow)
+    rhs.append(_ZERO)
+    basis = list(range(nv, nv + m))
 
-    # Columns: structural, then one slack/surplus per inequality, then one
-    # artificial per row that needs it.
-    m = len(rows)
-    ncols = nv
-    slack_col = [-1] * m
-    for i, sense in enumerate(senses):
-        if sense in ("<=", ">="):
-            slack_col[i] = ncols
-            ncols += 1
-    art_col = [-1] * m
-    for i, sense in enumerate(senses):
-        if sense in (">=", "="):
-            art_col[i] = ncols
-            ncols += 1
-
-    tab = [row + [_ZERO] * (ncols - nv) for row in rows]
-    basis = [-1] * m
-    for i, sense in enumerate(senses):
-        if sense == "<=":
-            tab[i][slack_col[i]] = _ONE
-            basis[i] = slack_col[i]
-        elif sense == ">=":
-            tab[i][slack_col[i]] = -_ONE
-            tab[i][art_col[i]] = _ONE
-            basis[i] = art_col[i]
-        else:
-            tab[i][art_col[i]] = _ONE
-            basis[i] = art_col[i]
-
-    artificials = frozenset(c for c in art_col if c >= 0)
-
-    if artificials:
-        phase1 = [_ZERO] * ncols
-        for c in artificials:
-            phase1[c] = _ONE
-        value = _pivot_until_optimal(tab, rhs, basis, phase1, banned=frozenset())
-        if value != 0:
-            raise Infeasible("no feasible point")
-        # Artificials still basic sit at zero; pivot them out so phase 2
-        # cannot re-inflate them. An all-zero row is redundant and dropped.
-        keep = []
-        for i in range(m):
-            if basis[i] in artificials:
-                enter = next(
-                    (
-                        j
-                        for j in range(ncols)
-                        if j not in artificials and tab[i][j] != 0
-                    ),
-                    -1,
-                )
-                if enter < 0:
-                    continue
-                _raw_pivot(tab, rhs, basis, i, enter)
-            keep.append(i)
-        if len(keep) < m:
-            tab = [tab[i] for i in keep]
-            rhs = [rhs[i] for i in keep]
-            basis = [basis[i] for i in keep]
-            m = len(tab)
-
-    full_cost = cost + [_ZERO] * (ncols - nv)
-    value = _pivot_until_optimal(tab, rhs, basis, full_cost, banned=artificials)
-
-    assignment = {}
-    x = [_ZERO] * ncols
-    for i, bcol in enumerate(basis):
-        x[bcol] = rhs[i]
-    for k in objective:
-        assignment[k] = x[col_of[k]]
-    return sign * value, assignment
-
-
-def _raw_pivot(tab, rhs, basis, leave: int, enter: int) -> None:
-    inv = _ONE / tab[leave][enter]
-    tab[leave] = [a * inv for a in tab[leave]]
-    rhs[leave] *= inv
-    prow, pb = tab[leave], rhs[leave]
-    for i in range(len(tab)):
-        if i != leave:
-            f = tab[i][enter]
-            if f:
-                tab[i] = [a - f * b for a, b in zip(tab[i], prow)]
-                rhs[i] -= f * pb
-    basis[leave] = enter
-
-
-def _pivot_until_optimal(tab, rhs, basis, cost, banned) -> Fraction:
-    """Run simplex iterations in place; returns the optimal objective value."""
-    m = len(tab)
-    ncols = len(cost)
-    zrow = list(cost)
-    zval = _ZERO
-    for i in range(m):
-        c = cost[basis[i]]
-        if c != 0:
-            zval -= c * rhs[i]
-            row = tab[i]
-            for j in range(ncols):
-                if row[j]:
-                    zrow[j] -= c * row[j]
-    # Invariant: zrow[j] is the reduced cost of column j, -zval the current
-    # objective; basic columns have reduced cost zero.
     while True:
-        enter = -1
-        for j in range(ncols):
-            if j not in banned and zrow[j] < 0:
-                enter = j
-                break
+        # Bland's rule: the lowest column that improves enters, and the
+        # lowest basic column among the tied ratios leaves.
+        enter = next((j for j, r in enumerate(tab[m]) if r < 0), -1)
         if enter < 0:
-            return -zval
-        leave = -1
-        best_ratio = None
+            break
+        leave, best = -1, _ZERO
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
                 ratio = rhs[i] / a
                 if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
+                    leave < 0
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
                 ):
-                    best_ratio = ratio
-                    leave = i
+                    best, leave = ratio, i
         if leave < 0:
             raise Unbounded("objective is unbounded")
-        _raw_pivot(tab, rhs, basis, leave, enter)
-        f = zrow[enter]
-        if f:
-            zrow = [a - f * b for a, b in zip(zrow, tab[leave])]
-            zval -= f * rhs[leave]
+        inv = _ONE / tab[leave][enter]
+        prow = tab[leave] = [a * inv for a in tab[leave]]
+        pb = rhs[leave] = rhs[leave] * inv
+        for i in range(m + 1):
+            f = tab[i][enter]
+            if f and i != leave:
+                tab[i] = [a - f * b for a, b in zip(tab[i], prow)]
+                rhs[i] -= f * pb
+        basis[leave] = enter
+
+    x = [_ZERO] * (nv + m)
+    for i, col in enumerate(basis):
+        x[col] = rhs[i]
+    return rhs[m], {k: x[col_of[k]] for k in objective}
 
 
-def lift_primal(
-    mu: PseudoMetric, d: Dist, e: Dist
-) -> tuple[Fraction, TransportPlan]:
+def lift_primal(mu: PseudoMetric, d: Dist, e: Dist) -> tuple[Fraction, dict]:
     """Minimum transport cost between d and e under ground metric mu,
-    charging unmatched mass at unit price. Returns the optimal plan too."""
+    charging unmatched mass at unit price, with an optimal plan
+    {(s, t): mass shipped from s to t} that lists positive masses only.
+
+    Shipping h from s to t costs h·mu(s, t) and leaves 2h less mass
+    unmatched, so the program maximises the saving Σ h_st·(2 - mu(s, t))
+    with row sums at most d(s) and column sums at most e(t); the mass left
+    over is the slack, and the cost is |d| + |e| - saving."""
     si = d.support()
     tj = e.support()
-    objective: dict = {}
-    for i, s in enumerate(si):
-        for j, t in enumerate(tj):
-            objective[("h", i, j)] = mu.get(s, t)
-    for i in range(len(si)):
-        objective[("w", i)] = _ONE
-    for j in range(len(tj)):
-        objective[("z", j)] = _ONE
-    constraints = []
-    for i, s in enumerate(si):
-        coeffs = {("h", i, j): _ONE for j in range(len(tj))}
-        coeffs[("w", i)] = _ONE
-        constraints.append((coeffs, "=", d.get(s)))
-    for j, t in enumerate(tj):
-        coeffs = {("h", i, j): _ONE for i in range(len(si))}
-        coeffs[("z", j)] = _ONE
-        constraints.append((coeffs, "=", e.get(t)))
-    value, x = solve_lp_exact(objective, constraints, minimize=True)
-    plan = TransportPlan()
-    for i, s in enumerate(si):
-        for j, t in enumerate(tj):
-            v = x[("h", i, j)]
-            if v:
-                plan.h[(s, t)] = v
-        plan.w[s] = x[("w", i)]
-    for j, t in enumerate(tj):
-        plan.z[t] = x[("z", j)]
-    return value, plan
+    objective = {(s, t): _TWO - mu.get(s, t) for s in si for t in tj}
+    constraints = [({(s, t): _ONE for t in tj}, d.get(s)) for s in si]
+    constraints += [({(s, t): _ONE for s in si}, e.get(t)) for t in tj]
+    saving, h = solve_lp_exact(objective, constraints)
+    plan = {st: x for st, x in h.items() if x}
+    return d.weight() + e.weight() - saving, plan
 
 
 def lift_dual(mu: PseudoMetric, d: Dist, e: Dist) -> Fraction:
     """Same lifted distance through the dual program.
 
     The dual maximises a.d + b.e subject to a <= 1, b <= 1 and
-    a_s + b_t <= mu(s,t) + [unmatched penalties], with a and b otherwise
-    free. Substituting a = 1 - alpha, b = 1 - beta (alpha, beta >= 0)
-    turns it into the covering program solved here.
+    a_s + b_t <= mu(s, t), with a and b otherwise free. Some optimum has
+    a, b >= -1: raise each a_s to min(1, min_t mu(s, t) - b_t), which
+    keeps it feasible and, as d >= 0, no worse; then a_s >= -1, because
+    mu >= 0 and b_t <= 1. Raise each b_t likewise, against the new a. So
+    substitute a = alpha - 1 and b = beta - 1 with alpha, beta >= 0: the
+    packing program alpha <= 2, beta <= 2, alpha_s + beta_t <= 2 +
+    mu(s, t) has value a.d + b.e + |d| + |e| at the optimum.
     """
     si = d.support()
     tj = e.support()
-    objective: dict = {}
-    for i, s in enumerate(si):
-        objective[("a", i)] = d.get(s)
-    for j, t in enumerate(tj):
-        objective[("b", j)] = e.get(t)
-    constraints = []
-    for i, s in enumerate(si):
-        for j, t in enumerate(tj):
-            constraints.append(
-                (
-                    {("a", i): _ONE, ("b", j): _ONE},
-                    ">=",
-                    2 - mu.get(s, t),
-                )
-            )
-    value, _ = solve_lp_exact(objective, constraints, minimize=True)
-    return d.weight() + e.weight() - value
+    objective = {("a", s): d.get(s) for s in si}
+    objective.update({("b", t): e.get(t) for t in tj})
+    constraints = [({k: _ONE}, _TWO) for k in objective]
+    constraints += [
+        ({("a", s): _ONE, ("b", t): _ONE}, _TWO + mu.get(s, t)) for s in si for t in tj
+    ]
+    value, _ = solve_lp_exact(objective, constraints)
+    return value - d.weight() - e.weight()

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 import gen
-from metricwb import Infeasible, Unbounded, dirac
+from metricwb import Unbounded, dirac
 from metricwb.dist import Dist, EMPTY
 from metricwb.kantorovich import (
     PseudoMetric,
-    TransportPlan,
     lift_dual,
     lift_primal,
     solve_lp_exact,
@@ -68,81 +67,87 @@ class TestPseudoMetric:
 
 
 class TestSolver:
-    def test_one_variable_floor(self):
-        value, x = solve_lp_exact({"x": F(1)}, [({"x": F(1)}, ">=", F(3))])
-        assert value == 3
-        assert x["x"] == 3
+    """solve_lp_exact maximises c.x subject to rows a.x <= b, b >= 0, x >= 0."""
 
     def test_unconstrained_minimum_is_zero(self):
-        value, x = solve_lp_exact({"x": F(1)}, [])
+        value, x = solve_lp_exact({"x": F(-1)}, [])
         assert value == 0
         assert x["x"] == 0
 
-    def test_infeasible(self):
-        with pytest.raises(Infeasible):
-            solve_lp_exact({"x": F(1)}, [({"x": F(1)}, "<=", F(-1))])
-        with pytest.raises(Infeasible):
-            solve_lp_exact(
-                {"x": F(1)},
-                [({"x": F(1)}, ">=", F(2)), ({"x": F(1)}, "<=", F(1))],
-            )
-
     def test_unbounded(self):
         with pytest.raises(Unbounded):
-            solve_lp_exact({"x": F(1)}, [], minimize=False)
+            solve_lp_exact({"x": F(1)}, [])
+        with pytest.raises(Unbounded):
+            solve_lp_exact({"x": F(1), "y": F(1)}, [({"x": F(1), "y": F(-1)}, F(2))])
+
+    def test_a_negative_right_hand_side_is_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            solve_lp_exact({"x": F(1)}, [({"x": F(1)}, F(-1))])
 
     def test_maximisation(self):
-        value, x = solve_lp_exact(
-            {"x": F(1)}, [({"x": F(1)}, "<=", F(5))], minimize=False
-        )
+        value, x = solve_lp_exact({"x": F(1)}, [({"x": F(1)}, F(5))])
         assert value == 5
         assert x["x"] == 5
-
-    def test_redundant_equalities_terminate(self):
-        value, x = solve_lp_exact(
-            {"x": F(1), "y": F(2)},
-            [
-                ({"x": F(1), "y": F(1)}, "=", F(1)),
-                ({"x": F(1), "y": F(1)}, "=", F(1)),
-                ({"x": F(2), "y": F(2)}, "=", F(2)),
-            ],
-        )
-        assert value == 1
-        assert x["x"] == 1 and x["y"] == 0
 
     def test_degenerate_vertex_terminates(self):
         value, _ = solve_lp_exact(
             {"x": F(1), "y": F(1)},
             [
-                ({"x": F(1)}, "<=", F(0)),
-                ({"y": F(1)}, "<=", F(0)),
-                ({"x": F(1), "y": F(1)}, ">=", F(0)),
+                ({"x": F(1)}, F(0)),
+                ({"y": F(1)}, F(0)),
+                ({"x": F(-1), "y": F(-1)}, F(0)),
             ],
         )
         assert value == 0
 
+    def test_bland_rule_stops_on_beales_cycling_example(self):
+        # Beale's example, as Chvatal (Linear Programming, ch. 3) gives it:
+        # the largest-coefficient rule cycles on it from the slack basis.
+        value, x = solve_lp_exact(
+            {"x4": F(3, 4), "x5": F(-20), "x6": F(1, 2), "x7": F(-6)},
+            [
+                ({"x4": F(1, 4), "x5": F(-8), "x6": F(-1), "x7": F(9)}, F(0)),
+                ({"x4": F(1, 2), "x5": F(-12), "x6": F(-1, 2), "x7": F(3)}, F(0)),
+                ({"x6": F(1)}, F(1)),
+            ],
+        )
+        assert value == F(5, 4)
+        assert x == {"x4": 1, "x5": 0, "x6": 1, "x7": 0}
+
     def test_agrees_with_vertex_enumeration(self):
+        # The optimum against gen.lp_vertex_min on the negated objective. A
+        # program is unbounded iff some ray r >= 0 with A.r <= 0 and
+        # sum(r) = 1 has c.r > 0, which lp_vertex_min decides too (it
+        # raises ValueError when there is no such ray at all).
         rng = random.Random(20260340)
-        n_feasible = 0
-        for _ in range(60):
-            nv = rng.randint(1, 3)
-            names = [f"x{j}" for j in range(nv)]
-            obj = {v: F(rng.randint(0, 5)) for v in names}
-            cons = []
-            for _ in range(rng.randint(1, 4)):
-                coeffs = {v: F(rng.randint(-2, 3)) for v in names}
-                cons.append(
-                    (coeffs, rng.choice(["<=", ">=", "="]), F(rng.randint(-2, 6)))
-                )
+        n_bounded = n_unbounded = 0
+        for _ in range(80):
+            names = [f"x{j}" for j in range(rng.randint(1, 3))]
+            obj = {v: F(rng.randint(-1, 5)) for v in names}
+            rows = [
+                ({v: F(rng.randint(-2, 3)) for v in names}, F(rng.randint(0, 6)))
+                for _ in range(rng.randint(1, 4))
+            ]
+            neg = {v: -c for v, c in obj.items()}
+            ray = [(a, "<=", F(0)) for a, _ in rows]
+            ray.append(({v: F(1) for v in names}, "=", F(1)))
             try:
-                got, _ = solve_lp_exact(obj, cons)
-            except Infeasible:
-                with pytest.raises(ValueError):
-                    gen.lp_vertex_min(obj, cons)
+                unbounded = gen.lp_vertex_min(neg, ray) < 0
+            except ValueError:
+                unbounded = False
+            if unbounded:
+                with pytest.raises(Unbounded):
+                    solve_lp_exact(obj, rows)
+                n_unbounded += 1
                 continue
-            assert got == gen.lp_vertex_min(obj, cons)
-            n_feasible += 1
-        assert n_feasible > 10
+            got, x = solve_lp_exact(obj, rows)
+            assert got == -gen.lp_vertex_min(neg, [(a, "<=", b) for a, b in rows])
+            assert all(v >= 0 for v in x.values())
+            for a, b in rows:
+                assert sum(c * x[v] for v, c in a.items()) <= b
+            assert sum(c * x[v] for v, c in obj.items()) == got
+            n_bounded += 1
+        assert n_bounded > 30 and n_unbounded > 5
 
 
 class TestLift:
@@ -274,23 +279,36 @@ class TestLift:
                 <= lift_primal(rho, d, e)[0] + lift_primal(nu, e, f)[0]
             )
 
-    def test_plan_marginals_match_the_inputs(self):
+    def test_plan_ships_within_the_marginals_along_a_forest(self):
+        # The plan is a vertex of the packing polytope, so its positive
+        # entries form a forest in the bipartite graph of the supports:
+        # an edge never joins two nodes that are already connected.
         rng = random.Random(20260348)
-        for _ in range(20):
-            states = [f"s{j}" for j in range(rng.randint(1, 4))]
+        n_edges = 0
+        for _ in range(60):
+            states = [f"s{j}" for j in range(rng.randint(1, 5))]
             mu = gen.random_metric(rng, states)
             d = gen.random_dist(rng, states, allow_empty=True)
             e = gen.random_dist(rng, states, allow_empty=True)
             v, plan = lift_primal(mu, d, e)
-            assert isinstance(plan, TransportPlan)
+            assert all(m > 0 for m in plan.values())
             for s in d.support():
-                assert plan.row_sum(s) == d.get(s)
+                assert sum(m for (a, _), m in plan.items() if a == s) <= d.get(s)
             for t in e.support():
-                assert plan.col_sum(t) == e.get(t)
-            shipped = sum(plan.h.values(), F(0))
-            cost = sum(
-                (mu.get(s, t) * m for (s, t), m in plan.h.items()), F(0)
-            )
-            cost += sum(plan.w.values(), F(0)) + sum(plan.z.values(), F(0))
-            assert cost == v
-            assert shipped <= min(d.weight(), e.weight())
+                assert sum(m for (_, b), m in plan.items() if b == t) <= e.get(t)
+            shipped = sum(plan.values(), F(0))
+            cost = sum((mu.get(s, t) * m for (s, t), m in plan.items()), F(0))
+            assert cost + (d.weight() - shipped) + (e.weight() - shipped) == v
+            root = {}
+
+            def find(node):
+                while root.get(node, node) != node:
+                    node = root[node]
+                return node
+
+            for s, t in plan:
+                a, b = find(("d", s)), find(("e", t))
+                assert a != b, f"cycle through {(s, t)} in {plan}"
+                root[a] = b
+            n_edges += len(plan)
+        assert n_edges > 100
