@@ -12,15 +12,19 @@ bisim_distance solves only the pairs the root pair's value depends on:
 the pair graph reachable from (prog m, prog n) through shared labels,
 after the on-the-fly approach of Bacci, Bacci, Larsen and Mardare (TACAS
 2013). It condenses that graph into strongly connected components and
-solves them successors first. A pair on no cycle is lifted once, from its
-solved successors. A cyclic component is solved exactly by strategy
-iteration over label choices. Each choice is evaluated by partition
-refinement, which finds its pairs at distance 0, and policy iteration
-over optimal couplings on the rest, with one exact linear solve per set
-of couplings (after Tang and van Breugel, CONCUR 2016). Liftings where one
-support has at most one point have a closed form; larger supports go
-through kantorovich.lift_primal's exact simplex. apply_F and bisim_metric
-keep the all-pairs Kleene iteration from zero as the oracle.
+solves them successors first. The functional at one pair is written once,
+as _best_lift over the labels _shared finds, and every solver reads it
+there. A pair on no cycle is lifted once, from its solved successors. A
+cyclic component is solved exactly by strategy iteration over label
+choices, from 0. A component whose labels all lift to 0 at 0 stops after
+one pass: 0 is then a fixpoint, and no fixpoint lies below it. Otherwise
+each choice is evaluated by partition refinement, which finds its pairs
+at distance 0, and policy iteration over optimal couplings on the rest,
+with one exact linear solve per set of couplings (after Tang and van
+Breugel, CONCUR 2016). Liftings where one support has at most one point
+have a closed form; larger supports go through kantorovich.lift_primal's
+exact simplex. apply_F and bisim_metric keep the all-pairs Kleene
+iteration from zero as the oracle.
 """
 
 from __future__ import annotations
@@ -170,25 +174,45 @@ def _lifted(mu: PseudoMetric, ds: Dist, dt: Dist) -> Fraction:
     return _coupling(mu, ds, dt)[0]
 
 
+Key = tuple[int, int]  # a pair of states, as PseudoMetric.key gives it
+Succ = tuple[Dist, Dist]  # the two successor distributions of one label
+Graph = dict[Key, tuple[list[Succ], list[Key]]]
+
+
+def _shared(frag: LmcFragment, s: LmcState, t: LmcState) -> list[Succ]:
+    """The successor distributions of the labels both s and t answer to,
+    in s's label order."""
+    t_labels = set(frag.labels[t])
+    return [
+        (frag.trans[(s, label)], frag.trans[(t, label)])
+        for label in frag.labels[s]
+        if label in t_labels
+    ]
+
+
+def _best_lift(mu: PseudoMetric, succ: list[Succ]) -> tuple[Fraction, Succ | None]:
+    """The functional at one pair: its largest lifting over shared labels,
+    with the first label's successors attaining it (the first label's when
+    every lifting is 0, None when there is no label). Liftings never exceed
+    1, so the labels after the first one worth 1 are not lifted."""
+    best, arg = _ZERO, (succ[0] if succ else None)
+    for ds_dt in succ:
+        v = _lifted(mu, *ds_dt)
+        if v > best:
+            best, arg = v, ds_dt
+            if best == _ONE:
+                break
+    return best, arg
+
+
 def apply_F(frag: LmcFragment, mu: PseudoMetric) -> PseudoMetric:
     """One step of the metric functional: for each state pair, the largest
     lifted distance over the labels both states answer to. Pairs with no
     common label (in particular program vs value) are at distance zero."""
     out = PseudoMetric(frag.states)
     for i, s in enumerate(frag.states):
-        s_labels = frag.labels[s]
         for t in frag.states[i + 1 :]:
-            t_labels = set(frag.labels[t])
-            best = _ZERO
-            for label in s_labels:
-                if label not in t_labels:
-                    continue
-                v = _lifted(mu, frag.trans[(s, label)], frag.trans[(t, label)])
-                if v > best:
-                    best = v
-                    if best == _ONE:
-                        break
-            out.set(s, t, best)
+            out.set(s, t, _best_lift(mu, _shared(frag, s, t))[0])
     return out
 
 
@@ -212,29 +236,19 @@ def bisim_metric(
     raise NonConvergence(f"no fixpoint after {iteration_cap} iterations")
 
 
-Key = tuple[int, int]  # a pair of states, as PseudoMetric.key gives it
-Succ = tuple[Dist, Dist]  # the two successor distributions of one label
-Graph = dict[Key, tuple[list[Succ], list[Key]]]
-
-
 def _pair_graph(frag: LmcFragment, mu: PseudoMetric, root: Key) -> Graph:
     """Off-diagonal pairs reachable from root through labels both states
-    answer to. Each pair maps to the successor distributions of its shared
-    labels, in the lower-index state's label order as apply_F visits them,
-    and to the keys of the off-diagonal pairs of their supports."""
+    answer to. Each pair maps to its shared labels' successor
+    distributions (_shared, read from the lower-index state as apply_F
+    reads them) and to the keys of the off-diagonal pairs of their
+    supports."""
     graph: Graph = {}
     todo = [root]
     while todo:
         key = todo.pop()
         if key in graph:
             continue
-        s, t = frag.states[key[0]], frag.states[key[1]]
-        t_labels = set(frag.labels[t])
-        succ = [
-            (frag.trans[(s, label)], frag.trans[(t, label)])
-            for label in frag.labels[s]
-            if label in t_labels
-        ]
+        succ = _shared(frag, frag.states[key[0]], frag.states[key[1]])
         nxt = dict.fromkeys(
             mu.key(a, b) for ds, dt in succ for a in ds.support() for b in dt.support()
         )
@@ -275,18 +289,6 @@ def _components(graph: Graph, root: Key):
                     comp.append(stack.pop())
                     on_stack.remove(comp[-1])
                 yield comp
-
-
-def _best_lift(mu: PseudoMetric, succ: list[Succ]) -> Fraction:
-    """The functional at one pair: its largest lifting over shared labels."""
-    best = _ZERO
-    for ds, dt in succ:
-        v = _lifted(mu, ds, dt)
-        if v > best:
-            best = v
-            if best == _ONE:
-                break
-    return best
 
 
 def _refine(mu: PseudoMetric, keys: list[Key], choice: dict[Key, Succ]) -> list[Key]:
@@ -390,23 +392,26 @@ def _solve_cycle(mu: PseudoMetric, graph: Graph, comp: list[Key]) -> None:
     """Least fixpoint of the functional on one cyclic component, whose
     successors outside it are solved.
 
-    Strategy iteration over label choices, from the component at 0 (its
-    pairs are not in mu yet, and a missing pair reads 0): evaluate the
-    current choice exactly (_evaluate), then move each pair to its label
-    of largest lifting under that value wherever it beats the value. The
-    value of a choice never exceeds the least fixpoint, so a pair whose
-    least fixpoint is 0 never moves; each move raises the value strictly
-    at the pairs moved, so no choice comes back; and a value no move
-    improves is a fixpoint, hence the least one."""
-    choice: dict[Key, Succ] = {}
+    Strategy iteration over label choices, from the component at 0 with
+    each pair held to its first label. Each pass moves a pair to its first
+    label of largest lifting under the current value (_best_lift) wherever
+    that beats the value, then evaluates the new choice exactly
+    (_evaluate). If no pair moves in the first pass, every label lifts to
+    0 at 0, so 0 is a fixpoint, hence the least one, and the component
+    stops there without a linear solve. Later passes: the value of a
+    choice never exceeds the least fixpoint, so a pair whose least
+    fixpoint is 0 never moves; each move raises the value strictly at the
+    pairs moved, so no choice comes back; and a value no move improves is
+    a fixpoint, hence the least one."""
+    for key in comp:
+        mu.values[key] = _ZERO
+    choice = {key: graph[key][0][0] for key in comp}
     while True:
         moved = False
         for key in comp:
-            succ = graph[key][0]
-            lifts = [_lifted(mu, ds, dt) for ds, dt in succ]
-            best = max(lifts)
-            if key not in choice or best > mu.values[key]:
-                choice[key] = succ[lifts.index(best)]
+            best, succ = _best_lift(mu, graph[key][0])
+            if best > mu.values[key]:
+                choice[key] = succ
                 moved = True
         if not moved:
             return
@@ -422,7 +427,7 @@ def _solve(mu: PseudoMetric, graph: Graph, root: Key) -> None:
         if len(comp) > 1 or comp[0] in nxt:
             _solve_cycle(mu, graph, comp)
         else:
-            mu.values[comp[0]] = _best_lift(mu, succ)
+            mu.values[comp[0]] = _best_lift(mu, succ)[0]
 
 
 def bisim_distance(

@@ -75,12 +75,12 @@ class Term:
             return NotImplemented
         return self._skel_id() == other._skel_id()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash(self._skel_id())
+
+    def __repr__(self):
+        fields = ", ".join(repr(getattr(self, f)) for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self):
         return pretty(self)
@@ -101,9 +101,6 @@ class Var(Term):
         except ValueError:
             return _intern(("F", self.name))
 
-    def __repr__(self):
-        return f"Var({self.name!r})"
-
 
 class Abs(Term):
     __slots__ = ("var", "body")
@@ -117,9 +114,6 @@ class Abs(Term):
 
     def _compute_skel(self, binders):
         return _intern(("L", self.body._skel_id((self.var,) + binders)))
-
-    def __repr__(self):
-        return f"Abs({self.var!r}, {self.body!r})"
 
 
 class App(Term):
@@ -135,9 +129,6 @@ class App(Term):
     def _compute_skel(self, binders):
         return _intern(("A", self.fn._skel_id(binders), self.arg._skel_id(binders)))
 
-    def __repr__(self):
-        return f"App({self.fn!r}, {self.arg!r})"
-
 
 class Choice(Term):
     __slots__ = ("left", "right")
@@ -152,9 +143,6 @@ class Choice(Term):
     def _compute_skel(self, binders):
         return _intern(("C", self.left._skel_id(binders), self.right._skel_id(binders)))
 
-    def __repr__(self):
-        return f"Choice({self.left!r}, {self.right!r})"
-
 
 class Omega(Term):
     __slots__ = ()
@@ -166,9 +154,6 @@ class Omega(Term):
 
     def _compute_skel(self, binders):
         return _intern(("O",))
-
-    def __repr__(self):
-        return "Omega()"
 
 
 OMEGA = Omega()
@@ -186,9 +171,6 @@ class Pair(Term):
 
     def _compute_skel(self, binders):
         return _intern(("P", self.first._skel_id(binders), self.second._skel_id(binders)))
-
-    def __repr__(self):
-        return f"Pair({self.first!r}, {self.second!r})"
 
 
 class LetPair(Term):
@@ -209,12 +191,6 @@ class LetPair(Term):
         inner = (self.var1, self.var2) + binders
         return _intern(
             ("Q", self.scrutinee._skel_id(binders), self.body._skel_id(inner))
-        )
-
-    def __repr__(self):
-        return (
-            f"LetPair({self.var1!r}, {self.var2!r}, "
-            f"{self.scrutinee!r}, {self.body!r})"
         )
 
 

@@ -320,24 +320,14 @@ def app_combinations(
                 for rt, ru, rs in build(cap - ls, lu):
                     yield App(lt, rt), ru, ls + rs
 
-    seen = set()
-    out = []
-    for t, _, _ in build(size_cap, frozenset()):
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
+    return list(dedupe_values(t for t, _, _ in build(size_cap, frozenset())))
 
 
-def default_tensor_templates(
-    universe: Sequence[Term] = (), size_cap: int = 6
-) -> tuple[Term, ...]:
+def default_tensor_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
     """Two-hole contexts for pair observations: let-free applicative
-    combinations of x, y, and the universe values, up to the size cap."""
+    combinations of x, y, and the universe values, of size at most 6."""
     consts = dedupe_values(universe) if universe else (identity(),)
-    return tuple(
-        app_combinations([Var(TENSOR_HOLE_1), Var(TENSOR_HOLE_2)], consts, size_cap)
-    )
+    return tuple(app_combinations([Var(TENSOR_HOLE_1), Var(TENSOR_HOLE_2)], consts, 6))
 
 
 def encode_theta_trace(s: Sequence) -> Trace:

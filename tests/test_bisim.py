@@ -374,7 +374,7 @@ def _kleene(states, graph, rounds):
     mu = PseudoMetric(states)
     mu.values = dict.fromkeys(graph, Fraction(0))
     for _ in range(rounds):
-        nxt = {key: _best_lift(mu, succ) for key, (succ, _) in graph.items()}
+        nxt = {key: _best_lift(mu, succ)[0] for key, (succ, _) in graph.items()}
         if nxt == mu.values:
             return mu.values, True
         mu.values = nxt
@@ -440,13 +440,24 @@ class TestCycles:
                     assert image.values.get(key, 0) == v
         assert unconverged >= 5
 
-    def test_random_pair_graphs_against_kleene_iteration(self):
+    def test_random_pair_graphs_against_kleene_iteration(self, monkeypatch):
         # Pair graphs over plain states, where every pair answers to up
         # to three labels with supports of up to three points: cycles mix
         # the choice of label with the choice of coupling. The answer is a
         # fixpoint at every pair, at least every Kleene iterate, equal to
         # the limit where Kleene stops, and close to it where it does not.
+        # _solve_cycle keeps _best_lift's label: it must be the first of
+        # largest lifting, found without lifting past the first label
+        # worth 1.
         rng = random.Random(20260357)
+        calls = []
+
+        def counting(mu, ds, dt):
+            calls.append((ds, dt))
+            return _lifted(mu, ds, dt)
+
+        monkeypatch.setattr(bisim, "_lifted", counting)
+        stopped_early = 0
         weights = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1))
 
         def random_dist(states):
@@ -478,13 +489,24 @@ class TestCycles:
                     graph[(i, j)] = (succ, list(nxt))
             _solve(mu, graph, (0, 1))
             for key, v in mu.values.items():
-                assert _best_lift(mu, graph[key][0]) == v
+                succ = graph[key][0]
+                lifts = [_lifted(mu, ds, dt) for ds, dt in succ]
+                calls.clear()
+                best, label = _best_lift(mu, succ)
+                assert best == max(lifts) == v
+                assert label is succ[lifts.index(best)]
+                if 1 in lifts:
+                    assert calls == succ[: lifts.index(1) + 1]
+                    stopped_early += len(calls) < len(succ)
+                else:
+                    assert calls == succ
             iterate, stopped = _kleene(states, graph, 30)
             for key, v in mu.values.items():
                 if stopped:
                     assert v == iterate[key]
                 else:
                     assert iterate[key] <= v < iterate[key] + Fraction(1, 100)
+        assert stopped_early >= 10
 
     def test_a_label_that_only_loops_back_adds_nothing(self):
         # Pair (0, 1) answers to one label leading back to itself and one
@@ -529,26 +551,33 @@ class TestWork:
 
     def test_components_at_zero_solve_no_linear_system(self, monkeypatch):
         # A label choice's value never exceeds the least fixpoint, so a
-        # component whose least fixpoint is 0 keeps its first choices, and
-        # _evaluate's zero set takes every pair of it. The CLI's universe
-        # at depth 3 makes cyclic components of this kind only.
-        solves = []
-        least_solution, solve_cycle = bisim._least_solution, bisim._solve_cycle
+        # component whose least fixpoint is 0 has every label lifting to 0
+        # at 0: it stops after one pass, and no choice is evaluated. The
+        # CLI's universe at depth 3 makes cyclic components of this kind
+        # only.
+        solves, evaluations = [], []
+        least_solution, evaluate = bisim._least_solution, bisim._evaluate
+        solve_cycle = bisim._solve_cycle
         zero_components = 0
 
         def counting(*args):
             solves.append(args)
             return least_solution(*args)
 
+        def evaluating(*args):
+            evaluations.append(args)
+            return evaluate(*args)
+
         def watched(mu, graph, comp):
             nonlocal zero_components
-            before = len(solves)
+            before = len(solves), len(evaluations)
             solve_cycle(mu, graph, comp)
             if not any(mu.values[key] for key in comp):
-                assert len(solves) == before
+                assert (len(solves), len(evaluations)) == before
                 zero_components += 1
 
         monkeypatch.setattr(bisim, "_least_solution", counting)
+        monkeypatch.setattr(bisim, "_evaluate", evaluating)
         monkeypatch.setattr(bisim, "_solve_cycle", watched)
         # two pairs that only lead to each other
         swap = (Dist([(2, HALF)]), Dist([(3, HALF)]))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """Run `python -m metricwb` in a fresh interpreter on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "metricwb", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
 
 
 def payload_of(capsys, *argv):
@@ -348,6 +364,19 @@ class TestExamples:
         assert code == 1
         assert out == ""
         assert "nonnegative" in err
+
+
+class TestEntryPoint:
+    def test_module_runs_a_command(self):
+        done = run_module("examples", "--which", "expair")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["expair"]["distance_lb"] == "3/4"
+
+    def test_module_exits_with_the_command_code(self):
+        done = run_module("eval", "x")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:")
 
 
 class TestRobustness:
