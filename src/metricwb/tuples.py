@@ -313,39 +313,48 @@ def _check_templates(templates: Sequence[Term]) -> None:
 
 def _arguments(templates: Iterable[Term], width: int) -> list:
     """(consumed, argument) for each template in order: one with '$j' once
-    per component x1 .. x<width>, any other as it is, consuming the
-    components it names."""
+    per component x1 .. x<width>, any other as it is, consuming nothing."""
     out: list = []
     for t in templates:
         if _SLOT in t.free_vars:
             out += (((j,), rename_free(t, {_SLOT: component_name(j)})) for j in range(1, width + 1))
         else:
-            out.append((tuple(sorted(int(x[1:]) for x in t.free_vars)), t))
+            out.append(((), t))
     return out
 
 
-def enumerate_actions(states: Iterable[TupleState], templates: Sequence[Term]) -> list:
+def enumerate_actions(states: Iterable[TupleState], arguments: Sequence[tuple]) -> list:
     """Deterministically ordered candidate actions for the given support: a
-    cut or application wherever some state has the right shape, each
-    action once. The search skips those that act like an earlier one. A
-    template with '$j' gives one argument per other component; a template
-    that names components x<j> instead consumes them, which is how
-    tuple_distance_lb passes its '$j' templates renamed once per width."""
-    max_len = 0
+    cut wherever some state holds a pair, and an application of each
+    (consumed, argument) of arguments, which _arguments lists for the
+    support's width, wherever some state holds an abstraction outside the
+    consumed set. The search skips those that act like an earlier one.
+
+    Where no state's abstraction uses its variable, an application's effect
+    (_effect) does not depend on its argument, so only the first argument of
+    each consumed set is listed there; the search would skip the rest."""
     pair_at: set[int] = set()
     abs_at: set[int] = set()
+    live: set[int] = set()  # positions where some abstraction uses its variable
     for k in states:
-        max_len = max(max_len, len(k))
         for pos, comp in enumerate(k, start=1):
             if isinstance(comp, Pair):
                 pair_at.add(pos)
             elif isinstance(comp, Abs):
                 abs_at.add(pos)
+                if comp.var in comp.body.free_vars:
+                    live.add(pos)
     actions: list = [Cut(i) for i in sorted(pair_at)]
-    if abs_at:
-        args = _arguments(templates, max_len)
-        for i in sorted(abs_at):
-            actions += (Appl(i, consumed, arg) for consumed, arg in args if i not in consumed)
+    firsts: dict = {}  # consumed -> its first argument, filled where needed
+    for i in sorted(abs_at):
+        if i in live:
+            listed = arguments
+        else:
+            if not firsts:
+                for consumed, arg in arguments:
+                    firsts.setdefault(consumed, arg)
+            listed = firsts.items()
+        actions += (Appl(i, consumed, arg) for consumed, arg in listed if i not in consumed)
     return actions
 
 
@@ -365,17 +374,19 @@ def tuple_distance_lb(
     identical joint distributions once, dropping branches that keep no
     more mass than the best gap, and stepping each state once per distinct
     action effect (_effect). Templates are checked once here, so the steps
-    skip the affinity check, and each '$j' template is renamed once per
-    component for the whole search.
+    skip the affinity check, and the (consumed, argument) table of
+    _arguments is built once per tuple width for the whole search;
+    enumerate_actions lists one argument per consumed set where the
+    argument cannot matter.
     """
     template_set = dedupe_values(default_templates() if template_set is None else template_set)
     _check_templates(template_set)
-    by_width: dict[int, tuple[Term, ...]] = {}
+    by_width: dict[int, list] = {}
 
     def actions(support):
         width = max(map(len, support), default=0)
         if width not in by_width:
-            by_width[width] = tuple(arg for _, arg in _arguments(template_set, width))
+            by_width[width] = _arguments(template_set, width)
         return enumerate_actions(support, by_width[width])
 
     dm = eval_big(m).map_elems(lambda v: (v,))

@@ -36,6 +36,7 @@ from metricwb.trace import AppAction, TensorAction, explore
 from metricwb.tuples import (
     Appl,
     Cut,
+    _arguments,
     _effect,
     _successor,
     build_mn_nn,
@@ -668,7 +669,7 @@ def partition_violations(
 
     explore(
         (dirac(k_state), dirac(h_state)),
-        lambda support: enumerate_actions(support, templates),
+        lambda support: search_actions(support, templates),
         _effect,
         _successor,
         max_len,
@@ -677,13 +678,21 @@ def partition_violations(
     return checked, violations
 
 
+def search_actions(states, templates) -> list:
+    """The candidates tuples.tuple_distance_lb lists at a node whose support
+    is states: enumerate_actions over the argument table of its width."""
+    states = list(states)
+    width = max((len(k) for k in states), default=0)
+    return enumerate_actions(states, _arguments(templates, width))
+
+
 # --- reference tuple actions: duplicates removed by action equality only --
 
 
 def reference_actions(states, templates) -> list:
     """Every action the templates allow on the given support, in the order
-    tuples.enumerate_actions tries them, dropping only repeated actions and
-    none that merely act alike."""
+    tuples.enumerate_actions lists its share of them, dropping only
+    repeated actions and none that merely act alike."""
     states = list(states)
     width = max((len(k) for k in states), default=0)
 

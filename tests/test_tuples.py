@@ -33,7 +33,6 @@ from metricwb.tuples import (
     _effect,
     _successor,
     default_templates,
-    enumerate_actions,
     format_tuple_trace,
     skewed_choice,
     step_or_zero,
@@ -118,7 +117,7 @@ class TestSteps:
                 gen.random_value(rng, max_size=8, prefix=f"c{i}")
                 for i in range(rng.randint(1, 2))
             )
-            for a in enumerate_actions([k], templates):
+            for a in gen.reference_actions([k], templates):
                 assert step_or_zero(k, a).weight() <= 1
 
 
@@ -244,50 +243,64 @@ class TestActionEnumeration:
 
     def test_value_templates_are_bare_values(self):
         # a set of closed values hands over no component
-        acts = enumerate_actions([(I, I)], (I,))
+        acts = gen.search_actions([(I, I)], (I,))
         assert acts == [Appl(1, (), I), Appl(2, (), I)]
 
     def test_actions_cover_cuts_and_applications(self):
         templates = (I,)
-        acts = enumerate_actions([(CLEAN,)], templates)
+        acts = gen.search_actions([(CLEAN,)], templates)
         assert acts == [Cut(1)]
-        acts = enumerate_actions([(I, I)], templates)
+        acts = gen.search_actions([(I, I)], templates)
         assert Appl(1, (), I) in acts
         assert Appl(2, (), I) in acts
         assert Appl(1, (2,), Var("x2")) not in acts
 
     def test_component_arguments_appear_when_enabled(self):
         templates = (I, Var("$j"))
-        acts = enumerate_actions([(I, I)], templates)
+        acts = gen.search_actions([(I, I)], templates)
         assert Appl(1, (2,), Var("x2")) in acts
         assert Appl(2, (1,), Var("x1")) in acts
 
     def test_mixed_support_contributes_all_shapes(self):
         templates = (I,)
-        acts = enumerate_actions([(CLEAN,), (I,)], templates)
+        acts = gen.search_actions([(CLEAN,), (I,)], templates)
         assert Cut(1) in acts
         assert Appl(1, (), I) in acts
 
     def test_enumeration_is_deterministic_and_duplicate_free(self):
         templates = default_templates()
         states = [(I, CLEAN), (CLEAN, I)]
-        a = enumerate_actions(states, templates)
-        b = enumerate_actions(states, templates)
+        a = gen.search_actions(states, templates)
+        b = gen.search_actions(states, templates)
         assert a == b
         assert len(a) == len(set(a))
 
-    def test_templates_renamed_per_width_list_the_same_actions(self):
-        # the search hands each '$j' template over already renamed to the
-        # component it consumes; the actions and their order stay the same
+    def test_one_argument_per_consumed_set_where_none_is_used(self):
+        # Against every action the templates allow: the listed ones keep
+        # their order and every effect on the support, and where each
+        # abstraction ignores its variable one argument per consumed set
+        # stands for the rest.
         rng = random.Random(20261018)
         templates = default_templates((I, K))
-        for _ in range(40):
+        collapsed = 0
+        for _ in range(60):
             states = [random_tuple_state(rng, rng.randint(1, 4)) for _ in range(2)]
-            width = max(map(len, states))
-            renamed = tuple(arg for _, arg in tuples._arguments(templates, width))
-            want = list(map(repr, gen.reference_actions(states, templates)))
-            assert list(map(repr, enumerate_actions(states, templates))) == want
-            assert list(map(repr, enumerate_actions(states, renamed))) == want
+            want = gen.reference_actions(states, templates)
+            got = gen.search_actions(states, templates)
+            rest = iter(want)
+            assert all(a in rest for a in got), states  # a subsequence
+
+            def effects(acts):
+                return {tuple(_effect(k, a) for k in states) for a in acts}
+
+            assert effects(got) == effects(want), states
+            for pos in range(1, max(map(len, states)) + 1):
+                lams = [k[pos - 1] for k in states if pos <= len(k) and isinstance(k[pos - 1], Abs)]
+                if lams and all(c.var not in c.body.free_vars for c in lams):
+                    consumed = [a.consumed for a in got if isinstance(a, Appl) and a.pos == pos]
+                    assert len(consumed) == len(set(consumed)), (states, pos)
+                    collapsed += len(consumed) < sum(isinstance(a, Appl) and a.pos == pos for a in want)
+        assert collapsed
 
     def test_a_search_renames_each_slot_template_once_per_component(self, monkeypatch):
         templates = default_templates()
@@ -360,7 +373,7 @@ class TestDistinctEffects:
             got = []
             explore(
                 (dirac(states[0]), dirac(states[1])),
-                lambda support: enumerate_actions(support, templates),
+                lambda support: gen.search_actions(support, templates),
                 _effect,
                 _successor,
                 1,
@@ -384,6 +397,19 @@ class TestDistinctEffects:
             got = tuple_distance_lb(m, n, templates, max_len)
             want = gen.reference_tuple_search(m, n, templates, max_len)
             assert got == want, (pretty(m), pretty(n), i)
+
+    def test_paper_families_match_the_reference_enumeration(self):
+        # the tower's components are abstractions ignoring their variable,
+        # where the search lists one argument per consumed set
+        templates = default_templates()
+        for (m, n), max_len in (
+            (build_mn_nn(1), 2),
+            (build_mn_nn(2), 4),
+            (build_expair(), 3),
+        ):
+            got = tuple_distance_lb(m, n, templates, max_len)
+            assert got == gen.reference_tuple_search(m, n, templates, max_len)
+            assert got[0] > 0
 
 
 class TestDistanceSearch:
@@ -421,8 +447,6 @@ class TestDistanceSearch:
 
     def test_duplicate_templates_are_dropped(self, monkeypatch):
         # \y. y repeats I: every node lists each action once
-        import metricwb.tuples as tuples
-
         listed = []
         real = tuples.enumerate_actions
         monkeypatch.setattr(
@@ -431,6 +455,19 @@ class TestDistanceSearch:
         got = tuple_distance_lb(NOISY, CLEAN, (I, Abs("y", Var("y")), I), 3)
         assert got == tuple_distance_lb(NOISY, CLEAN, (I,), 3)
         assert listed and all(len(acts) == len(set(acts)) for acts in listed)
+
+    def test_tower_search_lists_one_argument_per_ignored_variable(self, monkeypatch):
+        # Tower n=3 over the default templates: its abstractions ignore
+        # their variable, so each of the 14 expanded nodes lists one
+        # argument per consumed set there
+        listed = []
+        real = tuples.enumerate_actions
+        monkeypatch.setattr(
+            tuples, "enumerate_actions", lambda support, t: listed.append(real(support, t)) or listed[-1]
+        )
+        got = tuple_distance_lb(*build_mn_nn(3), default_templates(), 6)
+        assert got[0] == 1 - u_seq(3)
+        assert (len(listed), sum(map(len, listed))) == (14, 74)
 
 
 class TestBinderHygiene:
