@@ -60,8 +60,6 @@ from .tuples import (
     parse_tuple_trace,
     program_tuple_trace_prob,
     tuple_distance_lb,
-    tuple_step,
-    tuple_trace_prob,
     u_seq,
 )
 from .types import infer, render_type

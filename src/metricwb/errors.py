@@ -45,7 +45,7 @@ class NonConvergence(MetricWbError):
 
 
 class InvalidAction(MetricWbError):
-    """Tuple action does not apply to the given tuple state."""
+    """Tuple action or tuple template is malformed."""
 
 
 class TypeCheckError(MetricWbError):

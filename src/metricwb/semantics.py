@@ -76,6 +76,8 @@ def _eval(t: Term) -> Dist[Term]:
             def call(fv: Term) -> Dist[Term]:
                 if isinstance(fv, Abs):
                     return da.bind(lambda av: _eval(substitute(fv.body, fv.var, av)))
+                if not da:
+                    return EMPTY  # the argument diverges: nothing to drop
                 logger.warning(
                     "discarding stuck application of a pair: %s applied to %s"
                     " drops mass %s",

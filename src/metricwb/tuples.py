@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .dist import EMPTY, Dist, dirac
+from .dist import EMPTY, Dist
 from .errors import InvalidAction, NotAffine, NotClosed, ParseError
 from .parser import Tokens, parse_items, read_term
 from .semantics import _eval, _require_program, eval_big
@@ -27,7 +27,6 @@ from .terms import (
     affine_violation,
     fresh,
     identity,
-    is_value,
     pretty,
     rename_free,
     substitute,
@@ -101,18 +100,6 @@ def check_tuple_trace(s: Sequence) -> None:
         _check_affine_argument(a)
 
 
-def tuple_step(k: TupleState, a) -> Dist[TupleState]:
-    """Successor distribution of tuple k under action a, both checked
-    first; raises InvalidAction when a does not apply to k."""
-    _check_tuple_state(k)
-    check_tuple_trace((a,))
-    e = _effect(k, a)
-    if e is None:
-        state = ", ".join(map(pretty, k))
-        raise InvalidAction(f"{format_tuple_trace((a,))} does not apply to ({state})")
-    return _successor(k, e)
-
-
 def _effect(k: TupleState, a):
     """Whether action a applies to tuple k, and everything its step needs
     besides k: None where it does not apply, the position for a cut, and
@@ -157,16 +144,10 @@ def _successor(k: TupleState, e) -> Dist[TupleState]:
     )
 
 
-def _check_tuple_state(k: TupleState) -> None:
-    for comp in k:
-        _require_program(comp)
-        if not is_value(comp):
-            raise ValueError(f"tuple component is not a value: {pretty(comp)}")
-
-
 def step_or_zero(k: TupleState, a) -> Dist[TupleState]:
-    """tuple_step, with inapplicability folded into the 0 distribution.
-    Structurally malformed actions still raise."""
+    """Successor distribution of tuple k under action a, built by _effect
+    and _successor as the search builds it; the 0 distribution where a does
+    not apply to k. A structurally malformed action raises InvalidAction."""
     err = _shape_error(a)
     if err is not None:
         raise InvalidAction(err)
@@ -174,26 +155,28 @@ def step_or_zero(k: TupleState, a) -> Dist[TupleState]:
     return EMPTY if e is None else _successor(k, e)
 
 
-def tuple_trace_prob(k: TupleState, s: Sequence) -> Fraction:
-    """Probability that tuple k survives the whole action word s; mass
-    sitting on states an action does not apply to is lost."""
-    _check_tuple_state(k)
+def _replay(m: Term, s: Sequence) -> list[Dist[TupleState]]:
+    """Checks program m and then the word s, seeds a singleton tuple with
+    each value of m, and plays s; returns the distribution before the first
+    action and after each one. Mass on states an action does not apply to
+    is lost."""
+    _require_program(m)
     check_tuple_trace(s)
-    return _play(dirac(k), s).weight()
+    ds = [eval_big(m).map_elems(lambda v: (v,))]
+    for a in s:
+        ds.append(ds[-1].bind(lambda state: step_or_zero(state, a)))
+    return ds
 
 
 def program_tuple_trace_prob(m: Term, s: Sequence) -> Fraction:
-    """Evaluate the program, seed a singleton tuple with each value, and
-    play the trace."""
-    _require_program(m)
-    check_tuple_trace(s)
-    return _play(eval_big(m).map_elems(lambda v: (v,)), s).weight()
+    """Probability that program m survives the whole tuple word s."""
+    return _replay(m, s)[-1].weight()
 
 
-def _play(d: Dist[TupleState], s: Sequence) -> Dist[TupleState]:
-    for a in s:
-        d = d.bind(lambda state: step_or_zero(state, a))
-    return d
+def trace_tuple_lengths(m: Term, s: Sequence) -> list[int]:
+    """Largest tuple length in the support after each action of s, replayed
+    from program m; 0 once all mass is gone."""
+    return [max(map(len, d.support()), default=0) for d in _replay(m, s)[1:]]
 
 
 # --- distinguished example families -------------------------------------
@@ -207,19 +190,6 @@ def build_expair() -> tuple[Term, Term]:
     noisy = Pair(Abs(fresh("z"), half), Abs(fresh("z"), half))
     clean = Pair(Abs(fresh("z"), identity()), Abs(fresh("z"), identity()))
     return noisy, clean
-
-
-def trace_tuple_lengths(m: Term, s: Sequence) -> list[int]:
-    """Largest tuple length in the support after each action of s, replayed
-    from program m; 0 once all mass is gone."""
-    _require_program(m)
-    check_tuple_trace(s)
-    d = eval_big(m).map_elems(lambda v: (v,))
-    out = []
-    for a in s:
-        d = d.bind(lambda state: step_or_zero(state, a))
-        out.append(max((len(k) for k in d.support()), default=0))
-    return out
 
 
 def skewed_choice(a: Term, b: Term, p: Fraction) -> Term:

@@ -15,7 +15,7 @@ from metricwb import (
     step_count_bound,
     step_one,
 )
-from metricwb.dist import Dist
+from metricwb.dist import EMPTY, Dist
 from metricwb.semantics import clear_memo, small_step_rounds, support_measure
 from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, is_value, pretty
 
@@ -92,6 +92,12 @@ class TestBigStep:
         assert "stuck application" in record.getMessage()
         assert record.args[-1] == Fraction(1, 4)  # half the function side, half the argument
         clear_memo()
+
+    def test_a_diverging_argument_drops_nothing_and_warns_nothing(self, caplog):
+        clear_memo()
+        with caplog.at_level("WARNING", logger="metricwb"):
+            assert eval_big(parse("<omega, omega> omega")) == EMPTY
+        assert not caplog.records
 
     def test_partial_stuckness_keeps_the_good_branch(self):
         clear_memo()

@@ -14,17 +14,16 @@ from metricwb import (
     build_mn_nn,
     build_sn,
     dirac,
+    eval_big,
     parse,
     parse_tuple_trace,
     program_tuple_trace_prob,
     trace_accept,
     tuple_distance_lb,
-    tuple_step,
-    tuple_trace_prob,
     u_seq,
 )
 from metricwb import tuples
-from metricwb.dist import Dist
+from metricwb.dist import EMPTY, Dist
 from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, pretty
 from metricwb.trace import AppAction, default_tensor_templates, explore, trace_distance_lb
 from metricwb.tuples import (
@@ -50,64 +49,62 @@ WITNESS = (Cut(1), Appl(1, (), I), Appl(2, (), I))
 
 class TestSteps:
     def test_cut_splits_a_pair_in_place(self):
-        out = tuple_step((CLEAN,), Cut(1))
+        out = step_or_zero((CLEAN,), Cut(1))
         assert out == dirac((Abs("z", I), Abs("z", I)))
 
     def test_cut_evaluates_both_halves(self):
         k = (Pair(parse("(\\x. x) (+) omega"), I),)
-        out = tuple_step(k, Cut(1))
+        out = step_or_zero(k, Cut(1))
         assert out == Dist([((I, I), HALF)])
 
     def test_cut_requires_a_pair(self):
-        with pytest.raises(InvalidAction):
-            tuple_step((I,), Cut(1))
-        with pytest.raises(InvalidAction):
-            tuple_step((CLEAN,), Cut(2))
+        assert step_or_zero((I,), Cut(1)) == EMPTY
+        assert step_or_zero((CLEAN,), Cut(2)) == EMPTY
 
     def test_appl_feeds_the_component(self):
         k = (Abs("z", parse("(\\x. x) (+) omega")),)
-        out = tuple_step(k, Appl(1, (), I))
+        out = step_or_zero(k, Appl(1, (), I))
         assert out == Dist([((I,), HALF)])
 
     def test_appl_consumes_named_components(self):
         k = (I, parse("\\w. \\q. q"))
-        out = tuple_step(k, Appl(2, (1,), Var("x1")))
+        out = step_or_zero(k, Appl(2, (1,), Var("x1")))
         assert out == dirac((parse("\\q. q"),))
 
     def test_appl_requires_an_abstraction(self):
-        with pytest.raises(InvalidAction):
-            tuple_step((CLEAN,), Appl(1, (), I))
+        assert step_or_zero((CLEAN,), Appl(1, (), I)) == EMPTY
+        assert step_or_zero((I,), Appl(1, (2,), Var("x2"))) == EMPTY
 
     def test_malformed_actions_are_rejected_up_front(self):
         with pytest.raises(InvalidAction, match="positive"):
-            tuple_step((I,), Appl(0, (), I))
+            step_or_zero((I,), Appl(0, (), I))
         with pytest.raises(InvalidAction, match="increasing"):
-            tuple_step((I, I, I), Appl(1, (3, 2), Var("x2")))
+            step_or_zero((I, I, I), Appl(1, (3, 2), Var("x2")))
         with pytest.raises(InvalidAction, match="own position"):
-            tuple_step((I, I), Appl(1, (1,), Var("x1")))
+            step_or_zero((I, I), Appl(1, (1,), Var("x1")))
         with pytest.raises(InvalidAction, match="outside the consumed set"):
-            tuple_step((I, I), Appl(1, (2,), Var("x9")))
+            step_or_zero((I, I), Appl(1, (2,), Var("x9")))
         with pytest.raises(InvalidAction, match="positive"):
-            tuple_step((CLEAN,), Cut(0))
+            step_or_zero((CLEAN,), Cut(0))
+        with pytest.raises(InvalidAction, match="consumed indices must be positive"):
+            step_or_zero((I, I), Appl(2, (0,), Var("x0")))
+        with pytest.raises(InvalidAction, match="variable or an abstraction"):
+            step_or_zero((I,), Appl(1, (), App(I, I)))
+        with pytest.raises(InvalidAction, match="not a tuple action"):
+            step_or_zero((I,), AppAction(I))
 
     def test_an_argument_uses_each_consumed_component_once(self):
         twice = Appl(1, (2,), parse("\\y. x2 x2"))
-        with pytest.raises(NotAffine):
-            tuple_step((I, I), twice)
         with pytest.raises(NotAffine):
             program_tuple_trace_prob(CLEAN, (Cut(1), twice))
         with pytest.raises(NotAffine):
             parse_tuple_trace("cut(1); appl(1; x2; \\y. x2 x2)")
 
-    def test_components_must_be_affine(self):
-        with pytest.raises(NotAffine):
-            tuple_step((parse("\\x. x x"),), Appl(1, (), I))
-
     def test_step_or_zero_turns_inapplicability_into_no_mass(self):
-        assert not step_or_zero((I,), Cut(1))
-        assert step_or_zero((CLEAN,), Cut(1)) == tuple_step((CLEAN,), Cut(1))
-        with pytest.raises(InvalidAction):
-            step_or_zero((I,), Appl(0, (), I))
+        # a replay keeps the mass of the states an action applies to
+        coin = parse("<\\x. x, \\y. y> (+) \\z. z")
+        assert program_tuple_trace_prob(coin, (Cut(1),)) == HALF
+        assert trace_tuple_lengths(coin, (Cut(1), Cut(1))) == [2, 0]
 
     def test_mass_never_grows(self):
         rng = random.Random(20260360)
@@ -136,9 +133,6 @@ class TestWorkedPair:
     def test_noisy_pair_passes_with_a_quarter(self):
         assert program_tuple_trace_prob(NOISY, WITNESS) == F(1, 4)
 
-    def test_tuple_trace_prob_from_a_started_state(self):
-        assert tuple_trace_prob((NOISY,), WITNESS) == F(1, 4)
-
     def test_distance_lower_bound(self):
         value, witness = tuple_distance_lb(NOISY, CLEAN, None, 3)
         assert value == F(3, 4)
@@ -149,6 +143,48 @@ class TestWorkedPair:
 
     def test_witness_lengths(self):
         assert trace_tuple_lengths(CLEAN, WITNESS) == [2, 2, 2]
+
+
+class TestReplay:
+    def test_replay_matches_the_reference_step(self):
+        # Words grow one action at a time from the actions listed over the
+        # current support, a cut half the time one is listed so that tuples
+        # widen, and now and then an action that applies nowhere. Each
+        # prefix is replayed from the program and checked against a replay
+        # through gen's reference step.
+        rng = random.Random(20261019)
+        templates = default_templates((I, K))
+        seen = dict.fromkeys(("inapplicable somewhere", "applies nowhere", "consumed", "emptied"), 0)
+        for _ in range(300):
+            m = gen.random_program(rng, max_size=20, fuel=5)
+            d = eval_big(m).map_elems(lambda v: (v,))
+            assert trace_tuple_lengths(m, ()) == []
+            assert program_tuple_trace_prob(m, ()) == d.weight()
+            word, lengths = (), []
+            for _ in range(rng.randint(1, 5)):
+                width = max(map(len, d.support()), default=0)
+                listed = gen.reference_actions(d.support(), templates)
+                cuts = [a for a in listed if isinstance(a, Cut)]
+                if listed and rng.random() < 0.85:
+                    a = rng.choice(cuts if cuts and rng.random() < 0.5 else listed)
+                else:
+                    a = rng.choice((Cut(width + 1), Appl(width + 1, (), I)))
+                steps = [gen.reference_tuple_step(k, a) for k in d.support()]
+                seen["inapplicable somewhere"] += None in steps and any(steps)
+                seen["applies nowhere"] += bool(steps) and steps.count(None) == len(steps)
+                seen["consumed"] += isinstance(a, Appl) and bool(a.consumed) and any(steps)
+                start = d
+                d = d.bind(lambda k: gen._reference_or_zero(k, a))
+                word += (a,)
+                lengths.append(max(map(len, d.support()), default=0))
+                where = (pretty(m), format_tuple_trace(word))
+                assert program_tuple_trace_prob(m, word) == d.weight(), where
+                assert trace_tuple_lengths(m, word) == lengths, where
+                if start and not d:
+                    seen["emptied"] += 1
+            if not d:
+                assert lengths[-1] == 0 and program_tuple_trace_prob(m, word) == 0
+        assert all(seen.values()), seen
 
 
 class TestTowerFamily:
