@@ -126,8 +126,8 @@ def build_lmc(
             trans[(s, EVAL_LABEL)] = succ
             out.append(EVAL_LABEL)
         elif d < max_depth:
-            for a, runs in interrogate(s.term, actions):
-                succ = Dist([(prog(r), p) for r, p in runs])
+            for a, programs in interrogate(s.term, actions):
+                succ = programs.map_elems(prog)
                 for t in succ.support():
                     discover(t, d + 1)
                 trans[(s, a)] = succ

@@ -79,12 +79,12 @@ def _cmd_trace_prob(args) -> dict:
     t = parse(args.term)
     if _looks_like_tuple_trace(args.trace):
         s = parse_tuple_trace(args.trace)
-        p = program_tuple_trace_prob(t, s)
+        p, lengths = trace_tuple_lengths(t, s)
         return {
             "kind": "tuple",
             "trace": format_tuple_trace(s),
             "prob": frac_str(p),
-            "tuple_lengths": trace_tuple_lengths(t, s),
+            "tuple_lengths": lengths,
         }
     s = parse_trace(args.trace)
     return {
@@ -150,7 +150,7 @@ def _cmd_distance(args) -> dict:
         "distance": frac_str(value),
         "witness": format_tuple_trace(witness),
         "max_len": args.max_len,
-        "witness_tuple_lengths": trace_tuple_lengths(a, witness),
+        "witness_tuple_lengths": trace_tuple_lengths(a, witness)[1],
     }
 
 

@@ -3,7 +3,7 @@
 A Dist stores positive integer numerators over one shared positive
 denominator, in lowest terms (gcd(den, *numerators) == 1), so each
 distribution has exactly one representation and equality and hashing
-compare it directly. bind, mix, map_elems, scale and dirac work on the
+compare it directly. bind, mix, map_elems and dirac work on the
 integers. Fraction appears only at the interface: the constructor,
 weight, get, items, to_json and printed messages.
 """
@@ -106,16 +106,6 @@ class Dist(Generic[T]):
         body = ", ".join(f"{e!r}: {p}" for e, p in self.items())
         return f"Dist({{{body}}})"
 
-    def scale(self, c: Rational) -> "Dist[T]":
-        c = Fraction(c)
-        if c < 0:
-            for e, p in self.items():
-                raise ValueError(f"negative weight {c * p} for {e!r}")
-        if not c:
-            return EMPTY
-        k = c.numerator
-        return _make({e: k * n for e, n in self._num.items()}, c.denominator * self._den)
-
     def map_elems(self, f: Callable[[T], U]) -> "Dist[U]":
         """Pushforward along f; colliding images are merged."""
         acc: dict = {}
@@ -202,7 +192,3 @@ def _weighted_sum(parts: list) -> tuple[dict, int]:
 
 
 EMPTY: Dist = Dist()
-
-
-def weight(d: Dist[T]) -> Rational:
-    return d.weight()

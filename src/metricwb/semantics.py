@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Hashable, Iterator
 
 from .dist import EMPTY, Dist, dirac, mix
 from .errors import IsValue, NotAffine, NotClosed
@@ -93,12 +93,9 @@ def _eval(t: Term) -> Dist[Term]:
 
             def split(mv: Term) -> Dist[Term]:
                 if isinstance(mv, Pair):
-                    d1, d2 = _eval(mv.first), _eval(mv.second)
-                    return d1.bind(
-                        lambda v1: d2.bind(
-                            lambda v2: _eval(substitute(substitute(b, x, v1), y, v2))
-                        )
-                    )
+                    return eval_pair(
+                        mv, lambda v1, v2: substitute(substitute(b, x, v1), y, v2)
+                    ).bind(_eval)
                 logger.warning(
                     "discarding stuck let on an abstraction: %s destructured as a pair"
                     " drops mass %s",
@@ -114,6 +111,19 @@ def _eval(t: Term) -> Dist[Term]:
             raise TypeError(f"not a term: {t!r}")
     _memo[t] = d
     return d
+
+
+def eval_pair(p: Pair, f: Callable[[Term, Term], Hashable]) -> Dist:
+    """Evaluate both halves of the pair p and combine each value v of the
+    first with each value w of the second into f(v, w), with weight the
+    product of theirs; colliding results are merged. The one place where a
+    let, a tensor action and a tuple cut take a pair apart. Halves run left
+    to right, so a first half that diverges leaves the second unevaluated."""
+    d1 = _eval(p.first)
+    if not d1:
+        return EMPTY
+    d2 = _eval(p.second)
+    return d1.bind(lambda v: d2.map_elems(lambda w: f(v, w)))
 
 
 def step_one(t: Term) -> Dist[Term]:
@@ -180,9 +190,7 @@ def small_step_rounds(t: Term) -> Iterator[Dist[Term]]:
     steps = 0
     while any(not is_value(e) for e in d.support()):
         before = support_measure(d)
-        d = mix(
-            (p, dirac(e) if is_value(e) else _step(e)) for e, p in d.items()
-        )
+        d = d.bind(lambda e: dirac(e) if is_value(e) else _step(e))
         steps += 1
         after = support_measure(d)
         if after >= before:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dist import EMPTY, Dist, dirac, mix
+from .dist import EMPTY, Dist, dirac
 from .errors import NotAffine, NotClosed, ParseError
 from .parser import Tokens, parse_items, read_term
-from .semantics import _eval, _require_program, _step
+from .semantics import _eval, _require_program, _step, eval_pair
 from .terms import (
     Abs,
     App,
@@ -36,7 +36,6 @@ from .terms import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 TENSOR_HOLE_1 = "x"
 TENSOR_HOLE_2 = "y"
@@ -101,35 +100,33 @@ def trace_accept(m: Term, s: Sequence) -> Fraction:
 
 def interrogate(t: Term, actions: Iterable) -> list:
     """Each of the checked actions whose kind fits the value t, in order,
-    with the weighted programs it leaves before evaluation:
-    [(a, [(program, p), ...]), ...]. A pair's halves are evaluated once per
-    call, whatever the number of tensor actions."""
+    with the distribution of programs it moves t to, before evaluation:
+    [(a, Dist of programs), ...]. app(V) substitutes V into the body of the
+    abstraction t; tensor(L) substitutes each pair of values of the halves
+    of the pair t into L, as semantics.eval_pair combines them."""
     kind = _KIND.get(type(t))
     out = []
-    halves = None
     for a in actions:
         if type(a) is not kind:
             continue
         if kind is AppAction:
-            out.append((a, [(substitute(t.body, t.var, a.value), _ONE)]))
-            continue
-        halves = halves or (_eval(t.first), _eval(t.second))
-        out.append((a, [
-            (substitute(substitute(a.body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w), p * q)
-            for v, p in halves[0].items()
-            for w, q in halves[1].items()
-        ]))
+            programs = dirac(substitute(t.body, t.var, a.value))
+        else:
+            programs = eval_pair(
+                t, lambda v, w: substitute(substitute(a.body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w)
+            )
+        out.append((a, programs))
     return out
 
 
 def _trace_step(t: Term, a) -> Dist[Term]:
     """Value distribution after playing the checked action a against the
-    value t: the programs interrogate gives, each evaluated. A kind that
-    does not fit t loses all mass."""
-    runs = [run for _, rs in interrogate(t, (a,)) for run in rs]
-    if len(runs) == 1 and runs[0][1] == _ONE:  # a lone program: its own distribution
-        return _eval(runs[0][0])
-    return mix((p, _eval(e)) for e, p in runs)
+    value t: the programs interrogate gives, evaluated. A kind that does
+    not fit t loses all mass."""
+    if type(a) is not _KIND.get(type(t)):
+        return EMPTY
+    ((_, programs),) = interrogate(t, (a,))
+    return programs.bind(_eval)
 
 
 def reduce_to_values(d: Dist[Term]) -> Dist[Term]:

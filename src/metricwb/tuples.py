@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .dist import EMPTY, Dist
 from .errors import InvalidAction, NotAffine, NotClosed, ParseError
 from .parser import Tokens, parse_items, read_term
-from .semantics import _eval, _require_program, eval_big
+from .semantics import _eval, _require_program, eval_big, eval_pair
 from .terms import (
     Abs,
     Choice,
@@ -127,11 +127,8 @@ def _successor(k: TupleState, e) -> Dist[TupleState]:
     """Successor distribution of tuple k under an action whose effect on k
     is e, as _effect gives it; e is not None."""
     if isinstance(e, int):
-        comp = k[e - 1]
         head, tail = k[: e - 1], k[e:]
-        return _eval(comp.first).bind(
-            lambda v: _eval(comp.second).map_elems(lambda w: head + (v, w) + tail)
-        )
+        return eval_pair(k[e - 1], lambda v, w: head + (v, w) + tail)
     pos, consumed, arg = e
     comp = k[pos - 1]
     body = comp.body if arg is None else substitute(comp.body, comp.var, arg)
@@ -173,10 +170,12 @@ def program_tuple_trace_prob(m: Term, s: Sequence) -> Fraction:
     return _replay(m, s)[-1].weight()
 
 
-def trace_tuple_lengths(m: Term, s: Sequence) -> list[int]:
-    """Largest tuple length in the support after each action of s, replayed
-    from program m; 0 once all mass is gone."""
-    return [max(map(len, d.support()), default=0) for d in _replay(m, s)[1:]]
+def trace_tuple_lengths(m: Term, s: Sequence) -> tuple[Fraction, list[int]]:
+    """From one replay of s from program m: the probability that m survives
+    s, and the largest tuple length in the support after each action, 0
+    once all mass is gone."""
+    ds = _replay(m, s)
+    return ds[-1].weight(), [max(map(len, d.support()), default=0) for d in ds[1:]]
 
 
 # --- distinguished example families -------------------------------------

@@ -101,10 +101,11 @@ def _gen_term(rng, avail: frozenset, fuel: int, names, prefix: str = "v") -> Ter
     )
 
 
-def random_program(rng, max_size: int = 30, fuel: int = 5) -> Term:
-    """A closed affine program with size(t) <= max_size."""
+def random_program(rng, max_size: int = 30, fuel: int = 5, prefix: str = "v") -> Term:
+    """A closed affine program with size(t) <= max_size, its binders named
+    with the given prefix."""
     while True:
-        t = _gen_term(rng, frozenset(), fuel, itertools.count())
+        t = _gen_term(rng, frozenset(), fuel, itertools.count(), prefix)
         if size(t) <= max_size:
             return t
 
@@ -332,10 +333,6 @@ class ReferenceDist:
     def __repr__(self):
         body = ", ".join(f"{e!r}: {p}" for e, p in self._items.items())
         return f"Dist({{{body}}})"
-
-    def scale(self, c) -> "ReferenceDist":
-        c = Fraction(c)
-        return ReferenceDist((e, c * p) for e, p in self._items.items())
 
     def map_elems(self, f) -> "ReferenceDist":
         return ReferenceDist((f(e), p) for e, p in self._items.items())

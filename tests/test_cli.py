@@ -146,6 +146,20 @@ class TestTraceProb:
         payload = payload_of(capsys, "trace-prob", CLEAN, WITNESS)
         assert payload["prob"] == "1/1"
 
+    def test_a_tuple_word_is_replayed_once(self, capsys, monkeypatch):
+        import metricwb.tuples as tuples
+
+        calls = []
+        real = tuples.step_or_zero
+        monkeypatch.setattr(tuples, "step_or_zero", lambda k, a: calls.append(a) or real(k, a))
+        code, out, _ = run(capsys, "trace-prob", CLEAN, WITNESS)
+        assert code == 0 and len(calls) == 3
+        assert out == (
+            '{\n  "kind": "tuple",\n  "prob": "1/1",\n'
+            '  "trace": "cut(1); appl(1; ; \\\\x. x); appl(2; ; \\\\x. x)",\n'
+            '  "tuple_lengths": [\n    2,\n    2,\n    2\n  ]\n}\n'
+        )
+
 
 class TestDistance:
     def test_trace_kind(self, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from metricwb import CoefficientOverflow, dirac, frac_str, mix, parse, weight
+from metricwb import CoefficientOverflow, dirac, frac_str, mix, parse
 from metricwb.dist import EMPTY, Dist
 
 import gen
@@ -85,15 +85,6 @@ class TestMix:
 
 
 class TestOperations:
-    def test_weight_helper(self):
-        assert weight(dirac(I)) == 1
-        assert weight(EMPTY) == 0
-
-    def test_scale(self):
-        assert dirac(I).scale(HALF) == Dist([(I, HALF)])
-        with pytest.raises(CoefficientOverflow):
-            Dist([(I, Fraction(3, 4))]).scale(Fraction(3, 2))
-
     def test_map_elems(self):
         d = Dist([(1, HALF), (2, QUARTER)])
         assert d.map_elems(lambda n: n % 2) == Dist([(1, HALF), (0, QUARTER)])
@@ -204,12 +195,6 @@ class TestAgainstReference:
     def test_map_elems(self, raw, f):
         new = Dist(raw).map_elems(lambda e: f.get(e, e))
         ref = gen.ReferenceDist(raw).map_elems(lambda e: f.get(e, e))
-        assert_same(new, ref)
-
-    @given(entries, st.fractions(min_value=-1, max_value=8, max_denominator=64))
-    def test_scale(self, raw, c):
-        new = outcome(lambda: Dist(raw).scale(c))
-        ref = outcome(lambda: gen.ReferenceDist(raw).scale(c))
         assert_same(new, ref)
 
     @given(entries, entries)

@@ -99,6 +99,13 @@ class TestBigStep:
             assert eval_big(parse("<omega, omega> omega")) == EMPTY
         assert not caplog.records
 
+    def test_a_half_after_a_diverging_half_is_not_evaluated(self, caplog):
+        # halves run left to right, so the stuck second half is never reached
+        clear_memo()
+        with caplog.at_level("WARNING", logger="metricwb"):
+            assert eval_big(parse("let <a, b> = <omega, <omega, omega> I> in a")) == EMPTY
+        assert not caplog.records
+
     def test_partial_stuckness_keeps_the_good_branch(self):
         clear_memo()
         t = App(parse("(\\x. x) (+) <omega, omega>"), parse("\\y. y"))

@@ -11,16 +11,18 @@ from metricwb import (
     dirac,
     encode_theta,
     eval_big,
+    eval_small,
     lts_trace_accept,
     parse,
     parse_trace,
     trace_accept,
     trace_distance_lb,
 )
-from metricwb.dist import Dist, mix
-from metricwb.semantics import _eval
-from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, pretty, size, substitute
+from metricwb.dist import Dist
+from metricwb.terms import Abs, App, LetPair, OMEGA, Pair, Var, identity, pretty, size, substitute
 from metricwb.trace import (
+    TENSOR_HOLE_1,
+    TENSOR_HOLE_2,
     AppAction,
     TensorAction,
     app_combinations,
@@ -113,33 +115,36 @@ class TestInterrogate:
         pair = Pair(parse("I (+) omega"), self.K)
         a0, a1, a2 = self.ACTIONS
         # x is the first half, y the second; weights multiply across halves
-        assert interrogate(pair, self.ACTIONS) == [(a0, [(self.K, HALF)]), (a2, [(App(I, self.K), HALF)])]
-        assert interrogate(I, self.ACTIONS) == [(a1, [(self.K, 1)])]
+        assert interrogate(pair, self.ACTIONS) == [
+            (a0, Dist([(self.K, HALF)])),
+            (a2, Dist([(App(I, self.K), HALF)])),
+        ]
+        assert interrogate(I, self.ACTIONS) == [(a1, dirac(self.K))]
         assert interrogate(pair, (a1,)) == []
 
-    def test_pair_halves_are_evaluated_once_per_call(self, monkeypatch):
-        import metricwb.trace as trace
-
-        calls = []
-        real = trace._eval
-        monkeypatch.setattr(trace, "_eval", lambda t: calls.append(t) or real(t))
-        interrogate(Pair(I, self.K), self.ACTIONS)
-        assert calls == [I, self.K]
-
-    def test_step_mixes_the_evaluated_runs(self):
-        # _trace_step hands back a lone run of weight 1 as its program's
-        # distribution; every step must equal the plain mixture of runs
+    def test_step_is_the_small_step_value_of_the_redex(self):
+        # app(V) plays t V and tensor(L) plays let <x, y> = t in L; an action
+        # whose kind does not fit t leaves a stuck redex, which has no value
         rng = random.Random(20261020)
-        actions = (AppAction(I), *default_tensor_templates()[:12])
-        actions = actions[:1] + tuple(TensorAction(b) for b in actions[1:])
+        actions = [TensorAction(b) for b in default_tensor_templates()[:32]]
+
+        def half(prefix):  # distinct binder prefixes keep the redex affine
+            if rng.random() < 0.5:
+                return gen.random_value(rng, max_size=8, prefix=prefix)
+            return gen.random_program(rng, 8, 3, prefix)
+
+        spread = partial = 0
         for i in range(100):
-            if i % 2:
-                t = gen.random_value(rng, max_size=8)
-            else:
-                t = Pair(*(gen.random_program(rng, max_size=8, fuel=3) for _ in range(2)))
-            for a in actions:
-                runs = [run for _, rs in interrogate(t, (a,)) for run in rs]
-                assert _trace_step(t, a) == mix((p, _eval(e)) for e, p in runs), (pretty(t), a)
+            t = gen.random_value(rng, max_size=8) if i % 2 else Pair(half("p"), half("q"))
+            v = gen.random_value(rng, max_size=8, prefix="w")
+            cases = [(AppAction(v), App(t, v))]
+            cases += [(a, LetPair(TENSOR_HOLE_1, TENSOR_HOLE_2, t, a.body)) for a in actions]
+            for a, redex in cases:
+                d = _trace_step(t, a)
+                assert d == eval_small(redex), (pretty(t), a)
+                spread += len(d) > 1
+                partial += 0 < d.weight() < 1
+        assert spread and partial
 
 
 class TestEnumeration:
@@ -532,6 +537,12 @@ class TestLtsView:
     def test_rejects_tensor_actions(self):
         with pytest.raises(ValueError):
             lts_trace_accept(dirac(Pair(OMEGA, OMEGA)), (TensorAction(Var("x")),))
+
+    def test_a_binder_name_reused_by_reduction_is_accepted(self):
+        # I K K reduces to \b. K, whose inner binder repeats b; the inputs
+        # were checked once, so reduction does not check affinity again
+        k = AppAction(parse("\\a. \\b. a"))
+        assert lts_trace_accept(dirac(I), (k, k)) == 1
 
 
 class TestPairEncodingTransfer:

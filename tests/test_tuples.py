@@ -104,7 +104,7 @@ class TestSteps:
         # a replay keeps the mass of the states an action applies to
         coin = parse("<\\x. x, \\y. y> (+) \\z. z")
         assert program_tuple_trace_prob(coin, (Cut(1),)) == HALF
-        assert trace_tuple_lengths(coin, (Cut(1), Cut(1))) == [2, 0]
+        assert trace_tuple_lengths(coin, (Cut(1), Cut(1))) == (0, [2, 0])
 
     def test_mass_never_grows(self):
         rng = random.Random(20260360)
@@ -142,7 +142,7 @@ class TestWorkedPair:
         ) == value
 
     def test_witness_lengths(self):
-        assert trace_tuple_lengths(CLEAN, WITNESS) == [2, 2, 2]
+        assert trace_tuple_lengths(CLEAN, WITNESS) == (1, [2, 2, 2])
 
 
 class TestReplay:
@@ -158,7 +158,7 @@ class TestReplay:
         for _ in range(300):
             m = gen.random_program(rng, max_size=20, fuel=5)
             d = eval_big(m).map_elems(lambda v: (v,))
-            assert trace_tuple_lengths(m, ()) == []
+            assert trace_tuple_lengths(m, ()) == (d.weight(), [])
             assert program_tuple_trace_prob(m, ()) == d.weight()
             word, lengths = (), []
             for _ in range(rng.randint(1, 5)):
@@ -179,7 +179,7 @@ class TestReplay:
                 lengths.append(max(map(len, d.support()), default=0))
                 where = (pretty(m), format_tuple_trace(word))
                 assert program_tuple_trace_prob(m, word) == d.weight(), where
-                assert trace_tuple_lengths(m, word) == lengths, where
+                assert trace_tuple_lengths(m, word) == (d.weight(), lengths), where
                 if start and not d:
                     seen["emptied"] += 1
             if not d:
