@@ -3,7 +3,7 @@ affine probabilistic lambda-terms: trace observations, a bisimulation
 metric over the induced labelled Markov chain, and tuple observations.
 """
 
-from .dist import Dist, Rational, dirac, frac_str, mix
+from .dist import Dist, Rational, dirac, frac_str
 from .errors import (
     BudgetExceeded,
     CoefficientOverflow,

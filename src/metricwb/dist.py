@@ -3,9 +3,10 @@
 A Dist stores positive integer numerators over one shared positive
 denominator, in lowest terms (gcd(den, *numerators) == 1), so each
 distribution has exactly one representation and equality and hashing
-compare it directly. bind, mix, map_elems and dirac work on the
-integers. Fraction appears only at the interface: the constructor,
-weight, get, items, to_json and printed messages.
+compare it directly. bind, map_elems and dirac work on the integers,
+and distributions combine through bind alone. Fraction appears only at
+the interface: the constructor, weight, get, items, to_json and printed
+messages.
 """
 
 from __future__ import annotations
@@ -115,14 +116,21 @@ class Dist(Generic[T]):
         return _make(acc, self._den)
 
     def bind(self, k: "Callable[[T], Dist[U]]") -> "Dist[U]":
-        """Monadic bind: run k on every support element, weight and sum.
-        A point mass of weight 1 hands back k's own distribution."""
+        """Monadic bind: run k on every support element, weight and sum,
+        elements in order of first appearance. A point mass of weight 1
+        hands back k's own distribution."""
         if self._den == 1:  # weight 1 on one element, or nothing at all
             for e in self._num:
                 return k(e)
             return self
-        m = self._den
-        return _make(*_weighted_sum([(n, m, k(e)) for e, n in self._num.items()]))
+        parts = [(n, k(e)) for e, n in self._num.items()]
+        den = lcm(*(d._den for _, d in parts))
+        acc: dict = {}
+        for n, d in parts:
+            f = n * (den // d._den)
+            for e, q in d._num.items():
+                acc[e] = acc.get(e, 0) + f * q
+        return _make(acc, self._den * den)
 
     def bind_weight(self, k: "Callable[[T], Dist[U]]") -> Rational:
         """self.bind(k).weight(), without building the distribution."""
@@ -155,40 +163,6 @@ def frac_str(p: Rational) -> str:
 
 def dirac(elem: T) -> Dist[T]:
     return _make({elem: 1}, 1)
-
-
-def mix(weighted: Iterable[tuple[Rational, Dist[T]]]) -> Dist[T]:
-    """Convex combination sum(c_i * d_i); raises CoefficientOverflow if the
-    coefficients sum past 1."""
-    parts = []
-    tn, td = 0, 1  # the coefficients so far sum to tn / td
-    for c, d in weighted:
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        if c < 0:
-            raise ValueError(f"negative mixing coefficient {c}")
-        cn, cd = c.numerator, c.denominator
-        den = lcm(td, cd)
-        tn, td = tn * (den // td) + cn * (den // cd), den
-        if tn > td:
-            raise CoefficientOverflow(f"mixing coefficients total {Fraction(tn, td)}")
-        parts.append((cn, cd, d))
-    acc, den = _weighted_sum(parts)
-    if 0 in acc.values():  # a zero coefficient still places its elements
-        acc = {e: n for e, n in acc.items() if n}
-    return _make(acc, den)
-
-
-def _weighted_sum(parts: list) -> tuple[dict, int]:
-    """Numerators and denominator of the sum of (n / m) * d over the
-    (n, m, d) in parts; elements in order of first appearance."""
-    den = lcm(*(m * d._den for _, m, d in parts))
-    acc: dict = {}
-    for n, m, d in parts:
-        f = n * (den // (m * d._den))
-        for e, q in d._num.items():
-            acc[e] = acc.get(e, 0) + f * q
-    return acc, den
 
 
 EMPTY: Dist = Dist()

@@ -26,7 +26,7 @@ class IsValue(MetricWbError):
 
 
 class CoefficientOverflow(MetricWbError):
-    """Mixing coefficients exceed total mass 1."""
+    """A distribution's total mass exceeds 1."""
 
 
 class Unbounded(MetricWbError):

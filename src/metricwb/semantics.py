@@ -13,7 +13,7 @@ import logging
 from fractions import Fraction
 from typing import Callable, Hashable, Iterator
 
-from .dist import EMPTY, Dist, dirac, mix
+from .dist import EMPTY, Dist, dirac
 from .errors import IsValue, NotAffine, NotClosed
 from .terms import (
     Abs,
@@ -69,7 +69,9 @@ def _eval(t: Term) -> Dist[Term]:
         case Omega():
             d = EMPTY
         case Choice(l, r):
-            d = mix(((_HALF, _eval(l)), (_HALF, _eval(r))))
+            # the one-step distribution, evaluated. Alpha-equal branches
+            # merge into one point of weight 1, which binds to _eval(l)
+            d = Dist(((l, _HALF), (r, _HALF))).bind(_eval)
         case App(f, a):
             df, da = _eval(f), _eval(a)
 
@@ -171,6 +173,12 @@ def _step(t: Term) -> Dist[Term]:
             raise TypeError(f"cannot step: {t!r}")
 
 
+def _lifted_step(d: Dist[Term]) -> Dist[Term]:
+    """One lifted small step: every non-value of d reduces at once, values
+    stay. Unchecked; callers vouch for the programs in d."""
+    return d.bind(lambda e: dirac(e) if is_value(e) else _step(e))
+
+
 def support_measure(d: Dist[Term]) -> int:
     """Sum of 3^size over the support; strictly decreases per lifted step."""
     return sum(3 ** size(e) for e in d.support())
@@ -190,7 +198,7 @@ def small_step_rounds(t: Term) -> Iterator[Dist[Term]]:
     steps = 0
     while any(not is_value(e) for e in d.support()):
         before = support_measure(d)
-        d = d.bind(lambda e: dirac(e) if is_value(e) else _step(e))
+        d = _lifted_step(d)
         steps += 1
         after = support_measure(d)
         if after >= before:

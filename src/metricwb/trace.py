@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .dist import EMPTY, Dist, dirac
 from .errors import NotAffine, NotClosed, ParseError
 from .parser import Tokens, parse_items, read_term
-from .semantics import _eval, _require_program, _step, eval_pair
+from .semantics import _eval, _lifted_step, _require_program, eval_pair
 from .terms import (
     Abs,
     App,
@@ -132,7 +132,7 @@ def _trace_step(t: Term, a) -> Dist[Term]:
 def reduce_to_values(d: Dist[Term]) -> Dist[Term]:
     """Close a program distribution under internal reduction."""
     while any(not is_value(e) for e in d.support()):
-        d = d.bind(lambda e: dirac(e) if is_value(e) else _step(e))
+        d = _lifted_step(d)
     return d
 
 
@@ -200,7 +200,8 @@ def explore(
     first witnesses survive. Words of length max_len are not built but
     visited with their weights, sum of p * |step(s, a)| on each side, and
     may repeat an earlier pair. That length only reads the memo, since
-    nothing extends its successors."""
+    nothing extends its successors. The walk ends once no word is left to
+    extend, however large max_len is."""
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     memo: dict = {}  # state -> {effect: successor distribution}
@@ -209,6 +210,8 @@ def explore(
     for length in range(max_len):
         last = length == max_len - 1
         kept = [(w, da, db) for w, da, db in frontier if visit(w, da.weight(), db.weight())]
+        if not kept:
+            return
         frontier = []
         for word, da, db in kept:
             support = list(dict.fromkeys(da.support() + db.support()))

@@ -21,7 +21,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=120):
     """Run `python -m metricwb` in a fresh interpreter on this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return subprocess.run(
@@ -29,7 +29,7 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -108,6 +108,11 @@ class TestEval:
         eval_big(parse("(\\v3. v3) (+) omega"))
         payload = payload_of(capsys, "eval", "(\\x. x) (+) omega")
         assert payload["support"] == [{"elem": "\\x. x", "p": "1/2"}]
+
+    def test_alpha_equal_branches_are_one_point(self, capsys):
+        # I is \x. x, so the two branches merge under the left one's binder
+        payload = payload_of(capsys, "eval", "I (+) \\y. y")
+        assert payload == {"support": [{"elem": "\\x. x", "p": "1/1"}], "weight": "1/1"}
 
     def test_divergence_has_empty_support(self, capsys):
         payload = payload_of(capsys, "eval", "omega")
@@ -385,6 +390,16 @@ class TestEntryPoint:
         done = run_module("examples", "--which", "expair")
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["expair"]["distance_lb"] == "3/4"
+
+    @pytest.mark.parametrize("kind", ["trace", "tuple"])
+    def test_a_settled_search_answers_at_once_under_a_huge_budget(self, kind):
+        # the search ends with its frontier, not by counting up to --max-len
+        done = run_module(
+            "distance", "--kind", kind, "I", "omega", "--max-len", str(10**12), timeout=30
+        )
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)
+        assert (payload["distance"], payload["witness"]) == ("1/1", "eps")
 
     def test_module_exits_with_the_command_code(self):
         done = run_module("eval", "x")

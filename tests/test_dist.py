@@ -2,9 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
-from metricwb import CoefficientOverflow, dirac, frac_str, mix, parse
+from metricwb import CoefficientOverflow, dirac, frac_str, parse
 from metricwb.dist import EMPTY, Dist
 
 import gen
@@ -14,8 +14,6 @@ K = parse("\\x. omega")
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
-
-frac = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
 
 class TestConstruction:
@@ -50,38 +48,6 @@ class TestConstruction:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             Dist([(I, Fraction(-1, 4))])
-
-
-class TestMix:
-    def test_spec_shape(self):
-        d = mix([(HALF, dirac(I)), (HALF, EMPTY)])
-        assert d == Dist([(I, HALF)])
-        assert d.weight() == HALF
-
-    def test_coefficients_must_not_exceed_one(self):
-        with pytest.raises(CoefficientOverflow):
-            mix([(HALF, dirac(I)), (Fraction(3, 4), dirac(K))])
-
-    def test_negative_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            mix([(Fraction(-1, 2), dirac(I))])
-
-    @given(
-        st.lists(
-            st.tuples(frac, st.sampled_from(["i", "k", "s"])), max_size=5
-        )
-    )
-    def test_weight_is_linear(self, raw):
-        total = sum((c for c, _ in raw), Fraction(0))
-        dists = [(c, dirac(e)) for c, e in raw]
-        if total > 1:
-            with pytest.raises(CoefficientOverflow):
-                mix(dists)
-        else:
-            d = mix(dists)
-            assert d.weight() == sum(
-                (c * e.weight() for c, e in dists), Fraction(0)
-            )
 
 
 class TestOperations:
@@ -181,14 +147,6 @@ class TestAgainstReference:
     def test_bind(self, raw, kernel):
         new = Dist(raw).bind(lambda e: Dist(kernel.get(e, ())))
         ref = gen.ReferenceDist(raw).bind(lambda e: gen.ReferenceDist(kernel.get(e, ())))
-        assert_same(new, ref)
-
-    @given(st.lists(st.tuples(coefficient, entries), max_size=4))
-    # a part with coefficient 0 still fixes where its elements come first
-    @example([(Fraction(0), [(1, HALF)]), (HALF, [(0, HALF), (1, HALF)])])
-    def test_mix(self, parts):
-        new = outcome(lambda: mix((c, Dist(r)) for c, r in parts))
-        ref = outcome(lambda: gen.reference_mix((c, gen.ReferenceDist(r)) for c, r in parts))
         assert_same(new, ref)
 
     @given(entries, st.dictionaries(elem, elem))

@@ -16,8 +16,8 @@ from metricwb import (
     step_one,
 )
 from metricwb.dist import EMPTY, Dist
-from metricwb.semantics import clear_memo, small_step_rounds, support_measure
-from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, is_value, pretty
+from metricwb.semantics import _eval, clear_memo, small_step_rounds, support_measure
+from metricwb.terms import Abs, App, Choice, OMEGA, Pair, Var, identity, is_value, pretty
 
 I = identity()
 HALF = Fraction(1, 2)
@@ -165,6 +165,48 @@ class TestAgreement:
             t = gen.random_program(rng, max_size=30)
             want = {v: p for v, p in gen.naive_eval(t).items() if p}
             assert dict(eval_big(t).items()) == want, pretty(t)
+
+
+class TestFairChoice:
+    """A choice evaluates to the half-and-half mix of its branches' value
+    distributions, as the Fraction reference computes it: the same support
+    order, weights and binder names."""
+
+    @staticmethod
+    def branches(rng):
+        kind = rng.choice(["programs", "values", "diverging", "alpha-equal"])
+        if kind == "alpha-equal":
+            # one draw, binders named apart: the same term up to renaming
+            seed = rng.random()
+            return kind, tuple(
+                gen.random_program(random.Random(seed), max_size=20, fuel=4, prefix=p)
+                for p in "vw"
+            )
+        if kind == "values":
+            return kind, (gen.random_value(rng, prefix="a"), gen.random_value(rng, prefix="b"))
+        left = gen.random_program(rng, max_size=20, fuel=4)
+        right = OMEGA if kind == "diverging" else gen.random_program(rng, max_size=20, fuel=4)
+        return kind, (left, right)
+
+    def test_choice_is_the_reference_mix_of_its_branches(self):
+        rng = random.Random(20261019)
+        kinds, renamed = set(), 0
+        for _ in range(200):
+            kind, (l, r) = self.branches(rng)
+            kinds.add(kind)
+            if kind == "alpha-equal":
+                assert l == r
+                renamed += pretty(l) != pretty(r)
+            clear_memo()
+            got = _eval(Choice(l, r))
+            want = gen.reference_mix(((HALF, _eval(l)), (HALF, _eval(r))))
+            assert [(repr(e), p) for e, p in got.items()] == [
+                (repr(e), p) for e, p in want.items()
+            ], (pretty(l), pretty(r))
+            assert repr(got) == repr(want)
+        assert kinds == {"programs", "values", "diverging", "alpha-equal"}
+        assert renamed
+        clear_memo()
 
 
 LOSS = object()

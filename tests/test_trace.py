@@ -228,6 +228,10 @@ class TestDistanceLowerBound:
         with pytest.raises(ValueError, match="nonnegative"):
             trace_distance_lb(I, OMEGA, (I,), -1)
 
+    def test_a_settled_search_ignores_a_huge_budget(self):
+        # nothing is left to extend after the root, so the budget is not counted out
+        assert trace_distance_lb(I, OMEGA, (I,), 10**12) == (1, EPS)
+
     def test_choice_against_identity(self):
         v, w = trace_distance_lb(parse("(\\x. x) (+) omega"), I, (I,), 3)
         assert v == HALF
@@ -403,6 +407,25 @@ class TestExplore:
         assert calls.count((0, "a")) == 1 and calls.count((0, "b")) == 1
         # the last length reads the memo but does not fill it
         assert calls.count((0, "c")) == 4
+
+    def test_the_walk_ends_when_no_word_is_left_to_extend(self):
+        # every successor repeats the root pair, so length 1 keeps nothing
+        offered, words = [], []
+
+        def actions(support):
+            offered.append(support)
+            return "ab"
+
+        explore(
+            (dirac(0), dirac(1)),
+            actions,
+            move,
+            lambda s, a: dirac(s),
+            10**12,
+            lambda word, wa, wb: words.append(word) or True,
+        )
+        assert offered == [[0, 1]]
+        assert words == [()]
 
     def test_negative_budget_is_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -462,6 +462,10 @@ class TestDistanceSearch:
         with pytest.raises(ValueError, match="nonnegative"):
             tuple_distance_lb(I, OMEGA, None, -1)
 
+    def test_a_settled_search_ignores_a_huge_budget(self):
+        # the empty word separates these by 1 and no word is left to extend
+        assert tuple_distance_lb(I, OMEGA, None, 10**12) == (1, ())
+
     def test_respects_a_restricted_template_set(self):
         v, _ = tuple_distance_lb(NOISY, CLEAN, (I,), 3)
         assert v == F(3, 4)
