@@ -59,11 +59,6 @@ class PseudoMetric:
         elif value:
             raise ValueError("diagonal must stay zero")
 
-    def copy(self) -> "PseudoMetric":
-        out = PseudoMetric(self.states)
-        out.values = dict(self.values)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, PseudoMetric):
             return NotImplemented

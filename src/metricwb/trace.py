@@ -57,35 +57,28 @@ Trace = tuple
 _KIND = {Abs: AppAction, Pair: TensorAction}
 
 
-def _check_app_value(v: Term) -> None:
-    if not is_value(v):
-        raise ValueError(f"app action argument is not a value: {pretty(v)}")
-    if v.free_vars:
-        raise NotClosed(f"app action argument is open: {pretty(v)}")
-    reason = affine_violation((), v)
-    if reason is not None:
-        raise NotAffine(reason)
-
-
-def _check_tensor_body(body: Term) -> None:
-    extra = body.free_vars - {TENSOR_HOLE_1, TENSOR_HOLE_2}
-    if extra:
-        raise NotClosed(
-            f"tensor body may only mention x and y, found '{min(extra)}'"
-        )
-    reason = affine_violation((TENSOR_HOLE_1, TENSOR_HOLE_2), body)
-    if reason is not None:
-        raise NotAffine(reason)
-
-
 def check_trace(s: Sequence) -> None:
+    """Raise unless every action of s is well formed: app of a closed affine
+    value, or tensor of an affine body over x and y alone."""
     for a in s:
         if isinstance(a, AppAction):
-            _check_app_value(a.value)
+            v = a.value
+            if not is_value(v):
+                raise ValueError(f"app action argument is not a value: {pretty(v)}")
+            if v.free_vars:
+                raise NotClosed(f"app action argument is open: {pretty(v)}")
+            reason = affine_violation((), v)
         elif isinstance(a, TensorAction):
-            _check_tensor_body(a.body)
+            extra = a.body.free_vars - {TENSOR_HOLE_1, TENSOR_HOLE_2}
+            if extra:
+                raise NotClosed(
+                    f"tensor body may only mention x and y, found '{min(extra)}'"
+                )
+            reason = affine_violation((TENSOR_HOLE_1, TENSOR_HOLE_2), a.body)
         else:
             raise TypeError(f"not a trace action: {a!r}")
+        if reason is not None:
+            raise NotAffine(reason)
 
 
 def trace_accept(m: Term, s: Sequence) -> Fraction:
@@ -121,12 +114,10 @@ def interrogate(t: Term, actions: Iterable) -> list:
 
 def _trace_step(t: Term, a) -> Dist[Term]:
     """Value distribution after playing the checked action a against the
-    value t: the programs interrogate gives, evaluated. A kind that does
-    not fit t loses all mass."""
-    if type(a) is not _KIND.get(type(t)):
-        return EMPTY
-    ((_, programs),) = interrogate(t, (a,))
-    return programs.bind(_eval)
+    value t: the programs interrogate gives, evaluated, and EMPTY where it
+    gives none, so a kind that does not fit t loses all mass."""
+    fits = interrogate(t, (a,))
+    return fits[0][1].bind(_eval) if fits else EMPTY
 
 
 def reduce_to_values(d: Dist[Term]) -> Dist[Term]:
@@ -270,17 +261,13 @@ def trace_distance_lb(
 ) -> tuple[Fraction, Trace]:
     """Largest trace-probability gap over all traces up to max_len, with the
     first trace attaining it. A lower bound on the full trace distance.
-    An action applies to the values whose kind it fits, so a node offers
-    only the actions of the kinds its support holds, in alphabet order."""
+    Every node is offered the whole alphabet; an action applies to the
+    values whose kind it fits (_trace_effect), and explore skips one that
+    fits no state of the node's support."""
     _require_program(m)
     _require_program(n)
     actions = alphabet(universe, tensor_templates)
-
-    def offered(support: list) -> list:
-        kinds = {_KIND.get(type(s)) for s in support}
-        return [a for a in actions if type(a) in kinds]
-
-    return widest_gap((_eval(m), _eval(n)), offered, _trace_effect, _trace_step, max_len)
+    return widest_gap((_eval(m), _eval(n)), lambda _: actions, _trace_effect, _trace_step, max_len)
 
 
 def alphabet(universe: Iterable[Term], tensor_templates: Sequence[Term] = ()) -> list:
@@ -375,8 +362,6 @@ def _read_action(ts: Tokens):
     ts.expect("(")
     t = read_term(ts)
     ts.expect(")")
-    if word == "app":
-        _check_app_value(t)
-        return AppAction(t)
-    _check_tensor_body(t)
-    return TensorAction(t)
+    a = AppAction(t) if word == "app" else TensorAction(t)
+    check_trace((a,))
+    return a

@@ -84,20 +84,16 @@ def _shape_error(a) -> Optional[str]:
     return f"not a tuple action: {a!r}"
 
 
-def _check_affine_argument(a) -> None:
-    # Each consumed component may be used at most once by the argument.
-    if isinstance(a, Appl):
-        reason = affine_violation(map(component_name, a.consumed), a.body)
-        if reason is not None:
-            raise NotAffine(reason)
-
-
 def check_tuple_trace(s: Sequence) -> None:
     for a in s:
         err = _shape_error(a)
         if err is not None:
             raise InvalidAction(err)
-        _check_affine_argument(a)
+        if isinstance(a, Appl):
+            # each consumed component may be used at most once by the argument
+            reason = affine_violation(map(component_name, a.consumed), a.body)
+            if reason is not None:
+                raise NotAffine(reason)
 
 
 def _effect(k: TupleState, a):
@@ -398,10 +394,10 @@ def _read_action(ts: Tokens):
         ts.expect(";")
         a = Appl(i, consumed, read_term(ts))
     ts.expect(")")
-    err = _shape_error(a)
-    if err is not None:
-        raise ParseError(err, pos)
-    _check_affine_argument(a)
+    try:
+        check_tuple_trace((a,))
+    except InvalidAction as e:
+        raise ParseError(str(e), pos) from None
     return a
 
 

@@ -452,6 +452,11 @@ class TestRobustness:
         assert err.startswith("error:")
         assert err.endswith(f"(at offset {offset})\n")
 
+    def test_a_malformed_tuple_action_is_reported_at_its_offset(self, capsys):
+        code, out, err = run(capsys, "trace-prob", "<I, I>", "cut(1); cut(0)")
+        assert (code, out) == (1, "")
+        assert err == "error: cut position 0 must be positive (at offset 8)\n"
+
     def test_output_is_byte_stable(self, capsys):
         argv = ("distance", "--kind", "tuple", NOISY, CLEAN, "--max-len", "3")
         _, first, _ = run(capsys, *argv)

@@ -248,7 +248,7 @@ class TestLift:
         for _ in range(20):
             states = [f"s{j}" for j in range(rng.randint(2, 4))]
             lo = gen.random_metric(rng, states)
-            hi = lo.copy()
+            hi = PseudoMetric(states)
             for i, s in enumerate(states):
                 for t in states[i + 1 :]:
                     bump = F(rng.randint(0, 4), 16)

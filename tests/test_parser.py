@@ -93,6 +93,12 @@ class TestErrors:
         assert isinstance(e.value.position, int)
         assert e.value.position >= 5
 
+    def test_a_stray_character_is_reported_at_its_offset(self):
+        with pytest.raises(ParseError) as e:
+            parse("I # I")
+        assert e.value.position == 2
+        assert str(e.value) == "unexpected character '#' (at offset 2)"
+
     def test_duplicate_pattern_message(self):
         with pytest.raises(ParseError, match="reuses"):
             parse("let <a, a> = <omega, omega> in a")

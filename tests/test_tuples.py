@@ -9,6 +9,7 @@ from metricwb import (
     InvalidAction,
     NotAffine,
     NotClosed,
+    ParseError,
     bisim_distance,
     build_expair,
     build_mn_nn,
@@ -92,6 +93,16 @@ class TestSteps:
             step_or_zero((I,), Appl(1, (), App(I, I)))
         with pytest.raises(InvalidAction, match="not a tuple action"):
             step_or_zero((I,), AppAction(I))
+
+    def test_replays_check_the_whole_word_before_playing(self, monkeypatch):
+        # the first action is valid and the second is not: nothing is played
+        played = []
+        real = tuples.step_or_zero
+        monkeypatch.setattr(tuples, "step_or_zero", lambda k, a: played.append(a) or real(k, a))
+        for replay in (program_tuple_trace_prob, trace_tuple_lengths):
+            with pytest.raises(InvalidAction, match="^cut position 0 must be positive$"):
+                replay(CLEAN, (Cut(1), Cut(0)))
+        assert played == []
 
     def test_an_argument_uses_each_consumed_component_once(self):
         twice = Appl(1, (2,), parse("\\y. x2 x2"))
@@ -576,6 +587,22 @@ class TestFormatting:
 
     def test_empty_trace(self):
         assert parse_tuple_trace(format_tuple_trace(())) == ()
+
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("cut(1); cut(0)", "cut position 0 must be positive", 8),
+            ("appl(1; x1; x1)", "an application cannot consume its own position", 0),
+            ("appl(1; x3, x2; x2)", "consumed indices must be strictly increasing", 0),
+            ("appl(0; ; I)", "appl position 0 must be positive", 0),
+            ("appl(1; ; I I)", "argument must be a variable or an abstraction", 0),
+        ],
+    )
+    def test_a_malformed_action_is_a_parse_error_at_its_offset(self, text, message, offset):
+        with pytest.raises(ParseError) as e:
+            parse_tuple_trace(text)
+        assert str(e.value) == f"{message} (at offset {offset})"
+        assert e.value.position == offset
 
 
 class TestPartitionWalker:
