@@ -138,10 +138,10 @@ def _cmd_distance(args) -> dict:
     if not universe:  # default_templates would fall back to the identity
         raise ValueError("--universe names no value; --kind tuple needs at least one")
     for v in universe:
-        if not isinstance(v, Abs):
+        if not isinstance(v, Abs) or v.free_vars:
             raise ValueError(
-                f"--universe entry {pretty(v)} is not an abstraction;"
-                " --kind tuple feeds abstractions only"
+                f"--universe entry {pretty(v)} is not a closed abstraction;"
+                " --kind tuple feeds closed abstractions only"
             )
     value, witness = tuple_distance_lb(a, b, default_templates(universe), args.max_len)
     return {

@@ -132,13 +132,6 @@ class Dist(Generic[T]):
                 acc[e] = acc.get(e, 0) + f * q
         return _make(acc, self._den * den)
 
-    def bind_weight(self, k: "Callable[[T], Dist[U]]") -> Rational:
-        """self.bind(k).weight(), without building the distribution."""
-        parts = [(n, k(e)) for e, n in self._num.items()]
-        den = lcm(*(d._den for _, d in parts))
-        total = sum(n * d._total * (den // d._den) for n, d in parts)
-        return Fraction(total, self._den * den)
-
     def to_json(self, pretty_elem: Callable[[T], str] = str) -> dict:
         entries = sorted(
             ((pretty_elem(e), p) for e, p in self.items()),

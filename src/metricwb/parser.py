@@ -25,7 +25,7 @@ and may call read_term. A stray, trailing or doubled separator is an error.
 from __future__ import annotations
 
 import re
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .errors import ParseError
 from .terms import OMEGA, Abs, App, Choice, LetPair, Pair, Term, Var, fresh, identity
@@ -116,6 +116,13 @@ def parse_items(text: str, read_item: Callable[[Tokens], T]) -> list[T]:
     out = ts.separated(";", read_item)
     ts.end()
     return out
+
+
+def format_items(items: Iterable[T], show: Callable[[T], str]) -> str:
+    """Inverse of parse_items: "eps" for no items, else each item written
+    by show, separated by "; "."""
+    parts = [show(item) for item in items]
+    return "; ".join(parts) if parts else "eps"
 
 
 def read_term(ts: Tokens) -> Term:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .dist import EMPTY, Dist, dirac
 from .errors import NotAffine, NotClosed, ParseError
-from .parser import Tokens, parse_items, read_term
+from .parser import Tokens, format_items, parse_items, read_term
 from .semantics import _eval, _lifted_step, _require_program, eval_pair
 from .terms import (
     Abs,
@@ -183,30 +183,27 @@ def explore(
     effect alone; an effect of None means a does not apply to s, so s
     keeps no mass and is never stepped. A candidate is skipped when
     its effects on the support are all None, or all equal those of an
-    earlier candidate: it leads nowhere, or where that one led. Below
-    max_len each (state, effect) pair is stepped once per walk.
+    earlier candidate: it leads nowhere, or where that one led. Each
+    (state, effect) pair is stepped once per walk.
 
     A successor pair some earlier word reached is skipped: same future,
     and the earlier word comes first in length-lexicographic order, so
-    first witnesses survive. Words of length max_len are not built but
-    visited with their weights, sum of p * |step(s, a)| on each side, and
-    may repeat an earlier pair. That length only reads the memo, since
-    nothing extends its successors. The walk ends once no word is left to
-    extend, however large max_len is."""
+    first witnesses survive. The walk ends after visiting the words of
+    length max_len, or once no word is left to extend, however large
+    max_len is."""
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     memo: dict = {}  # state -> {effect: successor distribution}
     frontier = [((), *start)]
     seen = {start}
-    for length in range(max_len):
-        last = length == max_len - 1
+    for length in range(max_len + 1):
         kept = [(w, da, db) for w, da, db in frontier if visit(w, da.weight(), db.weight())]
-        if not kept:
+        if length == max_len or not kept:
             return
         frontier = []
         for word, da, db in kept:
             support = list(dict.fromkeys(da.support() + db.support()))
-            rows = [memo.get(s, {}) if last else memo.setdefault(s, {}) for s in support]
+            rows = [memo.setdefault(s, {}) for s in support]
             tried = {(None,) * len(support)}  # the effects of applying to no state
             for a in actions(support):
                 effects = tuple([effect(s, a) for s in support])
@@ -218,20 +215,13 @@ def explore(
                     if e is not None:
                         d = row.get(e)
                         if d is None:
-                            d = step(s, e)
-                            if not last:
-                                row[e] = d
+                            d = row[e] = step(s, e)
                         child[s] = d
                 successor = lambda s: child.get(s, EMPTY)
-                if last:
-                    visit(word + (a,), da.bind_weight(successor), db.bind_weight(successor))
-                    continue
                 ca, cb = da.bind(successor), db.bind(successor)
                 if (ca, cb) not in seen:
                     seen.add((ca, cb))
                     frontier.append((word + (a,), ca, cb))
-    for word, da, db in frontier:  # the root alone when max_len is 0
-        visit(word, da.weight(), db.weight())
 
 
 def widest_gap(
@@ -339,20 +329,16 @@ def encode_theta_trace(s: Sequence) -> Trace:
 
 
 def format_trace(s: Sequence) -> str:
-    if not s:
-        return "eps"
-    parts = []
-    for a in s:
-        if isinstance(a, AppAction):
-            parts.append(f"app({pretty(a.value)})")
-        else:
-            parts.append(f"tensor({pretty(a.body)})")
-    return "; ".join(parts)
+    return format_items(s, _show_action)
 
 
 def parse_trace(text: str) -> Trace:
     """Inverse of format_trace; raises ParseError on malformed input."""
     return tuple(parse_items(text, _read_action))
+
+
+def _show_action(a) -> str:
+    return f"app({pretty(a.value)})" if isinstance(a, AppAction) else f"tensor({pretty(a.body)})"
 
 
 def _read_action(ts: Tokens):

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from .dist import EMPTY, Dist
 from .errors import InvalidAction, NotAffine, NotClosed, ParseError
-from .parser import Tokens, parse_items, read_term
+from .parser import Tokens, format_items, parse_items, read_term
 from .semantics import _eval, _require_program, eval_big, eval_pair
 from .terms import (
     Abs,
@@ -363,21 +363,19 @@ def tuple_distance_lb(
 
 
 def format_tuple_trace(s: Sequence) -> str:
-    if not s:
-        return "eps"
-    parts = []
-    for a in s:
-        if isinstance(a, Cut):
-            parts.append(f"cut({a.pos})")
-        else:
-            gamma = ", ".join(component_name(j) for j in a.consumed)
-            parts.append(f"appl({a.pos}; {gamma}; {pretty(a.body)})")
-    return "; ".join(parts)
+    return format_items(s, _show_action)
 
 
 def parse_tuple_trace(text: str) -> TupleTrace:
     """Inverse of format_tuple_trace; raises ParseError on malformed input."""
     return tuple(parse_items(text, _read_action))
+
+
+def _show_action(a) -> str:
+    if isinstance(a, Cut):
+        return f"cut({a.pos})"
+    gamma = ", ".join(component_name(j) for j in a.consumed)
+    return f"appl({a.pos}; {gamma}; {pretty(a.body)})"
 
 
 def _read_action(ts: Tokens):

@@ -648,8 +648,8 @@ def partition_violations(
     {Pr_K = 1 and Pr_H >= u_bound}. Probabilities only shrink when a trace
     is extended, so once a prefix lands in the first class every extension
     stays there and the branch is closed; only second-class prefixes are
-    expanded. trace.explore classifies identical distribution pairs below
-    max_len once.
+    expanded. trace.explore classifies identical distribution pairs once,
+    at every length.
     """
     checked = 0
     violations: list = []

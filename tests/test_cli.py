@@ -8,6 +8,7 @@ import pytest
 
 from metricwb.cli import main
 from metricwb.parser import parse
+from metricwb.terms import pretty
 from metricwb.semantics import eval_big
 
 NOISY = "<\\z. (\\x. x) (+) omega, \\z. (\\x. x) (+) omega>"
@@ -283,7 +284,20 @@ class TestDistance:
         assert code == 1
         assert out == ""
         assert err.startswith("error: --universe entry ")
-        assert "--kind tuple feeds abstractions only" in err
+        assert "--kind tuple feeds closed abstractions only" in err
+
+    @pytest.mark.parametrize("entry", ["\\a. b", "<\\a. b, I>"])
+    def test_tuple_kind_names_the_universe_entry_that_is_not_closed(self, capsys, entry):
+        # an open entry is named as the user wrote it, not as a $j template
+        code, out, err = run(
+            capsys, "distance", "--kind", "tuple", "I", "omega", "--universe", entry
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: --universe entry {pretty(parse(entry))} is not a closed abstraction;"
+            " --kind tuple feeds closed abstractions only\n"
+        )
 
     def test_tuple_templates_keep_the_binder_names_of_each_universe(self, capsys):
         # an alpha-equal universe still prints its own binder names

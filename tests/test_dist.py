@@ -164,12 +164,6 @@ class TestAgainstReference:
             assert hash(a) == hash(b)
         assert a == Dist(list(reversed(raw_a))) and hash(a) == hash(Dist(list(reversed(raw_a))))
 
-    @given(entries, st.dictionaries(elem, entries))
-    def test_bind_weight(self, raw, kernel):
-        d = Dist(raw)
-        k = lambda e: Dist(kernel.get(e, ()))  # noqa: E731
-        assert d.bind_weight(k) == d.bind(k).weight()
-
     @given(st.lists(st.tuples(elem, weight_64), max_size=3))
     def test_lowest_terms(self, raw):
         # one representation per distribution: gcd(den, *numerators) == 1

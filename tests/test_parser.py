@@ -4,7 +4,7 @@ import pytest
 
 import gen
 from metricwb import ParseError, parse, pretty
-from metricwb.parser import parse_items, parse_terms
+from metricwb.parser import format_items, parse_items, parse_terms
 from metricwb.terms import Abs, App, Choice, LetPair, OMEGA, Pair, Var, identity
 
 I = identity()
@@ -151,6 +151,12 @@ class TestLists:
         assert parse_items("eps", read_nat) == []
         assert parse_items(" eps ", read_nat) == []
         assert parse_items("1; 20 ;3", read_nat) == [1, 20, 3]
+
+    def test_items_are_written_as_they_are_read(self):
+        assert format_items([], str) == "eps"
+        assert format_items([1, 20, 3], str) == "1; 20; 3"
+        for items in ([], [7], [1, 20, 3]):
+            assert parse_items(format_items(items, str), read_nat) == items
 
     def test_digits_stay_inside_names(self):
         assert parse("x1") == Var("x1")

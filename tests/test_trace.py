@@ -294,17 +294,15 @@ class TestExplore:
             3,
             visit,
         )
-        # ("b",) is not extended. Below the last length, ("a", "a") reaches
-        # the pair of ("b",) and ("a", "c") the empty pair of ("c",), and
-        # ("c",) has no state to step. The last length is visited by weight
-        # whether or not its pairs were reached before.
+        # ("b",) is not extended. ("a", "a") reaches the pair of ("b",),
+        # and ("a", "c") and ("a", "b", "c") the empty pair of ("c",), which
+        # has no state to step. The last length is built like the others.
         words = [word for word, _, _ in seen]
         assert words == [
-            (), ("a",), ("b",), ("c",), ("a", "b"),
-            ("a", "b", "a"), ("a", "b", "b"), ("a", "b", "c"),
+            (), ("a",), ("b",), ("c",), ("a", "b"), ("a", "b", "a"), ("a", "b", "b"),
         ]
         weights = [(wa, wb) for _, wa, wb in seen]
-        assert weights == [(1, 1)] * 3 + [(0, 0)] + [(1, 1)] * 3 + [(0, 0)]
+        assert weights == [(1, 1)] * 3 + [(0, 0)] + [(1, 1)] * 3
 
     def test_a_candidate_acting_like_an_earlier_one_is_not_tried(self):
         # "a" and "b" have the same effect on every state, so only "a" runs;
@@ -342,7 +340,8 @@ class TestExplore:
             2,
             lambda word, wa, wb: seen.append((word, wa, wb)) or True,
         )
-        assert seen == [((), 1, 1), (("a",), HALF, 1), (("a", "a"), HALF, 1)]
+        # ("a", "a") repeats the pair of ("a",), so it is not visited
+        assert seen == [((), 1, 1), (("a",), HALF, 1)]
         assert (1, "a") not in calls
 
     def test_a_candidate_applying_to_no_state_is_not_tried(self):
@@ -363,7 +362,7 @@ class TestExplore:
         assert words == [(), ("a",), ("a", "a")]
         assert all(a == "a" for _, a in calls)
 
-    def test_each_state_and_effect_is_stepped_once_below_the_last_length(self):
+    def test_each_state_and_effect_is_stepped_once_per_walk(self):
         # Side one stays at state 0 while side two spells the word, so every
         # word holds a new pair. "c" is offered to the last length only.
         calls = []
@@ -377,8 +376,8 @@ class TestExplore:
 
         explore((dirac(0), dirac("")), actions, move, step, 3, lambda *_: True)
         assert calls.count((0, "a")) == 1 and calls.count((0, "b")) == 1
-        # the last length reads the memo but does not fill it
-        assert calls.count((0, "c")) == 4
+        # the last length fills the memo like the others
+        assert calls.count((0, "c")) == 1
 
     def test_the_walk_ends_when_no_word_is_left_to_extend(self):
         # every successor repeats the root pair, so length 1 keeps nothing

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -403,8 +404,8 @@ class TestDistinctEffects:
         assert all(merged.values()), merged
 
     def test_search_tries_the_first_action_of_each_effect(self):
-        # At max-len 1 every word the search tries is visited, reached pair
-        # or not, so the visits list exactly the actions it tries.
+        # At max-len 1 the search visits each action it tries whose pair
+        # of successors no earlier word reached, the root's included.
         rng = random.Random(20260402)
         templates = default_templates((I, K))
         for _ in range(40):
@@ -412,11 +413,12 @@ class TestDistinctEffects:
             firsts = {}
             for a in gen.reference_actions(states, templates):
                 firsts.setdefault(tuple(_effect(k, a) for k in states), a)
-            want = [((), 1, 1)] + [
-                ((a,), *(step_or_zero(k, a).weight() for k in states))
-                for key, a in firsts.items()
-                if any(e is not None for e in key)
-            ]
+            want, reached = [((), 1, 1)], {(dirac(states[0]), dirac(states[1]))}
+            for key, a in firsts.items():
+                pair = tuple(step_or_zero(k, a) for k in states)
+                if any(e is not None for e in key) and pair not in reached:
+                    reached.add(pair)
+                    want.append(((a,), *(d.weight() for d in pair)))
             got = []
             explore(
                 (dirac(states[0]), dirac(states[1])),
@@ -427,6 +429,20 @@ class TestDistinctEffects:
                 lambda *node: got.append(node) or True,
             )
             assert got == want, states
+
+    def test_each_state_and_effect_is_stepped_at_most_once_per_walk(self, monkeypatch):
+        # every length, the last included, steps through the walk's memo
+        rng = random.Random(20261019)
+        templates = default_templates()
+        real, calls = tuples._successor, collections.Counter()
+        monkeypatch.setattr(tuples, "_successor", lambda k, e: calls.update([(k, e)]) or real(k, e))
+        for i in range(200):
+            m = gen.random_program(rng, max_size=12, fuel=3)
+            n = gen.random_program(rng, max_size=12, fuel=3)
+            calls.clear()
+            tuple_distance_lb(m, n, templates, 1 + i % 4)
+            repeats = [key for key, c in calls.items() if c > 1]
+            assert not repeats, (pretty(m), pretty(n), i)
 
     def test_search_matches_the_reference_enumeration(self):
         rng = random.Random(20260403)
