@@ -102,23 +102,6 @@ _KIND_BOUNDS = {
 }
 
 
-@functools.lru_cache(maxsize=1)
-def _tuple_templates(universe_text: str) -> tuple:
-    # Keyed on the exact --universe text, not on its terms: terms compare
-    # up to alpha-equivalence, and a witness prints its template's binder
-    # names. A check that raises leaves nothing cached.
-    universe = parse_terms(universe_text)
-    if not universe:  # default_templates would fall back to the identity
-        raise ValueError("--universe names no value; --kind tuple needs at least one")
-    for v in universe:
-        if not isinstance(v, Abs) or v.free_vars:
-            raise ValueError(
-                f"--universe entry {pretty(v)} is not a closed abstraction;"
-                " --kind tuple feeds closed abstractions only"
-            )
-    return default_templates(universe)
-
-
 def _cmd_distance(args) -> dict:
     a = parse(args.term_a)
     b = parse(args.term_b)
@@ -152,7 +135,15 @@ def _cmd_distance(args) -> dict:
             "depth": args.depth,
             "state_cap": args.state_cap,
         }
-    value, witness = tuple_distance_lb(a, b, _tuple_templates(args.universe), args.max_len)
+    if not universe:  # default_templates would fall back to the identity
+        raise ValueError("--universe names no value; --kind tuple needs at least one")
+    for v in universe:
+        if not isinstance(v, Abs) or v.free_vars:
+            raise ValueError(
+                f"--universe entry {pretty(v)} is not a closed abstraction;"
+                " --kind tuple feeds closed abstractions only"
+            )
+    value, witness = tuple_distance_lb(a, b, default_templates(universe), args.max_len)
     return {
         "kind": "tuple",
         "mode": "lower-bound",

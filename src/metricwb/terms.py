@@ -76,7 +76,9 @@ class Term:
         return self._skel_id() == other._skel_id()
 
     def __hash__(self):
-        return hash(self._skel_id())
+        # the id itself, which hash() of a small nonnegative int would give
+        sid = self._skel
+        return sid if sid is not None else self._skel_id()
 
     def __repr__(self):
         fields = ", ".join(repr(getattr(self, f)) for f in self.__match_args__)
@@ -262,27 +264,31 @@ def _scope(t: Term) -> tuple[Optional[str], frozenset, bool]:
     s = t._scope
     if s is not None:
         return s
-    match t:
-        case Var(_) | Omega():
-            s = _LEAF_SCOPE
-        case Abs(x, b):
-            use, binders, reused = _scope(b)
-            s = (use, binders | {x}, reused or x in binders)
-        case Choice(l, r):
-            (ul, bl, rl), (ur, br, rr) = _scope(l), _scope(r)
-            s = (ul or ur, bl | br, rl or rr)
-        case App(l, r) | Pair(l, r):
-            (ul, bl, rl), (ur, br, rr) = _scope(l), _scope(r)
-            where = "an application" if isinstance(t, App) else "a pair"
-            use = ul or ur or _double_use(l.free_vars, r.free_vars, where)
-            s = (use, bl | br, rl or rr)
-        case LetPair(x, y, m, b):
-            (um, bm, rm), (ub, bb, rb) = _scope(m), _scope(b)
-            inner = b.free_vars - {x, y}
-            use = um or ub or _double_use(m.free_vars, inner, "a let binding")
-            s = (use, bm | bb | {x, y}, rm or rb or x in bb or y in bb)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    # dispatch on the exact type, commonest kinds first: every template and
+    # program is checked, and class patterns of a match cost about twice this
+    kind = type(t)
+    if kind is App or kind is Pair:
+        l, r = (t.fn, t.arg) if kind is App else (t.first, t.second)
+        (ul, bl, rl), (ur, br, rr) = _scope(l), _scope(r)
+        where = "an application" if kind is App else "a pair"
+        use = ul or ur or _double_use(l.free_vars, r.free_vars, where)
+        s = (use, bl | br, rl or rr)
+    elif kind is Abs:
+        use, binders, reused = _scope(t.body)
+        s = (use, binders | {t.var}, reused or t.var in binders)
+    elif kind is Var or kind is Omega:
+        s = _LEAF_SCOPE
+    elif kind is Choice:
+        (ul, bl, rl), (ur, br, rr) = _scope(t.left), _scope(t.right)
+        s = (ul or ur, bl | br, rl or rr)
+    elif kind is LetPair:
+        x, y, m, b = t.var1, t.var2, t.scrutinee, t.body
+        (um, bm, rm), (ub, bb, rb) = _scope(m), _scope(b)
+        inner = b.free_vars - {x, y}
+        use = um or ub or _double_use(m.free_vars, inner, "a let binding")
+        s = (use, bm | bb | {x, y}, rm or rb or x in bb or y in bb)
+    else:
+        raise TypeError(f"not a term: {t!r}")
     t._scope = s
     return s
 
@@ -319,27 +325,27 @@ def substitute(t: Term, x: str, v: Term) -> Term:
     """
     if x not in t.free_vars:
         return t
-    match t:
-        case Var(_):
-            return v
-        case Abs(y, b):
-            if y in v.free_vars:
-                raise ValueError(f"substitution would capture '{y}'")
-            return Abs(y, substitute(b, x, v))
-        case App(f, a):
-            return App(substitute(f, x, v), substitute(a, x, v))
-        case Choice(l, r):
-            return Choice(substitute(l, x, v), substitute(r, x, v))
-        case Pair(a, b):
-            return Pair(substitute(a, x, v), substitute(b, x, v))
-        case LetPair(y1, y2, m, b):
-            if x in (y1, y2):
-                return LetPair(y1, y2, substitute(m, x, v), b)
-            if y1 in v.free_vars or y2 in v.free_vars:
-                raise ValueError("substitution would capture a pair binder")
-            return LetPair(y1, y2, substitute(m, x, v), substitute(b, x, v))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    kind = type(t)  # dispatched like _scope: the search substitutes at every step
+    if kind is Var:
+        return v
+    if kind is App:
+        return App(substitute(t.fn, x, v), substitute(t.arg, x, v))
+    if kind is Abs:
+        if t.var in v.free_vars:
+            raise ValueError(f"substitution would capture '{t.var}'")
+        return Abs(t.var, substitute(t.body, x, v))
+    if kind is Choice:
+        return Choice(substitute(t.left, x, v), substitute(t.right, x, v))
+    if kind is Pair:
+        return Pair(substitute(t.first, x, v), substitute(t.second, x, v))
+    if kind is LetPair:
+        y1, y2, m, b = t.var1, t.var2, t.scrutinee, t.body
+        if x in (y1, y2):
+            return LetPair(y1, y2, substitute(m, x, v), b)
+        if y1 in v.free_vars or y2 in v.free_vars:
+            raise ValueError("substitution would capture a pair binder")
+        return LetPair(y1, y2, substitute(m, x, v), substitute(b, x, v))
+    raise TypeError(f"not a term: {t!r}")
 
 
 def rename_free(t: Term, mapping: dict[str, str]) -> Term:

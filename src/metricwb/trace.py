@@ -149,13 +149,7 @@ def lts_trace_accept(d: Dist[Term], s: Sequence) -> Fraction:
 
 def dedupe_values(values: Iterable[Term]) -> tuple[Term, ...]:
     """Drop alpha-duplicates, keeping first occurrences in order."""
-    seen = set()
-    out = []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return tuple(out)
+    return tuple(dict.fromkeys(values))  # a repeated key keeps its first object
 
 
 def enumerate_traces(
@@ -288,16 +282,31 @@ def app_combinations(
     atoms = [(t, frozenset([i]), max(size(t), 1)) for i, t in enumerate(linear_atoms)]
     atoms += [(t, frozenset(), max(size(t), 1)) for t in repeat_atoms]
 
-    def build(cap: int, used: frozenset) -> Iterator[tuple[Term, frozenset, int]]:
-        for t, mask, sz in atoms:
-            if sz <= cap and not (mask & used):
-                yield t, used | mask, sz
-        if cap >= 2:  # two operands, each counted as size >= 1 (even omega)
-            for lt, lu, ls in build(cap - 1, used):
-                for rt, ru, rs in build(cap - ls, lu):
-                    yield App(lt, rt), ru, ls + rs
+    # Each (cap, used) list is built once, and each tree is one node however
+    # many lists hold it, so its skeleton and affinity summary are computed once.
+    built: dict[tuple[int, frozenset], list] = {}
+    apps: dict[tuple[int, int], App] = {}  # ids of the operands -> their node
 
-    return list(dedupe_values(t for t, _, _ in build(size_cap, frozenset())))
+    def build(cap: int, used: frozenset) -> list[tuple[Term, frozenset, int]]:
+        out = built.get((cap, used))
+        if out is None:
+            out = [(t, used | mask, sz) for t, mask, sz in atoms if sz <= cap and not (mask & used)]
+            if cap >= 2:  # two operands, each counted as size >= 1 (even omega)
+                for lt, lu, ls in build(cap - 1, used):
+                    for rt, ru, rs in build(cap - ls, lu):
+                        t = apps.get((id(lt), id(rt)))
+                        if t is None:
+                            t = apps[id(lt), id(rt)] = App(lt, rt)
+                        out.append((t, ru, ls + rs))
+            built[cap, used] = out
+        return out
+
+    trees = list(dedupe_values(t for t, _, _ in build(size_cap, frozenset())))
+    # build's closure refers to build, so what it holds would wait for the
+    # cycle collector; emptying the tables frees the spare trees now
+    built.clear()
+    apps.clear()
+    return trees
 
 
 def default_tensor_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:

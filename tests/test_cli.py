@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from metricwb import cli
 from metricwb.cli import main
 from metricwb.parser import parse
 from metricwb.terms import pretty
@@ -359,66 +358,6 @@ class TestDistance:
         )
         assert payload["distance"] == "0/1"
         assert payload["universe"] == ["\\x. x", "\\a. \\b. b"]
-
-
-# a pair every universe separates at length 1, so the witness names a template
-TUPLE_PAIR = ("distance", "--kind", "tuple", "\\x. x", "\\x. omega", "--max-len", "1")
-
-
-class TestTemplateReuse:
-    @pytest.fixture(autouse=True)
-    def no_cached_templates(self):
-        cli._tuple_templates.cache_clear()
-        yield
-        cli._tuple_templates.cache_clear()
-
-    def test_commands_in_one_process_answer_as_fresh_processes(self, capsys):
-        # \a. a then the alpha-equal \z. z: the witness names the binder, so a
-        # key up to alpha-equivalence would print a; the rejected universes
-        # ("", <I, I>, \x. x x) sit between the others, and --depth is still
-        # rejected before the universe
-        universes = ["I", "I", "", "\\a. a", "\\z. z", "<I, I>", "\\a. a",
-                     "\\x. x x", "\\a. \\b. a, I", "\\x. x x", "I"]
-        argvs = [(*TUPLE_PAIR, "--universe", u) for u in universes]
-        argvs.insert(6, (*TUPLE_PAIR, "--universe", "<I, I>", "--depth", "3"))
-        fresh = {}
-        for argv in argvs:
-            if argv not in fresh:
-                done = run_module(*argv)
-                fresh[argv] = (done.returncode, done.stdout, done.stderr)
-            assert run(capsys, *argv) == fresh[argv], argv
-        assert '"witness": "appl(1; ; \\\\z. z)"' in fresh[argvs[4]][1]
-        assert fresh[argvs[6]][2] == "error: --depth does not apply to --kind tuple\n"
-
-    def test_templates_are_derived_once_per_universe_text(self, capsys, monkeypatch):
-        derived = []
-        real = cli.default_templates
-        monkeypatch.setattr(cli, "default_templates", lambda u: derived.append(u) or real(u))
-        first = run(capsys, *TUPLE_PAIR, "--universe", "\\a. a")
-        assert run(capsys, *TUPLE_PAIR, "--universe", "\\a. a") == first
-        assert len(derived) == 1
-        assert run(capsys, *TUPLE_PAIR, "--universe", "\\z. z") != first
-        assert len(derived) == 2
-        for kind in ("trace", "bisim"):
-            code, _, err = run(capsys, "distance", "--kind", kind, "I", "omega",
-                               "--universe", "\\b. b")
-            assert code == 0, err
-        assert len(derived) == 2
-
-    def test_a_failing_derivation_is_not_cached(self, capsys, monkeypatch):
-        rejected = run(capsys, *TUPLE_PAIR, "--universe", "<I, I>")
-        assert rejected[0] == 1
-        assert run(capsys, *TUPLE_PAIR, "--universe", "<I, I>") == rejected
-
-        def fail(universe):
-            derived.append(universe)
-            raise ValueError("no templates")
-
-        derived = []
-        monkeypatch.setattr(cli, "default_templates", fail)
-        for _ in range(2):
-            assert run(capsys, *TUPLE_PAIR) == (1, "", "error: no templates\n")
-        assert len(derived) == 2
 
 
 class TestExamples:

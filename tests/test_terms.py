@@ -39,6 +39,7 @@ class TestStructure:
         b = Abs("b", Var("b"))
         assert a == b
         assert hash(a) == hash(b)
+        assert hash(a) == hash(Abs("c", Var("c")))  # a cached id, a fresh one
         assert len({a, b}) == 1
         assert Abs("a", Abs("b", Var("a"))) != Abs("a", Abs("b", Var("b")))
 

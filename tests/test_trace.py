@@ -27,6 +27,7 @@ from metricwb.trace import (
     TensorAction,
     app_combinations,
     check_trace,
+    dedupe_values,
     default_tensor_templates,
     encode_theta_trace,
     _trace_step,
@@ -216,6 +217,48 @@ class TestAppCombinations:
         out = app_combinations([Var("x"), Var("y")], [I], 5)
         assert len(out) == len(set(out))
         assert out == app_combinations([Var("x"), Var("y")], [I], 5)
+
+    @pytest.mark.parametrize("linear, repeat, cap", [
+        ([Var("x"), Var("y")], [I], 5),
+        ([Var("x")], [OMEGA, I], 4),
+        ([], [I, parse("\\a. \\b. a")], 4),
+        ([Var("x")], [I, App(I, I)], 4),  # the tree I I repeats an atom
+    ])
+    def test_order_follows_the_recursive_definition(self, linear, repeat, cap):
+        # the trees in the order of the recursive enumeration they are
+        # defined by: fitting atoms first, then each left operand of size
+        # <= cap - 1 with each right operand the rest of the cap allows
+        atoms = [(t, {i}, max(size(t), 1)) for i, t in enumerate(linear)]
+        atoms += [(t, set(), max(size(t), 1)) for t in repeat]
+
+        def build(cap, used):
+            for t, mask, sz in atoms:
+                if sz <= cap and not mask & used:
+                    yield t, used | mask, sz
+            if cap >= 2:
+                for lt, lu, ls in build(cap - 1, used):
+                    for rt, ru, rs in build(cap - ls, lu):
+                        yield App(lt, rt), ru, ls + rs
+
+        want = list(dict.fromkeys(t for t, _, _ in build(cap, set())))
+        out = app_combinations(linear, repeat, cap)
+        assert [pretty(t) for t in out] == [pretty(t) for t in want]
+        assert out == want
+
+    def test_each_tree_is_one_node(self):
+        out = app_combinations([Var("x"), Var("y")], [I], 5)
+        node = {t: t for t in out}
+        for t in out:
+            if isinstance(t, App):
+                assert t.fn is node[t.fn] and t.arg is node[t.arg]
+
+
+class TestDedupeValues:
+    def test_keeps_the_first_of_alpha_equal_values_in_order(self):
+        a, k, z = parse("\\a. a"), parse("\\a. \\b. a"), parse("\\z. z")
+        out = dedupe_values([a, k, z, k])
+        assert out == (a, k)
+        assert out[0] is a and out[1] is k
 
 
 class TestDistanceLowerBound:
