@@ -3,10 +3,10 @@
 A Dist stores positive integer numerators over one shared positive
 denominator, in lowest terms (gcd(den, *numerators) == 1), so each
 distribution has exactly one representation and equality and hashing
-compare it directly. bind, map_elems and dirac work on the integers,
-and distributions combine through bind alone. Fraction appears only at
-the interface: the constructor, weight, get, items, to_json and printed
-messages.
+compare it directly. bind, map_elems, cancel and dirac work on the
+integers, and distributions combine through bind alone. Fraction appears
+only at the interface: the constructor, weight, get, items, to_json and
+printed messages.
 """
 
 from __future__ import annotations
@@ -131,6 +131,31 @@ class Dist(Generic[T]):
             for e, q in d._num.items():
                 acc[e] = acc.get(e, 0) + f * q
         return _make(acc, self._den * den)
+
+    def cancel(self, other: "Dist[T]") -> "tuple[Dist[T], Dist[T]]":
+        """Both distributions less the mass they share: min(self(s),
+        other(s)) is taken from each side at every common element s, so
+        the supports come out disjoint and self(s) - other(s) is unchanged
+        everywhere. Elements keep their order. Disjoint inputs come back
+        as they are."""
+        na, nb = self._num, other._num
+        if na.keys().isdisjoint(nb):
+            return self, other
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        a = {e: n * fa for e, n in na.items()}
+        b = {e: n * fb for e, n in nb.items()}
+        for e in na.keys() & nb.keys():
+            gap = a[e] - b[e]
+            if gap > 0:
+                a[e] = gap  # an existing key keeps its place
+                del b[e]
+            elif gap < 0:
+                b[e] = -gap
+                del a[e]
+            else:
+                del a[e], b[e]
+        return _make(a, den), _make(b, den)
 
     def to_json(self, pretty_elem: Callable[[T], str] = str) -> dict:
         entries = sorted(

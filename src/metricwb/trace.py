@@ -165,7 +165,13 @@ def enumerate_traces(
 
 
 def explore(
-    start: tuple, actions: Callable, effect: Callable, step: Callable, max_len: int, visit: Callable
+    start: tuple,
+    actions: Callable,
+    effect: Callable,
+    step: Callable,
+    max_len: int,
+    visit: Callable,
+    cancel: bool = False,
 ) -> None:
     """Breadth-first walk over action words played against a pair of
     distributions. At each length, visit(word, wa, wb) sees the weights of
@@ -184,9 +190,19 @@ def explore(
     and the earlier word comes first in length-lexicographic order, so
     first witnesses survive. The walk ends after visiting the words of
     length max_len, or once no word is left to extend, however large
-    max_len is."""
+    max_len is.
+
+    With cancel, the start pair and every successor pair lose the mass
+    their two sides share (Dist.cancel) before the reached-pair test, so
+    the walk carries the difference of the two distributions and visit
+    sees the cancelled weights; widest_gap's argument says why that is
+    sound for it. Without, visit sees absolute weights, which a walk that
+    classifies each word's own probabilities, such as the tests'
+    gen.partition_violations, needs."""
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
+    if cancel:
+        start = start[0].cancel(start[1])
     memo: dict = {}  # state -> {effect: successor distribution}
     frontier = [((), *start)]
     seen = {start}
@@ -213,6 +229,8 @@ def explore(
                         child[s] = d
                 successor = lambda s: child.get(s, EMPTY)
                 ca, cb = da.bind(successor), db.bind(successor)
+                if cancel:
+                    ca, cb = ca.cancel(cb)
                 if (ca, cb) not in seen:
                     seen.add((ca, cb))
                     frontier.append((word + (a,), ca, cb))
@@ -223,7 +241,22 @@ def widest_gap(
 ) -> tuple:
     """Largest weight gap over the words explore reaches, with the first
     word attaining it. A node whose mass on both sides is at most the best
-    gap so far is not extended: probabilities only shrink along a word."""
+    gap so far is not extended: probabilities only shrink along a word.
+
+    The walk cancels the mass both sides share after every step. A word's
+    probability is linear in the distribution, Pr_da(w) - Pr_db(w) =
+    sum over s of (da(s) - db(s)) * Pr_s(w), so a node's future gaps depend
+    on da - db alone, and:
+    - cancelling leaves wa - wb unchanged, so every visited gap is the same;
+    - nodes with equal differences merge in explore's reached pairs;
+    - a node lists candidates for the states left after cancelling, and
+      a candidate that moves none of them leaves a zero difference, whose
+      words all have gap 0;
+    - every extension's gap is at most max(wa', wb') of the cancelled
+      weights, since 0 <= Pr_s(w) <= 1, and that is never more than
+      max(wa, wb). So pruning on the cancelled weights drops only words
+      that cannot beat the best gap, and first witnesses survive, as they
+      do when explore skips a reached pair."""
     best, witness = _ZERO, ()
 
     def visit(word: tuple, wa: Fraction, wb: Fraction) -> bool:
@@ -232,7 +265,7 @@ def widest_gap(
             best, witness = abs(wa - wb), word
         return max(wa, wb) > best
 
-    explore(start, actions, effect, step, max_len, visit)
+    explore(start, actions, effect, step, max_len, visit, cancel=True)
     return best, witness
 
 

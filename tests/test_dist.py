@@ -172,3 +172,32 @@ class TestAgainstReference:
             nums = list(d._num.values())
             assert math.gcd(d._den, *nums) == 1
             assert all(n > 0 for n in nums) and sum(nums) <= d._den
+
+    @given(entries, entries)
+    def test_cancel(self, raw_a, raw_b):
+        # each side keeps what it has beyond the other, in its own order
+        a, b = Dist(raw_a), Dist(raw_b)
+        ra, rb = gen.ReferenceDist(raw_a), gen.ReferenceDist(raw_b)
+        ca, cb = a.cancel(b)
+        assert not set(ca.support()) & set(cb.support())
+        for e in ELEMS:
+            assert ca.get(e) - cb.get(e) == ra.get(e) - rb.get(e)
+        assert_same(ca, gen.ReferenceDist((e, p - rb.get(e)) for e, p in ra.items() if p > rb.get(e)))
+        assert_same(cb, gen.ReferenceDist((e, p - ra.get(e)) for e, p in rb.items() if p > ra.get(e)))
+        for d in (ca, cb):
+            fresh = Dist(list(d.items()))
+            assert (d._den, list(d._num.items())) == (fresh._den, list(fresh._num.items()))
+            assert hash(d) == hash(fresh)
+
+    @given(entries)
+    def test_cancel_of_equal_inputs_is_empty(self, raw):
+        assert Dist(raw).cancel(Dist(list(reversed(raw)))) == (EMPTY, EMPTY)
+
+    @given(
+        st.lists(st.tuples(st.sampled_from((0, "a", I, parse("\\y. y"))), small), max_size=4),
+        st.lists(st.tuples(st.sampled_from((1, "b", K)), small), max_size=4),
+    )
+    def test_cancel_of_disjoint_inputs_returns_them(self, raw_a, raw_b):
+        a, b = Dist(raw_a), Dist(raw_b)
+        ca, cb = a.cancel(b)
+        assert ca is a and cb is b

@@ -24,9 +24,9 @@ from metricwb import (
     tuple_distance_lb,
     u_seq,
 )
-from metricwb import tuples
+from metricwb import trace, tuples
 from metricwb.dist import EMPTY, Dist
-from metricwb.terms import Abs, App, OMEGA, Pair, Var, identity, pretty
+from metricwb.terms import Abs, App, Choice, OMEGA, Pair, Var, identity, pretty
 from metricwb.trace import AppAction, default_tensor_templates, explore, trace_distance_lb
 from metricwb.tuples import (
     Appl,
@@ -580,6 +580,97 @@ class TestAgreementWithTraces:
             tuple_s = tuple(Appl(1, (), v) for v in vs)
             trace_s = tuple(AppAction(v) for v in vs)
             assert program_tuple_trace_prob(m, tuple_s) == trace_accept(m, trace_s)
+
+
+def searched_both_ways(monkeypatch, search):
+    """search() as widest_gap runs it, which cancels the mass both sides
+    share after every step, and again with Dist.cancel handing its inputs
+    back, which is the plain search over absolute distributions."""
+    cancelled = search()
+    with monkeypatch.context() as patch:
+        patch.setattr(Dist, "cancel", lambda a, b: (a, b))
+        return cancelled, search()
+
+
+class TestCancellation:
+    def test_cancelled_search_equals_plain_search_on_random_pairs(self, monkeypatch):
+        rng = random.Random(20261019)
+        universes = ((I,), (I, K))
+        tuple_templates = default_templates()
+        for i in range(120):
+            m = gen.random_program(rng, max_size=12, fuel=3)
+            n = gen.random_program(rng, max_size=12, fuel=3)
+            if i % 2:  # the two sides share mass from the start
+                n = Choice(m, n)
+            universe = universes[i // 2 % 2]
+            tensor = tuple(rng.sample(default_tensor_templates(universe), i % 4))
+            max_len = i % 5
+            cancelled, plain = searched_both_ways(
+                monkeypatch, lambda: trace_distance_lb(m, n, universe, max_len, tensor)
+            )
+            assert cancelled == plain, (pretty(m), pretty(n), universe, tensor, max_len)
+            cancelled, plain = searched_both_ways(
+                monkeypatch, lambda: tuple_distance_lb(m, n, tuple_templates, max_len)
+            )
+            assert cancelled == plain, (pretty(m), pretty(n), max_len)
+
+    def test_cancelled_search_equals_plain_search_on_the_paper_families(self, monkeypatch):
+        templates = default_templates()
+        for level in range(1, 7):
+            m, n = build_mn_nn(level)
+            cancelled, plain = searched_both_ways(
+                monkeypatch, lambda: tuple_distance_lb(m, n, templates, 2 * level)
+            )
+            assert cancelled == plain and plain[0] == 1 - u_seq(level), level
+        for max_len in range(3, 7):
+            cancelled, plain = searched_both_ways(
+                monkeypatch, lambda: tuple_distance_lb(NOISY, CLEAN, templates, max_len)
+            )
+            assert cancelled == plain == (F(3, 4), WITNESS), max_len
+
+    def test_the_worked_pair_settles_once_shared_mass_cancels(self, monkeypatch):
+        # With absolute weights the clean side keeps mass 1 on most words,
+        # more than the best gap 3/4, so the plain search extends every
+        # word it visits. Cancelled, no word of length 4 keeps more than
+        # 3/4, so the search ends there however long max_len is.
+        counts = []
+        real = trace.explore
+
+        def counting(start, actions, effect, step, max_len, visit, **kw):
+            def counted(*node):
+                keep = visit(*node)
+                counts[-1][0] += 1
+                counts[-1][1] += keep
+                return keep
+
+            counts.append([0, 0])
+            return real(start, actions, effect, step, max_len, counted, **kw)
+
+        monkeypatch.setattr(trace, "explore", counting)
+        searched_both_ways(monkeypatch, lambda: tuple_distance_lb(NOISY, CLEAN, None, 5))
+        assert counts == [[81, 48], [423, 423]]
+
+    def test_trace_equals_tuple_on_aligned_observers(self):
+        # The paper calls both distances fully abstract. With U = {I}, the
+        # trace search feeds the closed abstractions among the tuple
+        # templates and pairs through the tensor templates over U; then the
+        # two searches agree on these 200 pairs at max-len 3. That is
+        # measured, not proven: at max-len 2 one pair in 1,000 differs, as
+        # a tensor observation is one trace action but a cut and an
+        # application as a tuple word. A pair that fails here names a
+        # missing observer or a defect in one of the searches.
+        universe = (I,)
+        templates = default_templates(universe)
+        arguments = [t for t in templates if isinstance(t, Abs) and not t.free_vars]
+        tensor = default_tensor_templates(universe)
+        assert (len(templates), len(arguments), len(tensor)) == (35, 11, 96)
+        rng = random.Random(5)
+        for _ in range(200):
+            m = gen.random_program(rng, max_size=12)
+            n = gen.random_program(rng, max_size=12)
+            by_trace = trace_distance_lb(m, n, arguments, 3, tensor)[0]
+            by_tuple = tuple_distance_lb(m, n, templates, 3)[0]
+            assert by_trace == by_tuple, (pretty(m), pretty(n))
 
 
 class TestFormatting:
