@@ -19,7 +19,7 @@ import traceback
 
 from .bisim import bisim_distance
 from .dist import frac_str
-from .errors import MetricWbError
+from .errors import MetricWbError, NotAffine
 from .parser import parse, parse_terms, read_name
 from .semantics import clear_memo, eval_big
 from .terms import Abs, affine_violation, identity, pretty
@@ -143,7 +143,14 @@ def _cmd_distance(args) -> dict:
                 f"--universe entry {pretty(v)} is not a closed abstraction;"
                 " --kind tuple feeds closed abstractions only"
             )
-    value, witness = tuple_distance_lb(a, b, default_templates(universe), args.max_len)
+    # the universe values are the first templates, checked here as the
+    # search would check them, because it derives the templates only when
+    # it first lists actions
+    for v in universe:
+        reason = affine_violation((), v)
+        if reason is not None:
+            raise NotAffine(reason)
+    value, witness = tuple_distance_lb(a, b, lambda: default_templates(universe), args.max_len)
     return {
         "kind": "tuple",
         "mode": "lower-bound",

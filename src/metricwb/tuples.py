@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .dist import EMPTY, Dist
 from .errors import InvalidAction, NotAffine, NotClosed, ParseError
@@ -264,7 +264,9 @@ def default_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
     return dedupe_values((*consts, Var(_SLOT), *(Abs("y", b) for b in bodies)))
 
 
-def _check_templates(templates: Sequence[Term]) -> None:
+def _check_templates(templates: Iterable[Term]) -> tuple[Term, ...]:
+    """The templates without alpha-duplicates, each checked."""
+    templates = dedupe_values(templates)
     for t in templates:
         extra = t.free_vars - {_SLOT}
         if extra:
@@ -274,6 +276,7 @@ def _check_templates(templates: Sequence[Term]) -> None:
         reason = affine_violation((_SLOT,), t)
         if reason is not None:
             raise NotAffine(reason)
+    return templates
 
 
 def _arguments(templates: Iterable[Term], width: int) -> list:
@@ -326,32 +329,39 @@ def enumerate_actions(states: Iterable[TupleState], arguments: Sequence[tuple]) 
 def tuple_distance_lb(
     m: Term,
     n: Term,
-    template_set: Optional[Sequence[Term]] = None,
+    template_set: Union[Sequence[Term], Callable[[], Sequence[Term]], None] = None,
     max_len: int = 4,
 ) -> tuple[Fraction, TupleTrace]:
     """Largest tuple-trace probability gap between programs m and n over
     traces up to max_len, with the first witness in search order. The
     templates are the arguments fed to abstraction components, '$j' marking
-    a consumed component (default_templates by default); alpha-duplicates
-    are dropped.
+    a consumed component; alpha-duplicates are dropped. template_set is
+    the templates themselves, or a function of no arguments that derives
+    them (default_templates by default).
 
     The search is trace.widest_gap: breadth-first, exploring branches with
     identical joint distributions once, dropping branches that keep no
     more mass than the best gap, and stepping each state once per distinct
-    action effect (_effect). Templates are checked once here, so the steps
-    skip the affinity check, and the (consumed, argument) table of
+    action effect (_effect). Templates are checked once per search, so the
+    steps skip the affinity check: given templates at entry, and derived
+    ones when the search first lists actions, which a search whose start
+    pair is settled at once never does. The (consumed, argument) table of
     _arguments is built once per tuple width for the whole search;
     enumerate_actions lists one argument per consumed set where the
     argument cannot matter.
     """
-    template_set = dedupe_values(default_templates() if template_set is None else template_set)
-    _check_templates(template_set)
+    if template_set is None:
+        template_set = default_templates
+    templates = None if callable(template_set) else _check_templates(template_set)
     by_width: dict[int, list] = {}
 
     def actions(support):
+        nonlocal templates
+        if templates is None:
+            templates = _check_templates(template_set())
         width = max(map(len, support), default=0)
         if width not in by_width:
-            by_width[width] = _arguments(template_set, width)
+            by_width[width] = _arguments(templates, width)
         return enumerate_actions(support, by_width[width])
 
     dm = eval_big(m).map_elems(lambda v: (v,))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from metricwb import cli
 from metricwb.cli import main
 from metricwb.parser import parse
 from metricwb.terms import pretty
@@ -298,6 +299,43 @@ class TestDistance:
             f"error: --universe entry {pretty(parse(entry))} is not a closed abstraction;"
             " --kind tuple feeds closed abstractions only\n"
         )
+
+    @pytest.mark.parametrize(
+        "entry, name", [("\\x. x x", "x"), ("\\x. let <a, b> = x in a a", "a")]
+    )
+    @pytest.mark.parametrize("pair", [("I", "I"), ("omega", "omega"), (NOISY, CLEAN)])
+    def test_tuple_kind_rejects_a_universe_entry_that_is_not_affine(
+        self, capsys, entry, name, pair
+    ):
+        # also where the search lists no action and never derives templates
+        code, out, err = run(capsys, "distance", "--kind", "tuple", *pair, "--universe", entry)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: variable '{name}' is used on both sides of an application\n"
+
+    def test_tuple_kind_names_an_open_entry_before_a_non_affine_one(self, capsys):
+        code, out, err = run(
+            capsys, "distance", "--kind", "tuple", "I", "I", "--universe", "\\x. x x, \\y. z"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: --universe entry \\y. z is not a closed abstraction;"
+            " --kind tuple feeds closed abstractions only\n"
+        )
+
+    def test_tuple_templates_are_derived_only_once_actions_are_listed(self, capsys, monkeypatch):
+        calls = []
+        real = cli.default_templates
+        monkeypatch.setattr(cli, "default_templates", lambda u: calls.append(u) or real(u))
+        # equal programs cancel at the start, so their search lists nothing
+        for pair in (("I", "I"), ("omega", "omega")):
+            assert payload_of(capsys, "distance", "--kind", "tuple", *pair)["distance"] == "0/1"
+        assert calls == []
+        # the worked pair's search lists actions at widths 1 and 2
+        payload = payload_of(capsys, "distance", "--kind", "tuple", NOISY, CLEAN, "--max-len", "3")
+        assert payload["witness_tuple_lengths"] == [2, 2, 2]
+        assert len(calls) == 1
 
     def test_tuple_templates_keep_the_binder_names_of_each_universe(self, capsys):
         # an alpha-equal universe still prints its own binder names

@@ -500,6 +500,9 @@ class TestDistanceSearch:
     def test_templates_are_checked_at_entry(self):
         with pytest.raises(NotAffine):
             tuple_distance_lb(NOISY, CLEAN, (parse("\\x. x x"),), 3)
+        # also by a search that lists no action
+        with pytest.raises(NotAffine):
+            tuple_distance_lb(I, I, (parse("\\x. x x"),), 3)
         bad = (Abs("y", App(Var("$j"), Var("$j"))),)
         with pytest.raises(NotAffine):
             tuple_distance_lb(NOISY, CLEAN, bad, 3)
@@ -535,6 +538,69 @@ class TestDistanceSearch:
         got = tuple_distance_lb(*build_mn_nn(3), default_templates(), 6)
         assert got[0] == 1 - u_seq(3)
         assert (len(listed), sum(map(len, listed))) == (14, 74)
+
+
+class TestDerivedTemplates:
+    # A function in place of the templates is called when the search first
+    # lists actions, and its templates are deduplicated and checked then;
+    # given templates are checked at entry (TestDistanceSearch).
+
+    def test_derived_templates_equal_given_templates_on_random_pairs(self):
+        rng = random.Random(20261020)
+        derived = []
+        for universe in ((I,), (K,), (I, K)):
+            templates = default_templates(universe)
+            for i in range(60):
+                m = gen.random_program(rng, max_size=12, fuel=3)
+                n = gen.random_program(rng, max_size=12, fuel=3)
+                if i % 2:  # the two sides share mass from the start
+                    n = Choice(m, n)
+                max_len = i % 5
+                calls = []
+                lazy = tuple_distance_lb(
+                    m, n, lambda: calls.append(1) or default_templates(universe), max_len
+                )
+                assert lazy == tuple_distance_lb(m, n, templates, max_len), (
+                    pretty(m), pretty(n), universe, max_len,
+                )
+                assert len(calls) <= 1
+                derived += calls
+        # both cases occur: searches that list actions and searches that do not
+        assert 0 < len(derived) < 180
+
+    def test_derived_templates_equal_given_templates_on_the_paper_families(self):
+        templates = default_templates()
+        for level in range(1, 5):
+            m, n = build_mn_nn(level)
+            got = tuple_distance_lb(m, n, default_templates, 2 * level)
+            assert got == tuple_distance_lb(m, n, templates, 2 * level)
+            assert got[0] == 1 - u_seq(level), level
+        for max_len in range(3, 6):
+            got = tuple_distance_lb(NOISY, CLEAN, default_templates, max_len)
+            assert got == tuple_distance_lb(NOISY, CLEAN, templates, max_len) == (F(3, 4), WITNESS)
+
+    def test_templates_are_derived_once_when_actions_are_first_listed(self, monkeypatch):
+        calls = []
+        real = tuples.default_templates
+        monkeypatch.setattr(tuples, "default_templates", lambda: calls.append(1) or real())
+        # start pairs settled at once list nothing: equal programs cancel,
+        # and I against omega keeps no mass beyond its gap of 1
+        assert tuple_distance_lb(NOISY, NOISY, None, 3) == (0, ())
+        assert tuple_distance_lb(I, OMEGA, None, 3) == (1, ())
+        assert calls == []
+        # the tower reaches widths 1 to 4 and derives its templates once
+        m, n = build_mn_nn(3)
+        assert tuple_distance_lb(m, n, None, 6)[0] == 1 - u_seq(3)
+        assert calls == [1]
+
+    def test_derived_templates_are_checked_when_actions_are_first_listed(self):
+        bad = (Abs("y", App(Var("$j"), Var("$j"))),)
+        with pytest.raises(NotAffine):
+            tuple_distance_lb(NOISY, CLEAN, lambda: bad, 3)
+        with pytest.raises(InvalidAction, match="neither"):
+            tuple_distance_lb(NOISY, CLEAN, lambda: (I, Pair(I, I)), 3)
+        # a search that lists no action never sees them
+        assert tuple_distance_lb(NOISY, NOISY, lambda: bad, 3) == (0, ())
 
 
 class TestBinderHygiene:
