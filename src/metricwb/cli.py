@@ -19,7 +19,7 @@ import traceback
 
 from .bisim import bisim_distance
 from .dist import frac_str
-from .errors import MetricWbError, NotAffine
+from .errors import MetricWbError
 from .parser import parse, parse_terms, read_name
 from .semantics import clear_memo, eval_big
 from .terms import Abs, affine_violation, identity, pretty
@@ -29,6 +29,7 @@ from .tuples import (
     build_expair,
     build_mn_nn,
     build_sn,
+    check_templates,
     default_templates,
     format_tuple_trace,
     parse_tuple_trace,
@@ -113,52 +114,35 @@ def _cmd_distance(args) -> dict:
         elif name not in own:
             flag = "--" + name.replace("_", "-")
             raise ValueError(f"{flag} does not apply to --kind {args.kind}")
-    if args.kind == "trace":
-        value, witness = trace_distance_lb(a, b, universe, args.max_len)
-        return {
-            "kind": "trace",
-            "mode": "lower-bound",
-            "distance": frac_str(value),
-            "witness": format_trace(witness),
-            "universe": [pretty(v) for v in universe],
-            "max_len": args.max_len,
-        }
-    if args.kind == "bisim":
-        value = bisim_distance(
-            a, b, universe, args.depth, state_cap=args.state_cap
-        )
-        return {
-            "kind": "bisim",
-            "mode": "exact-fixpoint",
-            "distance": frac_str(value),
-            "universe": [pretty(v) for v in universe],
-            "depth": args.depth,
-            "state_cap": args.state_cap,
-        }
-    if not universe:  # default_templates would fall back to the identity
-        raise ValueError("--universe names no value; --kind tuple needs at least one")
-    for v in universe:
-        if not isinstance(v, Abs) or v.free_vars:
-            raise ValueError(
-                f"--universe entry {pretty(v)} is not a closed abstraction;"
-                " --kind tuple feeds closed abstractions only"
-            )
-    # the universe values are the first templates, checked here as the
-    # search would check them, because it derives the templates only when
-    # it first lists actions
-    for v in universe:
-        reason = affine_violation((), v)
-        if reason is not None:
-            raise NotAffine(reason)
-    value, witness = tuple_distance_lb(a, b, lambda: default_templates(universe), args.max_len)
-    return {
-        "kind": "tuple",
-        "mode": "lower-bound",
-        "distance": frac_str(value),
-        "witness": format_tuple_trace(witness),
-        "max_len": args.max_len,
-        "witness_tuple_lengths": trace_tuple_lengths(a, witness)[1],
+    payload = {
+        "kind": args.kind,
+        "mode": "exact-fixpoint" if args.kind == "bisim" else "lower-bound",
+        **{name: getattr(args, name) for name in own},
     }
+    if args.kind == "bisim":
+        value = bisim_distance(a, b, universe, args.depth, state_cap=args.state_cap)
+    elif args.kind == "trace":
+        value, witness = trace_distance_lb(a, b, universe, args.max_len)
+        payload["witness"] = format_trace(witness)
+    else:
+        if not universe:  # default_templates would fall back to the identity
+            raise ValueError("--universe names no value; --kind tuple needs at least one")
+        for v in universe:
+            if not isinstance(v, Abs) or v.free_vars:
+                raise ValueError(
+                    f"--universe entry {pretty(v)} is not a closed abstraction;"
+                    " --kind tuple feeds closed abstractions only"
+                )
+        # the universe values are the first templates; the search derives
+        # the rest only when it first lists actions
+        check_templates(universe)
+        value, witness = tuple_distance_lb(a, b, lambda: default_templates(universe), args.max_len)
+        payload["witness"] = format_tuple_trace(witness)
+        payload["witness_tuple_lengths"] = trace_tuple_lengths(a, witness)[1]
+    if args.kind != "tuple":
+        payload["universe"] = [pretty(v) for v in universe]
+    payload["distance"] = frac_str(value)
+    return payload
 
 
 def _expair_report() -> dict:

@@ -157,9 +157,9 @@ def enumerate_traces(
     max_len: int,
     tensor_templates: Sequence[Term] = (),
 ) -> Iterator[Trace]:
-    """All traces over the given actions in length-lexicographic order."""
+    """All traces over the distinct actions in length-lexicographic order."""
     actions = [AppAction(v) for v in dedupe_values(universe)]
-    actions += [TensorAction(b) for b in tensor_templates]
+    actions += [TensorAction(b) for b in dedupe_values(tensor_templates)]
     for n in range(max_len + 1):
         yield from itertools.product(actions, repeat=n)
 
@@ -171,7 +171,6 @@ def explore(
     step: Callable,
     max_len: int,
     visit: Callable,
-    cancel: bool = False,
 ) -> None:
     """Breadth-first walk over action words played against a pair of
     distributions. At each length, visit(word, wa, wb) sees the weights of
@@ -192,17 +191,16 @@ def explore(
     length max_len, or once no word is left to extend, however large
     max_len is.
 
-    With cancel, the start pair and every successor pair lose the mass
-    their two sides share (Dist.cancel) before the reached-pair test, so
-    the walk carries the difference of the two distributions and visit
-    sees the cancelled weights; widest_gap's argument says why that is
-    sound for it. Without, visit sees absolute weights, which a walk that
-    classifies each word's own probabilities, such as the tests'
-    gen.partition_violations, needs."""
+    The start pair and every successor pair lose the mass their two sides
+    share (Dist.cancel) before visit and the reached-pair test, so the walk
+    carries the difference of the two distributions and visit sees the
+    cancelled weights; widest_gap's argument says why that is sound for
+    it. A walk that needs each side's own probabilities tags every state
+    with its side, so the two supports share no state and nothing is
+    cancelled."""
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
-    if cancel:
-        start = start[0].cancel(start[1])
+    start = start[0].cancel(start[1])
     memo: dict = {}  # state -> {effect: successor distribution}
     frontier = [((), *start)]
     seen = {start}
@@ -228,9 +226,7 @@ def explore(
                             d = row[e] = step(s, e)
                         child[s] = d
                 successor = lambda s: child.get(s, EMPTY)
-                ca, cb = da.bind(successor), db.bind(successor)
-                if cancel:
-                    ca, cb = ca.cancel(cb)
+                ca, cb = da.bind(successor).cancel(db.bind(successor))
                 if (ca, cb) not in seen:
                     seen.add((ca, cb))
                     frontier.append((word + (a,), ca, cb))
@@ -243,10 +239,10 @@ def widest_gap(
     word attaining it. A node whose mass on both sides is at most the best
     gap so far is not extended: probabilities only shrink along a word.
 
-    The walk cancels the mass both sides share after every step. A word's
-    probability is linear in the distribution, Pr_da(w) - Pr_db(w) =
-    sum over s of (da(s) - db(s)) * Pr_s(w), so a node's future gaps depend
-    on da - db alone, and:
+    explore cancels the mass both sides share, at the root and after every
+    step. A word's probability is linear in the distribution, Pr_da(w) -
+    Pr_db(w) = sum over s of (da(s) - db(s)) * Pr_s(w), so a node's future
+    gaps depend on da - db alone, and:
     - cancelling leaves wa - wb unchanged, so every visited gap is the same;
     - nodes with equal differences merge in explore's reached pairs;
     - a node lists candidates for the states left after cancelling, and
@@ -265,7 +261,7 @@ def widest_gap(
             best, witness = abs(wa - wb), word
         return max(wa, wb) > best
 
-    explore(start, actions, effect, step, max_len, visit, cancel=True)
+    explore(start, actions, effect, step, max_len, visit)
     return best, witness
 
 

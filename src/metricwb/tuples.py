@@ -264,8 +264,8 @@ def default_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
     return dedupe_values((*consts, Var(_SLOT), *(Abs("y", b) for b in bodies)))
 
 
-def _check_templates(templates: Iterable[Term]) -> tuple[Term, ...]:
-    """The templates without alpha-duplicates, each checked."""
+def check_templates(templates: Iterable[Term]) -> tuple[Term, ...]:
+    """The templates without alpha-duplicates, each checked in order."""
     templates = dedupe_values(templates)
     for t in templates:
         extra = t.free_vars - {_SLOT}
@@ -352,13 +352,13 @@ def tuple_distance_lb(
     """
     if template_set is None:
         template_set = default_templates
-    templates = None if callable(template_set) else _check_templates(template_set)
+    templates = None if callable(template_set) else check_templates(template_set)
     by_width: dict[int, list] = {}
 
     def actions(support):
         nonlocal templates
         if templates is None:
-            templates = _check_templates(template_set())
+            templates = check_templates(template_set())
         width = max(map(len, support), default=0)
         if width not in by_width:
             by_width[width] = _arguments(templates, width)

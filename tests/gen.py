@@ -648,8 +648,8 @@ def partition_violations(
     {Pr_K = 1 and Pr_H >= u_bound}. Probabilities only shrink when a trace
     is extended, so once a prefix lands in the first class every extension
     stays there and the branch is closed; only second-class prefixes are
-    expanded. trace.explore classifies identical distribution pairs once,
-    at every length.
+    expanded. sided_walk classifies identical distribution pairs once, at
+    every length.
     """
     checked = 0
     violations: list = []
@@ -664,15 +664,28 @@ def partition_violations(
         violations.append((trace, pk, ph))
         return False
 
-    explore(
-        (dirac(k_state), dirac(h_state)),
-        lambda support: search_actions(support, templates),
-        _effect,
-        _successor,
-        max_len,
-        classify,
-    )
+    sided_walk(k_state, h_state, templates, max_len, classify)
     return checked, violations
+
+
+def sided_walk(k_state: tuple, h_state: tuple, templates, max_len: int, visit) -> None:
+    """trace.explore over the tuple words from the tuples k_state and
+    h_state, with every state tagged with its side, ("K", k) or ("H", h):
+    the two supports share no state, so explore cancels no mass and visit
+    sees each side's own probability."""
+
+    def step(s, e) -> Dist:
+        side, k = s
+        return _successor(k, e).map_elems(lambda k2: (side, k2))
+
+    explore(
+        (dirac(("K", k_state)), dirac(("H", h_state))),
+        lambda support: search_actions((k for _, k in support), templates),
+        lambda s, a: _effect(s[1], a),
+        step,
+        max_len,
+        visit,
+    )
 
 
 def search_actions(states, templates) -> list:

@@ -549,6 +549,23 @@ class TestWork:
         assert value == 1 - u_seq(n)
         assert len(lifted) == len(set(lifted)) == pairs
 
+    def test_repeated_tensor_templates_are_one_label(self, monkeypatch):
+        # a template listed twice would give every pair value each of its
+        # labels twice, and lift each twice per pair
+        templates = default_tensor_templates((I,))[:8]
+        m, nn = build_mn_nn(2)
+        real, counts = bisim._lifted, []
+
+        def lifting(templates):
+            calls = []
+            monkeypatch.setattr(bisim, "_lifted", lambda *a: calls.append(a) or real(*a))
+            value = bisim_distance(m, nn, (I,), 5, tensor_templates=templates)
+            counts.append(len(calls))
+            return value
+
+        assert lifting(templates + templates) == lifting(templates) == Fraction(5, 8)
+        assert counts == [39, 39]
+
     def test_components_at_zero_solve_no_linear_system(self, monkeypatch):
         # A label choice's value never exceeds the least fixpoint, so a
         # component whose least fixpoint is 0 has every label lifting to 0

@@ -183,6 +183,21 @@ class TestDistance:
             "witness": "eps",
         }
 
+    def test_trace_kind_report_with_an_empty_universe(self, capsys):
+        payload = payload_of(
+            capsys,
+            "distance", "--kind", "trace", "I", "(\\x. x) (+) omega",
+            "--universe", "", "--max-len", "2",
+        )
+        assert payload == {
+            "distance": "1/2",
+            "kind": "trace",
+            "max_len": 2,
+            "mode": "lower-bound",
+            "universe": [],
+            "witness": "eps",
+        }
+
     def test_trace_kind_on_the_half_coin(self, capsys):
         payload = payload_of(
             capsys,
@@ -203,6 +218,23 @@ class TestDistance:
         assert payload["mode"] == "exact-fixpoint"
         assert payload["distance"] == "1/2"
         assert payload["depth"] == 4
+
+    def test_bisim_kind_report(self, capsys):
+        payload = payload_of(
+            capsys,
+            "distance", "--kind", "bisim",
+            "\\x. ((\\y. y) (+) omega)",
+            "(\\x. \\y. y) (+) (\\x. omega)",
+            "--universe", "\\a. \\b. a, I", "--depth", "2", "--state-cap", "500",
+        )
+        assert payload == {
+            "depth": 2,
+            "distance": "1/2",
+            "kind": "bisim",
+            "mode": "exact-fixpoint",
+            "state_cap": 500,
+            "universe": ["\\a. \\b. a", "\\x. x"],
+        }
 
     def test_bisim_kind_with_a_universe_that_reuses_binders(self, capsys):
         # Applying \a. \b. a to itself nests a binder inside its own scope;
@@ -247,6 +279,21 @@ class TestDistance:
         assert payload["distance"] == "3/4"
         assert payload["witness"] == WITNESS
         assert payload["witness_tuple_lengths"] == [2, 2, 2]
+
+    def test_tuple_kind_report(self, capsys):
+        payload = payload_of(
+            capsys,
+            "distance", "--kind", "tuple", NOISY, CLEAN,
+            "--universe", "\\a. \\b. a, I", "--max-len", "2",
+        )
+        assert payload == {
+            "distance": "1/2",
+            "kind": "tuple",
+            "max_len": 2,
+            "mode": "lower-bound",
+            "witness": "cut(1); appl(1; ; \\a. \\b. a)",
+            "witness_tuple_lengths": [2, 2],
+        }
 
     def test_tuple_kind_at_length_five(self, capsys):
         # The default templates share the binder y with the components they

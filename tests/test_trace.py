@@ -31,6 +31,7 @@ from metricwb.trace import (
     default_tensor_templates,
     encode_theta_trace,
     _trace_step,
+    alphabet,
     enumerate_traces,
     explore,
     format_trace,
@@ -169,6 +170,11 @@ class TestEnumeration:
 
     def test_universe_duplicates_collapse(self):
         assert list(enumerate_traces((I, parse("\\y. y")), 1)) == [EPS, (AppAction(I),)]
+
+    def test_tensor_template_duplicates_collapse(self):
+        templates = default_tensor_templates((I,))[:8]
+        assert alphabet((I,), templates + templates) == alphabet((I,), templates)
+        assert len(alphabet((I,), templates)) == 9
 
     def test_tensor_templates_extend_the_alphabet(self):
         out = list(enumerate_traces((I,), 1, tensor_templates=(Var("x"),)))
@@ -329,8 +335,9 @@ class TestExplore:
             seen.append((word, wa, wb))
             return word != ("b",)
 
+        # the sides start on different states, so they share no mass
         explore(
-            (dirac(0), dirac(0)),
+            (dirac(0), dirac(10)),
             lambda support: ("a", "b", "c"),
             move,
             lambda s, a: dirac(s + 1) if a == "a" else dirac(s + 2) if a == "b" else Dist(),
@@ -346,6 +353,28 @@ class TestExplore:
         ]
         weights = [(wa, wb) for _, wa, wb in seen]
         assert weights == [(1, 1)] * 3 + [(0, 0)] + [(1, 1)] * 3
+
+    def test_the_mass_both_sides_share_is_cancelled_before_the_visit(self):
+        # The start pair shares state 0, so the root is visited at 1/2 and
+        # 1/2, and state 0 is never stepped. "a" moves both 1 and 2 to 3,
+        # and "b" both to 4: each pair cancels to the empty pair, so "b"
+        # reaches the pair of ("a",) and is not visited.
+        seen, calls = [], []
+
+        def step(s, a):
+            calls.append(s)
+            return dirac({"a": 3, "b": 4}.get(a, s + 10))
+
+        explore(
+            (Dist({0: HALF, 1: HALF}), Dist({0: HALF, 2: HALF})),
+            lambda support: "abc",
+            move,
+            step,
+            1,
+            lambda word, wa, wb: seen.append((word, wa, wb)) or True,
+        )
+        assert seen == [((), HALF, HALF), (("a",), 0, 0), (("c",), HALF, HALF)]
+        assert 0 not in calls
 
     def test_a_candidate_acting_like_an_earlier_one_is_not_tried(self):
         # "a" and "b" have the same effect on every state, so only "a" runs;
@@ -368,7 +397,7 @@ class TestExplore:
         assert calls == [(0, "up"), (10, "up"), (1, "up"), (11, "up")]
 
     def test_a_state_the_candidate_does_not_apply_to_is_never_stepped(self):
-        # "a" applies to state 0 only; the other half of the mass is lost
+        # "a" applies to every state but 1; half of side one's mass is lost
         calls, seen = [], []
 
         def step(s, a):
@@ -376,9 +405,9 @@ class TestExplore:
             return dirac(s)
 
         explore(
-            (Dist({0: HALF, 1: HALF}), dirac(0)),
+            (Dist({0: HALF, 1: HALF}), dirac(10)),
             lambda support: "a",
-            lambda s, a: a if s == 0 else None,
+            lambda s, a: None if s == 1 else a,
             step,
             2,
             lambda word, wa, wb: seen.append((word, wa, wb)) or True,

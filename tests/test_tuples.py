@@ -27,7 +27,7 @@ from metricwb import (
 from metricwb import trace, tuples
 from metricwb.dist import EMPTY, Dist
 from metricwb.terms import Abs, App, Choice, OMEGA, Pair, Var, identity, pretty
-from metricwb.trace import AppAction, default_tensor_templates, explore, trace_distance_lb
+from metricwb.trace import AppAction, default_tensor_templates, trace_distance_lb
 from metricwb.tuples import (
     Appl,
     Cut,
@@ -419,15 +419,10 @@ class TestDistinctEffects:
                 if any(e is not None for e in key) and pair not in reached:
                     reached.add(pair)
                     want.append(((a,), *(d.weight() for d in pair)))
+            # the sides are tagged, so they share no mass even where the
+            # two states are equal, and the walk visits absolute weights
             got = []
-            explore(
-                (dirac(states[0]), dirac(states[1])),
-                lambda support: gen.search_actions(support, templates),
-                _effect,
-                _successor,
-                1,
-                lambda *node: got.append(node) or True,
-            )
+            gen.sided_walk(*states, templates, 1, lambda *node: got.append(node) or True)
             assert got == want, states
 
     def test_each_state_and_effect_is_stepped_at_most_once_per_walk(self, monkeypatch):
@@ -702,7 +697,7 @@ class TestCancellation:
         counts = []
         real = trace.explore
 
-        def counting(start, actions, effect, step, max_len, visit, **kw):
+        def counting(start, actions, effect, step, max_len, visit):
             def counted(*node):
                 keep = visit(*node)
                 counts[-1][0] += 1
@@ -710,7 +705,7 @@ class TestCancellation:
                 return keep
 
             counts.append([0, 0])
-            return real(start, actions, effect, step, max_len, counted, **kw)
+            return real(start, actions, effect, step, max_len, counted)
 
         monkeypatch.setattr(trace, "explore", counting)
         searched_both_ways(monkeypatch, lambda: tuple_distance_lb(NOISY, CLEAN, None, 5))
