@@ -1,30 +1,34 @@
 """Bisimulation metric over the labelled Markov chain of programs.
 
 States alternate between programs (which can only be evaluated) and
-distinguished values (which can only be interrogated). A value's labels
-are the trace actions that fit it, app of a universe value or tensor
-through a template, and each moves it as trace.interrogate does for the
-trace distance. The metric functional takes, for each pair of states, the
-largest lifted distance over the actions available to both; its least
-fixpoint is the bisimulation distance.
+distinguished values (which can only be interrogated). A program state
+stands for its value distribution, so programs that evaluate alike are
+one state: such programs are at distance 0 in every iterate of the
+functional, and the lifting does not change when states at distance 0
+merge. A value's labels are the trace actions that fit it, app of a
+universe value or tensor through a template, and each moves it as
+trace.interrogate does for the trace distance. The metric functional
+takes, for each pair of states, the largest lifted distance over the
+actions available to both; its least fixpoint is the bisimulation
+distance.
 
 bisim_distance solves only the pairs the root pair's value depends on:
 the pair graph reachable from (prog m, prog n) through shared labels,
 after the on-the-fly approach of Bacci, Bacci, Larsen and Mardare (TACAS
 2013). It condenses that graph into strongly connected components and
 solves them successors first. The functional at one pair is written once,
-as _best_lift over the labels _shared finds, and every solver reads it
-there. A pair on no cycle is lifted once, from its solved successors. A
-cyclic component is solved exactly by strategy iteration over label
-choices, from 0. A component whose labels all lift to 0 at 0 stops after
-one pass: 0 is then a fixpoint, and no fixpoint lies below it. Otherwise
-each choice is evaluated by partition refinement, which finds its pairs
-at distance 0, and policy iteration over optimal couplings on the rest,
-with one exact linear solve per set of couplings (after Tang and van
-Breugel, CONCUR 2016). Liftings where one support has at most one point
-have a closed form; larger supports go through kantorovich.lift_primal's
-exact simplex. apply_F and bisim_metric keep the all-pairs Kleene
-iteration from zero as the oracle.
+as _best_lift over the distinct successor pairs _shared finds, and every
+solver reads it there. A pair on no cycle is lifted once, from its solved
+successors. A cyclic component is solved exactly by strategy iteration
+over label choices, from 0. A component whose labels all lift to 0 at 0
+stops after one pass: 0 is then a fixpoint, and no fixpoint lies below
+it. Otherwise each choice is evaluated by partition refinement, which
+finds its pairs at distance 0, and policy iteration over optimal
+couplings on the rest, with one exact linear solve per set of couplings
+(after Tang and van Breugel, CONCUR 2016). Liftings where one support has
+at most one point have a closed form; larger supports go through
+kantorovich.lift_primal's exact simplex. apply_F and bisim_metric keep
+the all-pairs Kleene iteration from zero as the oracle.
 """
 
 from __future__ import annotations
@@ -51,14 +55,15 @@ EVAL_LABEL = ("eval",)
 @dataclass(frozen=True)
 class LmcState:
     kind: str  # "prog" or "dval"
-    term: Term
+    term: "Term | Dist[Term]"  # a dval's value; a prog's value distribution
 
     def __repr__(self):
         return f"{self.kind}({self.term})"
 
 
 def prog(t: Term) -> LmcState:
-    return LmcState("prog", t)
+    """The state of the closed program t: its value distribution."""
+    return LmcState("prog", _eval(t))
 
 
 def dval(t: Term) -> LmcState:
@@ -84,10 +89,12 @@ def build_lmc(
 
     Every program state is closed under evaluation; value states are
     interrogated only up to max_depth rounds of interaction, so the
-    frontier values carry no outgoing labels. The inputs are checked once
-    here; states are evaluated without re-checking affinity, because a
-    universe value substituted into a term that already holds its binders
-    reuses a binder name harmlessly.
+    frontier values carry no outgoing labels. Programs that evaluate
+    alike are one state, and state_cap bounds the states of the fragment
+    so merged. The inputs are checked once here; states are evaluated
+    without re-checking affinity, because a universe value substituted
+    into a term that already holds its binders reuses a binder name
+    harmlessly.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
@@ -120,7 +127,7 @@ def build_lmc(
         d = depth[s]
         out: list = []
         if s.kind == "prog":
-            succ = _eval(s.term).map_elems(dval)
+            succ = s.term.map_elems(dval)
             for t in succ.support():
                 discover(t, d)
             trans[(s, EVAL_LABEL)] = succ
@@ -181,13 +188,15 @@ Graph = dict[Key, tuple[list[Succ], list[Key]]]
 
 def _shared(frag: LmcFragment, s: LmcState, t: LmcState) -> list[Succ]:
     """The successor distributions of the labels both s and t answer to,
-    in s's label order."""
+    each distinct pair once, in s's label order."""
     t_labels = set(frag.labels[t])
-    return [
-        (frag.trans[(s, label)], frag.trans[(t, label)])
-        for label in frag.labels[s]
-        if label in t_labels
-    ]
+    return list(
+        dict.fromkeys(
+            (frag.trans[(s, label)], frag.trans[(t, label)])
+            for label in frag.labels[s]
+            if label in t_labels
+        )
+    )
 
 
 def _best_lift(mu: PseudoMetric, succ: list[Succ]) -> tuple[Fraction, Succ | None]:

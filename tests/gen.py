@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import deque
 from fractions import Fraction
 
+from metricwb.bisim import EVAL_LABEL, LmcFragment, LmcState
 from metricwb.dist import Dist, dirac
 from metricwb.errors import CoefficientOverflow
 from metricwb.terms import (
@@ -32,7 +34,7 @@ from metricwb.terms import (
     substitute,
 )
 from metricwb.semantics import _eval, eval_big
-from metricwb.trace import AppAction, TensorAction, explore
+from metricwb.trace import AppAction, TensorAction, alphabet, explore, interrogate
 from metricwb.tuples import (
     Appl,
     Cut,
@@ -838,3 +840,44 @@ def best_context(m: Term, n: Term, max_size: int) -> tuple:
         if gap > best:
             best, witness = gap, c
     return best, witness
+
+
+# --- reference bisimulation fragment: one program state per program ------
+
+
+def reference_lmc(m: Term, n: Term, universe, max_depth: int, tensor_templates=()) -> LmcFragment:
+    """The fragment build_lmc gives with a state for every program, not for
+    every value distribution: LmcState("prog", t) holds the program t, and
+    its eval label leads to _eval(t). States come in breadth-first order,
+    each at its least depth, with the same labels as build_lmc's."""
+    actions = alphabet(universe, tensor_templates)
+    depth = {}
+    trans, labels = {}, {}
+    queue = deque()
+
+    def discover(s, d):
+        if s not in depth:
+            depth[s] = d
+            queue.append(s)
+
+    discover(LmcState("prog", m), 0)
+    discover(LmcState("prog", n), 0)
+    while queue:
+        s = queue.popleft()
+        d = depth[s]
+        out = []
+        if s.kind == "prog":
+            succ = _eval(s.term).map_elems(lambda v: LmcState("dval", v))
+            for t in succ.support():
+                discover(t, d)
+            trans[(s, EVAL_LABEL)] = succ
+            out.append(EVAL_LABEL)
+        elif d < max_depth:
+            for a, programs in interrogate(s.term, actions):
+                succ = programs.map_elems(lambda t: LmcState("prog", t))
+                for t in succ.support():
+                    discover(t, d + 1)
+                trans[(s, a)] = succ
+                out.append(a)
+        labels[s] = tuple(out)
+    return LmcFragment(list(depth), trans, labels)
