@@ -49,7 +49,7 @@ from .trace import (
     trace_accept,
     trace_distance_lb,
 )
-from .bisim import LmcFragment, LmcState, apply_F, bisim_distance, bisim_metric, build_lmc
+from .bisim import LmcFragment, apply_F, bisim_distance, bisim_metric, build_lmc
 from .tuples import (
     Appl,
     Cut,

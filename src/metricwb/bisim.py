@@ -1,19 +1,22 @@
 """Bisimulation metric over the labelled Markov chain of programs.
 
 States alternate between programs (which can only be evaluated) and
-distinguished values (which can only be interrogated). A program state
-stands for its value distribution, so programs that evaluate alike are
-one state: such programs are at distance 0 in every iterate of the
-functional, and the lifting does not change when states at distance 0
-merge. A value's labels are the trace actions that fit it, app of a
-universe value or tensor through a template, and each moves it as
-trace.interrogate does for the trace distance. The metric functional
-takes, for each pair of states, the largest lifted distance over the
-actions available to both; its least fixpoint is the bisimulation
-distance.
+values (which can only be interrogated). A program state is its value
+distribution, a Dist of values, and a value state is the value Term
+itself; a Dist never equals a Term, so the two kinds never merge.
+Programs that evaluate alike are one state: such programs are at
+distance 0 in every iterate of the functional, and the lifting does not
+change when states at distance 0 merge. A program state's eval label
+leads to the state itself, read as a distribution of value states. A
+value's labels are the trace actions that fit it, app of a universe
+value or tensor through a template, and each moves it as
+trace.interrogate does for the trace distance, to the states of the
+programs it gives. The metric functional takes, for each pair of states,
+the largest lifted distance over the actions available to both; its
+least fixpoint is the bisimulation distance.
 
 bisim_distance solves only the pairs the root pair's value depends on:
-the pair graph reachable from (prog m, prog n) through shared labels,
+the pair graph reachable from (_eval(m), _eval(n)) through shared labels,
 after the on-the-fly approach of Bacci, Bacci, Larsen and Mardare (TACAS
 2013). It condenses that graph into strongly connected components and
 solves them successors first. The functional at one pair is written once,
@@ -52,29 +55,14 @@ _ONE = Fraction(1)
 EVAL_LABEL = ("eval",)
 
 
-@dataclass(frozen=True)
-class LmcState:
-    kind: str  # "prog" or "dval"
-    term: "Term | Dist[Term]"  # a dval's value; a prog's value distribution
-
-    def __repr__(self):
-        return f"{self.kind}({self.term})"
-
-
-def prog(t: Term) -> LmcState:
-    """The state of the closed program t: its value distribution."""
-    return LmcState("prog", _eval(t))
-
-
-def dval(t: Term) -> LmcState:
-    return LmcState("dval", t)
+State = Dist[Term] | Term  # a program's value distribution, or a value
 
 
 @dataclass
 class LmcFragment:
-    states: list[LmcState]
-    trans: dict[tuple[LmcState, object], Dist[LmcState]]  # (state, label) -> successors
-    labels: dict[LmcState, tuple]  # EVAL_LABEL, or the trace actions a value answers
+    states: list[State]  # in discovery order
+    trans: dict[tuple[State, object], Dist[State]]  # (state, label) -> successors
+    labels: dict[State, tuple]  # EVAL_LABEL, or the trace actions a value answers
 
 
 def build_lmc(
@@ -104,37 +92,38 @@ def build_lmc(
     _require_program(m)
     _require_program(n)
 
-    depth: dict[LmcState, int] = {}  # each state at its least depth, in discovery order
-    trans: dict[tuple[LmcState, object], Dist[LmcState]] = {}
-    labels: dict[LmcState, tuple] = {}
-    queue: deque[LmcState] = deque()
+    depth: dict[State, int] = {}  # each state at its least depth, in discovery order
+    trans: dict[tuple[State, object], Dist[State]] = {}
+    labels: dict[State, tuple] = {}
+    queue: deque[State] = deque()
 
-    def discover(s: LmcState, d: int) -> None:
-        # States alternate prog(d) -> dval(d) -> prog(d + 1), so the queue
-        # holds them in order of depth and a state is first found at its
-        # least depth.
+    def discover(s: State, d: int) -> None:
+        # States alternate program (d) -> value (d) -> program (d + 1), so
+        # the queue holds them in order of depth and a state is first found
+        # at its least depth.
         if s not in depth:
             if len(depth) >= state_cap:
                 raise BudgetExceeded(f"state cap {state_cap} exceeded")
             depth[s] = d
             queue.append(s)
 
-    discover(prog(m), 0)
-    discover(prog(n), 0)
+    discover(_eval(m), 0)
+    discover(_eval(n), 0)
 
     while queue:
         s = queue.popleft()
         d = depth[s]
         out: list = []
-        if s.kind == "prog":
-            succ = s.term.map_elems(dval)
-            for t in succ.support():
+        # Test for Term, not Dist: perfbench/tracer.py rebinds this
+        # module's Dist to a function.
+        if not isinstance(s, Term):
+            for t in s.support():
                 discover(t, d)
-            trans[(s, EVAL_LABEL)] = succ
+            trans[(s, EVAL_LABEL)] = s  # its own value distribution
             out.append(EVAL_LABEL)
         elif d < max_depth:
-            for a, programs in interrogate(s.term, actions):
-                succ = programs.map_elems(prog)
+            for a, programs in interrogate(s, actions):
+                succ = programs.map_elems(_eval)
                 for t in succ.support():
                     discover(t, d + 1)
                 trans[(s, a)] = succ
@@ -186,7 +175,7 @@ Succ = tuple[Dist, Dist]  # the two successor distributions of one label
 Graph = dict[Key, tuple[list[Succ], list[Key]]]
 
 
-def _shared(frag: LmcFragment, s: LmcState, t: LmcState) -> list[Succ]:
+def _shared(frag: LmcFragment, s: State, t: State) -> list[Succ]:
     """The successor distributions of the labels both s and t answer to,
     each distinct pair once, in s's label order."""
     t_labels = set(frag.labels[t])
@@ -449,7 +438,7 @@ def bisim_distance(
 ) -> Fraction:
     """Bisimulation distance between programs m and n on the fragment
     reachable within max_depth interaction rounds: the least fixpoint of
-    the functional, read at (prog m, prog n), equal to bisim_metric's
+    the functional, read at (_eval(m), _eval(n)), equal to bisim_metric's
     value there wherever that converges. Only the root's pair graph is
     solved, by _solve."""
     frag = build_lmc(
@@ -461,7 +450,7 @@ def bisim_distance(
         tensor_templates=tensor_templates,
     )
     mu = PseudoMetric(frag.states)
-    root = mu.key(prog(m), prog(n))
+    root = mu.key(_eval(m), _eval(n))
     if root is None:
         return _ZERO
     _solve(mu, _pair_graph(frag, mu, root), root)

@@ -13,7 +13,7 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
-from metricwb.bisim import EVAL_LABEL, LmcFragment, LmcState
+from metricwb.bisim import EVAL_LABEL, LmcFragment
 from metricwb.dist import Dist, dirac
 from metricwb.errors import CoefficientOverflow
 from metricwb.terms import (
@@ -847,8 +847,9 @@ def best_context(m: Term, n: Term, max_size: int) -> tuple:
 
 def reference_lmc(m: Term, n: Term, universe, max_depth: int, tensor_templates=()) -> LmcFragment:
     """The fragment build_lmc gives with a state for every program, not for
-    every value distribution: LmcState("prog", t) holds the program t, and
-    its eval label leads to _eval(t). States come in breadth-first order,
+    every value distribution: the tuple ("prog", t) is the state of the
+    program t, and its eval label leads to _eval(t). A value state is the
+    value itself, as in build_lmc. States come in breadth-first order,
     each at its least depth, with the same labels as build_lmc's."""
     actions = alphabet(universe, tensor_templates)
     depth = {}
@@ -860,21 +861,21 @@ def reference_lmc(m: Term, n: Term, universe, max_depth: int, tensor_templates=(
             depth[s] = d
             queue.append(s)
 
-    discover(LmcState("prog", m), 0)
-    discover(LmcState("prog", n), 0)
+    discover(("prog", m), 0)
+    discover(("prog", n), 0)
     while queue:
         s = queue.popleft()
         d = depth[s]
         out = []
-        if s.kind == "prog":
-            succ = _eval(s.term).map_elems(lambda v: LmcState("dval", v))
+        if isinstance(s, tuple):
+            succ = _eval(s[1])
             for t in succ.support():
                 discover(t, d)
             trans[(s, EVAL_LABEL)] = succ
             out.append(EVAL_LABEL)
         elif d < max_depth:
-            for a, programs in interrogate(s.term, actions):
-                succ = programs.map_elems(lambda t: LmcState("prog", t))
+            for a, programs in interrogate(s, actions):
+                succ = programs.map_elems(lambda t: ("prog", t))
                 for t in succ.support():
                     discover(t, d + 1)
                 trans[(s, a)] = succ

@@ -16,7 +16,6 @@ from metricwb import (
 )
 from metricwb.bisim import (
     EVAL_LABEL,
-    LmcState,
     _best_lift,
     _components,
     _evaluate,
@@ -27,12 +26,11 @@ from metricwb.bisim import (
     apply_F,
     bisim_metric,
     build_lmc,
-    dval,
-    prog,
 )
 from metricwb.dist import Dist, dirac
 from metricwb.kantorovich import PseudoMetric, lift_dual, lift_primal
-from metricwb.terms import OMEGA, identity
+from metricwb.semantics import _eval
+from metricwb.terms import OMEGA, Term, identity
 from metricwb.trace import AppAction, TensorAction, default_tensor_templates
 
 I = identity()
@@ -47,26 +45,38 @@ OUTER = parse("(\\x. \\y. y) (+) (\\x. omega)")
 class TestFragment:
     def test_value_against_divergence(self):
         frag = build_lmc(I, OMEGA, (I,), 2)
-        assert prog(I) in frag.states
-        assert prog(OMEGA) in frag.states
-        assert dval(I) in frag.states
+        assert _eval(I) in frag.states
+        assert _eval(OMEGA) in frag.states
+        assert I in frag.states
         assert len(frag.states) == 3
+
+    def test_states_are_value_distributions_and_values(self):
+        # A program state is its value distribution and a value state the
+        # value itself; a Dist never equals a Term, so the two never merge.
+        frag = build_lmc(I, OMEGA, (I,), 2)
+        assert _eval(I) != I
+        assert frag.states.index(_eval(I)) != frag.states.index(I)
+        assert all(isinstance(s, (Dist, Term)) for s in frag.states)
+        programs = [s for s in frag.states if isinstance(s, Dist)]
+        assert programs == [_eval(I), _eval(OMEGA)]
+        for p in programs:
+            assert frag.trans[(p, EVAL_LABEL)] is p
 
     def test_program_states_answer_only_to_eval(self):
         frag = build_lmc(I, OMEGA, (I,), 2)
-        assert frag.labels[prog(I)] == (EVAL_LABEL,)
-        assert frag.labels[prog(OMEGA)] == (EVAL_LABEL,)
+        assert frag.labels[_eval(I)] == (EVAL_LABEL,)
+        assert frag.labels[_eval(OMEGA)] == (EVAL_LABEL,)
 
     def test_divergence_evaluates_to_the_empty_distribution(self):
         frag = build_lmc(I, OMEGA, (I,), 2)
-        assert not frag.trans[(prog(OMEGA), EVAL_LABEL)]
-        assert frag.trans[(prog(I), EVAL_LABEL)].get(dval(I)) == 1
+        assert not frag.trans[(_eval(OMEGA), EVAL_LABEL)]
+        assert frag.trans[(_eval(I), EVAL_LABEL)].get(I) == 1
 
     def test_choice_fragment(self):
         frag = build_lmc(I, COIN, (I,), 2)
         assert len(frag.states) == 3
-        d = frag.trans[(prog(COIN), EVAL_LABEL)]
-        assert d.get(dval(I)) == HALF
+        d = frag.trans[(_eval(COIN), EVAL_LABEL)]
+        assert d.get(I) == HALF
 
     def test_negative_depth_is_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -82,9 +92,9 @@ class TestFragment:
 
     def test_depth_limits_value_interrogation(self):
         frag0 = build_lmc(I, OMEGA, (I,), 0)
-        assert frag0.labels[dval(I)] == ()
+        assert frag0.labels[I] == ()
         frag1 = build_lmc(I, OMEGA, (I,), 1)
-        assert frag1.labels[dval(I)] == (AppAction(I),)
+        assert frag1.labels[I] == (AppAction(I),)
 
     def test_counterexample_fragment_size(self):
         frag = build_lmc(INNER, OUTER, (I,), 3)
@@ -112,10 +122,10 @@ class TestFragment:
             templates = rng.sample(tensor, rng.randint(1, 3))
             max_depth = rng.randint(0, 3)
             frag = build_lmc(m, n, universe, max_depth, tensor_templates=templates)
-            depth = _least_depths(frag, (prog(m), prog(n)))
+            depth = _least_depths(frag, (_eval(m), _eval(n)))
             assert depth.keys() == set(frag.states)
             for s in frag.states:
-                if s.kind == "dval":
+                if isinstance(s, Term):
                     assert bool(frag.labels[s]) == (depth[s] < max_depth)
                     below += depth[s] < max_depth
                     at_cut += depth[s] == max_depth
@@ -126,26 +136,26 @@ class TestFragment:
 
         p = Pair(I, I)
         frag = build_lmc(p, p, (I,), 1)
-        assert frag.labels[dval(p)] == ()
+        assert frag.labels[p] == ()
         frag = build_lmc(p, p, (I,), 1, tensor_templates=(Var("x"),))
-        assert frag.labels[dval(p)] == (TensorAction(Var("x")),)
+        assert frag.labels[p] == (TensorAction(Var("x")),)
 
 
 class TestFunctional:
     def test_first_iteration_separates_by_termination(self):
         frag = build_lmc(I, OMEGA, (I,), 2)
         mu1 = apply_F(frag, PseudoMetric(frag.states))
-        assert mu1.get(prog(I), prog(OMEGA)) == 1
+        assert mu1.get(_eval(I), _eval(OMEGA)) == 1
 
     def test_first_iteration_on_the_choice_pair(self):
         frag = build_lmc(I, COIN, (I,), 2)
         mu1 = apply_F(frag, PseudoMetric(frag.states))
-        assert mu1.get(prog(I), prog(COIN)) == HALF
+        assert mu1.get(_eval(I), _eval(COIN)) == HALF
 
     def test_mixed_kind_pairs_share_no_labels(self):
         frag = build_lmc(I, OMEGA, (I,), 2)
         mu1 = apply_F(frag, PseudoMetric(frag.states))
-        assert mu1.get(prog(I), dval(I)) == 0
+        assert mu1.get(_eval(I), I) == 0
 
     def test_fixpoint_property(self):
         for a, b in ((I, OMEGA), (I, COIN), (INNER, OUTER)):
@@ -226,7 +236,7 @@ class TestOnTheFly:
             templates = rng.sample(tensor, rng.randint(0, 4))
             depth = rng.randint(0, 3)
             frag = build_lmc(m, n, universe, depth, tensor_templates=templates)
-            want = bisim_metric(frag).get(prog(m), prog(n))
+            want = bisim_metric(frag).get(_eval(m), _eval(n))
             got = bisim_distance(m, n, universe, depth, tensor_templates=templates)
             assert got == want
 
@@ -286,11 +296,11 @@ class TestDistance:
             n = gen.random_program(rng, max_size=12, fuel=3)
             frag = build_lmc(m, n, (I,), 2)
             if any(
-                s.kind == "dval" and not isinstance(s.term, Abs)
+                isinstance(s, Term) and not isinstance(s, Abs)
                 for s in frag.states
             ):
                 continue
-            b = bisim_metric(frag).get(prog(m), prog(n))
+            b = bisim_metric(frag).get(_eval(m), _eval(n))
             t, _ = trace_distance_lb(m, n, (I,), 2)
             assert b >= t
             n_checked += 1
@@ -313,8 +323,8 @@ class TestDistance:
             for t in frag.states:
                 assert mu.get(s, t) == mu.get(t, s)
                 assert 0 <= mu.get(s, t) <= 1
-        for kind in ("prog", "dval"):
-            block = [s for s in frag.states if s.kind == kind]
+        for kind in (Dist, Term):
+            block = [s for s in frag.states if isinstance(s, kind)]
             for x in block:
                 for y in block:
                     for z in block:
@@ -326,11 +336,9 @@ class TestDistance:
         # triangle inequality is only promised per kind.
         frag = build_lmc(I, OMEGA, (I,), 2)
         mu = bisim_metric(frag)
-        from metricwb.bisim import dval as dv
-
-        assert mu.get(prog(I), dv(I)) == 0
-        assert mu.get(prog(OMEGA), dv(I)) == 0
-        assert mu.get(prog(I), prog(OMEGA)) == 1
+        assert mu.get(_eval(I), I) == 0
+        assert mu.get(_eval(OMEGA), I) == 0
+        assert mu.get(_eval(I), _eval(OMEGA)) == 1
         assert mu.triangle_defect() == 1
 
     def test_symmetry_of_the_front_end(self):
@@ -350,8 +358,8 @@ class TestAdequacy:
 
 
 class TestMerging:
-    # A program state stands for its value distribution. gen.reference_lmc
-    # builds the fragment with one state per program instead; the answers,
+    # A program state is its value distribution. gen.reference_lmc builds
+    # the fragment with one state per program instead; the answers,
     # the value states and their depths and labels must be its own.
 
     def test_agrees_with_the_fragment_keyed_by_program(self):
@@ -366,21 +374,21 @@ class TestMerging:
             depth = rng.randint(0, 3)
             frag = build_lmc(m, n, universe, depth, tensor_templates=templates)
             ref = gen.reference_lmc(m, n, universe, depth, templates)
-            progs = [s.term for s in frag.states if s.kind == "prog"]
-            ref_progs = [s.term for s in ref.states if s.kind == "prog"]
+            progs = [s for s in frag.states if isinstance(s, Dist)]
+            ref_progs = [s[1] for s in ref.states if isinstance(s, tuple)]
             assert len(set(progs)) == len(progs)
-            assert set(progs) == {prog(t).term for t in ref_progs}
+            assert set(progs) == {_eval(t) for t in ref_progs}
             merged += len(progs) < len(ref_progs)
-            values = [s for s in frag.states if s.kind == "dval"]
-            assert values == [s for s in ref.states if s.kind == "dval"]
-            ref_m, ref_n = LmcState("prog", m), LmcState("prog", n)
-            depths = _least_depths(frag, (prog(m), prog(n)))
+            values = [s for s in frag.states if isinstance(s, Term)]
+            assert values == [s for s in ref.states if isinstance(s, Term)]
+            ref_m, ref_n = ("prog", m), ("prog", n)
+            depths = _least_depths(frag, (_eval(m), _eval(n)))
             ref_depths = _least_depths(ref, (ref_m, ref_n))
             for s in values:
                 assert depths[s] == ref_depths[s]
                 assert frag.labels[s] == ref.labels[s]
                 for label in frag.labels[s]:
-                    want = ref.trans[(s, label)].map_elems(lambda p: prog(p.term))
+                    want = ref.trans[(s, label)].map_elems(lambda p: _eval(p[1]))
                     assert frag.trans[(s, label)] == want
             mu = PseudoMetric(ref.states)
             root = mu.key(ref_m, ref_n)
@@ -401,13 +409,13 @@ class TestMerging:
         m, n = parse("<\\a. \\b. a, \\x. x>"), parse("<\\x. x, \\a. \\b. a>")
         templates = tuple(map(parse, ("y", "x", "(\\z. z) x", "(\\z. z) y")))
         frag = build_lmc(m, n, (), 1, tensor_templates=templates)
-        assert len(frag.labels[dval(m)]) == len(frag.labels[dval(n)]) == 4
-        assert _shared(frag, dval(m), dval(n)) == [
-            (dirac(prog(I)), dirac(prog(K))),
-            (dirac(prog(K)), dirac(prog(I))),
+        assert len(frag.labels[m]) == len(frag.labels[n]) == 4
+        assert _shared(frag, m, n) == [
+            (dirac(_eval(I)), dirac(_eval(K))),
+            (dirac(_eval(K)), dirac(_eval(I))),
         ]
         ref = gen.reference_lmc(m, n, (), 1, templates)
-        assert len(_shared(ref, dval(m), dval(n))) == 4
+        assert len(_shared(ref, m, n)) == 4
 
     def test_the_state_cap_counts_merged_states(self):
         # Tower n=1 at depth 3 has 239 programs but 22 merged states, so a
@@ -489,7 +497,7 @@ class TestCycles:
             depth = rng.randint(1, 3)
             frag = build_lmc(m, n, universe, depth)
             mu = PseudoMetric(frag.states)
-            root = mu.key(prog(m), prog(n))
+            root = mu.key(_eval(m), _eval(n))
             if root is None:
                 continue
             graph = _pair_graph(frag, mu, root)
@@ -501,12 +509,12 @@ class TestCycles:
             for _ in range(32):
                 nxt = apply_F(frag, dense)
                 if nxt == dense:
-                    assert got == dense.get(prog(m), prog(n))
+                    assert got == dense.get(_eval(m), _eval(n))
                     break
                 dense = nxt
             else:
                 unconverged += 1
-                assert got >= dense.get(prog(m), prog(n))
+                assert got >= dense.get(_eval(m), _eval(n))
                 _solve(mu, graph, root)
                 assert mu.values[root] == got
                 image = apply_F(frag, mu)

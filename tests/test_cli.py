@@ -23,14 +23,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, timeout=120):
-    """Run `python -m metricwb` in a fresh interpreter on this checkout."""
+def run_module(*argv, timeout=120, log=None):
+    """Run `python -m metricwb` in a fresh interpreter on this checkout,
+    with METRIC_WB_LOG set to log, or unset."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("METRIC_WB_LOG", None)
+    if log is not None:
+        env["METRIC_WB_LOG"] = log
     return subprocess.run(
         [sys.executable, "-m", "metricwb", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=env,
         timeout=timeout,
     )
 
@@ -499,6 +504,17 @@ class TestEntryPoint:
         assert done.returncode == 0, done.stderr
         payload = json.loads(done.stdout)
         assert (payload["distance"], payload["witness"]) == ("1/1", "eps")
+
+    def test_warnings_print_by_default_and_metric_wb_log_silences_them(self):
+        # in a fresh interpreter: pytest's root handlers make the CLI's
+        # logging.basicConfig a no-op in-process
+        done = run_module("eval", "<I, I> I")
+        assert done.returncode == 0
+        assert done.stderr.startswith(
+            "WARNING:metricwb:discarding stuck application of a pair: "
+        )
+        quiet = run_module("eval", "<I, I> I", log="error")
+        assert (quiet.returncode, quiet.stderr, quiet.stdout) == (0, "", done.stdout)
 
     def test_module_exits_with_the_command_code(self):
         done = run_module("eval", "x")

@@ -6,8 +6,9 @@ digits of its sha256) of its text unless said otherwise:
 
 - `bisim_distance` with a subset of `default_tensor_templates()`: the value
   in clear, and the digest of the fragment `build_lmc` gives, state by
-  state in order (a program state as its value distribution) with each
-  label and the successor indices and weights it leads to;
+  state in order (a program state, which is its value distribution, as
+  `prog {…}`, and a value state, which is the value, as `dval …`) with
+  each label and the successor indices and weights it leads to;
 - `trace_distance_lb` with tensor templates: the value and the witness;
 - `tuple_distance_lb` with a custom template set: the value and the
   witness.
@@ -32,7 +33,7 @@ from metricwb.dist import frac_str
 from metricwb.errors import MetricWbError
 from metricwb.parser import parse
 from metricwb.semantics import clear_memo
-from metricwb.terms import Abs, Var, identity, pretty
+from metricwb.terms import Abs, Term, Var, identity, pretty
 from metricwb.trace import (
     app_combinations,
     default_tensor_templates,
@@ -67,9 +68,9 @@ def label_text(label) -> str:
 
 
 def state_text(s) -> str:
-    if s.kind == "dval":
-        return f"dval {pretty(s.term)}"
-    return "prog {" + ", ".join(f"{frac_str(p)} {pretty(v)}" for v, p in s.term.items()) + "}"
+    if isinstance(s, Term):
+        return f"dval {pretty(s)}"
+    return "prog {" + ", ".join(f"{frac_str(p)} {pretty(v)}" for v, p in s.items()) + "}"
 
 
 def fragment_text(frag) -> str:
