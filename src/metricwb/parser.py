@@ -20,69 +20,85 @@ Lists share the term tokens, plus ";" and natural numbers:
 
 An item reader (the trace and tuple-trace actions) takes the token stream
 and may call read_term. A stray, trailing or doubled separator is an error.
+
+Tokens splits the text into words with one regex pass and gives each word
+its kind: a symbol or keyword is its own kind, any other word is "ident"
+or "nat" by its first character, and a stray character is an error. The
+readers step through the words by index; a token's offset in the text is
+found only when a ParseError reports it.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+import string
 from typing import Callable, Iterable, TypeVar
 
 from .errors import ParseError
 from .terms import OMEGA, Abs, App, Choice, LetPair, Pair, Term, Var, fresh, identity
 
-# One match per token; finditer skips the whitespace between tokens, and
-# any other character falls to "bad".
-_TOKEN_RE = re.compile(
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<nat>[0-9]+)"
-    r"|(?P<sym>\(\+\)|[\\().<>,;=])|(?P<bad>\S)"
-)
-_KEYWORDS = frozenset({"let", "in", "omega", "I"})
+# One match per token, in this order of preference; findall skips the
+# whitespace between tokens, and any other character is a token of its own.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[0-9]+|\(\+\)|[\\().<>,;=]|\S")
+# A fixed word is its own kind; any other word takes its first character's.
+_FIXED_KINDS = {
+    w: w for w in ("(+)", "\\", "(", ")", ".", "<", ">", ",", ";", "=", "let", "in", "omega", "I")
+}
+_FIRST_KINDS = dict.fromkeys(string.ascii_letters + "_", "ident")
+_FIRST_KINDS |= dict.fromkeys(string.digits, "nat")
 _ATOM_STARTS = frozenset({"(", "<", "omega", "I", "ident"})
 
 T = TypeVar("T")
 
 
 class Tokens:
+    """The words of a text and their kinds, ending in an "eof" token whose
+    word is empty; i is the index of the next token to read."""
+
     def __init__(self, text: str):
         self.text = text
-        self.toks: list[tuple[str, str, int]] = []  # (kind, value, position)
-        for m in _TOKEN_RE.finditer(text):
-            group, tok, pos = m.lastgroup, m.group(), m.start()
-            if group == "bad":
-                raise ParseError(f"unexpected character {tok!r}", pos)
-            kind = tok if group == "sym" or tok in _KEYWORDS else group
-            self.toks.append((kind, tok, pos))
-        self.toks.append(("eof", "", len(text)))
+        self.words = _TOKEN_RE.findall(text)
+        self.kinds = [_FIXED_KINDS.get(w) or _FIRST_KINDS.get(w[0], "bad") for w in self.words]
+        if "bad" in self.kinds:
+            i = self.kinds.index("bad")
+            raise ParseError(f"unexpected character {self.words[i]!r}", self.offset(i))
+        self.words.append("")
+        self.kinds.append("eof")
         self.i = 0
 
-    def peek(self) -> str:
-        return self.toks[self.i][0]
+    def offset(self, i: int) -> int:
+        """The offset of token i in the text; the end of the text for eof."""
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None), None)
+        return m.start() if m else len(self.text)
 
-    def next(self) -> tuple[str, str, int]:
-        t = self.toks[self.i]
+    def next(self) -> int:
+        """Step past the current token; returns its index."""
         self.i += 1
-        return t
+        return self.i - 1
 
     def expect(self, kind: str) -> str:
-        k, v, pos = self.toks[self.i]
-        if k != kind:
-            found = repr(v) if k != "eof" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {found}", pos)
-        self.i += 1
-        return v
+        i = self.i
+        if self.kinds[i] != kind:
+            raise ParseError(f"expected {kind!r}, found {self._found(i)}", self.offset(i))
+        self.i = i + 1
+        return self.words[i]
+
+    def _found(self, i: int) -> str:
+        return repr(self.words[i]) if self.kinds[i] != "eof" else "end of input"
 
     def separated(self, sep: str, read: Callable[[Tokens], T]) -> list[T]:
         """One or more reads separated by sep."""
         out = [read(self)]
-        while self.peek() == sep:
-            self.next()
+        while self.kinds[self.i] == sep:
+            self.i += 1
             out.append(read(self))
         return out
 
     def end(self) -> None:
-        k, v, pos = self.toks[self.i]
-        if k != "eof":
-            raise ParseError(f"trailing input {v!r}", pos)
+        i = self.i
+        if self.kinds[i] != "eof":
+            raise ParseError(f"trailing input {self.words[i]!r}", self.offset(i))
 
 
 def parse(text: str) -> Term:
@@ -97,7 +113,7 @@ def parse_terms(text: str, read_item: Callable[[Tokens], T] | None = None) -> li
     """Parse a comma-separated list of terms, or of what read_item reads;
     empty text is the empty list."""
     ts = Tokens(text)
-    out = [] if ts.peek() == "eof" else ts.separated(",", read_item or read_term)
+    out = [] if ts.kinds[0] == "eof" else ts.separated(",", read_item or read_term)
     ts.end()
     return out
 
@@ -111,7 +127,7 @@ def parse_items(text: str, read_item: Callable[[Tokens], T]) -> list[T]:
     """Parse "eps" as the empty list, or items separated by ";", each read
     from the token stream by read_item."""
     ts = Tokens(text)
-    if len(ts.toks) == 2 and ts.toks[0][1] == "eps":
+    if ts.words == ["eps", ""]:
         return []
     out = ts.separated(";", read_item)
     ts.end()
@@ -132,22 +148,21 @@ def read_term(ts: Tokens) -> Term:
 
 
 def _term(ts: Tokens, env: dict[str, str]) -> Term:
-    k = ts.peek()
+    k = ts.kinds[ts.i]
     if k == "\\":
-        ts.next()
+        ts.i += 1
         name = ts.expect("ident")
         ts.expect(".")
         internal = fresh(name)
         return Abs(internal, _term(ts, {**env, name: internal}))
     if k == "let":
-        ts.next()
+        ts.i += 1
         ts.expect("<")
         n1 = ts.expect("ident")
         ts.expect(",")
         n2 = ts.expect("ident")
         if n1 == n2:
-            _, _, pos = ts.toks[ts.i - 1]
-            raise ParseError(f"pair pattern reuses {n1!r}", pos)
+            raise ParseError(f"pair pattern reuses {n1!r}", ts.offset(ts.i - 1))
         ts.expect(">")
         ts.expect("=")
         scrutinee = _term(ts, env)
@@ -160,9 +175,10 @@ def _term(ts: Tokens, env: dict[str, str]) -> Term:
 
 def _choice(ts: Tokens, env: dict[str, str]) -> Term:
     t = _app(ts, env)
-    while ts.peek() == "(+)":
-        ts.next()
-        if ts.peek() in ("\\", "let"):
+    kinds = ts.kinds
+    while kinds[ts.i] == "(+)":
+        ts.i += 1
+        if kinds[ts.i] in ("\\", "let"):
             # a trailing lambda or let swallows the rest of the expression
             return Choice(t, _term(ts, env))
         t = Choice(t, _app(ts, env))
@@ -171,13 +187,19 @@ def _choice(ts: Tokens, env: dict[str, str]) -> Term:
 
 def _app(ts: Tokens, env: dict[str, str]) -> Term:
     t = _atom(ts, env)
-    while ts.peek() in _ATOM_STARTS:
+    kinds = ts.kinds
+    while kinds[ts.i] in _ATOM_STARTS:
         t = App(t, _atom(ts, env))
     return t
 
 
 def _atom(ts: Tokens, env: dict[str, str]) -> Term:
-    k, v, pos = ts.next()
+    i = ts.i
+    k = ts.kinds[i]
+    ts.i = i + 1
+    if k == "ident":
+        v = ts.words[i]
+        return Var(env.get(v, v))
     if k == "(":
         t = _term(ts, env)
         ts.expect(")")
@@ -192,7 +214,4 @@ def _atom(ts: Tokens, env: dict[str, str]) -> Term:
         return OMEGA
     if k == "I":
         return identity()
-    if k == "ident":
-        return Var(env.get(v, v))
-    found = repr(v) if k != "eof" else "end of input"
-    raise ParseError(f"expected a term, found {found}", pos)
+    raise ParseError(f"expected a term, found {ts._found(i)}", ts.offset(i))

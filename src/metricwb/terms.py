@@ -389,14 +389,18 @@ def pretty(t: Term) -> str:
     """Render t in the surface syntax, choosing readable binder names."""
     used = {name for name in t.free_vars}
     display: dict[str, str] = {}
+    # per base, the first suffix not yet tried: every candidate below it is
+    # in used, which only grows, so the scan resumes there
+    untried: dict[str, int] = {}
 
     def pick(name: str) -> str:
         base = name.split("%", 1)[0] or "x"
-        cand = base
-        n = 0
+        n = untried.get(base, 0)
+        cand = f"{base}{n}" if n else base
         while cand in used:
             n += 1
             cand = f"{base}{n}"
+        untried[base] = n + 1
         used.add(cand)
         return cand
 

@@ -380,9 +380,10 @@ def _show_action(a) -> str:
 
 
 def _read_action(ts: Tokens):
-    _, word, pos = ts.next()
+    at = ts.next()
+    word = ts.words[at]
     if word not in ("app", "tensor"):
-        raise ParseError("expected app(term) or tensor(term)", pos)
+        raise ParseError("expected app(term) or tensor(term)", ts.offset(at))
     ts.expect("(")
     t = read_term(ts)
     ts.expect(")")

@@ -389,28 +389,30 @@ def _show_action(a) -> str:
 
 
 def _read_action(ts: Tokens):
-    _, word, pos = ts.next()
+    at = ts.next()
+    word = ts.words[at]
     if word not in ("cut", "appl"):
-        raise ParseError("expected cut(i) or appl(i; ...; term)", pos)
+        raise ParseError("expected cut(i) or appl(i; ...; term)", ts.offset(at))
     ts.expect("(")
     i = int(ts.expect("nat"))
     if word == "cut":
         a = Cut(i)
     else:
         ts.expect(";")
-        consumed = () if ts.peek() == ";" else tuple(ts.separated(",", _read_component))
+        consumed = () if ts.kinds[ts.i] == ";" else tuple(ts.separated(",", _read_component))
         ts.expect(";")
         a = Appl(i, consumed, read_term(ts))
     ts.expect(")")
     try:
         check_tuple_trace((a,))
     except InvalidAction as e:
-        raise ParseError(str(e), pos) from None
+        raise ParseError(str(e), ts.offset(at)) from None
     return a
 
 
 def _read_component(ts: Tokens) -> int:
-    _, name, pos = ts.next()
+    at = ts.next()
+    name = ts.words[at]
     if name[:1] != "x" or not name[1:].isdigit():
-        raise ParseError(f"bad component name {name!r}", pos)
+        raise ParseError(f"bad component name {name!r}", ts.offset(at))
     return int(name[1:])

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from collections import deque
 from fractions import Fraction
 
 from metricwb.bisim import EVAL_LABEL, LmcFragment
 from metricwb.dist import Dist, dirac
-from metricwb.errors import CoefficientOverflow
+from metricwb.errors import CoefficientOverflow, ParseError
 from metricwb.terms import (
     Abs,
     App,
@@ -882,3 +883,70 @@ def reference_lmc(m: Term, n: Term, universe, max_depth: int, tensor_templates=(
                 out.append(a)
         labels[s] = tuple(out)
     return LmcFragment(list(depth), trans, labels)
+
+
+# --- reference tokenizer: one match object per token ----------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<nat>[0-9]+)"
+    r"|(?P<sym>\(\+\)|[\\().<>,;=])|(?P<bad>\S)"
+)
+_REFERENCE_KEYWORDS = frozenset({"let", "in", "omega", "I"})
+
+
+def reference_tokens(text: str) -> list:
+    """The (kind, word, offset) of every token of text, ending in
+    ("eof", "", len(text)), as parser.Tokens read them when it kept one
+    regex match per token; raises the same ParseError on a stray character."""
+    toks = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        group, tok, pos = m.lastgroup, m.group(), m.start()
+        if group == "bad":
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        kind = tok if group == "sym" or tok in _REFERENCE_KEYWORDS else group
+        toks.append((kind, tok, pos))
+    toks.append(("eof", "", len(text)))
+    return toks
+
+
+# --- reference renderer: every binder name scanned from suffix 0 ----------
+
+
+def reference_pretty(t: Term) -> str:
+    """terms.pretty as it was before it resumed each base name's suffix
+    scan: quadratic in the binders that share a base name."""
+    used = set(t.free_vars)
+    display = {}
+
+    def pick(name):
+        base = name.split("%", 1)[0] or "x"
+        cand, n = base, 0
+        while cand in used:
+            n += 1
+            cand = f"{base}{n}"
+        used.add(cand)
+        return cand
+
+    def render(t, prec):
+        # precedence: 0 term, 1 choice, 2 application, 3 atom
+        if isinstance(t, Var):
+            s, p = display.get(t.name, t.name), 3
+        elif isinstance(t, Omega):
+            s, p = "omega", 3
+        elif isinstance(t, Pair):
+            s, p = f"<{render(t.first, 0)}, {render(t.second, 0)}>", 3
+        elif isinstance(t, Abs):
+            display[t.var] = pick(t.var)
+            s, p = f"\\{display[t.var]}. {render(t.body, 0)}", 0
+        elif isinstance(t, LetPair):
+            ms = render(t.scrutinee, 0)
+            dx, dy = pick(t.var1), pick(t.var2)
+            display[t.var1], display[t.var2] = dx, dy
+            s, p = f"let <{dx}, {dy}> = {ms} in {render(t.body, 0)}", 0
+        elif isinstance(t, Choice):
+            s, p = f"{render(t.left, 1)} (+) {render(t.right, 2)}", 1
+        else:
+            s, p = f"{render(t.fn, 2)} {render(t.arg, 3)}", 2
+        return f"({s})" if p < prec else s
+
+    return render(t, 0)

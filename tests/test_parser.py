@@ -4,8 +4,10 @@ import pytest
 
 import gen
 from metricwb import ParseError, parse, pretty
-from metricwb.parser import format_items, parse_items, parse_terms
+from metricwb.parser import Tokens, format_items, parse_items, parse_terms
 from metricwb.terms import Abs, App, Choice, LetPair, OMEGA, Pair, Var, identity
+from metricwb.trace import parse_trace
+from metricwb.tuples import parse_tuple_trace
 
 I = identity()
 
@@ -102,6 +104,83 @@ class TestErrors:
     def test_duplicate_pattern_message(self):
         with pytest.raises(ParseError, match="reuses"):
             parse("let <a, a> = <omega, omega> in a")
+
+    # Every message and offset as the readers reported them before the
+    # tokenizer kept its offsets aside; any change here is a change of output.
+    @pytest.mark.parametrize(
+        "read, text, message, offset",
+        [
+            (parse, "", "expected a term, found end of input", 0),
+            (parse, "(omega", "expected ')', found end of input", 6),
+            (parse, "omega)", "trailing input ')'", 5),
+            (parse, "\\x x", "expected '.', found 'x'", 3),
+            (parse, "\\. x", "expected 'ident', found '.'", 1),
+            (parse, "let <a, a> = omega in a", "pair pattern reuses 'a'", 8),
+            (parse, "<omega>", "expected ',', found '>'", 6),
+            (parse, "let <a> = omega in a", "expected ',', found '>'", 6),
+            (parse, "omega (+)", "expected a term, found end of input", 9),
+            (parse, "(+) omega", "expected a term, found '(+)'", 0),
+            (parse, "\\x. ", "expected a term, found end of input", 4),
+            (parse, "let a = omega in a", "expected '<', found 'a'", 4),
+            (parse, "let <bb, bb> = omega in bb", "pair pattern reuses 'bb'", 9),
+            (parse, "omega )", "trailing input ')'", 6),
+            (parse, "I I) I", "trailing input ')'", 3),
+            (parse, "I # I", "unexpected character '#'", 2),
+            (parse, "I + I", "unexpected character '+'", 2),
+            (parse_terms, "I, I # I", "unexpected character '#'", 5),
+            (parse_terms, "I, \\x. é", "unexpected character 'é'", 7),
+            (parse_trace, "app(I) ; tensor(\\p. # p)", "unexpected character '#'", 20),
+            (parse_tuple_trace, "cut(1); appl(1; x1 ' ; I)", "unexpected character \"'\"", 19),
+            (parse_tuple_trace, "cu+t(1)", "unexpected character '+'", 2),
+            (parse_trace, "", "expected app(term) or tensor(term)", 0),
+            (parse_trace, "foo(I)", "expected app(term) or tensor(term)", 0),
+            (parse_trace, "app(I); app(I", "expected ')', found end of input", 13),
+            (parse_trace, "app(I);  tensor", "expected '(', found end of input", 15),
+            (parse_tuple_trace, "", "expected cut(i) or appl(i; ...; term)", 0),
+            (parse_tuple_trace, "tensor(I)", "expected cut(i) or appl(i; ...; term)", 0),
+            (parse_tuple_trace, "cut(1); cut(0)", "cut position 0 must be positive", 8),
+            (parse_tuple_trace, "appl(0; ; I)", "appl position 0 must be positive", 0),
+            (parse_tuple_trace, "appl(1; x1, x1; I)", "consumed indices must be strictly increasing", 0),
+            (parse_tuple_trace, "appl(1; x0; I)", "consumed indices must be positive", 0),
+            (parse_tuple_trace, "appl(1; y1; I)", "bad component name 'y1'", 8),
+            (parse_tuple_trace, "appl(1; x1, in; I)", "bad component name 'in'", 12),
+            (parse_tuple_trace, "appl(1; x1,", "bad component name ''", 11),
+            (parse_tuple_trace, "appl(1; ; I", "expected ')', found end of input", 11),
+            (parse_tuple_trace, "cut(x)", "expected 'nat', found 'x'", 4),
+        ],
+    )
+    def test_message_and_offset(self, read, text, message, offset):
+        with pytest.raises(ParseError) as e:
+            read(text)
+        assert str(e.value) == f"{message} (at offset {offset})"
+        assert e.value.position == offset
+
+
+# Pieces of random texts: they may run together into other words, as "x"
+# and "1" into "x1" or "(", "+" and ")" into "(+)"; the last four are stray
+# characters.
+_PIECES = (
+    "x", "x1", "_a'", "v12", "let", "in", "omega", "I", "eps", "0", "12",
+    "(+)", "\\", "(", ")", ".", "<", ">", ",", ";", "=", " ", "  ", "\t", "\n",
+    "'", "+", "#", "é",
+)
+
+
+class TestTokens:
+    def test_tokens_match_the_reference(self):
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 10)))
+            try:
+                want = gen.reference_tokens(text)
+            except ParseError as e:
+                with pytest.raises(ParseError) as got:
+                    Tokens(text)
+                assert (str(got.value), got.value.position) == (str(e), e.position), text
+                continue
+            ts = Tokens(text)
+            got = [(k, w, ts.offset(i)) for i, (k, w) in enumerate(zip(ts.kinds, ts.words))]
+            assert got == want, text
 
 
 class TestRoundTrip:

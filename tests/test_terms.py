@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -236,3 +237,22 @@ class TestPairEncoding:
         for _ in range(200):
             t = gen.random_program(rng, max_size=25)
             assert pair_free(encode_theta(t))
+
+
+class TestPretty:
+    def test_names_agree_with_the_full_scan(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            closed = gen.random_program(rng, max_size=40, fuel=5, prefix=rng.choice("vx"))
+            # free variables x1 and x2 among binders that share their bases
+            open_ = gen.arbitrary_term(rng, 5, pool=("x", "x1", "x2"))
+            both = App(open_, closed)
+            for t in (closed, open_, both, parse(gen.reference_pretty(both))):
+                assert pretty(t) == gen.reference_pretty(t)
+
+    def test_sibling_binders_take_consecutive_suffixes(self):
+        level = [Abs(x, Var(x)) for x in (fresh("x") for _ in range(3000))]
+        while len(level) > 1:
+            level = [Pair(a, b) for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:]
+        names = re.findall(r"\\(\w+)\.", pretty(level[0]))
+        assert names == ["x"] + [f"x{n}" for n in range(1, 3000)]
