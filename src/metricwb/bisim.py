@@ -9,11 +9,12 @@ distance 0 in every iterate of the functional, and the lifting does not
 change when states at distance 0 merge. A program state's eval label
 leads to the state itself, read as a distribution of value states. A
 value's labels are the trace actions that fit it, app of a universe
-value or tensor through a template, and each moves it as
-trace.interrogate does for the trace distance, to the states of the
-programs it gives. The metric functional takes, for each pair of states,
-the largest lifted distance over the actions available to both; its
-least fixpoint is the bisimulation distance.
+value or tensor through a template, as trace.interrogate lists them
+with their moves. Each moves it to the states of the programs it gives,
+by trace._move, the one move rule the trace distance plays too. The
+metric functional takes, for each pair of states, the largest lifted
+distance over the actions available to both; its least fixpoint is the
+bisimulation distance.
 
 bisim_distance solves only the pairs the root pair's value depends on:
 the pair graph reachable from (_eval(m), _eval(n)) through shared labels,
@@ -142,20 +143,20 @@ def _coupling(mu: PseudoMetric, ds: Dist, dt: Dist) -> tuple[Fraction, dict]:
     side all mass goes unmatched. Against p·δs, shipping x to t costs
     x·mu(s, t) and saves 2x of unmatched price, a net saving of x·(2 -
     mu(s, t)) ≥ x; so the optimum ships min(what is left of p, q_t) to
-    each t, cheapest first, and costs p + Σ q_t minus the savings."""
+    each t, cheapest first, and costs p + Σ q_t minus the savings. Where
+    ds is the spread side the two swap, so the plan's pairs name the point
+    first; its readers go through mu.key and mu.get, which are symmetric."""
     value = ds.weight() + dt.weight()
     if not ds or not dt:
         return value, {}
-    if len(ds) == 1:
-        ((s, p),) = ds.items()
-        options = [(mu.get(s, t), s, t, q) for t, q in dt.items()]
-    elif len(dt) == 1:
-        ((t, p),) = dt.items()
-        options = [(mu.get(s, t), s, t, q) for s, q in ds.items()]
-    else:
-        return lift_primal(mu, ds, dt)
+    if len(ds) > 1:
+        if len(dt) > 1:
+            return lift_primal(mu, ds, dt)
+        ds, dt = dt, ds
+    ((s, p),) = ds.items()
+    options = [(mu.get(s, t), t, q) for t, q in dt.items()]
     shipped = {}
-    for cost, s, t, q in sorted(options, key=itemgetter(0)):
+    for cost, t, q in sorted(options, key=itemgetter(0)):
         x = min(p, q)
         value -= x * (2 - cost)
         shipped[(s, t)] = x

@@ -91,33 +91,31 @@ def trace_accept(m: Term, s: Sequence) -> Fraction:
     return d.weight()
 
 
+def _move(t: Term, a) -> Dist[Term]:
+    """The programs the checked action a, whose kind fits the value t,
+    moves t to, before evaluation. app(V) substitutes V into the body of
+    the abstraction t; tensor(L) substitutes each pair of values of the
+    halves of the pair t into L, as semantics.eval_pair combines them."""
+    if type(a) is AppAction:
+        return dirac(substitute(t.body, t.var, a.value))
+    return eval_pair(
+        t, lambda v, w: substitute(substitute(a.body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w)
+    )
+
+
 def interrogate(t: Term, actions: Iterable) -> list:
     """Each of the checked actions whose kind fits the value t, in order,
-    with the distribution of programs it moves t to, before evaluation:
-    [(a, Dist of programs), ...]. app(V) substitutes V into the body of the
-    abstraction t; tensor(L) substitutes each pair of values of the halves
-    of the pair t into L, as semantics.eval_pair combines them."""
+    with the distribution of programs it moves t to (_move): [(a, Dist of
+    programs), ...]."""
     kind = _KIND.get(type(t))
-    out = []
-    for a in actions:
-        if type(a) is not kind:
-            continue
-        if kind is AppAction:
-            programs = dirac(substitute(t.body, t.var, a.value))
-        else:
-            programs = eval_pair(
-                t, lambda v, w: substitute(substitute(a.body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w)
-            )
-        out.append((a, programs))
-    return out
+    return [(a, _move(t, a)) for a in actions if type(a) is kind]
 
 
 def _trace_step(t: Term, a) -> Dist[Term]:
     """Value distribution after playing the checked action a against the
-    value t: the programs interrogate gives, evaluated, and EMPTY where it
-    gives none, so a kind that does not fit t loses all mass."""
-    fits = interrogate(t, (a,))
-    return fits[0][1].bind(_eval) if fits else EMPTY
+    value t: the programs _move gives, evaluated, and EMPTY where a's kind
+    does not fit t, which loses all mass."""
+    return EMPTY if _trace_effect(t, a) is None else _move(t, a).bind(_eval)
 
 
 def reduce_to_values(d: Dist[Term]) -> Dist[Term]:
@@ -174,30 +172,25 @@ def explore(
 ) -> None:
     """Breadth-first walk over action words played against a pair of
     distributions. At each length, visit(word, wa, wb) sees the weights of
-    every frontier word in order and says whether to extend it.
+    every frontier word in order and says whether to extend it. The walk
+    ends after the words of length max_len, or once no word is left to
+    extend, however large max_len is. It keeps three rules:
 
-    A kept node tries the candidates of actions(support) in order, where
-    the support lists the states of both sides. An action a moves a state
-    s by step(s, e) with e = effect(s, a), so the step depends on s and the
-    effect alone; an effect of None means a does not apply to s, so s
-    keeps no mass and is never stepped. A candidate is skipped when
-    its effects on the support are all None, or all equal those of an
-    earlier candidate: it leads nowhere, or where that one led. Each
-    (state, effect) pair is stepped once per walk.
-
-    A successor pair some earlier word reached is skipped: same future,
-    and the earlier word comes first in length-lexicographic order, so
-    first witnesses survive. The walk ends after visiting the words of
-    length max_len, or once no word is left to extend, however large
-    max_len is.
-
-    The start pair and every successor pair lose the mass their two sides
-    share (Dist.cancel) before visit and the reached-pair test, so the walk
-    carries the difference of the two distributions and visit sees the
-    cancelled weights; widest_gap's argument says why that is sound for
-    it. A walk that needs each side's own probabilities tags every state
-    with its side, so the two supports share no state and nothing is
-    cancelled."""
+    - Shared mass cancels (Dist.cancel) at the start pair and every
+      successor pair, before visit and the reached-pair test: the walk
+      carries the difference of the two distributions, visit sees the
+      cancelled weights (widest_gap says why that is sound for it), and
+      the two sides share no state. A walk that needs each side's own
+      probabilities tags every state with its side, so nothing cancels.
+    - Each (state, effect) is stepped once per walk: a candidate a of
+      actions(support), the states of both sides, moves a state s by
+      step(s, e) with e = effect(s, a). None means a does not apply to s,
+      so s keeps no mass and is never stepped; a candidate that applies
+      to no state is skipped.
+    - Each reached pair is kept once: a later word that reaches it has the
+      same future and comes later in length-lexicographic order, so first
+      witnesses survive. A candidate whose effects equal an earlier one's
+      reaches that one's pair, so it adds no word."""
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     start = start[0].cancel(start[1])
@@ -210,21 +203,19 @@ def explore(
             return
         frontier = []
         for word, da, db in kept:
-            support = list(dict.fromkeys(da.support() + db.support()))
+            support = [*da.support(), *db.support()]  # disjoint: both are cancelled
             rows = [memo.setdefault(s, {}) for s in support]
-            tried = {(None,) * len(support)}  # the effects of applying to no state
             for a in actions(support):
-                effects = tuple([effect(s, a) for s in support])
-                if effects in tried:
-                    continue
-                tried.add(effects)
                 child = {}  # state -> successor, for the states a applies to
-                for s, row, e in zip(support, rows, effects):
+                for s, row in zip(support, rows):
+                    e = effect(s, a)
                     if e is not None:
                         d = row.get(e)
                         if d is None:
                             d = row[e] = step(s, e)
                         child[s] = d
+                if not child:  # a applies to no state
+                    continue
                 successor = lambda s: child.get(s, EMPTY)
                 ca, cb = da.bind(successor).cancel(db.bind(successor))
                 if (ca, cb) not in seen:
@@ -257,8 +248,9 @@ def widest_gap(
 
     def visit(word: tuple, wa: Fraction, wb: Fraction) -> bool:
         nonlocal best, witness
-        if abs(wa - wb) > best:
-            best, witness = abs(wa - wb), word
+        gap = abs(wa - wb)
+        if gap > best:
+            best, witness = gap, word
         return max(wa, wb) > best
 
     explore(start, actions, effect, step, max_len, visit)

@@ -296,11 +296,12 @@ def enumerate_actions(states: Iterable[TupleState], arguments: Sequence[tuple]) 
     cut wherever some state holds a pair, and an application of each
     (consumed, argument) of arguments, which _arguments lists for the
     support's width, wherever some state holds an abstraction outside the
-    consumed set. The search skips those that act like an earlier one.
+    consumed set. One that acts like an earlier one steps nothing new and
+    reaches that one's pair, so the search adds no word for it.
 
     Where no state's abstraction uses its variable, an application's effect
     (_effect) does not depend on its argument, so only the first argument of
-    each consumed set is listed there; the search would skip the rest."""
+    each consumed set is listed there; the rest would add no word."""
     pair_at: set[int] = set()
     abs_at: set[int] = set()
     live: set[int] = set()  # positions where some abstraction uses its variable
@@ -339,16 +340,17 @@ def tuple_distance_lb(
     the templates themselves, or a function of no arguments that derives
     them (default_templates by default).
 
-    The search is trace.widest_gap: breadth-first, exploring branches with
-    identical joint distributions once, dropping branches that keep no
-    more mass than the best gap, and stepping each state once per distinct
-    action effect (_effect). Templates are checked once per search, so the
-    steps skip the affinity check: given templates at entry, and derived
-    ones when the search first lists actions, which a search whose start
-    pair is settled at once never does. The (consumed, argument) table of
-    _arguments is built once per tuple width for the whole search;
-    enumerate_actions lists one argument per consumed set where the
-    argument cannot matter.
+    The search is trace.widest_gap: breadth-first, dropping branches that
+    keep no more mass than the best gap, on the engine's three rules
+    (trace.explore): the mass both sides share cancels, each state is
+    stepped once per distinct action effect (_effect), and branches with
+    identical joint distributions are explored once. Templates are checked
+    once per search, so the steps skip the affinity check: given templates
+    at entry, and derived ones when the search first lists actions, which
+    a search whose start pair is settled at once never does. The
+    (consumed, argument) table of _arguments is built once per tuple width
+    for the whole search; enumerate_actions lists one argument per
+    consumed set where the argument cannot matter.
     """
     if template_set is None:
         template_set = default_templates

@@ -759,8 +759,8 @@ def reference_tuple_search(m: Term, n: Term, templates, max_len: int) -> tuple:
     """tuples.tuple_distance_lb re-derived without trace.explore: a plain
     breadth-first search over reference_actions. Every word up to max_len
     is built with reference_tuple_step and scored in order; no step is
-    remembered, no action is skipped for acting like another, and no word
-    is skipped for reaching an earlier pair. A word whose mass on both
+    remembered, and no word is skipped for reaching an earlier pair, not
+    even that of an action acting like an earlier one. A word whose mass on both
     sides is at most the best gap is not extended, since no extension can
     beat it."""
     best, witness = ZERO, ()

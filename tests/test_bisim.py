@@ -18,6 +18,7 @@ from metricwb.bisim import (
     EVAL_LABEL,
     _best_lift,
     _components,
+    _coupling,
     _evaluate,
     _lifted,
     _pair_graph,
@@ -210,8 +211,28 @@ class TestLifting:
                     mu.set(s, t, rng.choice(levels))
             point = Dist([(rng.choice(states), rng.choice(levels[1:]))])
             spread = gen.random_dist(rng, rng.sample(states, rng.randint(2, 4)))
-            self.check(mu, point, spread)
-            self.check(mu, spread, point)
+            for d, e in ((point, spread), (spread, point)):
+                self.check(mu, d, e)
+                self.check_plan(mu, d, e, point)
+
+    def check_plan(self, mu, d, e, point):
+        # Every pair of the plan names the point's state and a state of the
+        # spread side, in either order, as mu.key and mu.get read pairs
+        # symmetrically. The plan ships no more than either side holds
+        # anywhere, and its cost, read as _least_solution reads it, is the
+        # lifted distance.
+        ((s, p),) = point.items()
+        spread = e if d is point else d
+        cost, plan = _coupling(mu, d, e)
+        received = {}
+        for pair, x in plan.items():
+            assert s in pair and x >= 0, (pair, x)
+            t = pair[1] if pair[0] == s else pair[0]
+            received[t] = received.get(t, 0) + x
+        assert sum(plan.values()) <= p
+        assert all(x <= spread.get(t) for t, x in received.items())
+        read = d.weight() + e.weight() - sum(x * (2 - mu.get(*pair)) for pair, x in plan.items())
+        assert read == cost == _lifted(mu, d, e)
 
     def test_larger_supports_fall_back_to_the_lp(self):
         rng = random.Random(20260354)

@@ -376,9 +376,10 @@ class TestExplore:
         assert seen == [((), HALF, HALF), (("a",), 0, 0), (("c",), HALF, HALF)]
         assert 0 not in calls
 
-    def test_a_candidate_acting_like_an_earlier_one_is_not_tried(self):
-        # "a" and "b" have the same effect on every state, so only "a" runs;
-        # the step is handed the effect, not the action
+    def test_a_candidate_acting_like_an_earlier_one_steps_nothing_new(self):
+        # "a" and "b" have the same effect on every state: "b" finds every
+        # step in the memo and reaches the pair of "a", so it adds no word.
+        # The step is handed the effect, not the action
         calls, words = [], []
 
         def step(s, e):

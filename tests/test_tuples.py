@@ -711,6 +711,41 @@ class TestCancellation:
         searched_both_ways(monkeypatch, lambda: tuple_distance_lb(NOISY, CLEAN, None, 5))
         assert counts == [[81, 48], [423, 423]]
 
+    def test_the_two_sides_of_a_node_share_no_state(self, monkeypatch):
+        # explore lists a node's support as the states of one side, then
+        # the other, without merging them: cancelling leaves the two sides
+        # disjoint, so no support repeats a state. The plain search, which
+        # cancels nothing, does repeat states here, so the check has teeth.
+        supports = []
+        real = trace.explore
+
+        def recording(start, actions, effect, step, max_len, visit):
+            def listed(support):
+                supports.append(support)
+                return actions(support)
+
+            return real(start, listed, effect, step, max_len, visit)
+
+        monkeypatch.setattr(trace, "explore", recording)
+        templates, tensor, universe = default_templates(), default_tensor_templates(), (I,)
+        rng = random.Random(20261020)
+        pairs = [build_mn_nn(level) for level in range(1, 5)] + [(NOISY, CLEAN)]
+        for i in range(100):
+            m = gen.random_program(rng, max_size=12, fuel=3)
+            n = gen.random_program(rng, max_size=12, fuel=3)
+            pairs.append((m, Choice(m, n) if i % 2 else n))
+
+        def repeats():
+            supports.clear()
+            for m, n in pairs:
+                trace_distance_lb(m, n, universe, 3, tensor)
+                tuple_distance_lb(m, n, templates, 6)
+            assert supports
+            return sum(len(set(support)) < len(support) for support in supports)
+
+        cancelled, plain = searched_both_ways(monkeypatch, repeats)
+        assert cancelled == 0 and plain > 0
+
     def test_trace_equals_tuple_on_aligned_observers(self):
         # The paper calls both distances fully abstract. With U = {I}, the
         # trace search feeds the closed abstractions among the tuple
