@@ -9,12 +9,15 @@ distance 0 in every iterate of the functional, and the lifting does not
 change when states at distance 0 merge. A program state's eval label
 leads to the state itself, read as a distribution of value states. A
 value's labels are the trace actions that fit it, app of a universe
-value or tensor through a template, as trace.interrogate lists them
-with their moves. Each moves it to the states of the programs it gives,
-by trace._move, the one move rule the trace distance plays too. The
-metric functional takes, for each pair of states, the largest lifted
-distance over the actions available to both; its least fixpoint is the
-bisimulation distance.
+value or tensor through a template, in alphabet order. Each moves it to
+the states of the programs it gives, by trace._move, the one move rule
+the trace distance plays too. As in the trace search, a value is moved
+once per distinct effect (trace._trace_effect): tensor templates with
+one call-by-value normal form move it alike, so their labels share one
+successor distribution. trace.interrogate, which moves by every label's
+own template, is the tests' reference. The metric functional takes,
+for each pair of states, the largest lifted distance over the actions
+available to both; its least fixpoint is the bisimulation distance.
 
 bisim_distance solves only the pairs the root pair's value depends on:
 the pair graph reachable from (_eval(m), _eval(n)) through shared labels,
@@ -48,7 +51,7 @@ from .errors import BudgetExceeded, NonConvergence
 from .kantorovich import PseudoMetric, lift_primal
 from .semantics import _eval, _require_program
 from .terms import Term
-from .trace import alphabet, interrogate
+from .trace import _move, _trace_effect, alphabet
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -80,7 +83,10 @@ def build_lmc(
     interrogated only up to max_depth rounds of interaction, so the
     frontier values carry no outgoing labels. Programs that evaluate
     alike are one state, and state_cap bounds the states of the fragment
-    so merged. The inputs are checked once here; states are evaluated
+    so merged. A value answers to every action that fits it, and is moved
+    once per distinct effect: labels whose effects are equal, such as
+    tensor templates with one normal form, share one successor
+    distribution. The inputs are checked once here; states are evaluated
     without re-checking affinity, because a universe value substituted
     into a term that already holds its binders reuses a binder name
     harmlessly.
@@ -123,10 +129,16 @@ def build_lmc(
             trans[(s, EVAL_LABEL)] = s  # its own value distribution
             out.append(EVAL_LABEL)
         elif d < max_depth:
-            for a, programs in interrogate(s, actions):
-                succ = programs.map_elems(_eval)
-                for t in succ.support():
-                    discover(t, d + 1)
+            moved: dict = {}  # effect -> successors, once per effect
+            for a in actions:
+                e = _trace_effect(s, a)
+                if e is None:
+                    continue
+                succ = moved.get(e)
+                if succ is None:
+                    succ = moved[e] = _move(s, e).map_elems(_eval)
+                    for t in succ.support():
+                        discover(t, d + 1)
                 trans[(s, a)] = succ
                 out.append(a)
         labels[s] = tuple(out)

@@ -355,6 +355,35 @@ def rename_free(t: Term, mapping: dict[str, str]) -> Term:
     return t
 
 
+def rename_binders(t: Term) -> Term:
+    """t with every binder renamed to a globally fresh name of the same
+    base: alpha-equal to t and printed alike, but sharing no binder name
+    with any other term."""
+
+    def go(t: Term, names: dict[str, str]) -> Term:
+        match t:
+            case Var(x):
+                return Var(names[x]) if x in names else t
+            case Omega():
+                return t
+            case Abs(x, b):
+                nx = fresh(x)
+                return Abs(nx, go(b, {**names, x: nx}))
+            case App(f, a):
+                return App(go(f, names), go(a, names))
+            case Choice(l, r):
+                return Choice(go(l, names), go(r, names))
+            case Pair(a, b):
+                return Pair(go(a, names), go(b, names))
+            case LetPair(x, y, m, b):
+                nx, ny = fresh(x), fresh(y)
+                return LetPair(nx, ny, go(m, names), go(b, {**names, x: nx, y: ny}))
+            case _:
+                raise TypeError(f"not a term: {t!r}")
+
+    return go(t, {})
+
+
 def encode_theta(t: Term) -> Term:
     """Compile pairs and lets into the pure fragment.
 

@@ -10,7 +10,7 @@ compare these probabilities pointwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -30,6 +30,7 @@ from .terms import (
     identity,
     is_value,
     pretty,
+    rename_binders,
     rename_free,
     size,
     substitute,
@@ -49,12 +50,61 @@ class AppAction:
 @dataclass(frozen=True)
 class TensorAction:
     body: Term  # free variables among {x, y}
+    # the action's effect, set by _trace_effect the first time it is asked
+    _effect: TensorAction | None = field(default=None, init=False, repr=False, compare=False)
 
 
 Trace = tuple
 
 # the action class that fits each kind of value: the one kind rule of traces
 _KIND = {Abs: AppAction, Pair: TensorAction}
+
+
+def _fits(t: Term, a) -> bool:
+    return type(a) is _KIND.get(type(t))
+
+
+def normal_form(t: Term) -> Term:
+    r"""The tensor template t, checked by check_trace, with its
+    call-by-value beta_v redexes reduced along its application spine:
+    through App nodes only, never under an Abs or into a Pair, Choice or
+    LetPair. Two rules rewrite an App whose function part, once in normal
+    form, is an abstraction \z. B:
+
+    - (\z. B) V -> B[V/z] where V is an Abs, a Pair or a Var, and
+      substitute does not capture (where it would, the redex stays). A Var
+      reached through App nodes is free in t, so it is a hole, and every
+      tensor step binds the holes to values;
+    - (\z. z) M -> M for any M.
+
+    It ends: each rewrite lowers terms.size, and a rewritten argument or
+    function lowers the size of every App above it, which adds its
+    children. (\z. z) M has size 2 + size(M). (\z. B) V has size
+    1 + size(B) + size(V), while an affine B holds z at most once per
+    branch of a choice, so size(B[V/z]) <= size(B) + size(V) - 1 where z
+    occurs and size(B) where it does not.
+
+    It is exact: for closed values v and w, with s = [v/x, w/y],
+    _eval(t s) == _eval(normal_form(t) s), weights and all. _eval of an
+    App binds the value distribution of its function part to that of its
+    argument, so a part may be swapped for one with the same value
+    distribution. ((\z. B) V) s is (\z. B s) (V s), where V s is a
+    value (a hole becomes v or w), so it evaluates as B s [V s/z], which
+    is B[V/z] s: check_trace names no binder like a hole, no rewrite
+    captures, and v and w are closed. ((\z. z) M) s evaluates M s, then
+    each of its values to itself."""
+    if type(t) is not App:
+        return t
+    fn, arg = normal_form(t.fn), normal_form(t.arg)
+    if type(fn) is Abs:
+        if type(fn.body) is Var and fn.body.name == fn.var:
+            return arg
+        if type(arg) in (Abs, Pair, Var):
+            try:
+                return normal_form(substitute(fn.body, fn.var, arg))
+            except ValueError:  # substitute would capture
+                pass
+    return t if fn is t.fn and arg is t.arg else App(fn, arg)
 
 
 def check_trace(s: Sequence) -> None:
@@ -106,16 +156,17 @@ def _move(t: Term, a) -> Dist[Term]:
 def interrogate(t: Term, actions: Iterable) -> list:
     """Each of the checked actions whose kind fits the value t, in order,
     with the distribution of programs it moves t to (_move): [(a, Dist of
-    programs), ...]."""
-    kind = _KIND.get(type(t))
-    return [(a, _move(t, a)) for a in actions if type(a) is kind]
+    programs), ...]. Each action moves t by its own template, not by its
+    effect, so this is the reference that bisim.build_lmc's shared moves
+    are tested against (gen.reference_lmc)."""
+    return [(a, _move(t, a)) for a in actions if _fits(t, a)]
 
 
 def _trace_step(t: Term, a) -> Dist[Term]:
     """Value distribution after playing the checked action a against the
     value t: the programs _move gives, evaluated, and EMPTY where a's kind
     does not fit t, which loses all mass."""
-    return EMPTY if _trace_effect(t, a) is None else _move(t, a).bind(_eval)
+    return _move(t, a).bind(_eval) if _fits(t, a) else EMPTY
 
 
 def reduce_to_values(d: Dist[Term]) -> Dist[Term]:
@@ -268,7 +319,9 @@ def trace_distance_lb(
     first trace attaining it. A lower bound on the full trace distance.
     Every node is offered the whole alphabet; an action applies to the
     values whose kind it fits (_trace_effect), and explore skips one that
-    fits no state of the node's support."""
+    fits no state of the node's support. Tensor templates with one normal
+    form have one effect, so each state is stepped once for all of them,
+    and the first of them keeps the witness."""
     _require_program(m)
     _require_program(n)
     actions = alphabet(universe, tensor_templates)
@@ -285,9 +338,25 @@ def alphabet(universe: Iterable[Term], tensor_templates: Sequence[Term] = ()) ->
 
 
 def _trace_effect(t: Term, a):
-    """Effect of action a on the value t for the search: a itself where its
-    kind fits t, None where _trace_step(t, a) loses all mass."""
-    return a if type(a) is _KIND.get(type(t)) else None
+    """Effect of action a on the value t, for the search and the
+    bisimulation fragment: None where a's kind does not fit t, so that
+    _trace_step(t, a) loses all mass; an app action itself; and for a
+    tensor action, the action with its template in normal form
+    (normal_form), worked out once per action object, the first time it
+    fits a pair. _trace_step(t, a) equals _trace_step(t, _trace_effect(t,
+    a)), so actions whose templates differ only by beta_v redexes share
+    one step per state."""
+    kind = type(a)
+    if kind is not _KIND.get(type(t)):
+        return None
+    if kind is AppAction:
+        return a
+    e = a._effect
+    if e is None:
+        body = normal_form(a.body)
+        e = a if body is a.body else TensorAction(body)
+        object.__setattr__(a, "_effect", e)  # a frozen field outside ==
+    return e
 
 
 def app_combinations(
@@ -330,10 +399,18 @@ def app_combinations(
     return trees
 
 
+def template_constants(universe: Sequence[Term]) -> tuple[Term, ...]:
+    """The distinct universe values in order, I for an empty universe: the
+    constants that templates combine. Each value's binders are renamed
+    apart (rename_binders), so that none shadows a hole or a binder of the
+    template around it."""
+    return tuple(map(rename_binders, dedupe_values(universe))) if universe else (identity(),)
+
+
 def default_tensor_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
     """Two-hole contexts for pair observations: let-free applicative
     combinations of x, y, and the universe values, of size at most 6."""
-    consts = dedupe_values(universe) if universe else (identity(),)
+    consts = template_constants(universe)
     return tuple(app_combinations([Var(TENSOR_HOLE_1), Var(TENSOR_HOLE_2)], consts, 6))
 
 

@@ -31,7 +31,7 @@ from .terms import (
     rename_free,
     substitute,
 )
-from .trace import app_combinations, dedupe_values, widest_gap
+from .trace import app_combinations, dedupe_values, template_constants, widest_gap
 
 _ONE = Fraction(1)
 
@@ -259,7 +259,7 @@ def default_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
     once: the universe values, the slot '$j' alone (hand over a consumed
     component directly), then small abstractions applying their own
     argument, the slot and universe values, up to body size 5."""
-    consts = dedupe_values(universe) if universe else (identity(),)
+    consts = template_constants(universe)
     bodies = app_combinations([Var("y"), Var(_SLOT)], consts, 5)
     return dedupe_values((*consts, Var(_SLOT), *(Abs("y", b) for b in bodies)))
 

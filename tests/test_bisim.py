@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,10 @@ from metricwb import (
     NonConvergence,
     bisim,
     bisim_distance,
+    build_expair,
     build_mn_nn,
     parse,
+    trace,
     trace_distance_lb,
     u_seq,
 )
@@ -31,8 +34,8 @@ from metricwb.bisim import (
 from metricwb.dist import Dist, dirac
 from metricwb.kantorovich import PseudoMetric, lift_dual, lift_primal
 from metricwb.semantics import _eval
-from metricwb.terms import OMEGA, Term, identity
-from metricwb.trace import AppAction, TensorAction, default_tensor_templates
+from metricwb.terms import OMEGA, Pair, Term, identity
+from metricwb.trace import AppAction, TensorAction, _move, default_tensor_templates
 
 I = identity()
 K = parse("\\a. \\b. a")
@@ -424,12 +427,16 @@ class TestMerging:
                 pass
         assert merged >= 40 and dense >= 120
 
-    def test_labels_that_evaluate_alike_are_one_successor_pair(self):
+    def test_labels_that_evaluate_alike_are_one_successor_pair(self, monkeypatch):
         # x and (\z. z) x lead to programs that evaluate alike, and so do
         # y and (\z. z) y: each side has four labels but two successors.
+        # The templates have two normal forms, so each state moves twice.
         m, n = parse("<\\a. \\b. a, \\x. x>"), parse("<\\x. x, \\a. \\b. a>")
         templates = tuple(map(parse, ("y", "x", "(\\z. z) x", "(\\z. z) y")))
+        moves = []
+        monkeypatch.setattr(bisim, "_move", lambda t, a: moves.append(t) or _move(t, a))
         frag = build_lmc(m, n, (), 1, tensor_templates=templates)
+        assert moves == [m, m, n, n]
         assert len(frag.labels[m]) == len(frag.labels[n]) == 4
         assert _shared(frag, m, n) == [
             (dirac(_eval(I)), dirac(_eval(K))),
@@ -437,6 +444,54 @@ class TestMerging:
         ]
         ref = gen.reference_lmc(m, n, (), 1, templates)
         assert len(_shared(ref, m, n)) == 4
+
+    def test_equivalent_templates_share_one_move(self, monkeypatch):
+        # The fragment with the normal form patched to the identity, so
+        # that every label moves its state by its own template, must be the
+        # same: states in order, labels, and successors.
+        rng = random.Random(20261103)
+        tensor = {u: default_tensor_templates(u) for u in ((I,), (I, K))}
+        cases = []
+        for i in range(100):
+            universe = (I,) if i % 2 else (I, K)
+            templates = tuple(rng.sample(tensor[universe], 2 + i % 12))
+            m, n = (
+                Pair(*(gen.random_value(rng, max_size=6, prefix=f"{side}{h}") for h in "ab"))
+                for side in "mn"
+            )
+            cases.append((m, n, universe, 1 + i % 3, 10000, templates))
+        fast = [build_lmc(*case) for case in cases]
+        monkeypatch.setattr(trace, "normal_form", lambda t: t)
+        shared = 0
+        for case, frag in zip(cases, fast):
+            slow = build_lmc(*case)
+            assert frag.states == slow.states
+            assert frag.labels == slow.labels
+            assert frag.trans == slow.trans
+            succ = [frag.trans[key] for key in frag.trans if key[1] != EVAL_LABEL]
+            shared += len({id(d) for d in succ}) < len(succ)
+        assert shared >= 50
+
+    def test_a_pair_state_moves_once_per_class_of_templates(self, monkeypatch):
+        # The 96 default templates over {I} have 27 normal forms.
+        m, n = build_expair()
+        tensor = default_tensor_templates((I,))
+        assert len(tensor) == 96
+        queries = (
+            (bisim, lambda: bisim_distance(m, n, (I,), 3, tensor_templates=tensor)),
+            (trace, lambda: trace_distance_lb(m, n, (I,), 2, tensor)),
+        )
+        for module, query in queries:
+            moves = Counter()
+
+            def counting(t, a, moves=moves):
+                moves[t] += type(a) is TensorAction
+                return _move(t, a)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "_move", counting)
+                query()
+            assert max(moves.values()) == 27
 
     def test_the_state_cap_counts_merged_states(self):
         # Tower n=1 at depth 3 has 239 programs but 22 merged states, so a

@@ -16,6 +16,7 @@ from metricwb.terms import (
     Var,
     affine_violation,
     fresh,
+    rename_binders,
     rename_free,
 )
 
@@ -184,6 +185,23 @@ class TestRenameFree:
 
     def test_missing_key_is_untouched(self):
         assert rename_free(Var("x"), {"q": "z"}) == Var("x")
+
+
+class TestRenameBinders:
+    def test_alpha_equal_printed_alike_and_fresh(self):
+        rng = random.Random(20261104)
+        for _ in range(100):
+            t = gen.random_program(rng, max_size=20, fuel=4, prefix=rng.choice("xyz"))
+            out = rename_binders(t)
+            assert out == t and pretty(out) == pretty(t)
+            binders = gen._binders_below(out)
+            assert all("%" in b for b in binders)
+            assert not binders & gen._binders_below(t)
+
+    def test_free_variables_stay(self):
+        t = App(Var("x"), Abs("x%1", App(Var("x%1"), Var("y"))))
+        out = rename_binders(t)
+        assert out.free_vars == {"x", "y"} and out.arg.var != "x%1"
 
 
 class TestPairEncoding:

@@ -15,11 +15,28 @@ from metricwb import (
     lts_trace_accept,
     parse,
     parse_trace,
+    bisim_distance,
+    build_expair,
+    build_mn_nn,
+    trace,
     trace_accept,
     trace_distance_lb,
 )
 from metricwb.dist import Dist
-from metricwb.terms import Abs, App, LetPair, OMEGA, Pair, Var, identity, pretty, size, substitute
+from metricwb.parser import parse_terms
+from metricwb.terms import (
+    Abs,
+    App,
+    Choice,
+    LetPair,
+    OMEGA,
+    Pair,
+    Var,
+    identity,
+    pretty,
+    size,
+    substitute,
+)
 from metricwb.trace import (
     TENSOR_HOLE_1,
     TENSOR_HOLE_2,
@@ -30,14 +47,19 @@ from metricwb.trace import (
     dedupe_values,
     default_tensor_templates,
     encode_theta_trace,
+    _move,
+    _trace_effect,
     _trace_step,
     alphabet,
     enumerate_traces,
     explore,
     format_trace,
     interrogate,
+    normal_form,
+    template_constants,
     widest_gap,
 )
+from metricwb.tuples import default_templates, tuple_distance_lb
 
 I = identity()
 HALF = Fraction(1, 2)
@@ -109,6 +131,18 @@ class TestTraceValidation:
             check_trace((TensorAction(App(Var("x"), Var("x"))),))
 
 
+def random_pair(rng, tag="") -> Pair:
+    """A pair value whose halves are values or programs; distinct binder
+    prefixes keep each template's redex affine."""
+
+    def half(prefix):
+        if rng.random() < 0.5:
+            return gen.random_value(rng, max_size=8, prefix=prefix)
+        return gen.random_program(rng, 8, 3, prefix)
+
+    return Pair(half(f"p{tag}"), half(f"q{tag}"))
+
+
 class TestInterrogate:
     K = parse("\\a. \\b. a")
     ACTIONS = (TensorAction(Var("y")), AppAction(K), TensorAction(App(Var("x"), Var("y"))))
@@ -129,15 +163,9 @@ class TestInterrogate:
         # whose kind does not fit t leaves a stuck redex, which has no value
         rng = random.Random(20261020)
         actions = [TensorAction(b) for b in default_tensor_templates()[:32]]
-
-        def half(prefix):  # distinct binder prefixes keep the redex affine
-            if rng.random() < 0.5:
-                return gen.random_value(rng, max_size=8, prefix=prefix)
-            return gen.random_program(rng, 8, 3, prefix)
-
         spread = partial = 0
         for i in range(100):
-            t = gen.random_value(rng, max_size=8) if i % 2 else Pair(half("p"), half("q"))
+            t = gen.random_value(rng, max_size=8) if i % 2 else random_pair(rng)
             v = gen.random_value(rng, max_size=8, prefix="w")
             cases = [(AppAction(v), App(t, v))]
             cases += [(a, LetPair(TENSOR_HOLE_1, TENSOR_HOLE_2, t, a.body)) for a in actions]
@@ -147,6 +175,158 @@ class TestInterrogate:
                 spread += len(d) > 1
                 partial += 0 < d.weight() < 1
         assert spread and partial
+
+
+def subterms(t):
+    yield t
+    for f in t.__match_args__:
+        child = getattr(t, f)
+        if not isinstance(child, str):
+            yield from subterms(child)
+
+
+class TestNormalForm:
+    X, Y = Var(TENSOR_HOLE_1), Var(TENSOR_HOLE_2)
+
+    @pytest.mark.parametrize(
+        "body, want",
+        [
+            ("(\\z. z) x", "x"),
+            ("x ((\\z. z) y)", "x y"),
+            ("(\\z. z) (x y)", "x y"),
+            ("(\\z. \\w. z) y", "\\w. y"),
+            ("(\\z. \\w. w z) (\\a. a)", "\\w. w (\\a. a)"),
+            ("(\\z. \\w. w) <x, y>", "\\w. w"),
+            # the result of a rewrite is reduced again
+            ("(\\z. (\\w. w) z) x", "x"),
+            ("(\\z. z y) (\\w. w)", "y"),
+            # an argument that is not a value stays, and so does its redex
+            ("(\\z. \\w. z) (x y)", "(\\z. \\w. z) (x y)"),
+            ("x ((\\z. \\w. z) (\\a. a) (y (\\b. b)))", "x ((\\w. \\a. a) (y (\\b. b)))"),
+        ],
+    )
+    def test_beta_v_along_the_application_spine(self, body, want):
+        assert normal_form(parse(body)) == parse(want)
+
+    def test_no_rewrite_under_a_binder_or_into_a_pair_choice_or_let(self):
+        redex = App(I, self.X)
+        for t in (
+            Abs("w", redex),
+            Pair(redex, self.Y),
+            Choice(redex, self.Y),
+            LetPair("a", "b", redex, self.Y),
+            LetPair("a", "b", self.Y, App(I, Var("a"))),
+        ):
+            assert normal_form(t) is t
+            assert normal_form(App(self.Y, t)).arg is t
+
+    def test_the_effect_is_worked_out_once_per_action(self):
+        a = TensorAction(parse("x ((\\z. z) y)"))
+        pair = Pair(I, I)
+        e = _trace_effect(pair, a)
+        assert e == TensorAction(App(self.X, self.Y)) and e.body is not a.body
+        assert _trace_effect(pair, a) is e and _trace_effect(pair, e) is e
+        assert _trace_effect(I, a) is None
+        plain = TensorAction(App(self.X, self.Y))
+        assert _trace_effect(pair, plain) is plain
+        app = AppAction(I)
+        assert _trace_effect(I, app) is app and _trace_effect(pair, app) is None
+
+    def test_a_rewrite_that_would_capture_is_skipped(self):
+        # (\z. \x. z) x: a check_trace template never names a binder x,
+        # but the normal form leaves the redex rather than capture
+        t = App(Abs("z", Abs(TENSOR_HOLE_1, Var("z"))), self.X)
+        assert normal_form(t) is t
+
+    def test_a_normal_form_is_its_own_and_no_larger(self):
+        for universe in ((I,), (I, parse("\\a. \\b. a"))):
+            for t in default_tensor_templates(universe):
+                nf = normal_form(t)
+                assert normal_form(nf) is nf
+                assert size(nf) <= size(t)
+                assert (size(nf) < size(t)) == (nf is not t)
+
+    def test_the_effect_steps_every_pair_as_the_template_does(self):
+        # The fast path (a template's normal form) against the slow path
+        # (the template itself), on every default template over {I} and
+        # {I, K} and on templates over generated universe values, whose
+        # choices, lets and binder names shared between constants the
+        # default templates would rename apart.
+        rng = random.Random(20261101)
+        templates = [
+            *default_tensor_templates((I,)),
+            *default_tensor_templates((I, parse("\\a. \\b. a"))),
+        ]
+        kinds = set()
+        while len(templates) < 400:
+            universe = [gen.random_value(rng, max_size=7, prefix="u") for _ in range(2)]
+            kinds |= {type(t) for u in universe for t in subterms(u)}
+            templates += app_combinations([self.X, self.Y], universe, 6)
+        check_trace([TensorAction(t) for t in templates])
+        assert {Choice, LetPair} <= kinds
+        changed = partial = 0
+        pairs = [random_pair(rng, i) for i in range(8)]
+        for t in templates:
+            slow, fast = TensorAction(t), TensorAction(normal_form(t))
+            changed += slow.body != fast.body
+            for v in pairs:
+                d = _trace_step(v, slow)
+                assert d == _trace_step(v, fast), (pretty(v), pretty(t))
+                partial += 0 < d.weight() < 1
+        assert changed >= 150 and partial >= 100
+
+    def test_the_search_answers_as_with_the_templates_themselves(self, monkeypatch):
+        # the same searches with the normal form patched to the identity,
+        # so that every action's effect is itself
+        rng = random.Random(20261102)
+        universes = ((I,), (I, parse("\\a. \\b. a")))
+        cases = []
+        for i in range(100):
+            universe = universes[i % 2]
+            templates = tuple(rng.sample(default_tensor_templates(universe), 2 + i % 12))
+            m, n = random_pair(rng, 2 * i), random_pair(rng, 2 * i + 1)
+            cases.append((m, n, universe, 1 + i % 3, templates))
+        moves = []
+        monkeypatch.setattr(trace, "_move", lambda t, a: moves.append(a) or _move(t, a))
+        fast = [trace_distance_lb(*case) for case in cases]
+        fast_moves = len(moves)
+        monkeypatch.setattr(trace, "normal_form", lambda t: t)
+        assert [trace_distance_lb(*case) for case in cases] == fast
+        assert sum(gap > 0 for gap, _ in fast) >= 30
+        assert fast_moves < len(moves) - fast_moves
+
+
+class TestTemplateConstants:
+    # Hand-built universe values whose binders are named like a tensor
+    # hole or like a tuple template's own binder: their binders are renamed
+    # apart before they are combined, so the answers are those of I.
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_a_constant_may_name_its_binder_like_a_hole(self, name):
+        universe = [Abs(name, Var(name))]
+        m, n = build_expair()
+        tower = build_mn_nn(1)
+        for u in (universe, [parse("I")]):
+            tensor = default_tensor_templates(u)
+            assert tensor == default_tensor_templates((I,))
+            got = (
+                trace_distance_lb(*tower, u, 2, tensor),
+                trace_distance_lb(m, n, u, 2, tensor),
+                bisim_distance(m, n, u, 3, tensor_templates=tensor),
+                tuple_distance_lb(m, n, default_templates(u), 3),
+                tuple_distance_lb(*tower, default_templates(u), 2),
+            )
+            if u is universe:
+                want = got
+        assert got == want
+        assert want[1][0] == want[2] == want[3][0] == Fraction(3, 4)
+
+    def test_constants_keep_their_order_and_print_alike(self):
+        universe = parse_terms("I, \\a. \\b. a, I")
+        consts = template_constants(universe)
+        assert consts == tuple(universe[:2])
+        assert [pretty(c) for c in consts] == [pretty(c) for c in universe[:2]]
+        assert not {c.var for c in consts} & {c.var for c in universe}
 
 
 class TestEnumeration:
@@ -497,10 +677,11 @@ class TestExplore:
 
     def test_shape_filter_matches_the_full_alphabet(self):
         # The search's effect is None where an action's kind does not fit,
-        # so a misfit state is never stepped; move's effect never is, so
-        # here every state is stepped and _trace_step gives a misfit EMPTY.
-        # This checks that None effects change no answer. Every third pair
-        # starts from pairs, where tensor actions matter.
+        # so a misfit state is never stepped, and a tensor action's effect
+        # is its template's normal form; move's effect is the action itself,
+        # so here every state is stepped by every action and _trace_step
+        # gives a misfit EMPTY. This checks that neither changes an answer.
+        # Every third pair starts from pairs, where tensor actions matter.
         rng = random.Random(20260404)
         universes = ((I,), (I, parse("\\a. \\b. a")))
         for i in range(60):
