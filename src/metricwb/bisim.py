@@ -86,10 +86,9 @@ def build_lmc(
     so merged. A value answers to every action that fits it, and is moved
     once per distinct effect: labels whose effects are equal, such as
     tensor templates with one normal form, share one successor
-    distribution. The inputs are checked once here; states are evaluated
-    without re-checking affinity, because a universe value substituted
-    into a term that already holds its binders reuses a binder name
-    harmlessly.
+    distribution. The inputs are checked once here, and states are
+    evaluated without checking them again: reduction keeps a checked
+    program affine, whatever binder names it repeats.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")

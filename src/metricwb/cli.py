@@ -2,9 +2,10 @@
 
 Output is JSON on stdout, deterministic byte-for-byte for a fixed input:
 keys are sorted and every probability is printed as num/den. Diagnostics
-and logging go to stderr; set METRIC_WB_LOG=debug|info|warning|error to
-adjust verbosity. Exit codes: 0 success, 1 bad input (including input
-nested too deeply for Python's recursion limit), 2 internal error.
+and logging go to stderr; set METRIC_WB_LOG=debug|info|warning|error|critical
+to adjust verbosity (any other value is bad input). Exit codes: 0 success,
+1 bad input (including input nested too deeply for Python's recursion
+limit), 2 internal error.
 """
 
 from __future__ import annotations
@@ -244,16 +245,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def _configure_logging() -> None:
-    level_name = os.environ.get("METRIC_WB_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(stream=sys.stderr, level=level)
+    """Log to stderr at the level METRIC_WB_LOG names, in any case, warning
+    when it is unset; any other value is bad input, like a bad flag."""
+    name = os.environ.get("METRIC_WB_LOG", "warning")
+    if name.lower() not in _LOG_LEVELS:
+        levels = ", ".join(_LOG_LEVELS)
+        raise ValueError(f"METRIC_WB_LOG is {name!r}, not one of the log levels {levels}")
+    logging.basicConfig(stream=sys.stderr, level=name.upper())
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -261,6 +266,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 1
     clear_memo()  # memo hits carry the binder names of earlier evaluations
     try:
+        _configure_logging()
         out = globals()["_cmd_" + args.command.replace("-", "_")](args)
         code = 0
         if isinstance(out, tuple):

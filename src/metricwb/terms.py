@@ -6,12 +6,18 @@ use of a node. Subterm sharing is preserved everywhere (substitution copies
 only the path it rewrites), which keeps the deeply nested example families
 tractable even though their fully expanded trees are astronomically large.
 
-Affinity is judged from one summary per node, computed once and cached: the
-first double use, the binder names, and whether a binder is reused along one
-scope chain. A double use is an overlap of the `free_vars` of two subterms
-that both run. `affine_violation` reports a double use, then a free variable
-outside the context, then a binder named like a context variable, then a
-binder reused within its own scope.
+Terms are taken up to alpha-equivalence, so binder names are hygiene, not
+part of any rule: a binder may shadow another or a context variable, and
+two terms that differ only in their binder names give the same answers.
+Two places care about names. `substitute` renames a binder that would
+capture a free variable of what it substitutes, and `pretty` gives each
+binder a display name that holds only inside its scope.
+
+Affinity is judged from the first double use in a term, computed once per
+node and cached. A double use is an overlap of the `free_vars` of two
+subterms that both run, so it does not depend on binder names.
+`affine_violation` reports a double use, then a free variable outside the
+context.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ class Term:
     def __init__(self):
         self._skel: Optional[int] = None
         self._size: Optional[int] = None
-        self._scope: "tuple[Optional[str], frozenset, bool] | None" = None
+        self._scope: Optional[str] = None
 
     def _skel_id(self, binders: tuple[str, ...] = ()) -> int:
         # A skeleton computed under binders the term never mentions equals
@@ -242,24 +248,19 @@ def _display(name: str) -> str:
     return name.split("%", 1)[0] or name
 
 
-def _double_use(left: frozenset, right: frozenset, where: str) -> Optional[str]:
+def _double_use(left: frozenset, right: frozenset, where: str) -> str:
     if left.isdisjoint(right):
-        return None
+        return ""
     offender = _display(min(left & right))
     return f"variable '{offender}' is used on both sides of {where}"
 
 
-_LEAF_SCOPE = (None, frozenset(), False)
-
-
-def _scope(t: Term) -> tuple[Optional[str], frozenset, bool]:
-    """(first double use as a message or None, binder names, whether a
-    binder is reused along one scope chain), cached on the node.
+def _scope(t: Term) -> str:
+    """The first double use in t as a message, "" if there is none, cached
+    on the node.
 
     Choice branches may share (only one runs); children are checked before
-    the node, the left child first. Binder names must be distinct along any
-    scope chain, mirroring the disjoint context extension of the typing
-    rules; parallel reuse is fine.
+    the node, the left child first.
     """
     s = t._scope
     if s is not None:
@@ -269,24 +270,18 @@ def _scope(t: Term) -> tuple[Optional[str], frozenset, bool]:
     kind = type(t)
     if kind is App or kind is Pair:
         l, r = (t.fn, t.arg) if kind is App else (t.first, t.second)
-        (ul, bl, rl), (ur, br, rr) = _scope(l), _scope(r)
         where = "an application" if kind is App else "a pair"
-        use = ul or ur or _double_use(l.free_vars, r.free_vars, where)
-        s = (use, bl | br, rl or rr)
+        s = _scope(l) or _scope(r) or _double_use(l.free_vars, r.free_vars, where)
     elif kind is Abs:
-        use, binders, reused = _scope(t.body)
-        s = (use, binders | {t.var}, reused or t.var in binders)
+        s = _scope(t.body)
     elif kind is Var or kind is Omega:
-        s = _LEAF_SCOPE
+        s = ""
     elif kind is Choice:
-        (ul, bl, rl), (ur, br, rr) = _scope(t.left), _scope(t.right)
-        s = (ul or ur, bl | br, rl or rr)
+        s = _scope(t.left) or _scope(t.right)
     elif kind is LetPair:
-        x, y, m, b = t.var1, t.var2, t.scrutinee, t.body
-        (um, bm, rm), (ub, bb, rb) = _scope(m), _scope(b)
-        inner = b.free_vars - {x, y}
-        use = um or ub or _double_use(m.free_vars, inner, "a let binding")
-        s = (use, bm | bb | {x, y}, rm or rb or x in bb or y in bb)
+        m, b = t.scrutinee, t.body
+        inner = b.free_vars - {t.var1, t.var2}
+        s = _scope(m) or _scope(b) or _double_use(m.free_vars, inner, "a let binding")
     else:
         raise TypeError(f"not a term: {t!r}")
     t._scope = s
@@ -294,22 +289,15 @@ def _scope(t: Term) -> tuple[Optional[str], frozenset, bool]:
 
 
 def affine_violation(ctx: Iterable[str], t: Term) -> Optional[str]:
-    """None if ctx |- t is derivable in the affine discipline, else a
-    human-readable reason: a double use, then a free variable outside ctx,
-    then a binder named like a context variable, then a binder reused
-    within its own scope."""
-    use, binders, reused = _scope(t)
+    """None if ctx |- t is derivable in the affine discipline, up to
+    alpha-equivalence, else a human-readable reason: a double use, then a
+    free variable outside ctx."""
+    use = _scope(t)
     if use:
         return use
-    ctx_set = frozenset(ctx)
-    missing = t.free_vars - ctx_set
+    missing = t.free_vars - frozenset(ctx)
     if missing:
         return f"variable '{_display(min(missing))}' is not in the context"
-    clash = ctx_set & binders
-    if clash:
-        return f"binder '{_display(min(clash))}' shadows a context variable"
-    if reused:
-        return "a binder is reused within its own scope"
     return None
 
 
@@ -321,7 +309,9 @@ def substitute(t: Term, x: str, v: Term) -> Term:
     """Capture-avoiding substitution t{v/x}.
 
     Returns t itself when x does not occur, so shared subtrees stay shared.
-    Relies on globally fresh binder names; a would-be capture raises.
+    A binder that would capture a free variable of v is renamed to a fresh
+    name of the same base; the semantics substitutes closed values only, so
+    it never has to.
     """
     if x not in t.free_vars:
         return t
@@ -332,7 +322,8 @@ def substitute(t: Term, x: str, v: Term) -> Term:
         return App(substitute(t.fn, x, v), substitute(t.arg, x, v))
     if kind is Abs:
         if t.var in v.free_vars:
-            raise ValueError(f"substitution would capture '{t.var}'")
+            y, b = _rename_bound(t.var, t.body)
+            return Abs(y, substitute(b, x, v))
         return Abs(t.var, substitute(t.body, x, v))
     if kind is Choice:
         return Choice(substitute(t.left, x, v), substitute(t.right, x, v))
@@ -342,46 +333,27 @@ def substitute(t: Term, x: str, v: Term) -> Term:
         y1, y2, m, b = t.var1, t.var2, t.scrutinee, t.body
         if x in (y1, y2):
             return LetPair(y1, y2, substitute(m, x, v), b)
-        if y1 in v.free_vars or y2 in v.free_vars:
-            raise ValueError("substitution would capture a pair binder")
+        if y1 in v.free_vars:
+            y1, b = _rename_bound(y1, b)
+        if y2 in v.free_vars:
+            y2, b = _rename_bound(y2, b)
         return LetPair(y1, y2, substitute(m, x, v), substitute(b, x, v))
     raise TypeError(f"not a term: {t!r}")
 
 
+def _rename_bound(y: str, body: Term) -> tuple[str, Term]:
+    """A fresh name for the binder y, and body with y renamed to it."""
+    z = fresh(y)
+    return z, substitute(body, y, Var(z))
+
+
 def rename_free(t: Term, mapping: dict[str, str]) -> Term:
-    """Rename free variables; targets must be fresh for t."""
+    """Rename free variables, in the order of mapping; a target must not be
+    free in t already. A binder named like a target is renamed apart
+    (substitute)."""
     for old, new in mapping.items():
         t = substitute(t, old, Var(new))
     return t
-
-
-def rename_binders(t: Term) -> Term:
-    """t with every binder renamed to a globally fresh name of the same
-    base: alpha-equal to t and printed alike, but sharing no binder name
-    with any other term."""
-
-    def go(t: Term, names: dict[str, str]) -> Term:
-        match t:
-            case Var(x):
-                return Var(names[x]) if x in names else t
-            case Omega():
-                return t
-            case Abs(x, b):
-                nx = fresh(x)
-                return Abs(nx, go(b, {**names, x: nx}))
-            case App(f, a):
-                return App(go(f, names), go(a, names))
-            case Choice(l, r):
-                return Choice(go(l, names), go(r, names))
-            case Pair(a, b):
-                return Pair(go(a, names), go(b, names))
-            case LetPair(x, y, m, b):
-                nx, ny = fresh(x), fresh(y)
-                return LetPair(nx, ny, go(m, names), go(b, {**names, x: nx, y: ny}))
-            case _:
-                raise TypeError(f"not a term: {t!r}")
-
-    return go(t, {})
 
 
 def encode_theta(t: Term) -> Term:
@@ -415,9 +387,11 @@ _PREC_ATOM = 3
 
 
 def pretty(t: Term) -> str:
-    """Render t in the surface syntax, choosing readable binder names."""
+    """Render t in the surface syntax, choosing readable binder names. Each
+    binder gets a display name no free variable or other binder has, and it
+    holds only inside the binder's scope, so shadowing prints faithfully."""
     used = {name for name in t.free_vars}
-    display: dict[str, str] = {}
+    display: dict[str, Optional[str]] = {}
     # per base, the first suffix not yet tried: every candidate below it is
     # in used, which only grows, so the scan resumes there
     untried: dict[str, int] = {}
@@ -436,21 +410,25 @@ def pretty(t: Term) -> str:
     def render(t: Term, prec: int) -> str:
         match t:
             case Var(name):
-                s, p = display.get(name, name), _PREC_ATOM
+                s, p = display.get(name) or name, _PREC_ATOM
             case Omega():
                 s, p = "omega", _PREC_ATOM
             case Pair(a, b):
                 s = f"<{render(a, _PREC_TERM)}, {render(b, _PREC_TERM)}>"
                 p = _PREC_ATOM
             case Abs(x, b):
-                dx = pick(x)
+                # a binder's display name holds in its body only; outside
+                # it the name means what it meant before (None: itself)
+                outer, dx = display.get(x), pick(x)
                 display[x] = dx
                 s, p = f"\\{dx}. {render(b, _PREC_TERM)}", _PREC_TERM
+                display[x] = outer
             case LetPair(x, y, m, b):
                 ms = render(m, _PREC_TERM)
-                dx, dy = pick(x), pick(y)
+                outer, dx, dy = (display.get(x), display.get(y)), pick(x), pick(y)
                 display[x], display[y] = dx, dy
                 s = f"let <{dx}, {dy}> = {ms} in {render(b, _PREC_TERM)}"
+                display[x], display[y] = outer
                 p = _PREC_TERM
             case Choice(l, r):
                 s = f"{render(l, _PREC_CHOICE)} (+) {render(r, _PREC_APP)}"

@@ -30,7 +30,6 @@ from .terms import (
     identity,
     is_value,
     pretty,
-    rename_binders,
     rename_free,
     size,
     substitute,
@@ -71,8 +70,7 @@ def normal_form(t: Term) -> Term:
     LetPair. Two rules rewrite an App whose function part, once in normal
     form, is an abstraction \z. B:
 
-    - (\z. B) V -> B[V/z] where V is an Abs, a Pair or a Var, and
-      substitute does not capture (where it would, the redex stays). A Var
+    - (\z. B) V -> B[V/z] where V is an Abs, a Pair or a Var. A Var
       reached through App nodes is free in t, so it is a hole, and every
       tensor step binds the holes to values;
     - (\z. z) M -> M for any M.
@@ -90,8 +88,8 @@ def normal_form(t: Term) -> Term:
     argument, so a part may be swapped for one with the same value
     distribution. ((\z. B) V) s is (\z. B s) (V s), where V s is a
     value (a hole becomes v or w), so it evaluates as B s [V s/z], which
-    is B[V/z] s: check_trace names no binder like a hole, no rewrite
-    captures, and v and w are closed. ((\z. z) M) s evaluates M s, then
+    is B[V/z] s: substitute renames a binder of B that would capture a
+    hole of V, and v and w are closed. ((\z. z) M) s evaluates M s, then
     each of its values to itself."""
     if type(t) is not App:
         return t
@@ -100,10 +98,7 @@ def normal_form(t: Term) -> Term:
         if type(fn.body) is Var and fn.body.name == fn.var:
             return arg
         if type(arg) in (Abs, Pair, Var):
-            try:
-                return normal_form(substitute(fn.body, fn.var, arg))
-            except ValueError:  # substitute would capture
-                pass
+            return normal_form(substitute(fn.body, fn.var, arg))
     return t if fn is t.fn and arg is t.arg else App(fn, arg)
 
 
@@ -400,11 +395,11 @@ def app_combinations(
 
 
 def template_constants(universe: Sequence[Term]) -> tuple[Term, ...]:
-    """The distinct universe values in order, I for an empty universe: the
-    constants that templates combine. Each value's binders are renamed
-    apart (rename_binders), so that none shadows a hole or a binder of the
-    template around it."""
-    return tuple(map(rename_binders, dedupe_values(universe))) if universe else (identity(),)
+    """The distinct universe values as given, in order, I for an empty
+    universe: the constants that templates combine. A constant's binder may
+    be named like a hole or a binder of the template around it: the
+    constant is closed, so the name is only hygiene."""
+    return dedupe_values(universe) if universe else (identity(),)
 
 
 def default_tensor_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:

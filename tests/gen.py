@@ -28,6 +28,7 @@ from metricwb.terms import (
     Term,
     Var,
     affine_violation,
+    fresh,
     identity,
     is_value,
     rename_free,
@@ -166,12 +167,43 @@ def arbitrary_term(rng, fuel: int, pool=("a", "b", "c")) -> Term:
     )
 
 
+def alpha_variant(rng, t: Term, pool=("x", "y", "z", "a")) -> Term:
+    """A term alpha-equal to t whose binders are named from pool, so that
+    they shadow each other, free variables and hole names as often as
+    capture allows. A binder takes a pool name that no other free variable
+    of its scope has after renaming, or a fresh name when every pool name
+    is taken. Free variables keep their names."""
+
+    def pick(body: Term, bound: tuple, names: dict, taken=()) -> str:
+        # bound[0] is the binder named; a name in taken is also unavailable
+        outside = {names.get(v, v) for v in body.free_vars - set(bound)} | set(taken)
+        free = [n for n in pool if n not in outside]
+        return rng.choice(free) if free else fresh(bound[0])
+
+    def go(t: Term, names: dict) -> Term:
+        if isinstance(t, Var):
+            return Var(names.get(t.name, t.name))
+        if isinstance(t, Omega):
+            return t
+        if isinstance(t, Abs):
+            x = pick(t.body, (t.var,), names)
+            return Abs(x, go(t.body, {**names, t.var: x}))
+        if isinstance(t, LetPair):
+            x = pick(t.body, (t.var1, t.var2), names)
+            y = pick(t.body, (t.var2, t.var1), names, (x,))
+            inner = {**names, t.var1: x, t.var2: y}
+            return LetPair(x, y, go(t.scrutinee, names), go(t.body, inner))
+        return type(t)(*(go(getattr(t, f), names) for f in t.__match_args__))
+
+    return go(t, {})
+
+
 # --- occurrence-counting affinity oracle ---------------------------------
 
 
 def _occurrence_bounds(t: Term) -> "dict[str, int] | None":
     """Worst-case use count of each free variable, treating choice branches
-    as alternatives; None marks a detected double use or a nested rebinding.
+    as alternatives; None marks a detected double use.
     """
     if isinstance(t, Var):
         return {t.name: 1}
@@ -179,7 +211,7 @@ def _occurrence_bounds(t: Term) -> "dict[str, int] | None":
         return {}
     if isinstance(t, Abs):
         inner = _occurrence_bounds(t.body)
-        if inner is None or t.var in _binders_below(t.body):
+        if inner is None:
             return None
         return {k: v for k, v in inner.items() if k != t.var}
     if isinstance(t, Choice):
@@ -199,30 +231,10 @@ def _occurrence_bounds(t: Term) -> "dict[str, int] | None":
         b = _occurrence_bounds(t.body)
         if a is None or b is None:
             return None
-        if t.var1 in _binders_below(t.body) or t.var2 in _binders_below(t.body):
-            return None
         b = {k: v for k, v in b.items() if k not in (t.var1, t.var2)}
         out = {k: a.get(k, 0) + b.get(k, 0) for k in {*a, *b}}
         return None if any(v > 1 for v in out.values()) else out
     raise TypeError(f"not a term: {t!r}")
-
-
-def _binders_below(t: Term) -> set:
-    if isinstance(t, (Var, Omega)):
-        return set()
-    if isinstance(t, Abs):
-        return {t.var} | _binders_below(t.body)
-    if isinstance(t, App):
-        return _binders_below(t.fn) | _binders_below(t.arg)
-    if isinstance(t, Choice):
-        return _binders_below(t.left) | _binders_below(t.right)
-    if isinstance(t, Pair):
-        return _binders_below(t.first) | _binders_below(t.second)
-    return (
-        {t.var1, t.var2}
-        | _binders_below(t.scrutinee)
-        | _binders_below(t.body)
-    )
 
 
 def affine_oracle(ctx: tuple, t: Term) -> bool:
@@ -231,11 +243,7 @@ def affine_oracle(ctx: tuple, t: Term) -> bool:
     if counts is None:
         return False
     ctx_set = set(ctx)
-    if any(k not in ctx_set for k in t.free_vars):
-        return False
-    if ctx_set & _binders_below(t):
-        return False
-    return True
+    return all(k in ctx_set for k in t.free_vars)
 
 
 # --- reference big-step evaluator ----------------------------------------
@@ -914,7 +922,8 @@ def reference_tokens(text: str) -> list:
 
 def reference_pretty(t: Term) -> str:
     """terms.pretty as it was before it resumed each base name's suffix
-    scan: quadratic in the binders that share a base name."""
+    scan: quadratic in the binders that share a base name. A binder's
+    display name holds in its scope only, as in terms.pretty."""
     used = set(t.free_vars)
     display = {}
 
@@ -936,13 +945,19 @@ def reference_pretty(t: Term) -> str:
         elif isinstance(t, Pair):
             s, p = f"<{render(t.first, 0)}, {render(t.second, 0)}>", 3
         elif isinstance(t, Abs):
-            display[t.var] = pick(t.var)
-            s, p = f"\\{display[t.var]}. {render(t.body, 0)}", 0
+            saved = dict(display)
+            display[t.var] = dx = pick(t.var)
+            s, p = f"\\{dx}. {render(t.body, 0)}", 0
+            display.clear()
+            display.update(saved)
         elif isinstance(t, LetPair):
             ms = render(t.scrutinee, 0)
+            saved = dict(display)
             dx, dy = pick(t.var1), pick(t.var2)
             display[t.var1], display[t.var2] = dx, dy
             s, p = f"let <{dx}, {dy}> = {ms} in {render(t.body, 0)}", 0
+            display.clear()
+            display.update(saved)
         elif isinstance(t, Choice):
             s, p = f"{render(t.left, 1)} (+) {render(t.right, 2)}", 1
         else:

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -450,6 +451,18 @@ class TestDistance:
         assert payload["universe"] == ["\\x. x", "\\a. \\b. b"]
 
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: bisim ignores a misfit action")
+    def test_bisim_bounds_trace_on_a_pair_against_an_abstraction(self, capsys):
+        # the smallest witness of item 2, at the CLI's defaults: app(I)
+        # separates the two, but the pair and the abstraction share no
+        # label, so bisim puts them at 0
+        pair, fn = "<I, I>", "\\x. <\\y. y, \\z. z>"
+        trace = payload_of(capsys, "distance", "--kind", "trace", pair, fn)
+        assert (trace["distance"], trace["witness"]) == ("1/1", "app(\\x. x)")
+        bisim = payload_of(capsys, "distance", "--kind", "bisim", pair, fn)
+        assert Fraction(trace["distance"]) <= Fraction(bisim["distance"])
+
+
 class TestExamples:
     def test_expair_report(self, capsys):
         payload = payload_of(capsys, "examples", "--which", "expair")
@@ -515,6 +528,19 @@ class TestEntryPoint:
         )
         quiet = run_module("eval", "<I, I> I", log="error")
         assert (quiet.returncode, quiet.stderr, quiet.stdout) == (0, "", done.stdout)
+
+    @pytest.mark.parametrize("log", ["verbose", "warn", ""])
+    def test_an_unknown_log_level_is_bad_input(self, log):
+        done = run_module("eval", "I", log=log)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            f"error: METRIC_WB_LOG is {log!r}, not one of the log levels "
+            "debug, info, warning, error, critical\n"
+        )
+
+    def test_a_log_level_is_read_in_any_case(self):
+        done = run_module("eval", "<I, I> I", log="Error")
+        assert (done.returncode, done.stderr) == (0, "")
 
     def test_module_exits_with_the_command_code(self):
         done = run_module("eval", "x")

@@ -8,8 +8,10 @@ tree and must stay byte-identical under refactoring; a change that means
 to alter them re-records with `PYTHONPATH=src python
 tests/test_golden_affinity.py` and says so.
 
-`CASES` spells out what the digest covers: each of the four reasons, each
-place a double use can happen, and the order in which reasons are reported.
+`CASES` spells out what the digest covers: each of the two reasons, each
+place a double use can happen, the order in which reasons are reported,
+and binder names that are no reason at all, since terms are taken up to
+alpha-equivalence.
 """
 
 import hashlib
@@ -22,8 +24,8 @@ from metricwb.terms import OMEGA, Abs, App, LetPair, Var, affine_violation
 
 TERMS = 4000
 POOLS = (("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d"))
-DIGEST = "3d9bfae269974715f7a6585befb6f17c295a770d8a48c22efbddb6fdd7585058"
-VIOLATIONS = 7694
+DIGEST = "fce2b3ce50ae0f8e180e7772b7cff86dd98da319a72a2e0acadaebbb626516fd"
+VIOLATIONS = 5851
 
 
 def answers() -> list[str]:
@@ -70,18 +72,18 @@ CASES = [
     # a free variable outside the context
     ((), "x", "variable 'x' is not in the context"),
     (("a",), "\\y. <x, b> y", "variable 'b' is not in the context"),
-    # a binder named like a context variable
-    (("x",), Abs("x", Var("x")), "binder 'x' shadows a context variable"),
-    (("b", "c"), LetPair("c", "b", OMEGA, OMEGA), "binder 'b' shadows a context variable"),
-    # a binder reused along one scope chain; parallel reuse is fine
-    ((), Abs("x", Abs("x", Var("x"))), "a binder is reused within its own scope"),
-    ((), LetPair("a", "b", OMEGA, Abs("b", Var("b"))), "a binder is reused within its own scope"),
+    # a binder named like a context variable is no reason
+    (("x",), Abs("x", Var("x")), None),
+    (("b", "c"), LetPair("c", "b", OMEGA, OMEGA), None),
+    # nor is a binder reused along one scope chain, or in parallel
+    ((), Abs("x", Abs("x", Var("x"))), None),
+    ((), LetPair("a", "b", OMEGA, Abs("b", Var("b"))), None),
     ((), App(Abs("y", Var("y")), Abs("y", Var("y"))), None),
     ((), LetPair("a", "b", Abs("a", Var("a")), OMEGA), None),
     # the reasons in the order they are reported
     ((), "x x", used_twice("x", "an application")),
     (("y",), App(Abs("y", Var("y")), Var("z")), "variable 'z' is not in the context"),
-    (("x",), Abs("x", Abs("x", Var("x"))), "binder 'x' shadows a context variable"),
+    (("x",), Abs("x", Abs("x", Var("x"))), None),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import gen
 from metricwb import check_affine, encode_theta, identity, is_value, parse, pretty, size, substitute
+from metricwb.semantics import eval_big
 from metricwb.terms import (
     Abs,
     App,
@@ -16,7 +17,6 @@ from metricwb.terms import (
     Var,
     affine_violation,
     fresh,
-    rename_binders,
     rename_free,
 )
 
@@ -111,11 +111,16 @@ class TestAffinity:
     def test_context_variable_may_go_unused(self):
         assert check_affine(("c",), OMEGA)
 
-    def test_binder_shadowing_context_is_rejected(self):
-        assert not check_affine(("x",), Abs("x", Var("x")))
+    def test_binder_shadowing_context_is_accepted(self):
+        # terms are taken up to alpha: \x. x under x is \z. z under x
+        assert check_affine(("x",), Abs("x", Var("x")))
+        assert check_affine(("x",), App(Abs("x", Var("x")), Var("x")))
+        assert not check_affine(("x",), App(Abs("x", Var("x")), App(Var("x"), Var("x"))))
 
-    def test_nested_rebinding_is_rejected(self):
-        assert not check_affine((), Abs("x", Abs("x", Var("x"))))
+    def test_nested_rebinding_is_accepted(self):
+        assert check_affine((), Abs("x", Abs("x", Var("x"))))
+        assert check_affine((), Abs("x", App(Var("x"), Abs("x", Var("x")))))
+        assert not check_affine((), Abs("x", Abs("x", App(Var("x"), Var("x")))))
 
     def test_parallel_reuse_of_a_binder_name_is_fine(self):
         t = App(Abs("y", Var("y")), Abs("y", Var("y")))
@@ -163,9 +168,31 @@ class TestSubstitute:
         t = Abs("y", App(Var("y"), Var("x")))
         assert substitute(t, "x", I) == Abs("y", App(Var("y"), I))
 
-    def test_would_be_capture_raises(self):
-        with pytest.raises(ValueError):
-            substitute(Abs("y", Var("x")), "x", Var("y"))
+    def test_a_capturing_abstraction_renames_its_binder(self):
+        out = substitute(Abs("y", App(Var("x"), Var("y"))), "x", Var("y"))
+        assert out == parse("\\z. y z")
+        assert out.var != "y" and out.free_vars == {"y"}
+        # (\y. \z. (\a. y a) z) I K evaluates I K, where the captured
+        # \y. (\a. y a) y would evaluate K K
+        body = substitute(Abs("y", App(Var("f"), Var("y"))), "f", parse("\\a. y a"))
+        assert body == parse("\\z. (\\a. y a) z")
+        k = parse("\\q. \\r. r")
+        assert eval_big(App(App(Abs("y", body), I), k)) == eval_big(k)
+
+    def test_a_capturing_let_pattern_renames_its_binders(self):
+        t = LetPair("a", "b", Var("p"), App(App(Var("x"), Var("a")), Var("b")))
+        out = substitute(t, "x", App(Var("a"), Var("b")))
+        assert out == parse("let <c, d> = p in a b c d")
+        assert {out.var1, out.var2}.isdisjoint({"a", "b"})
+        # with a := \p. \q. \r. q and b := I the body runs to I, where the
+        # captured a b a b would apply \z. omega and diverge
+        inner = substitute(out, "p", Pair(I, parse("\\z. omega")))
+        program = App(App(Abs("a", Abs("b", inner)), parse("\\p. \\q. \\r. q")), I)
+        assert eval_big(program) == eval_big(I)
+
+    def test_a_pattern_naming_the_variable_blocks_the_body(self):
+        t = LetPair("x", "b", Var("x"), Var("x"))
+        assert substitute(t, "x", I) == LetPair("x", "b", I, Var("x"))
 
     def test_preserves_affinity(self):
         rng = random.Random(20260303)
@@ -185,23 +212,6 @@ class TestRenameFree:
 
     def test_missing_key_is_untouched(self):
         assert rename_free(Var("x"), {"q": "z"}) == Var("x")
-
-
-class TestRenameBinders:
-    def test_alpha_equal_printed_alike_and_fresh(self):
-        rng = random.Random(20261104)
-        for _ in range(100):
-            t = gen.random_program(rng, max_size=20, fuel=4, prefix=rng.choice("xyz"))
-            out = rename_binders(t)
-            assert out == t and pretty(out) == pretty(t)
-            binders = gen._binders_below(out)
-            assert all("%" in b for b in binders)
-            assert not binders & gen._binders_below(t)
-
-    def test_free_variables_stay(self):
-        t = App(Var("x"), Abs("x%1", App(Var("x%1"), Var("y"))))
-        out = rename_binders(t)
-        assert out.free_vars == {"x", "y"} and out.arg.var != "x%1"
 
 
 class TestPairEncoding:
@@ -267,6 +277,18 @@ class TestPretty:
             both = App(open_, closed)
             for t in (closed, open_, both, parse(gen.reference_pretty(both))):
                 assert pretty(t) == gen.reference_pretty(t)
+
+    def test_a_shadowing_term_prints_each_binder_in_its_scope(self):
+        t = App(Abs("y", Abs("x", App(Var("y"), Var("x")))), Abs("x", Var("x")))
+        assert pretty(eval_big(t).support()[0]) == "\\x. (\\x1. x1) x"
+        assert pretty(App(Abs("x", Var("x")), Var("x"))) == "(\\x1. x1) x"
+        assert pretty(Abs("x", Abs("x", Var("x")))) == "\\x. \\x1. x1"
+
+    def test_shadowing_terms_read_back_alike(self):
+        rng = random.Random(20261105)
+        for _ in range(3000):
+            t = gen.arbitrary_term(rng, rng.randint(1, 6), rng.choice([("a", "b"), ("a", "b", "c")]))
+            assert parse(pretty(t)) == t
 
     def test_sibling_binders_take_consecutive_suffixes(self):
         level = [Abs(x, Var(x)) for x in (fresh("x") for _ in range(3000))]

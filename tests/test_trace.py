@@ -232,11 +232,14 @@ class TestNormalForm:
         app = AppAction(I)
         assert _trace_effect(I, app) is app and _trace_effect(pair, app) is None
 
-    def test_a_rewrite_that_would_capture_is_skipped(self):
-        # (\z. \x. z) x: a check_trace template never names a binder x,
-        # but the normal form leaves the redex rather than capture
+    def test_a_rewrite_that_would_capture_renames_the_binder(self):
+        # (\z. \x. z) x is \w. x, not \x. x, and steps every pair alike
         t = App(Abs("z", Abs(TENSOR_HOLE_1, Var("z"))), self.X)
-        assert normal_form(t) is t
+        nf = normal_form(t)
+        assert nf == parse("\\w. x") and nf.var != TENSOR_HOLE_1
+        k = parse("\\a. \\b. a")
+        for pair in (Pair(I, k), Pair(k, I), Pair(parse("I (+) omega"), k)):
+            assert _trace_step(pair, TensorAction(t)) == _trace_step(pair, TensorAction(nf))
 
     def test_a_normal_form_is_its_own_and_no_larger(self):
         for universe in ((I,), (I, parse("\\a. \\b. a"))):
@@ -249,9 +252,8 @@ class TestNormalForm:
     def test_the_effect_steps_every_pair_as_the_template_does(self):
         # The fast path (a template's normal form) against the slow path
         # (the template itself), on every default template over {I} and
-        # {I, K} and on templates over generated universe values, whose
-        # choices, lets and binder names shared between constants the
-        # default templates would rename apart.
+        # {I, K} and on templates over generated universe values, with
+        # choices, lets and binder names shared between constants.
         rng = random.Random(20261101)
         templates = [
             *default_tensor_templates((I,)),
@@ -298,8 +300,8 @@ class TestNormalForm:
 
 class TestTemplateConstants:
     # Hand-built universe values whose binders are named like a tensor
-    # hole or like a tuple template's own binder: their binders are renamed
-    # apart before they are combined, so the answers are those of I.
+    # hole or like a tuple template's own binder: terms are taken up to
+    # alpha, so the answers are those of I.
 
     @pytest.mark.parametrize("name", ["x", "y"])
     def test_a_constant_may_name_its_binder_like_a_hole(self, name):
@@ -325,8 +327,20 @@ class TestTemplateConstants:
         universe = parse_terms("I, \\a. \\b. a, I")
         consts = template_constants(universe)
         assert consts == tuple(universe[:2])
+        assert all(c is u for c, u in zip(consts, universe))
         assert [pretty(c) for c in consts] == [pretty(c) for c in universe[:2]]
-        assert not {c.var for c in consts} & {c.var for c in universe}
+
+    def test_constants_named_like_the_holes_keep_the_normal_form_classes(self):
+        # 140 templates over I and K fall into 52 normal-form classes, with
+        # binders named apart or named like the holes
+        x, y = TENSOR_HOLE_1, TENSOR_HOLE_2
+        for universe in (
+            (I, parse("\\a. \\b. a")),
+            (Abs(x, Var(x)), Abs(y, Abs(x, Var(y)))),
+        ):
+            templates = default_tensor_templates(universe)
+            assert len(templates) == 140
+            assert len(set(map(normal_form, templates))) == 52
 
 
 class TestEnumeration:

@@ -618,6 +618,19 @@ class TestBinderHygiene:
                 assert 0 <= v <= 1
                 assert len(w) <= max_len
 
+    def test_a_template_binder_named_like_a_component(self):
+        # \x1. $j x1 fed component 1 would capture x1; its binder is renamed
+        # instead, so it answers as \y. $j y does
+        m, n = parse("<\\a. a, \\b. b>"), parse("<\\a. a, \\b. omega>")
+        answers = []
+        for x in ("x1", "y"):
+            template = Abs(x, App(Var("$j"), Var(x)))
+            answers.append(tuple_distance_lb(m, n, [template, parse("\\z. z")], 3))
+        assert answers[0] == answers[1]
+        gap, word = answers[0]
+        assert gap == 1
+        assert format_tuple_trace(word) == "cut(1); appl(2; x1; \\x11. x1 x11)"
+
     def test_bisimulation_never_raises_not_affine(self):
         # The fragment substitutes universe values into terms that may
         # already hold their binders, so it evaluates without re-checking.
