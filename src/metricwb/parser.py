@@ -9,8 +9,10 @@ Grammar, loosest to tightest:
     app    := atom atom*                             left-associative
     atom   := "(" term ")" | "<" term "," term ">" | "omega" | "I" | ident
 
-"I" abbreviates the identity combinator. Binders are alpha-renamed to fresh
-internal names during parsing; free variables keep their written names.
+"I" abbreviates the identity combinator. Every name is kept as written,
+binders and free variables alike: terms are equal up to alpha, so a
+binder may shadow another, and only substitution renames a binder, when
+it would capture.
 
 Lists share the term tokens, plus ";" and natural numbers:
 
@@ -36,7 +38,7 @@ import string
 from typing import Callable, Iterable, TypeVar
 
 from .errors import ParseError
-from .terms import OMEGA, Abs, App, Choice, LetPair, Pair, Term, Var, fresh, identity
+from .terms import OMEGA, Abs, App, Choice, LetPair, Pair, Term, Var, identity
 
 # One match per token, in this order of preference; findall skips the
 # whitespace between tokens, and any other character is a token of its own.
@@ -144,17 +146,12 @@ def format_items(items: Iterable[T], show: Callable[[T], str]) -> str:
 def read_term(ts: Tokens) -> Term:
     """Read one term from the stream, stopping before the first token that
     cannot continue it."""
-    return _term(ts, {})
-
-
-def _term(ts: Tokens, env: dict[str, str]) -> Term:
     k = ts.kinds[ts.i]
     if k == "\\":
         ts.i += 1
         name = ts.expect("ident")
         ts.expect(".")
-        internal = fresh(name)
-        return Abs(internal, _term(ts, {**env, name: internal}))
+        return Abs(name, read_term(ts))
     if k == "let":
         ts.i += 1
         ts.expect("<")
@@ -165,49 +162,46 @@ def _term(ts: Tokens, env: dict[str, str]) -> Term:
             raise ParseError(f"pair pattern reuses {n1!r}", ts.offset(ts.i - 1))
         ts.expect(">")
         ts.expect("=")
-        scrutinee = _term(ts, env)
+        scrutinee = read_term(ts)
         ts.expect("in")
-        i1, i2 = fresh(n1), fresh(n2)
-        body = _term(ts, {**env, n1: i1, n2: i2})
-        return LetPair(i1, i2, scrutinee, body)
-    return _choice(ts, env)
+        return LetPair(n1, n2, scrutinee, read_term(ts))
+    return _choice(ts)
 
 
-def _choice(ts: Tokens, env: dict[str, str]) -> Term:
-    t = _app(ts, env)
+def _choice(ts: Tokens) -> Term:
+    t = _app(ts)
     kinds = ts.kinds
     while kinds[ts.i] == "(+)":
         ts.i += 1
         if kinds[ts.i] in ("\\", "let"):
             # a trailing lambda or let swallows the rest of the expression
-            return Choice(t, _term(ts, env))
-        t = Choice(t, _app(ts, env))
+            return Choice(t, read_term(ts))
+        t = Choice(t, _app(ts))
     return t
 
 
-def _app(ts: Tokens, env: dict[str, str]) -> Term:
-    t = _atom(ts, env)
+def _app(ts: Tokens) -> Term:
+    t = _atom(ts)
     kinds = ts.kinds
     while kinds[ts.i] in _ATOM_STARTS:
-        t = App(t, _atom(ts, env))
+        t = App(t, _atom(ts))
     return t
 
 
-def _atom(ts: Tokens, env: dict[str, str]) -> Term:
+def _atom(ts: Tokens) -> Term:
     i = ts.i
     k = ts.kinds[i]
     ts.i = i + 1
     if k == "ident":
-        v = ts.words[i]
-        return Var(env.get(v, v))
+        return Var(ts.words[i])
     if k == "(":
-        t = _term(ts, env)
+        t = read_term(ts)
         ts.expect(")")
         return t
     if k == "<":
-        first = _term(ts, env)
+        first = read_term(ts)
         ts.expect(",")
-        second = _term(ts, env)
+        second = read_term(ts)
         ts.expect(">")
         return Pair(first, second)
     if k == "omega":

@@ -54,6 +54,12 @@ def eval_big(t: Term) -> Dist[Term]:
 
     The total weight is the probability of convergence; mass lost to
     divergence or stuck redexes simply disappears.
+
+    Values come from a process-wide memo keyed up to alpha, so a memo hit
+    returns the values with the binder names of the first alpha-variant
+    the process evaluated. The answer is alpha-equal either way; call
+    clear_memo() first to get values named after the query itself, as
+    cli.main does for each command.
     """
     _require_program(t)
     return _eval(t)

@@ -31,9 +31,11 @@ _fresh_counter = itertools.count(1)
 def fresh(base: str = "x") -> str:
     """Return a globally fresh variable name.
 
-    The '%' marker cannot occur in a source identifier, so fresh names never
-    collide with parsed free variables. The pretty-printer strips the marker
-    again when choosing display names.
+    Only two places need one: `substitute`, to rename a binder that would
+    capture, and `encode_theta`, whose pair binder wraps open code. The '%'
+    marker cannot occur in a source identifier, so fresh names never
+    collide with written ones. The pretty-printer strips the marker again
+    when choosing display names.
     """
     base = base.split("%", 1)[0] or "x"
     return f"{base}%{next(_fresh_counter)}"
@@ -202,10 +204,13 @@ class LetPair(Term):
         )
 
 
+_IDENTITY = Abs("x", Var("x"))
+
+
 def identity() -> Abs:
-    """The identity combinator, written I in the surface syntax."""
-    x = fresh("x")
-    return Abs(x, Var(x))
+    """The identity combinator, written I in the surface syntax: one shared
+    node, as OMEGA is."""
+    return _IDENTITY
 
 
 def is_value(t: Term) -> bool:

@@ -26,11 +26,9 @@ from .terms import (
     Var,
     affine_violation,
     encode_theta,
-    fresh,
     identity,
     is_value,
     pretty,
-    rename_free,
     size,
     substitute,
 )
@@ -414,17 +412,16 @@ def encode_theta_trace(s: Sequence) -> Trace:
 
     Values inside app actions are encoded too, so pair-containing arguments
     stay meaningful; a tensor context becomes the curried consumer the
-    encoded pair is waiting for.
+    encoded pair is waiting for, binding the holes themselves (a binder
+    inside the context named like a hole just shadows it).
     """
     out = []
     for a in s:
         if isinstance(a, AppAction):
             out.append(AppAction(encode_theta(a.value)))
         elif isinstance(a, TensorAction):
-            body = encode_theta(a.body)
-            nx, ny = fresh(TENSOR_HOLE_1), fresh(TENSOR_HOLE_2)
-            body = rename_free(body, {TENSOR_HOLE_1: nx, TENSOR_HOLE_2: ny})
-            out.append(AppAction(Abs(nx, Abs(ny, body))))
+            consumer = Abs(TENSOR_HOLE_1, Abs(TENSOR_HOLE_2, encode_theta(a.body)))
+            out.append(AppAction(consumer))
         else:
             raise TypeError(f"not a trace action: {a!r}")
     return tuple(out)

@@ -25,7 +25,6 @@ from .terms import (
     Term,
     Var,
     affine_violation,
-    fresh,
     identity,
     pretty,
     rename_free,
@@ -182,8 +181,8 @@ def build_expair() -> tuple[Term, Term]:
     a noisy pair whose halves each converge with probability 1/2, and a
     clean pair that always converges."""
     half = Choice(identity(), OMEGA)
-    noisy = Pair(Abs(fresh("z"), half), Abs(fresh("z"), half))
-    clean = Pair(Abs(fresh("z"), identity()), Abs(fresh("z"), identity()))
+    noisy = Pair(Abs("z", half), Abs("z", half))
+    clean = Pair(Abs("z", identity()), Abs("z", identity()))
     return noisy, clean
 
 
@@ -217,15 +216,15 @@ def build_mn_nn(n: int) -> tuple[Term, Term]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    dead = Abs(fresh("x"), OMEGA)
-    m = Pair(dead, Abs(fresh("x"), OMEGA))
+    dead = Abs("x", OMEGA)
+    m = Pair(dead, Abs("x", OMEGA))
     nn = m
     for level in range(1, n + 1):
         leak = Fraction(1, 2**level)
-        m = Pair(Abs(fresh("x"), m), Abs(fresh("x"), OMEGA))
+        m = Pair(Abs("x", m), Abs("x", OMEGA))
         nn = Pair(
-            Abs(fresh("x"), skewed_choice(nn, OMEGA, leak)),
-            Abs(fresh("x"), skewed_choice(OMEGA, identity(), leak)),
+            Abs("x", skewed_choice(nn, OMEGA, leak)),
+            Abs("x", skewed_choice(OMEGA, identity(), leak)),
         )
     return m, nn
 

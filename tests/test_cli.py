@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 from fractions import Fraction
 import subprocess
 import sys
@@ -16,6 +17,8 @@ from metricwb.semantics import eval_big
 NOISY = "<\\z. (\\x. x) (+) omega, \\z. (\\x. x) (+) omega>"
 CLEAN = "<\\z. \\x. x, \\z. \\x. x>"
 WITNESS = "cut(1); appl(1; ; \\x. x); appl(2; ; \\x. x)"
+CYCLE = "\\x. x (+) omega"
+CYCLE_PARTNER = "\\x. \\z. z (+) omega"
 
 
 def run(capsys, *argv):
@@ -252,18 +255,23 @@ class TestDistance:
         )
         assert payload["distance"] == "0/1"
 
-    @pytest.mark.parametrize("depth", ["1", "2", "3"])
-    def test_bisim_kind_solves_a_cycle_exactly(self, capsys, depth):
-        # Under the one label the two values map to each other, d = d/2 +
-        # 1/2: Kleene iteration from zero climbs 1 - 2^-k and never stops,
-        # but the least fixpoint is 1.
+    # Under the one label the two values of the first pair map to each
+    # other, d = d/2 + 1/2: Kleene iteration from zero climbs 1 - 2^-k and
+    # never stops, but the least fixpoint is 1. The second pair reaches the
+    # same kind of cycle at depth 3 and solves it to 3/4, strictly inside
+    # (0, 1), so the exact solve is checked away from the ends too.
+    @pytest.mark.parametrize(
+        "m, n, depth, want",
+        [pytest.param(CYCLE, CYCLE_PARTNER, d, "1/1", id=d) for d in ("1", "2", "3")]
+        + [pytest.param("I", "\\x. \\z. (\\y. y) (+) z", "3", "3/4", id="3-inside")],
+    )
+    def test_bisim_kind_solves_a_cycle_exactly(self, capsys, m, n, depth, want):
         payload = payload_of(
             capsys,
-            "distance", "--kind", "bisim",
-            "\\x. x (+) omega", "\\x. \\z. z (+) omega",
-            "--universe", "\\x. \\z. z (+) omega", "--depth", depth,
+            "distance", "--kind", "bisim", m, n,
+            "--universe", CYCLE_PARTNER, "--depth", depth,
         )
-        assert payload["distance"] == "1/1"
+        assert payload["distance"] == want
 
     def test_bisim_kind_rejects_a_universe_entry_that_is_not_a_value(self, capsys):
         code, out, err = run(
@@ -500,6 +508,44 @@ class TestExamples:
         assert code == 1
         assert out == ""
         assert "nonnegative" in err
+
+
+def readme_commands() -> list[tuple[list[str], str]]:
+    """Every `$ metricwb ...` line of README.md as (argv after metricwb,
+    comment), with backslash continuations joined and the trailing
+    `# ...` comment split off."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        if not line.startswith("$ metricwb "):
+            continue
+        j = i
+        while line.endswith("\\"):
+            j += 1
+            line = line[:-1] + lines[j]
+        words = shlex.split(line)[2:]
+        cut = words.index("#") if "#" in words else len(words)
+        out.append((words[:cut], " ".join(words[cut + 1 :])))
+    return out
+
+
+class TestReadme:
+    COMMANDS = readme_commands()
+
+    def test_every_command_is_found(self):
+        # an empty parameter list would skip the test below, not fail it
+        assert len(self.COMMANDS) >= 11
+
+    @pytest.mark.parametrize(
+        "argv, comment", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS]
+    )
+    def test_a_command_behaves_as_documented(self, argv, comment):
+        done = run_module(*argv)
+        if "exits 1" in comment:
+            assert done.returncode == 1, done.stdout
+        else:
+            assert done.returncode == 0, done.stderr
+            json.loads(done.stdout)
 
 
 class TestEntryPoint:

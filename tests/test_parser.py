@@ -5,7 +5,8 @@ import pytest
 import gen
 from metricwb import ParseError, parse, pretty
 from metricwb.parser import Tokens, format_items, parse_items, parse_terms
-from metricwb.terms import Abs, App, Choice, LetPair, OMEGA, Pair, Var, identity
+from metricwb.cli import main
+from metricwb.terms import Abs, App, Choice, LetPair, OMEGA, Pair, Var, fresh, identity
 from metricwb.trace import parse_trace
 from metricwb.tuples import parse_tuple_trace
 
@@ -57,11 +58,54 @@ class TestBasics:
     def test_parenthesised_grouping(self):
         assert parse("(omega (+) I) omega") == App(Choice(OMEGA, I), OMEGA)
 
-    def test_binders_are_alpha_renamed_apart(self):
+
+class TestWrittenNames:
+    """The parser keeps every name as written; only capture-avoiding
+    substitution ever renames a binder."""
+
+    def test_binders_carry_their_written_names(self):
+        t = parse("\\y. let <a, b> = y in b a")
+        assert repr(t) == "Abs('y', LetPair('a', 'b', Var('y'), App(Var('b'), Var('a'))))"
+
+    def test_equal_texts_read_as_equal_binders(self):
         t = parse("(\\x. x) (\\x. x)")
         assert isinstance(t, App)
-        assert t.fn.var != t.arg.var
-        assert t == App(I, I)
+        assert t.fn == t.arg
+        assert t.fn.var == t.arg.var == "x"
+
+    def test_a_shadowing_binder_keeps_its_name(self):
+        t = parse("\\x. \\x. x")
+        assert repr(t) == "Abs('x', Abs('x', Var('x')))"
+        assert t == Abs("a", Abs("b", Var("b")))
+
+    def test_two_parses_of_one_text_are_the_same_tree(self):
+        rng = random.Random(20261020)
+        for _ in range(200):
+            text = pretty(gen.random_program(rng, max_size=30, fuel=5))
+            assert repr(parse(text)) == repr(parse(text)), text
+
+    def test_identity_is_one_shared_node(self):
+        assert identity() is identity()
+        assert parse("I") is identity()
+
+    def test_cli_commands_mint_no_name(self, capsys):
+        pair = "<\\z. (\\x. x) (+) omega, \\z. \\x. x>"
+        batch = [
+            ["check", "\\x. \\y. y x", "--typed"],
+            ["eval", "(\\x. x) (+) omega"],
+            ["trace-prob", pair, "cut(1); appl(1; ; I)"],
+            ["distance", "--kind", "trace", "I", "\\x. x (+) omega", "--max-len", "2"],
+            ["distance", "--kind", "bisim", "I", "\\x. x (+) omega",
+             "--universe", "I, \\a. \\b. a", "--depth", "3"],
+            ["distance", "--kind", "tuple", pair, "<I, I>", "--max-len", "2"],
+            ["examples", "--which", "expair"],
+        ]
+        before = fresh("q")
+        for argv in batch:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        after = fresh("q")
+        assert int(after.split("%")[1]) == int(before.split("%")[1]) + 1
 
 
 class TestErrors:

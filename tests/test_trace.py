@@ -821,6 +821,14 @@ class TestPairEncodingTransfer:
         s = (TensorAction(Var("y")), AppAction(I))
         assert trace_accept(m, s) == trace_accept(encode_theta(m), encode_theta_trace(s))
 
+    def test_transfer_with_a_context_that_shadows_a_hole(self):
+        # the consumer binds the holes x and y themselves; the context's
+        # own \y shadows the second hole and must not catch its value
+        m = Pair(I, parse("\\z. z (+) omega"))
+        s = (TensorAction(parse("x (\\y. y) y")), AppAction(I))
+        assert trace_accept(m, s) == Fraction(1, 2)
+        assert trace_accept(encode_theta(m), encode_theta_trace(s)) == Fraction(1, 2)
+
     def test_transfer_on_typed_instances(self):
         rng = random.Random(20260333)
         for i in range(60):
