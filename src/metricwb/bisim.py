@@ -8,16 +8,21 @@ Programs that evaluate alike are one state: such programs are at
 distance 0 in every iterate of the functional, and the lifting does not
 change when states at distance 0 merge. A program state's eval label
 leads to the state itself, read as a distribution of value states. A
-value's labels are the trace actions that fit it, app of a universe
-value or tensor through a template, in alphabet order. Each moves it to
-the states of the programs it gives, by trace._move, the one move rule
-the trace distance plays too. As in the trace search, a value is moved
-once per distinct effect (trace._trace_effect): tensor templates with
-one call-by-value normal form move it alike, so their labels share one
-successor distribution. trace.interrogate, which moves by every label's
-own template, is the tests' reference. The metric functional takes,
-for each pair of states, the largest lifted distance over the actions
-available to both; its least fixpoint is the bisimulation distance.
+value's labels are the trace actions that fit its kind, app of a
+universe value or tensor through a template, in alphabet order: one
+label tuple per kind, shared by every value of it. Each moves it to the
+states of the programs it gives, by the move rules the trace distance
+plays too (trace._move, trace._plug). As in the trace search, a value is
+moved once per distinct effect (trace._trace_effect): tensor templates
+with one call-by-value normal form move it alike, so their labels share
+one successor distribution, and a pair's halves are evaluated once for
+all of them. A fragment keeps each state's successors in the order of
+its labels, so two states, whose labels are equal or disjoint, pair
+their successors by position. gen.interrogate in the tests, which moves
+by every label's own template, is the reference. The metric functional
+takes, for each pair of states, the largest lifted distance over the
+actions available to both; its least fixpoint is the bisimulation
+distance.
 
 bisim_distance solves only the pairs the root pair's value depends on:
 the pair graph reachable from (_eval(m), _eval(n)) through shared labels,
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
@@ -49,14 +55,15 @@ from typing import Sequence
 from .dist import Dist
 from .errors import BudgetExceeded, NonConvergence
 from .kantorovich import PseudoMetric, lift_primal
-from .semantics import _eval, _require_program
-from .terms import Term
-from .trace import _move, _trace_effect, alphabet
+from .semantics import _eval, _require_program, eval_pair
+from .terms import Pair, Term
+from .trace import _move, _plug, _trace_effect, alphabet
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 EVAL_LABEL = ("eval",)
+_EVAL_LABELS = (EVAL_LABEL,)  # a program state's labels
 
 
 State = Dist[Term] | Term  # a program's value distribution, or a value
@@ -64,9 +71,40 @@ State = Dist[Term] | Term  # a program's value distribution, or a value
 
 @dataclass
 class LmcFragment:
-    states: list[State]  # in discovery order
-    trans: dict[tuple[State, object], Dist[State]]  # (state, label) -> successors
-    labels: dict[State, tuple]  # EVAL_LABEL, or the trace actions a value answers
+    """A fragment of the chain: its states in discovery order, and for each
+    state its labels and, in the same order, each label's successor
+    distribution. A program state's one label is EVAL_LABEL, to itself; a
+    value state's labels are the trace actions of its kind, one tuple
+    shared by every value of that kind, or () at the depth cut. Labels in
+    one effect class share one Dist object."""
+
+    states: list[State]
+    labels: dict[State, tuple]
+    succ: dict[State, tuple[Dist[State], ...]]
+
+    @cached_property
+    def trans(self) -> dict[tuple[State, object], Dist[State]]:
+        """(state, label) -> successors, for every state and label in
+        order: the per-label view of labels and succ."""
+        return {
+            (s, label): d
+            for s in self.states
+            for label, d in zip(self.labels[s], self.succ[s])
+        }
+
+
+def _kind_table(t: Term, actions: list) -> tuple[tuple, list, list[int]]:
+    """The labels of the value t's kind, the effects they fall into in
+    order of first label, and each label's index among those effects.
+    _trace_effect depends only on the value's kind and the action, so the
+    first value of a kind settles these for every value of it."""
+    labels, effects, slot = [], {}, []
+    for a in actions:
+        e = _trace_effect(t, a)
+        if e is not None:
+            labels.append(a)
+            slot.append(effects.setdefault(e, len(effects)))
+    return tuple(labels), list(effects), slot
 
 
 def build_lmc(
@@ -83,10 +121,14 @@ def build_lmc(
     interrogated only up to max_depth rounds of interaction, so the
     frontier values carry no outgoing labels. Programs that evaluate
     alike are one state, and state_cap bounds the states of the fragment
-    so merged. A value answers to every action that fits it, and is moved
-    once per distinct effect: labels whose effects are equal, such as
-    tensor templates with one normal form, share one successor
-    distribution. The inputs are checked once here, and states are
+    so merged. A value answers to every action that fits its kind, and is
+    moved once per distinct effect, in order of first label: labels whose
+    effects are equal, such as tensor templates with one normal form,
+    share one successor distribution. Which labels fit, and which effect
+    each has, is worked out once per kind (_kind_table). A pair state
+    evaluates its halves once, and each tensor effect plugs their values
+    into its template (trace._plug); an abstraction state moves by
+    trace._move. The inputs are checked once here, and states are
     evaluated without checking them again: reduction keeps a checked
     program affine, whatever binder names it repeats.
     """
@@ -99,8 +141,9 @@ def build_lmc(
     _require_program(n)
 
     depth: dict[State, int] = {}  # each state at its least depth, in discovery order
-    trans: dict[tuple[State, object], Dist[State]] = {}
     labels: dict[State, tuple] = {}
+    succ: dict[State, tuple] = {}
+    kinds: dict[type, tuple] = {}  # value kind -> _kind_table
     queue: deque[State] = deque()
 
     def discover(s: State, d: int) -> None:
@@ -119,30 +162,32 @@ def build_lmc(
     while queue:
         s = queue.popleft()
         d = depth[s]
-        out: list = []
         # Test for Term, not Dist: perfbench/tracer.py rebinds this
         # module's Dist to a function.
         if not isinstance(s, Term):
             for t in s.support():
                 discover(t, d)
-            trans[(s, EVAL_LABEL)] = s  # its own value distribution
-            out.append(EVAL_LABEL)
+            labels[s], succ[s] = _EVAL_LABELS, (s,)  # its own value distribution
         elif d < max_depth:
-            moved: dict = {}  # effect -> successors, once per effect
-            for a in actions:
-                e = _trace_effect(s, a)
-                if e is None:
-                    continue
-                succ = moved.get(e)
-                if succ is None:
-                    succ = moved[e] = _move(s, e).map_elems(_eval)
-                    for t in succ.support():
-                        discover(t, d + 1)
-                trans[(s, a)] = succ
-                out.append(a)
-        labels[s] = tuple(out)
+            kind = kinds.get(type(s))
+            if kind is None:
+                kind = kinds[type(s)] = _kind_table(s, actions)
+            labels[s], effects, slot = kind
+            halves = eval_pair(s, lambda v, w: (v, w)) if type(s) is Pair and effects else None
+            moved = []  # successors, once per effect
+            for e in effects:
+                if halves is None:
+                    out = _move(s, e).map_elems(_eval)
+                else:
+                    out = halves.map_elems(lambda vw: _eval(_plug(e.body, *vw)))
+                for t in out.support():
+                    discover(t, d + 1)
+                moved.append(out)
+            succ[s] = tuple(moved[i] for i in slot)
+        else:
+            labels[s] = succ[s] = ()
 
-    return LmcFragment(list(depth), trans, labels)
+    return LmcFragment(list(depth), labels, succ)
 
 
 def _coupling(mu: PseudoMetric, ds: Dist, dt: Dist) -> tuple[Fraction, dict]:
@@ -189,15 +234,13 @@ Graph = dict[Key, tuple[list[Succ], list[Key]]]
 
 def _shared(frag: LmcFragment, s: State, t: State) -> list[Succ]:
     """The successor distributions of the labels both s and t answer to,
-    each distinct pair once, in s's label order."""
-    t_labels = set(frag.labels[t])
-    return list(
-        dict.fromkeys(
-            (frag.trans[(s, label)], frag.trans[(t, label)])
-            for label in frag.labels[s]
-            if label in t_labels
-        )
-    )
+    each distinct pair once, in s's label order. Labels are fixed by a
+    state's kind and whether it lies at the depth cut, so two states
+    share all their labels or none, and their successors pair up by
+    position."""
+    if frag.labels[s] != frag.labels[t]:
+        return []
+    return list(dict.fromkeys(zip(frag.succ[s], frag.succ[t])))
 
 
 def _best_lift(mu: PseudoMetric, succ: list[Succ]) -> tuple[Fraction, Succ | None]:

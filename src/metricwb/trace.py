@@ -137,22 +137,17 @@ def trace_accept(m: Term, s: Sequence) -> Fraction:
 def _move(t: Term, a) -> Dist[Term]:
     """The programs the checked action a, whose kind fits the value t,
     moves t to, before evaluation. app(V) substitutes V into the body of
-    the abstraction t; tensor(L) substitutes each pair of values of the
-    halves of the pair t into L, as semantics.eval_pair combines them."""
+    the abstraction t; tensor(L) plugs each pair of values of the halves
+    of the pair t into L (_plug), as semantics.eval_pair combines them."""
     if type(a) is AppAction:
         return dirac(substitute(t.body, t.var, a.value))
-    return eval_pair(
-        t, lambda v, w: substitute(substitute(a.body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w)
-    )
+    return eval_pair(t, lambda v, w: _plug(a.body, v, w))
 
 
-def interrogate(t: Term, actions: Iterable) -> list:
-    """Each of the checked actions whose kind fits the value t, in order,
-    with the distribution of programs it moves t to (_move): [(a, Dist of
-    programs), ...]. Each action moves t by its own template, not by its
-    effect, so this is the reference that bisim.build_lmc's shared moves
-    are tested against (gen.reference_lmc)."""
-    return [(a, _move(t, a)) for a in actions if _fits(t, a)]
+def _plug(body: Term, v: Term, w: Term) -> Term:
+    """The tensor template body with the values v and w in its holes x and
+    y: the one substitution rule of a tensor move."""
+    return substitute(substitute(body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w)
 
 
 def _trace_step(t: Term, a) -> Dist[Term]:
@@ -338,7 +333,8 @@ def _trace_effect(t: Term, a):
     (normal_form), worked out once per action object, the first time it
     fits a pair. _trace_step(t, a) equals _trace_step(t, _trace_effect(t,
     a)), so actions whose templates differ only by beta_v redexes share
-    one step per state."""
+    one step per state. It reads only t's kind, so bisim.build_lmc asks
+    it about the first value of each kind alone."""
     kind = type(a)
     if kind is not _KIND.get(type(t)):
         return None

@@ -36,7 +36,7 @@ from metricwb.terms import (
     substitute,
 )
 from metricwb.semantics import _eval, eval_big
-from metricwb.trace import AppAction, TensorAction, alphabet, explore, interrogate
+from metricwb.trace import AppAction, TensorAction, _fits, _move, alphabet, explore
 from metricwb.tuples import (
     Appl,
     Cut,
@@ -854,15 +854,25 @@ def best_context(m: Term, n: Term, max_size: int) -> tuple:
 # --- reference bisimulation fragment: one program state per program ------
 
 
+def interrogate(t: Term, actions) -> list:
+    """Each of the checked actions whose kind fits the value t, in order,
+    with the distribution of programs it moves t to (trace._move): [(a,
+    Dist of programs), ...]. Each action moves t by its own template, not
+    by its effect, so this is the reference that bisim.build_lmc's shared
+    moves are tested against (reference_lmc)."""
+    return [(a, _move(t, a)) for a in actions if _fits(t, a)]
+
+
 def reference_lmc(m: Term, n: Term, universe, max_depth: int, tensor_templates=()) -> LmcFragment:
     """The fragment build_lmc gives with a state for every program, not for
     every value distribution: the tuple ("prog", t) is the state of the
     program t, and its eval label leads to _eval(t). A value state is the
     value itself, as in build_lmc. States come in breadth-first order,
-    each at its least depth, with the same labels as build_lmc's."""
+    each at its least depth, with the same labels as build_lmc's, each
+    moved by its own template (interrogate)."""
     actions = alphabet(universe, tensor_templates)
     depth = {}
-    trans, labels = {}, {}
+    labels, succ = {}, {}
     queue = deque()
 
     def discover(s, d):
@@ -875,22 +885,36 @@ def reference_lmc(m: Term, n: Term, universe, max_depth: int, tensor_templates=(
     while queue:
         s = queue.popleft()
         d = depth[s]
-        out = []
+        out = []  # (label, successors)
         if isinstance(s, tuple):
-            succ = _eval(s[1])
-            for t in succ.support():
+            values = _eval(s[1])
+            for t in values.support():
                 discover(t, d)
-            trans[(s, EVAL_LABEL)] = succ
-            out.append(EVAL_LABEL)
+            out.append((EVAL_LABEL, values))
         elif d < max_depth:
             for a, programs in interrogate(s, actions):
-                succ = programs.map_elems(lambda t: ("prog", t))
-                for t in succ.support():
+                programs = programs.map_elems(lambda t: ("prog", t))
+                for t in programs.support():
                     discover(t, d + 1)
-                trans[(s, a)] = succ
-                out.append(a)
-        labels[s] = tuple(out)
-    return LmcFragment(list(depth), trans, labels)
+                out.append((a, programs))
+        labels[s] = tuple(a for a, _ in out)
+        succ[s] = tuple(dist for _, dist in out)
+    return LmcFragment(list(depth), labels, succ)
+
+
+def reference_shared(frag: LmcFragment, s, t) -> list:
+    """The successor distributions of the labels both s and t answer to,
+    each distinct pair once, in s's label order, looked up label by label
+    in frag.trans: what bisim._shared gives without assuming that two
+    states' labels are equal or disjoint."""
+    t_labels = set(frag.labels[t])
+    return list(
+        dict.fromkeys(
+            (frag.trans[(s, label)], frag.trans[(t, label)])
+            for label in frag.labels[s]
+            if label in t_labels
+        )
+    )
 
 
 # --- reference tokenizer: one match object per token ----------------------

@@ -33,9 +33,9 @@ from metricwb.bisim import (
 )
 from metricwb.dist import Dist, dirac
 from metricwb.kantorovich import PseudoMetric, lift_dual, lift_primal
-from metricwb.semantics import _eval
+from metricwb.semantics import _eval, eval_pair
 from metricwb.terms import OMEGA, Pair, Term, identity
-from metricwb.trace import AppAction, TensorAction, _move, default_tensor_templates
+from metricwb.trace import AppAction, TensorAction, _move, _plug, default_tensor_templates
 
 I = identity()
 K = parse("\\a. \\b. a")
@@ -430,13 +430,14 @@ class TestMerging:
     def test_labels_that_evaluate_alike_are_one_successor_pair(self, monkeypatch):
         # x and (\z. z) x lead to programs that evaluate alike, and so do
         # y and (\z. z) y: each side has four labels but two successors.
-        # The templates have two normal forms, so each state moves twice.
+        # The templates have two normal forms, so each state evaluates its
+        # halves once and plugs their one pair of values twice.
         m, n = parse("<\\a. \\b. a, \\x. x>"), parse("<\\x. x, \\a. \\b. a>")
         templates = tuple(map(parse, ("y", "x", "(\\z. z) x", "(\\z. z) y")))
-        moves = []
-        monkeypatch.setattr(bisim, "_move", lambda t, a: moves.append(t) or _move(t, a))
+        halves, plugs = _count_tensor_work(monkeypatch)
         frag = build_lmc(m, n, (), 1, tensor_templates=templates)
-        assert moves == [m, m, n, n]
+        assert halves == [m, n]
+        assert plugs == {(m, K, I): 2, (n, I, K): 2}
         assert len(frag.labels[m]) == len(frag.labels[n]) == 4
         assert _shared(frag, m, n) == [
             (dirac(_eval(I)), dirac(_eval(K))),
@@ -472,26 +473,83 @@ class TestMerging:
             shared += len({id(d) for d in succ}) < len(succ)
         assert shared >= 50
 
+    def test_shared_agrees_with_the_labels_both_states_answer_to(self):
+        # _shared compares two states' label tuples and zips their
+        # successors; gen.reference_shared intersects the labels one by
+        # one. Labels are fixed by kind and depth, so two states share all
+        # their labels or none.
+        rng = random.Random(20261104)
+        tensor = {u: default_tensor_templates(u) for u in ((I,), (I, K))}
+        pairs = shared = classes = 0
+        for i in range(100):
+            universe = (I,) if i % 2 else (I, K)
+            templates = tuple(rng.sample(tensor[universe], rng.randint(0, 6)))
+            m, n = (
+                Pair(*(gen.random_value(rng, max_size=6, prefix=f"{side}{h}") for h in "ab"))
+                if rng.random() < 0.5
+                else gen.random_program(rng, max_size=12, fuel=3, prefix=side)
+                for side in "mn"
+            )
+            depth = rng.randint(0, 3)
+            frag = build_lmc(m, n, universe, depth, tensor_templates=templates)
+            ref = gen.reference_lmc(m, n, universe, depth, templates)
+            for f in (frag, ref):
+                per_label = {
+                    (s, f.labels[s][j]): f.succ[s][j]
+                    for s in f.states
+                    for j in range(len(f.labels[s]))
+                }
+                assert f.trans == per_label
+                assert len(f.trans) == sum(len(f.labels[s]) for s in f.states)
+                for a, s in enumerate(f.states):
+                    for t in f.states[a + 1 :]:
+                        ls, lt = f.labels[s], f.labels[t]
+                        assert ls == lt or not set(ls) & set(lt)
+                        assert _shared(f, s, t) == gen.reference_shared(f, s, t)
+                        pairs += 1
+                        shared += bool(ls) and ls == lt
+            for s in frag.states:
+                by_effect = {}  # effect -> the Dist of its first label
+                for a, d in zip(frag.labels[s], frag.succ[s]):
+                    if a != EVAL_LABEL:
+                        assert by_effect.setdefault(trace._trace_effect(s, a), d) is d
+                classes += 0 < len(by_effect) < len(frag.labels[s])
+        assert pairs >= 8000 and shared >= 3000 and classes >= 20
+
+    def test_the_tower_queries_have_519_transitions(self):
+        tensor = default_tensor_templates()
+        queries = (
+            (*build_mn_nn(1), 3),
+            (*build_expair(), 3),
+            (INNER, OUTER, 4),
+        )
+        frags = [build_lmc(m, n, (I,), d, tensor_templates=tensor) for m, n, d in queries]
+        assert sum(len(f.states) for f in frags) == 44
+        assert sum(len(f.trans) for f in frags) == 519
+
     def test_a_pair_state_moves_once_per_class_of_templates(self, monkeypatch):
-        # The 96 default templates over {I} have 27 normal forms.
+        # The 96 default templates over {I} have 27 normal forms. The
+        # fragment evaluates each pair state's halves once and plugs each
+        # pair of their values once per normal form; the trace search
+        # moves each pair state once per normal form.
         m, n = build_expair()
         tensor = default_tensor_templates((I,))
         assert len(tensor) == 96
-        queries = (
-            (bisim, lambda: bisim_distance(m, n, (I,), 3, tensor_templates=tensor)),
-            (trace, lambda: trace_distance_lb(m, n, (I,), 2, tensor)),
-        )
-        for module, query in queries:
-            moves = Counter()
+        with monkeypatch.context() as patch:
+            halves, plugs = _count_tensor_work(patch)
+            bisim_distance(m, n, (I,), 3, tensor_templates=tensor)
+        assert halves and len(set(halves)) == len(halves)
+        assert max(plugs.values()) == 27
+        moves = Counter()
 
-            def counting(t, a, moves=moves):
-                moves[t] += type(a) is TensorAction
-                return _move(t, a)
+        def counting(t, a):
+            moves[t] += type(a) is TensorAction
+            return _move(t, a)
 
-            with monkeypatch.context() as patch:
-                patch.setattr(module, "_move", counting)
-                query()
-            assert max(moves.values()) == 27
+        with monkeypatch.context() as patch:
+            patch.setattr(trace, "_move", counting)
+            trace_distance_lb(m, n, (I,), 2, tensor)
+        assert max(moves.values()) == 27
 
     def test_the_state_cap_counts_merged_states(self):
         # Tower n=1 at depth 3 has 239 programs but 22 merged states, so a
@@ -503,6 +561,25 @@ class TestMerging:
         assert bisim_distance(m, nn, (I,), 3, state_cap=100, tensor_templates=tensor) == HALF
         with pytest.raises(BudgetExceeded):
             bisim_distance(m, nn, (I,), 3, state_cap=21, tensor_templates=tensor)
+
+
+def _count_tensor_work(patch):
+    """Patches build_lmc's tensor moves to count them: the pair states
+    whose halves are evaluated, in order, and the plugs of each template
+    per (pair state, pair of values of its halves)."""
+    halves, plugs = [], Counter()
+
+    def evaluating(p, f):
+        halves.append(p)
+        return eval_pair(p, f)
+
+    def plugging(body, v, w):
+        plugs[(halves[-1], v, w)] += 1
+        return _plug(body, v, w)
+
+    patch.setattr(bisim, "eval_pair", evaluating)
+    patch.setattr(bisim, "_plug", plugging)
+    return halves, plugs
 
 
 def _least_depths(frag, roots):

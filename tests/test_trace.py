@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gen
+from gen import interrogate
 from metricwb import (
     NotAffine,
     NotClosed,
@@ -54,7 +55,6 @@ from metricwb.trace import (
     enumerate_traces,
     explore,
     format_trace,
-    interrogate,
     normal_form,
     template_constants,
     widest_gap,
