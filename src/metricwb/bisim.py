@@ -12,17 +12,17 @@ value's labels are the trace actions that fit its kind, app of a
 universe value or tensor through a template, in alphabet order: one
 label tuple per kind, shared by every value of it. Each moves it to the
 states of the programs it gives, by the move rules the trace distance
-plays too (trace._move, trace._plug). As in the trace search, a value is
-moved once per distinct effect (trace._trace_effect): tensor templates
-with one call-by-value normal form move it alike, so their labels share
-one successor distribution, and a pair's halves are evaluated once for
-all of them. A fragment keeps each state's successors in the order of
-its labels, so two states, whose labels are equal or disjoint, pair
-their successors by position. gen.interrogate in the tests, which moves
-by every label's own template, is the reference. The metric functional
-takes, for each pair of states, the largest lifted distance over the
-actions available to both; its least fixpoint is the bisimulation
-distance.
+plays too (trace._move, trace._plug). A value is moved once per effect
+class of its kind (trace._kind_table, which the trace search reads too):
+tensor templates with one call-by-value normal form move it alike, so
+their labels share one successor distribution, and a pair's halves are
+evaluated once for all of them. A fragment keeps each state's
+successors in the order of its labels, so two states, whose labels are
+equal or disjoint, pair their successors by position. gen.interrogate in
+the tests, which moves by every label's own template, is the reference.
+The metric functional takes, for each pair of states, the largest lifted
+distance over the actions available to both; its least fixpoint is the
+bisimulation distance.
 
 bisim_distance solves only the pairs the root pair's value depends on:
 the pair graph reachable from (_eval(m), _eval(n)) through shared labels,
@@ -57,7 +57,7 @@ from .errors import BudgetExceeded, NonConvergence
 from .kantorovich import PseudoMetric, lift_primal
 from .semantics import _eval, _require_program, eval_pair
 from .terms import Pair, Term
-from .trace import _move, _plug, _trace_effect, alphabet
+from .trace import _kind_table, _move, _plug, alphabet
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -93,20 +93,6 @@ class LmcFragment:
         }
 
 
-def _kind_table(t: Term, actions: list) -> tuple[tuple, list, list[int]]:
-    """The labels of the value t's kind, the effects they fall into in
-    order of first label, and each label's index among those effects.
-    _trace_effect depends only on the value's kind and the action, so the
-    first value of a kind settles these for every value of it."""
-    labels, effects, slot = [], {}, []
-    for a in actions:
-        e = _trace_effect(t, a)
-        if e is not None:
-            labels.append(a)
-            slot.append(effects.setdefault(e, len(effects)))
-    return tuple(labels), list(effects), slot
-
-
 def build_lmc(
     m: Term,
     n: Term,
@@ -125,7 +111,8 @@ def build_lmc(
     moved once per distinct effect, in order of first label: labels whose
     effects are equal, such as tensor templates with one normal form,
     share one successor distribution. Which labels fit, and which effect
-    each has, is worked out once per kind (_kind_table). A pair state
+    each has, is worked out at the first value of each kind
+    (trace._kind_table). A pair state
     evaluates its halves once, and each tensor effect plugs their values
     into its template (trace._plug); an abstraction state moves by
     trace._move. The inputs are checked once here, and states are
@@ -143,7 +130,7 @@ def build_lmc(
     depth: dict[State, int] = {}  # each state at its least depth, in discovery order
     labels: dict[State, tuple] = {}
     succ: dict[State, tuple] = {}
-    kinds: dict[type, tuple] = {}  # value kind -> _kind_table
+    kinds: dict[type, tuple] = {}  # value kind -> trace._kind_table
     queue: deque[State] = deque()
 
     def discover(s: State, d: int) -> None:
@@ -169,10 +156,9 @@ def build_lmc(
                 discover(t, d)
             labels[s], succ[s] = _EVAL_LABELS, (s,)  # its own value distribution
         elif d < max_depth:
-            kind = kinds.get(type(s))
-            if kind is None:
-                kind = kinds[type(s)] = _kind_table(s, actions)
-            labels[s], effects, slot = kind
+            if type(s) not in kinds:
+                kinds[type(s)] = _kind_table(type(s), actions)
+            labels[s], effects, _, slot = kinds[type(s)]
             halves = eval_pair(s, lambda v, w: (v, w)) if type(s) is Pair and effects else None
             moved = []  # successors, once per effect
             for e in effects:

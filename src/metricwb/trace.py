@@ -10,7 +10,7 @@ compare these probabilities pointwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -47,8 +47,6 @@ class AppAction:
 @dataclass(frozen=True)
 class TensorAction:
     body: Term  # free variables among {x, y}
-    # the action's effect, set by _trace_effect the first time it is asked
-    _effect: TensorAction | None = field(default=None, init=False, repr=False, compare=False)
 
 
 Trace = tuple
@@ -228,8 +226,8 @@ def explore(
       to no state is skipped.
     - Each reached pair is kept once: a later word that reaches it has the
       same future and comes later in length-lexicographic order, so first
-      witnesses survive. A candidate whose effects equal an earlier one's
-      reaches that one's pair, so it adds no word."""
+      witnesses survive. So a candidate of the tuple search whose effects
+      equal an earlier one's reaches that one's pair and adds no word."""
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     start = start[0].cancel(start[1])
@@ -305,15 +303,28 @@ def trace_distance_lb(
 ) -> tuple[Fraction, Trace]:
     """Largest trace-probability gap over all traces up to max_len, with the
     first trace attaining it. A lower bound on the full trace distance.
-    Every node is offered the whole alphabet; an action applies to the
-    values whose kind it fits (_trace_effect), and explore skips one that
-    fits no state of the node's support. Tensor templates with one normal
-    form have one effect, so each state is stepped once for all of them,
-    and the first of them keeps the witness."""
+    A node is offered one candidate per effect class (_kind_table) of the
+    kinds its support holds, in alphabet order: a later label of a class
+    moves the node's states as its first label does, so it adds no word.
+    The witness names each class by its first label."""
     _require_program(m)
     _require_program(n)
     actions = alphabet(universe, tensor_templates)
-    return widest_gap((_eval(m), _eval(n)), lambda _: actions, _trace_effect, _trace_step, max_len)
+    tables: dict[type, tuple] = {}  # value kind -> _kind_table, once a value of it is held
+
+    def offer(support: list) -> list:
+        out = []
+        for kind in _KIND:  # Abs first, as app actions come first in the alphabet
+            if any(type(s) is kind for s in support):
+                if kind not in tables:
+                    tables[kind] = _kind_table(kind, actions)
+                out += tables[kind][1]
+        return out
+
+    effect = lambda s, e: e if _fits(s, e) else None
+    gap, word = widest_gap((_eval(m), _eval(n)), offer, effect, _trace_step, max_len)
+    first = {e: a for _, effects, firsts, _ in tables.values() for e, a in zip(effects, firsts)}
+    return gap, tuple(first[e] for e in word)
 
 
 def alphabet(universe: Iterable[Term], tensor_templates: Sequence[Term] = ()) -> list:
@@ -325,27 +336,29 @@ def alphabet(universe: Iterable[Term], tensor_templates: Sequence[Term] = ()) ->
     return actions
 
 
-def _trace_effect(t: Term, a):
-    """Effect of action a on the value t, for the search and the
-    bisimulation fragment: None where a's kind does not fit t, so that
-    _trace_step(t, a) loses all mass; an app action itself; and for a
-    tensor action, the action with its template in normal form
-    (normal_form), worked out once per action object, the first time it
-    fits a pair. _trace_step(t, a) equals _trace_step(t, _trace_effect(t,
-    a)), so actions whose templates differ only by beta_v redexes share
-    one step per state. It reads only t's kind, so bisim.build_lmc asks
-    it about the first value of each kind alone."""
-    kind = type(a)
-    if kind is not _KIND.get(type(t)):
-        return None
-    if kind is AppAction:
-        return a
-    e = a._effect
-    if e is None:
-        body = normal_form(a.body)
-        e = a if body is a.body else TensorAction(body)
-        object.__setattr__(a, "_effect", e)  # a frozen field outside ==
-    return e
+def _kind_table(kind: type, actions: Sequence) -> tuple[tuple, list, list, list[int]]:
+    """Which of the checked actions fit the values of kind (Abs or Pair),
+    and which of those act alike: the fitting labels in order, their
+    effects in order of first label, each effect's first label, and each
+    label's effect index. An app action is its own effect, and a tensor
+    action's is the action with its template in normal form (normal_form),
+    the action itself where the template is one already. Every label
+    steps each value of the kind as its effect does (_trace_step)."""
+    fit = _KIND.get(kind)
+    labels, effects, firsts, slot = [], {}, [], []
+    for a in actions:
+        if type(a) is fit:
+            e = a
+            if fit is TensorAction:
+                body = normal_form(a.body)
+                if body is not a.body:
+                    e = TensorAction(body)
+            i = effects.setdefault(e, len(effects))
+            if i == len(firsts):
+                firsts.append(a)
+            labels.append(a)
+            slot.append(i)
+    return tuple(labels), list(effects), firsts, slot
 
 
 def app_combinations(

@@ -508,12 +508,15 @@ class TestMerging:
                         assert _shared(f, s, t) == gen.reference_shared(f, s, t)
                         pairs += 1
                         shared += bool(ls) and ls == lt
+            actions = trace.alphabet(universe, templates)
             for s in frag.states:
-                by_effect = {}  # effect -> the Dist of its first label
-                for a, d in zip(frag.labels[s], frag.succ[s]):
-                    if a != EVAL_LABEL:
-                        assert by_effect.setdefault(trace._trace_effect(s, a), d) is d
-                classes += 0 < len(by_effect) < len(frag.labels[s])
+                if isinstance(s, Term) and frag.labels[s]:
+                    labels, effects, _, slot = trace._kind_table(type(s), actions)
+                    assert frag.labels[s] == labels
+                    by_class = {}  # class index -> the Dist of its first label
+                    for i, d in zip(slot, frag.succ[s]):
+                        assert by_class.setdefault(i, d) is d
+                    classes += len(effects) < len(labels)
         assert pairs >= 8000 and shared >= 3000 and classes >= 20
 
     def test_the_tower_queries_have_519_transitions(self):

@@ -48,8 +48,8 @@ from metricwb.trace import (
     dedupe_values,
     default_tensor_templates,
     encode_theta_trace,
+    _kind_table,
     _move,
-    _trace_effect,
     _trace_step,
     alphabet,
     enumerate_traces,
@@ -188,6 +188,23 @@ def subterms(t):
 class TestNormalForm:
     X, Y = Var(TENSOR_HOLE_1), Var(TENSOR_HOLE_2)
 
+    @staticmethod
+    def outer_calls(monkeypatch) -> list:
+        """The terms normal_form is called on from outside itself, from now on."""
+        calls, depth = [], [0]
+
+        def counted(t):
+            if not depth[0]:
+                calls.append(t)
+            depth[0] += 1
+            try:
+                return normal_form(t)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(trace, "normal_form", counted)
+        return calls
+
     @pytest.mark.parametrize(
         "body, want",
         [
@@ -220,17 +237,46 @@ class TestNormalForm:
             assert normal_form(t) is t
             assert normal_form(App(self.Y, t)).arg is t
 
-    def test_the_effect_is_worked_out_once_per_action(self):
+    def test_the_effect_is_worked_out_once_per_action(self, monkeypatch):
+        # the class table of a kind: the actions that fit it, their effects
+        # in order of first label, each class's first label, each label's class
+        calls = self.outer_calls(monkeypatch)
         a = TensorAction(parse("x ((\\z. z) y)"))
-        pair = Pair(I, I)
-        e = _trace_effect(pair, a)
-        assert e == TensorAction(App(self.X, self.Y)) and e.body is not a.body
-        assert _trace_effect(pair, a) is e and _trace_effect(pair, e) is e
-        assert _trace_effect(I, a) is None
         plain = TensorAction(App(self.X, self.Y))
-        assert _trace_effect(pair, plain) is plain
-        app = AppAction(I)
-        assert _trace_effect(I, app) is app and _trace_effect(pair, app) is None
+        swap = TensorAction(App(self.Y, self.X))
+        app, app_k = AppAction(I), AppAction(parse("\\a. \\b. a"))
+        actions = [app, a, app_k, plain, swap]
+        labels, effects, firsts, slot = _kind_table(Pair, actions)
+        assert calls == [a.body, plain.body, swap.body]  # once per tensor label
+        assert labels == (a, plain, swap) and firsts == [a, swap] and slot == [0, 0, 1]
+        e = effects[0]
+        assert e == plain and e.body is not a.body
+        assert effects[1] is swap  # already in normal form: its own effect
+        labels, effects, firsts, slot = _kind_table(Pair, [plain, a])
+        assert effects == [plain] and effects[0] is plain and firsts == [plain] and slot == [0, 0]
+        # each app action is its own class, and the Abs table holds no tensor label
+        calls.clear()
+        labels, effects, firsts, slot = _kind_table(Abs, actions)
+        assert labels == (app, app_k) and slot == [0, 1] and not calls
+        assert all(e is a for e, a in zip(effects, labels)) and firsts == list(labels)
+
+    def test_a_query_normalises_only_for_the_pairs_it_holds(self, monkeypatch):
+        # the branching pair holds no pair value, so neither distance works
+        # out a tensor class; the worked pair's do, each template once
+        calls = self.outer_calls(monkeypatch)
+        tensor = default_tensor_templates()
+        assert len(tensor) == 96
+        m, n = parse("\\x. ((\\y. y) (+) omega)"), parse("(\\x. \\y. y) (+) (\\x. omega)")
+        assert bisim_distance(m, n, (I,), 4, tensor_templates=tensor) == HALF
+        assert trace_distance_lb(m, n, (I,), 3, tensor) == (0, EPS)
+        assert not calls
+        for query in (
+            lambda: bisim_distance(*build_expair(), (I,), 3, tensor_templates=tensor),
+            lambda: trace_distance_lb(*build_expair(), (I,), 2, tensor)[0],
+        ):
+            assert query() == Fraction(3, 4)
+            assert len(calls) == 96 and all(c is t for c, t in zip(calls, tensor))
+            calls.clear()
 
     def test_a_rewrite_that_would_capture_renames_the_binder(self):
         # (\z. \x. z) x is \w. x, not \x. x, and steps every pair alike
@@ -290,7 +336,26 @@ class TestNormalForm:
             cases.append((m, n, universe, 1 + i % 3, templates))
         moves = []
         monkeypatch.setattr(trace, "_move", lambda t, a: moves.append(a) or _move(t, a))
-        fast = [trace_distance_lb(*case) for case in cases]
+        offers = []  # (support, candidates) at each node the search extends
+
+        def counting(start, actions, *rest):
+            def offer(support):
+                out = actions(support)
+                offers.append((support, out))
+                return out
+
+            return widest_gap(start, offer, *rest)
+
+        monkeypatch.setattr(trace, "widest_gap", counting)
+        fast = []
+        for m, n, universe, max_len, templates in cases:
+            fast.append(trace_distance_lb(m, n, universe, max_len, templates))
+            # one candidate per class of each kind the support holds
+            classes = {Abs: len(universe), Pair: len(set(map(normal_form, templates)))}
+            for support, out in offers:
+                held = {type(t) for t in support}
+                assert len(out) == sum(classes[kind] for kind in held)
+            offers.clear()
         fast_moves = len(moves)
         monkeypatch.setattr(trace, "normal_form", lambda t: t)
         assert [trace_distance_lb(*case) for case in cases] == fast
@@ -331,16 +396,24 @@ class TestTemplateConstants:
         assert [pretty(c) for c in consts] == [pretty(c) for c in universe[:2]]
 
     def test_constants_named_like_the_holes_keep_the_normal_form_classes(self):
-        # 140 templates over I and K fall into 52 normal-form classes, with
-        # binders named apart or named like the holes
+        # 96 templates over I fall into 27 normal-form classes and 140 over
+        # I and K into 52, with binders named apart or named like the holes;
+        # each class's first label is its earliest template
         x, y = TENSOR_HOLE_1, TENSOR_HOLE_2
-        for universe in (
-            (I, parse("\\a. \\b. a")),
-            (Abs(x, Var(x)), Abs(y, Abs(x, Var(y)))),
+        for universe, count, classes in (
+            ((I,), 96, 27),
+            ((Abs(y, Var(y)),), 96, 27),
+            ((I, parse("\\a. \\b. a")), 140, 52),
+            ((Abs(x, Var(x)), Abs(y, Abs(x, Var(y)))), 140, 52),
         ):
             templates = default_tensor_templates(universe)
-            assert len(templates) == 140
-            assert len(set(map(normal_form, templates))) == 52
+            assert len(templates) == count
+            assert len(set(map(normal_form, templates))) == classes
+            labels, effects, firsts, slot = _kind_table(Pair, alphabet(universe, templates))
+            assert [a.body for a in labels] == list(templates)
+            assert len(effects) == classes
+            assert firsts == [labels[slot.index(i)] for i in range(classes)]
+            assert [normal_form(a.body) for a in firsts] == [e.body for e in effects]
 
 
 class TestEnumeration:
