@@ -60,15 +60,18 @@ def _fits(t: Term, a) -> bool:
 
 
 def normal_form(t: Term) -> Term:
-    r"""The tensor template t, checked by check_trace, with its
-    call-by-value beta_v redexes reduced along its application spine:
-    through App nodes only, never under an Abs or into a Pair, Choice or
-    LetPair. Two rules rewrite an App whose function part, once in normal
-    form, is an abstraction \z. B:
+    r"""The affine term t with its call-by-value beta_v redexes reduced
+    along its application spine: through App nodes only, never under an
+    Abs or into a Pair, Choice or LetPair. It serves two callers: a tensor
+    template, checked by check_trace, whose free variables are the holes x
+    and y, and the body of a tuple template \y. B, checked by
+    tuples.check_templates, whose free variables are y and '$j'. Two rules
+    rewrite an App whose function part, once in normal form, is an
+    abstraction \z. B:
 
     - (\z. B) V -> B[V/z] where V is an Abs, a Pair or a Var. A Var
-      reached through App nodes is free in t, so it is a hole, and every
-      tensor step binds the holes to values;
+      reached through App nodes is free in t, and both callers bind every
+      free variable of t to a closed value before they evaluate it;
     - (\z. z) M -> M for any M.
 
     It ends: each rewrite lowers terms.size, and a rewritten argument or
@@ -78,14 +81,15 @@ def normal_form(t: Term) -> Term:
     branch of a choice, so size(B[V/z]) <= size(B) + size(V) - 1 where z
     occurs and size(B) where it does not.
 
-    It is exact: for closed values v and w, with s = [v/x, w/y],
-    _eval(t s) == _eval(normal_form(t) s), weights and all. _eval of an
-    App binds the value distribution of its function part to that of its
-    argument, so a part may be swapped for one with the same value
-    distribution. ((\z. B) V) s is (\z. B s) (V s), where V s is a
-    value (a hole becomes v or w), so it evaluates as B s [V s/z], which
-    is B[V/z] s: substitute renames a binder of B that would capture a
-    hole of V, and v and w are closed. ((\z. z) M) s evaluates M s, then
+    It is exact: for every substitution s of closed values for the free
+    variables of t, whichever they are, _eval(t s) == _eval(normal_form(t)
+    s), weights and all. _eval of an App binds the value distribution of
+    its function part to that of its argument, so a part may be swapped
+    for one with the same value distribution. ((\z. B) V) s is
+    (\z. B s) (V s), where V s is a value (a free variable becomes a
+    closed value), so it evaluates as B s [V s/z], which is B[V/z] s:
+    substitute renames a binder of B that would capture a free variable of
+    V, and the values of s are closed. ((\z. z) M) s evaluates M s, then
     each of its values to itself."""
     if type(t) is not App:
         return t

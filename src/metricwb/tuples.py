@@ -30,7 +30,7 @@ from .terms import (
     rename_free,
     substitute,
 )
-from .trace import app_combinations, dedupe_values, template_constants, widest_gap
+from .trace import app_combinations, dedupe_values, normal_form, template_constants, widest_gap
 
 _ONE = Fraction(1)
 
@@ -264,8 +264,8 @@ def default_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
 
 
 def check_templates(templates: Iterable[Term]) -> tuple[Term, ...]:
-    """The templates without alpha-duplicates, each checked in order."""
-    templates = dedupe_values(templates)
+    """The templates, each checked in order."""
+    templates = tuple(templates)
     for t in templates:
         extra = t.free_vars - {_SLOT}
         if extra:
@@ -276,6 +276,25 @@ def check_templates(templates: Iterable[Term]) -> tuple[Term, ...]:
         if reason is not None:
             raise NotAffine(reason)
     return templates
+
+
+def _class_firsts(templates: Iterable[Term]) -> tuple[Term, ...]:
+    r"""The first template of each call-by-value class of the checked
+    templates, in order. Two templates are in one class where both take
+    '$j' or neither does, and both are '$j' or both are abstractions \y. B
+    with alpha-equal \y. normal_form(B) (trace.normal_form), so
+    alpha-duplicates are one class. Slot use is part of the class: over
+    {I, K}, \y. K y $j normalises to \y. y, but it consumes its component
+    and I does not."""
+    firsts: dict = {}
+    for t in templates:
+        key = t
+        if type(t) is Abs:
+            body = normal_form(t.body)
+            if body is not t.body:
+                key = Abs(t.var, body)
+        firsts.setdefault((_SLOT in t.free_vars, key), t)
+    return tuple(firsts.values())
 
 
 def _arguments(templates: Iterable[Term], width: int) -> list:
@@ -346,20 +365,34 @@ def tuple_distance_lb(
     identical joint distributions are explored once. Templates are checked
     once per search, so the steps skip the affinity check: given templates
     at entry, and derived ones when the search first lists actions, which
-    a search whose start pair is settled at once never does. The
-    (consumed, argument) table of _arguments is built once per tuple width
-    for the whole search; enumerate_actions lists one argument per
-    consumed set where the argument cannot matter.
+    a search whose start pair is settled at once never does. The checked
+    templates are cut to the first of each call-by-value class
+    (_class_firsts) before the (consumed, argument) table of _arguments is
+    built, once per tuple width for the whole search; enumerate_actions
+    lists one argument per consumed set where the argument cannot matter.
+
+    Offering class firsts alone is exact. The search steps and names each
+    class by its first template as written, so a witness replays to the
+    reported gap. trace.normal_form is exact for closed values in its free
+    variables, so two members of a class, applied to one closed value with
+    '$j' bound to one component, give one value distribution: they are
+    applicatively bisimilar, and applicative bisimilarity is a congruence
+    for the probabilistic call-by-value lambda-calculus, hence sound for
+    contextual equivalence (Dal Lago, Sangiorgi and Alberti, POPL 2014;
+    Crubillé and Dal Lago, ESOP 2014). So a word that feeds a later member
+    has, on both sides, the probability of the word that feeds the first
+    member in its place, and that word comes earlier in search order: the
+    value and the first witness do not change.
     """
     if template_set is None:
         template_set = default_templates
-    templates = None if callable(template_set) else check_templates(template_set)
+    templates = None if callable(template_set) else _class_firsts(check_templates(template_set))
     by_width: dict[int, list] = {}
 
     def actions(support):
         nonlocal templates
         if templates is None:
-            templates = check_templates(template_set())
+            templates = _class_firsts(check_templates(template_set()))
         width = max(map(len, support), default=0)
         if width not in by_width:
             by_width[width] = _arguments(templates, width)

@@ -700,8 +700,11 @@ def sided_walk(k_state: tuple, h_state: tuple, templates, max_len: int, visit) -
 
 
 def search_actions(states, templates) -> list:
-    """The candidates tuples.tuple_distance_lb lists at a node whose support
-    is states: enumerate_actions over the argument table of its width."""
+    """The candidates enumerate_actions lists at a node whose support is
+    states, over the argument table of its width built from every one of
+    the templates: the all-templates listing that sided_walk and the
+    enumeration tests use. tuples.tuple_distance_lb builds its table from
+    the first template of each class alone (tuples._class_firsts)."""
     states = list(states)
     width = max((len(k) for k in states), default=0)
     return enumerate_actions(states, _arguments(templates, width))

@@ -162,6 +162,15 @@ class TestTraceProb:
         payload = payload_of(capsys, "trace-prob", CLEAN, WITNESS)
         assert payload["prob"] == "1/1"
 
+    def test_a_later_class_member_replays_as_written(self, capsys):
+        # the tuple search offers \x. x for \y. (\x. x) y, its class, but
+        # a word may feed either: it replays as the witness does and
+        # prints as given
+        word = "cut(1); appl(1; ; \\y. (\\x. x) y); appl(2; ; \\x. x)"
+        payload = payload_of(capsys, "trace-prob", NOISY, word)
+        assert (payload["prob"], payload["trace"]) == ("1/4", word)
+        assert payload == {**payload_of(capsys, "trace-prob", NOISY, WITNESS), "trace": word}
+
     def test_a_tuple_word_is_replayed_once(self, capsys, monkeypatch):
         import metricwb.tuples as tuples
 

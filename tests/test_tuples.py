@@ -26,7 +26,7 @@ from metricwb import (
 )
 from metricwb import trace, tuples
 from metricwb.dist import EMPTY, Dist
-from metricwb.terms import Abs, App, Choice, OMEGA, Pair, Var, identity, pretty
+from metricwb.terms import Abs, App, Choice, OMEGA, Pair, Var, identity, pretty, substitute
 from metricwb.trace import AppAction, default_tensor_templates, trace_distance_lb
 from metricwb.tuples import (
     Appl,
@@ -45,6 +45,8 @@ F = Fraction
 HALF = F(1, 2)
 
 K = parse("\\a. \\b. a")
+DISCARD = parse("\\a. \\b. b")  # discards its argument
+K_SLOT = Abs("y", App(App(K, Var("y")), Var("$j")))  # \y. K y $j
 NOISY, CLEAN = build_expair()
 WITNESS = (Cut(1), Appl(1, (), I), Appl(2, (), I))
 
@@ -351,16 +353,18 @@ class TestActionEnumeration:
         assert collapsed
 
     def test_a_search_renames_each_slot_template_once_per_component(self, monkeypatch):
+        # Only class firsts are renamed: 12 of the 16 take '$j', against 24
+        # of the 35 templates. The tower reaches widths 1 to 4, so each is
+        # renamed once per component of each width, 1 + 2 + 3 + 4 times.
         templates = default_templates()
-        slots = sum("$j" in t.free_vars for t in templates)
+        slots = sum("$j" in t.free_vars for t in tuples._class_firsts(templates))
+        assert slots == 12
         calls = []
         real = tuples.rename_free
         monkeypatch.setattr(tuples, "rename_free", lambda t, m: calls.append(m) or real(t, m))
-        max_len = 6
-        got = tuple_distance_lb(*build_mn_nn(3), templates, max_len)
+        got = tuple_distance_lb(*build_mn_nn(3), templates, 6)
         assert got[0] == 1 - u_seq(3)
-        # at most one renaming per slot template and component of each width
-        assert 0 < len(calls) <= slots * sum(range(1, max_len + 2))
+        assert len(calls) == slots * (1 + 2 + 3 + 4)
 
 
 def random_tuple_state(rng, width: int) -> tuple:
@@ -440,34 +444,123 @@ class TestDistinctEffects:
             assert not repeats, (pretty(m), pretty(n), i)
 
     def test_search_matches_the_reference_enumeration(self):
+        # The search offers one template per call-by-value class, and the
+        # reference tries every template, so equal values and witnesses
+        # show that no later member of a class beats its first or comes
+        # before it. D = \a. \b. b discards its argument, so \y. D y and
+        # \y. D $j normalise to D, but only the first is in D's class; the
+        # last set puts \y. K y $j, whose normal form is I, before I.
+        # The reference builds every word, so max-len 5 runs on smaller
+        # programs.
         rng = random.Random(20260403)
         template_sets = (
-            default_templates(),
-            default_templates((K,)),
-            default_templates((I, K)),
+            *(default_templates(u) for u in ((I,), (K,), (I, K), (DISCARD,))),
             (I, K),
+            (K_SLOT, I),
         )
-        for i in range(100):
-            m = gen.random_program(rng, max_size=12, fuel=3)
-            n = gen.random_program(rng, max_size=12, fuel=3)
-            templates = template_sets[i % 4]
-            max_len = 1 + i % 4
+        separated = 0
+        for i in range(300):
+            max_len = 1 + i // 6 % 5
+            size = 12 if max_len < 5 else 8
+            m = gen.random_program(rng, max_size=size, fuel=3)
+            n = gen.random_program(rng, max_size=size, fuel=3)
+            templates = template_sets[i % 6]
             got = tuple_distance_lb(m, n, templates, max_len)
             want = gen.reference_tuple_search(m, n, templates, max_len)
             assert got == want, (pretty(m), pretty(n), i)
+            separated += got[0] > 0
+        assert separated >= 200
 
-    def test_paper_families_match_the_reference_enumeration(self):
-        # the tower's components are abstractions ignoring their variable,
-        # where the search lists one argument per consumed set
+    def test_paper_families_match_the_reference_enumeration(self, monkeypatch):
+        # The tower's components are abstractions ignoring their variable,
+        # where the search lists one argument per consumed set. The
+        # reference builds every word, which takes seconds on the worked
+        # pair at max-len 4 and minutes at 5; past the lengths it reaches,
+        # the search is held to the same search offering every template.
         templates = default_templates()
         for (m, n), max_len in (
             (build_mn_nn(1), 2),
+            (build_mn_nn(1), 3),
             (build_mn_nn(2), 4),
             (build_expair(), 3),
         ):
             got = tuple_distance_lb(m, n, templates, max_len)
             assert got == gen.reference_tuple_search(m, n, templates, max_len)
             assert got[0] > 0
+        for max_len in range(3, 7):
+            got = tuple_distance_lb(NOISY, CLEAN, templates, max_len)
+            assert got == searched_with_every_template(monkeypatch, NOISY, CLEAN, templates, max_len)
+            assert got == (F(3, 4), WITNESS)
+        for level in range(1, 5):
+            m, n = build_mn_nn(level)
+            for max_len in (2 * level, 2 * level + 1):
+                got = tuple_distance_lb(m, n, templates, max_len)
+                assert got == searched_with_every_template(monkeypatch, m, n, templates, max_len)
+                assert got == (1 - u_seq(level), build_sn(level)), (level, max_len)
+
+
+def searched_with_every_template(monkeypatch, m, n, templates, max_len):
+    """tuple_distance_lb offering every template, not one per class."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tuples, "_class_firsts", tuple)
+        return tuple_distance_lb(m, n, templates, max_len)
+
+
+class TestTemplateClasses:
+    def test_the_default_templates_fall_into_fewer_classes(self):
+        # the first template of each class, in template order: a later
+        # template never displaces an earlier one, so the firsts of each
+        # prefix of the templates are a prefix of the firsts
+        for universe, count, classes in (((I,), 35, 16), ((I, K), 55, 33)):
+            templates = default_templates(universe)
+            firsts = tuples._class_firsts(templates)
+            assert (len(templates), len(firsts)) == (count, classes)
+            assert firsts == tuple(t for t in templates if t in firsts)
+            for i in range(len(templates)):
+                assert tuples._class_firsts(templates[:i]) == firsts[: sum(t in firsts for t in templates[:i])]
+
+    def test_slot_use_keeps_classes_apart(self):
+        # \y. K y $j normalises to \y. y, which is I, but consumes its
+        # component; \y. K y I normalises to I and consumes none
+        assert tuples._class_firsts((I, K_SLOT)) == (I, K_SLOT)
+        assert tuples._class_firsts((K_SLOT, I)) == (K_SLOT, I)
+        assert K_SLOT in tuples._class_firsts(default_templates((I, K)))
+        assert tuples._class_firsts((I, Abs("y", App(App(K, Var("y")), I)))) == (I,)
+        # \y. D y and \y. D $j both normalise to D = \a. \b. b, which
+        # discards its argument; only the second consumes a component
+        closed, consuming = (Abs("y", App(DISCARD, Var(v))) for v in ("y", "$j"))
+        assert tuples._class_firsts((DISCARD, closed, consuming)) == (DISCARD, consuming)
+
+    def test_a_member_applies_as_an_earlier_first_does(self):
+        # The exactness lemma, checked by evaluation: applied to a closed
+        # value, with '$j' bound to a closed value, every template gives the
+        # value distributions of a class first no later than it in order
+        # that uses the slot as it does.
+        values = [I, K, DISCARD, parse("\\a. a (+) omega"), parse("<I, \\a. \\b. a>"), parse("\\a. a I")]
+
+        def applied(t):
+            return [eval_big(App(substitute(t, "$j", c), v)) for v in values for c in values]
+
+        for universe in ((I,), (K,), (I, K), (DISCARD,)):
+            templates = default_templates(universe)
+            firsts = tuples._class_firsts(templates)
+            for i, t in enumerate(templates):
+                want = applied(t)
+                assert any(
+                    ("$j" in f.free_vars) == ("$j" in t.free_vars) and applied(f) == want
+                    for f in firsts
+                    if templates.index(f) <= i
+                ), (pretty(t), universe)
+
+    def test_given_and_derived_templates_are_cut_to_class_firsts(self, monkeypatch):
+        tables = []
+        real = tuples._arguments
+        monkeypatch.setattr(tuples, "_arguments", lambda t, width: tables.append(t) or real(t, width))
+        firsts = tuples._class_firsts(default_templates())
+        for template_set in (default_templates(), None):
+            assert tuple_distance_lb(NOISY, CLEAN, template_set, 4) == (F(3, 4), WITNESS)
+            assert tables and all(t == firsts for t in tables)
+            tables.clear()
 
 
 class TestDistanceSearch:
@@ -706,7 +799,9 @@ class TestCancellation:
         # With absolute weights the clean side keeps mass 1 on most words,
         # more than the best gap 3/4, so the plain search extends every
         # word it visits. Cancelled, no word of length 4 keeps more than
-        # 3/4, so the search ends there however long max_len is.
+        # 3/4, so the search ends there however long max_len is. Each node
+        # is offered the 16 class firsts of the 35 default templates; with
+        # all 35 the counts were [[81, 48], [423, 423]].
         counts = []
         real = trace.explore
 
@@ -722,7 +817,7 @@ class TestCancellation:
 
         monkeypatch.setattr(trace, "explore", counting)
         searched_both_ways(monkeypatch, lambda: tuple_distance_lb(NOISY, CLEAN, None, 5))
-        assert counts == [[81, 48], [423, 423]]
+        assert counts == [[34, 22], [86, 86]]
 
     def test_the_two_sides_of_a_node_share_no_state(self, monkeypatch):
         # explore lists a node's support as the states of one side, then
