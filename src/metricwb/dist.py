@@ -6,7 +6,7 @@ distribution has exactly one representation and equality and hashing
 compare it directly. bind, map_elems, cancel and dirac work on the
 integers, and distributions combine through bind alone. Fraction appears
 only at the interface: the constructor, weight, get, items, to_json and
-printed messages.
+printed messages; weight_parts reads the weight as integers.
 """
 
 from __future__ import annotations
@@ -71,6 +71,12 @@ class Dist(Generic[T]):
         if w is None:
             w = self._weight = Fraction(self._total, self._den)
         return w
+
+    def weight_parts(self) -> tuple[int, int]:
+        """The weight as (total numerator, positive denominator), not
+        necessarily in lowest terms: integers a caller can cross-multiply
+        to compare weights without building a Fraction."""
+        return self._total, self._den
 
     def support(self) -> Tuple[T, ...]:
         return tuple(self._num)

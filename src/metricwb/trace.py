@@ -33,8 +33,6 @@ from .terms import (
     substitute,
 )
 
-_ZERO = Fraction(0)
-
 TENSOR_HOLE_1 = "x"
 TENSOR_HOLE_2 = "y"
 
@@ -212,16 +210,16 @@ def explore(
     visit: Callable,
 ) -> None:
     """Breadth-first walk over action words played against a pair of
-    distributions. At each length, visit(word, wa, wb) sees the weights of
-    every frontier word in order and says whether to extend it. The walk
-    ends after the words of length max_len, or once no word is left to
-    extend, however large max_len is. It keeps three rules:
+    distributions. At each length, visit(word, da, db) sees the pair of
+    distributions of every frontier word in order and says whether to
+    extend it. The walk ends after the words of length max_len, or once no
+    word is left to extend, however large max_len is. It keeps three rules:
 
     - Shared mass cancels (Dist.cancel) at the start pair and every
       successor pair, before visit and the reached-pair test: the walk
       carries the difference of the two distributions, visit sees the
-      cancelled weights (widest_gap says why that is sound for it), and
-      the two sides share no state. A walk that needs each side's own
+      cancelled pair (widest_gap says why that is sound for it), and the
+      two sides share no state. A walk that needs each side's own
       probabilities tags every state with its side, so nothing cancels.
     - Each (state, effect) is stepped once per walk: a candidate a of
       actions(support), the states of both sides, moves a state s by
@@ -239,7 +237,7 @@ def explore(
     frontier = [((), *start)]
     seen = {start}
     for length in range(max_len + 1):
-        kept = [(w, da, db) for w, da, db in frontier if visit(w, da.weight(), db.weight())]
+        kept = [node for node in frontier if visit(*node)]
         if length == max_len or not kept:
             return
         frontier = []
@@ -284,18 +282,28 @@ def widest_gap(
       weights, since 0 <= Pr_s(w) <= 1, and that is never more than
       max(wa, wb). So pruning on the cancelled weights drops only words
       that cannot beat the best gap, and first witnesses survive, as they
-      do when explore skips a reached pair."""
-    best, witness = _ZERO, ()
+      do when explore skips a reached pair.
 
-    def visit(word: tuple, wa: Fraction, wb: Fraction) -> bool:
-        nonlocal best, witness
-        gap = abs(wa - wb)
-        if gap > best:
-            best, witness = gap, word
-        return max(wa, wb) > best
+    The visitor reads each side's weight as integers (Dist.weight_parts),
+    brings the two over one denominator and keeps the best gap as a
+    numerator over a positive denominator, so it compares by
+    cross-multiplying and no visited word builds a Fraction; the answer
+    is one Fraction."""
+    bn, bd, witness = 0, 1, ()  # the best gap is bn / bd
+
+    def visit(word: tuple, da: Dist, db: Dist) -> bool:
+        nonlocal bn, bd, witness
+        na, den = da.weight_parts()
+        nb, d = db.weight_parts()
+        if d != den:
+            na, nb, den = na * d, nb * den, den * d
+        gap = abs(na - nb)
+        if gap * bd > bn * den:
+            bn, bd, witness = gap, den, word
+        return max(na, nb) * bd > bn * den
 
     explore(start, actions, effect, step, max_len, visit)
-    return best, witness
+    return Fraction(bn, bd), witness
 
 
 def trace_distance_lb(

@@ -665,9 +665,10 @@ def partition_violations(
     checked = 0
     violations: list = []
 
-    def classify(trace, pk, ph) -> bool:
+    def classify(trace, dk, dh) -> bool:
         nonlocal checked
         checked += 1
+        pk, ph = dk.weight(), dh.weight()
         if pk == 0 and ph <= HALF:
             return False
         if pk == 1 and ph >= u_bound:
@@ -683,7 +684,7 @@ def sided_walk(k_state: tuple, h_state: tuple, templates, max_len: int, visit) -
     """trace.explore over the tuple words from the tuples k_state and
     h_state, with every state tagged with its side, ("K", k) or ("H", h):
     the two supports share no state, so explore cancels no mass and visit
-    sees each side's own probability."""
+    sees each side's own distribution, whose weight is its probability."""
 
     def step(s, e) -> Dist:
         side, k = s
@@ -697,6 +698,27 @@ def sided_walk(k_state: tuple, h_state: tuple, templates, max_len: int, visit) -
         max_len,
         visit,
     )
+
+
+def fraction_widest_gap(
+    start: tuple, actions, effect, step, max_len: int
+) -> tuple[Fraction, tuple]:
+    """trace.widest_gap scored in Fraction arithmetic over the same
+    trace.explore: each visited pair's weights as Fractions, the best gap
+    as a Fraction, the first word attaining it kept on a strict increase,
+    and a word extended while one side keeps more mass than the best gap.
+    The reference for widest_gap's integer visitor."""
+    best, witness = ZERO, ()
+
+    def visit(word, da, db) -> bool:
+        nonlocal best, witness
+        wa, wb = da.weight(), db.weight()
+        if abs(wa - wb) > best:
+            best, witness = abs(wa - wb), word
+        return max(wa, wb) > best
+
+    explore(start, actions, effect, step, max_len, visit)
+    return best, witness
 
 
 def search_actions(states, templates) -> list:

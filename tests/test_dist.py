@@ -123,14 +123,16 @@ def outcome(make):
 def assert_same(new, ref):
     """The two agree on every observation: the outcome of the operation,
     the elements with their weights in insertion order (keys compared by
-    repr, so merged terms keep the same binder names), the weight, get
-    and the JSON form."""
+    repr, so merged terms keep the same binder names), the weight, also
+    read as integers, get and the JSON form."""
     if isinstance(ref, tuple):
         assert new == ref
         return
     assert [(repr(e), p) for e, p in new.items()] == [(repr(e), p) for e, p in ref.items()]
     assert list(new.support()) == list(ref.support())
     assert new.weight() == ref.weight()
+    total, den = new.weight_parts()
+    assert den > 0 and Fraction(total, den) == ref.weight()
     assert len(new) == len(ref)
     assert all(new.get(e) == ref.get(e) for e in ELEMS)
     assert new.to_json(str) == ref.to_json(str)

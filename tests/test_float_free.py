@@ -19,6 +19,8 @@ from metricwb.bisim import bisim_distance
 from metricwb.dist import EMPTY, Dist
 from metricwb.kantorovich import lift_dual, lift_primal
 from metricwb.parser import parse
+from metricwb.trace import trace_distance_lb
+from metricwb.tuples import tuple_distance_lb
 
 MODULES = sorted(Path(metricwb.__file__).parent.glob("*.py"))
 MATH_NAMES = {"gcd", "lcm"}
@@ -90,3 +92,29 @@ def test_liftings_return_fractions():
 def test_bisim_distance_returns_a_fraction(m, n, universe):
     value = bisim_distance(parse(m), parse(n), (parse(universe),), 4)
     assert type(value) is Fraction
+
+
+@pytest.mark.parametrize(
+    "m, n, universe, max_len, witness_len",
+    [
+        # settled at the root: nothing is left to extend
+        ("I", "I", "I", 3, 0),
+        ("I", "omega", "I", 3, 0),
+        # the root alone is scored
+        ("I", "\\x. omega", "I", 0, 0),
+        # no action to play
+        ("I", "\\x. omega", "", 2, 0),
+        # apart only at the last length
+        ("\\x. \\y. y", "\\x. \\y. omega", "I", 2, 2),
+        ("\\x. x (+) omega", "\\x. x", "I", 1, 1),
+    ],
+)
+def test_search_distances_return_fractions(m, n, universe, max_len, witness_len):
+    m, n = parse(m), parse(n)
+    universe = (parse(universe),) if universe else ()
+    for value, witness in (
+        trace_distance_lb(m, n, universe, max_len),
+        tuple_distance_lb(m, n, universe, max_len),
+    ):
+        assert type(value) is Fraction
+        assert len(witness) == witness_len

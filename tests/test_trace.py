@@ -22,6 +22,7 @@ from metricwb import (
     trace,
     trace_accept,
     trace_distance_lb,
+    tuples,
 )
 from metricwb.dist import Dist
 from metricwb.parser import parse_terms
@@ -598,8 +599,8 @@ class TestExplore:
     def test_visits_by_length_and_skips_reached_pairs(self):
         seen = []
 
-        def visit(word, wa, wb):
-            seen.append((word, wa, wb))
+        def visit(word, da, db):
+            seen.append((word, da.weight(), db.weight()))
             return word != ("b",)
 
         # the sides start on different states, so they share no mass
@@ -638,7 +639,7 @@ class TestExplore:
             move,
             step,
             1,
-            lambda word, wa, wb: seen.append((word, wa, wb)) or True,
+            lambda word, da, db: seen.append((word, da.weight(), db.weight())) or True,
         )
         assert seen == [((), HALF, HALF), (("a",), 0, 0), (("c",), HALF, HALF)]
         assert 0 not in calls
@@ -659,7 +660,7 @@ class TestExplore:
             lambda s, a: "up",
             step,
             2,
-            lambda word, wa, wb: words.append(word) or True,
+            lambda word, da, db: words.append(word) or True,
         )
         assert words == [(), ("a",), ("a", "a")]
         assert calls == [(0, "up"), (10, "up"), (1, "up"), (11, "up")]
@@ -678,7 +679,7 @@ class TestExplore:
             lambda s, a: None if s == 1 else a,
             step,
             2,
-            lambda word, wa, wb: seen.append((word, wa, wb)) or True,
+            lambda word, da, db: seen.append((word, da.weight(), db.weight())) or True,
         )
         # ("a", "a") repeats the pair of ("a",), so it is not visited
         assert seen == [((), 1, 1), (("a",), HALF, 1)]
@@ -697,7 +698,7 @@ class TestExplore:
             lambda s, a: None if a == "c" else a,
             step,
             2,
-            lambda word, wa, wb: words.append(word) or True,
+            lambda word, da, db: words.append(word) or True,
         )
         assert words == [(), ("a",), ("a", "a")]
         assert all(a == "a" for _, a in calls)
@@ -733,7 +734,7 @@ class TestExplore:
             move,
             lambda s, a: dirac(s),
             10**12,
-            lambda word, wa, wb: words.append(word) or True,
+            lambda word, da, db: words.append(word) or True,
         )
         assert offered == [[0, 1]]
         assert words == [()]
@@ -855,6 +856,81 @@ class TestWidestGap:
     def test_negative_budget_is_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             widest_gap(self.START, lambda _: "abc", move, toy_step, -1)
+
+
+# Toy search over denominators 3, 5 and 7, which fair choice never makes.
+# Side one starts at 0 with 2/3, side two at 10 with 3/5. ("a",) opens
+# 2/3 - 3/35 = 61/105. ("b",) opens only 2/3 - 3/25 = 41/75, but side one
+# keeps 2/3 = 50/75 there, so it is extended: 50·105 > 61·75, while the
+# cross-multiplication with the denominators swapped, 50·75 < 61·105,
+# would prune it. ("b", "a") then opens 2/3, and ("b", "b") only ties it.
+TOY_357 = {
+    (0, "a"): dirac(1),
+    (10, "a"): Dist({11: Fraction(1, 7)}),
+    (0, "b"): dirac(2),
+    (10, "b"): Dist({12: Fraction(1, 5)}),
+    (2, "a"): dirac(2),
+    (2, "b"): dirac(5),
+}
+
+
+def toy_357_step(s, a):
+    return TOY_357.get((s, a), Dist())
+
+
+def with_the_fraction_visitor(monkeypatch, search):
+    """search() as it runs, and again with gen.fraction_widest_gap, the
+    visitor in Fraction arithmetic, in place of widest_gap in the trace
+    and the tuple search."""
+    fast = search()
+    with monkeypatch.context() as patch:
+        patch.setattr(trace, "widest_gap", gen.fraction_widest_gap)
+        patch.setattr(tuples, "widest_gap", gen.fraction_widest_gap)
+        return fast, search()
+
+
+class TestIntegerVisitor:
+    START = (Dist({0: Fraction(2, 3)}), Dist({10: Fraction(3, 5)}))
+
+    @pytest.mark.parametrize(
+        "max_len, want",
+        [
+            (0, (Fraction(1, 15), ())),
+            (1, (Fraction(61, 105), ("a",))),
+            (2, (Fraction(2, 3), ("b", "a"))),
+            (3, (Fraction(2, 3), ("b", "a"))),
+        ],
+    )
+    def test_denominators_other_than_powers_of_two(self, max_len, want):
+        got = widest_gap(self.START, lambda _: "ab", move, toy_357_step, max_len)
+        assert got == want and type(got[0]) is Fraction
+        assert got == first_maximiser(self.START, "ab", toy_357_step, max_len)
+        assert got == gen.fraction_widest_gap(
+            self.START, lambda _: "ab", move, toy_357_step, max_len
+        )
+
+    def test_the_searches_agree_with_the_fraction_visitor(self, monkeypatch):
+        rng = random.Random(20261020)
+        universes = ((I,), (I, parse("\\a. \\b. a")))
+        tuple_templates = default_templates()
+        for i in range(240):
+            m, n = (
+                Pair(*(gen.random_value(rng, max_size=5, prefix=f"{side}{h}") for h in "ab"))
+                if i % 3 == 0
+                else gen.random_program(rng, max_size=12, fuel=3)
+                for side in "mn"
+            )
+            universe = universes[i % 2]
+            tensor = tuple(rng.sample(default_tensor_templates(universe), i % 9))
+            max_len = i % 5
+            fast, ref = with_the_fraction_visitor(
+                monkeypatch, lambda: trace_distance_lb(m, n, universe, max_len, tensor)
+            )
+            assert fast == ref, (pretty(m), pretty(n), universe, tensor, max_len)
+            fast, ref = with_the_fraction_visitor(
+                monkeypatch, lambda: tuple_distance_lb(m, n, tuple_templates, max_len)
+            )
+            assert fast == ref, (pretty(m), pretty(n), max_len)
 
 
 class TestLtsView:

@@ -426,7 +426,12 @@ class TestDistinctEffects:
             # the sides are tagged, so they share no mass even where the
             # two states are equal, and the walk visits absolute weights
             got = []
-            gen.sided_walk(*states, templates, 1, lambda *node: got.append(node) or True)
+            gen.sided_walk(
+                *states,
+                templates,
+                1,
+                lambda word, da, db: got.append((word, da.weight(), db.weight())) or True,
+            )
             assert got == want, states
 
     def test_each_state_and_effect_is_stepped_at_most_once_per_walk(self, monkeypatch):
