@@ -6,7 +6,8 @@ distribution has exactly one representation and equality and hashing
 compare it directly. bind, map_elems, cancel and dirac work on the
 integers, and distributions combine through bind alone. Fraction appears
 only at the interface: the constructor, weight, get, items, to_json and
-printed messages; weight_parts reads the weight as integers.
+printed messages; weight_parts and bind_weight_parts read weights as
+integers.
 """
 
 from __future__ import annotations
@@ -77,6 +78,19 @@ class Dist(Generic[T]):
         necessarily in lowest terms: integers a caller can cross-multiply
         to compare weights without building a Fraction."""
         return self._total, self._den
+
+    def bind_weight_parts(self, k: "Callable[[T], Dist[U]]") -> tuple[int, int]:
+        """The weight of self.bind(k) as weight_parts reads it, without
+        building self.bind(k): only the weights of k's distributions are read."""
+        total, den = 0, 1  # k's weights so far, over their common denominator
+        for e, n in self._num.items():
+            d = k(e)
+            if d._total:
+                if den % d._den:
+                    f = d._den // gcd(den, d._den)
+                    total, den = total * f, den * f
+                total += n * d._total * (den // d._den)
+        return total, self._den * den
 
     def support(self) -> Tuple[T, ...]:
         return tuple(self._num)

@@ -134,14 +134,21 @@ def trace_accept(m: Term, s: Sequence) -> Fraction:
     return d.weight()
 
 
-def _move(t: Term, a) -> Dist[Term]:
-    """The programs the checked action a, whose kind fits the value t,
-    moves t to, before evaluation. app(V) substitutes V into the body of
-    the abstraction t; tensor(L) plugs each pair of values of the halves
-    of the pair t into L (_plug), as semantics.eval_pair combines them."""
+def _move(t, a) -> Dist[Term]:
+    """The programs the checked action a moves a value to, before
+    evaluation. app(V) substitutes V into the body of the abstraction t;
+    tensor(L) plugs each (v, w) of t, the halves of a pair (_halves), into
+    L (_plug), so a walk that keeps a pair's halves moves it by every
+    template without evaluating them again."""
     if type(a) is AppAction:
         return dirac(substitute(t.body, t.var, a.value))
-    return eval_pair(t, lambda v, w: _plug(a.body, v, w))
+    return t.map_elems(lambda vw: _plug(a.body, *vw))
+
+
+def _halves(p: Pair) -> Dist[tuple]:
+    """The pairs (v, w) of values of the two halves of the pair p, as
+    semantics.eval_pair combines them."""
+    return eval_pair(p, lambda v, w: (v, w))
 
 
 def _plug(body: Term, v: Term, w: Term) -> Term:
@@ -154,7 +161,9 @@ def _trace_step(t: Term, a) -> Dist[Term]:
     """Value distribution after playing the checked action a against the
     value t: the programs _move gives, evaluated, and EMPTY where a's kind
     does not fit t, which loses all mass."""
-    return _move(t, a).bind(_eval) if _fits(t, a) else EMPTY
+    if not _fits(t, a):
+        return EMPTY
+    return _move(t if type(a) is AppAction else _halves(t), a).bind(_eval)
 
 
 def reduce_to_values(d: Dist[Term]) -> Dist[Term]:
@@ -208,12 +217,13 @@ def explore(
     step: Callable,
     max_len: int,
     visit: Callable,
+    floor: Callable = lambda: (-1, 1),
 ) -> None:
     """Breadth-first walk over action words played against a pair of
     distributions. At each length, visit(word, da, db) sees the pair of
     distributions of every frontier word in order and says whether to
     extend it. The walk ends after the words of length max_len, or once no
-    word is left to extend, however large max_len is. It keeps three rules:
+    word is left to extend, however large max_len is. It keeps four rules:
 
     - Shared mass cancels (Dist.cancel) at the start pair and every
       successor pair, before visit and the reached-pair test: the walk
@@ -226,10 +236,22 @@ def explore(
       step(s, e) with e = effect(s, a). None means a does not apply to s,
       so s keeps no mass and is never stepped; a candidate that applies
       to no state is skipped.
+    - A successor pair is not built where each side weighs at most
+      floor(), a weight as (numerator, positive denominator) that the
+      walk reads once per length, after the visits. The weights are read
+      before cancelling, from the stepped successors
+      (Dist.bind_weight_parts). The caller vouches that visit would
+      neither extend nor need to see a pair whose sides weigh at most the
+      floor, and that the floor never falls: widest_gap's best gap is
+      such a floor. The default, -1, builds every pair.
     - Each reached pair is kept once: a later word that reaches it has the
       same future and comes later in length-lexicographic order, so first
       witnesses survive. So a candidate of the tuple search whose effects
-      equal an earlier one's reaches that one's pair and adds no word."""
+      equal an earlier one's reaches that one's pair and adds no word. A
+      pair that was not built is not kept either. A later word that
+      reaches it is built where its sides before cancelling outweigh the
+      floor, and visited; its cancelled sides, those of the unbuilt pair,
+      weigh at most the floor of the length that skipped it."""
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     start = start[0].cancel(start[1])
@@ -240,6 +262,7 @@ def explore(
         kept = [node for node in frontier if visit(*node)]
         if length == max_len or not kept:
             return
+        fn, fd = floor()
         frontier = []
         for word, da, db in kept:
             support = [*da.support(), *db.support()]  # disjoint: both are cancelled
@@ -256,6 +279,10 @@ def explore(
                 if not child:  # a applies to no state
                     continue
                 successor = lambda s: child.get(s, EMPTY)
+                na, ka = da.bind_weight_parts(successor)
+                nb, kb = db.bind_weight_parts(successor)
+                if na * fd <= fn * ka and nb * fd <= fn * kb:
+                    continue  # both sides at most the floor
                 ca, cb = da.bind(successor).cancel(db.bind(successor))
                 if (ca, cb) not in seen:
                     seen.add((ca, cb))
@@ -284,6 +311,17 @@ def widest_gap(
       that cannot beat the best gap, and first witnesses survive, as they
       do when explore skips a reached pair.
 
+    The best gap is also explore's floor, so a successor pair whose sides
+    both weigh at most the best gap before cancelling is never built. That
+    drops nothing either. The best gap only grows, and it moves only on a
+    strict increase. The unbuilt pair's cancelled sides weigh no more than
+    its sides before cancelling, so its gap would not have beaten the best
+    gap, nor would it have been extended. A later word that reaches the
+    same cancelled pair has those same cancelled weights, at most the best
+    gap by then, so it neither moves the best gap nor is extended, and the
+    value and the first witness are those of the walk that builds every
+    pair (gen.fraction_widest_gap over the default floor, in the tests).
+
     The visitor reads each side's weight as integers (Dist.weight_parts),
     brings the two over one denominator and keeps the best gap as a
     numerator over a positive denominator, so it compares by
@@ -302,7 +340,7 @@ def widest_gap(
             bn, bd, witness = gap, den, word
         return max(na, nb) * bd > bn * den
 
-    explore(start, actions, effect, step, max_len, visit)
+    explore(start, actions, effect, step, max_len, visit, lambda: (bn, bd))
     return Fraction(bn, bd), witness
 
 
@@ -318,10 +356,13 @@ def trace_distance_lb(
     A node is offered one candidate per effect class (_kind_table) of the
     kinds its support holds, in alphabet order: a later label of a class
     moves the node's states as its first label does, so it adds no word.
-    The witness names each class by its first label."""
+    The witness names each class by its first label. A pair state's
+    halves are evaluated once per search, for all its tensor effects, and
+    each effect moves them by _move, as _trace_step does."""
     _require_program(m)
     _require_program(n)
     actions = alphabet(universe, tensor_templates)
+    halves: dict = {}  # pair state -> _halves, once the search first moves it
     tables: dict[type, tuple] = {}  # value kind -> _kind_table, once a value of it is held
 
     def offer(support: list) -> list:
@@ -333,8 +374,16 @@ def trace_distance_lb(
                 out += tables[kind][1]
         return out
 
+    def step(t: Term, e) -> Dist[Term]:
+        if type(e) is TensorAction:
+            h = halves.get(t)
+            if h is None:
+                h = halves[t] = _halves(t)
+            t = h
+        return _move(t, e).bind(_eval)
+
     effect = lambda s, e: e if _fits(s, e) else None
-    gap, word = widest_gap((_eval(m), _eval(n)), offer, effect, _trace_step, max_len)
+    gap, word = widest_gap((_eval(m), _eval(n)), offer, effect, step, max_len)
     first = {e: a for _, effects, firsts, _ in tables.values() for e, a in zip(effects, firsts)}
     return gap, tuple(first[e] for e in word)
 

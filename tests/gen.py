@@ -36,12 +36,14 @@ from metricwb.terms import (
     substitute,
 )
 from metricwb.semantics import _eval, eval_big
-from metricwb.trace import AppAction, TensorAction, _fits, _move, alphabet, explore
+from metricwb.trace import AppAction, TensorAction, _fits, _halves, _move, alphabet, explore
 from metricwb.tuples import (
     Appl,
     Cut,
     _arguments,
     _effect,
+    _operands,
+    _outcome,
     _successor,
     build_mn_nn,
     enumerate_actions,
@@ -688,7 +690,7 @@ def sided_walk(k_state: tuple, h_state: tuple, templates, max_len: int, visit) -
 
     def step(s, e) -> Dist:
         side, k = s
-        return _successor(k, e).map_elems(lambda k2: (side, k2))
+        return _successor(k, e, _outcome(*_operands(k, e))).map_elems(lambda k2: (side, k2))
 
     explore(
         (dirac(("K", k_state)), dirac(("H", h_state))),
@@ -789,15 +791,18 @@ def _reference_or_zero(k: tuple, a) -> Dist:
 
 
 def reference_tuple_search(m: Term, n: Term, templates, max_len: int) -> tuple:
-    """tuples.tuple_distance_lb re-derived without trace.explore: a plain
-    breadth-first search over reference_actions. Every word up to max_len
-    is built with reference_tuple_step and scored in order; no step is
-    remembered, and no word is skipped for reaching an earlier pair, not
-    even that of an action acting like an earlier one. A word whose mass on both
-    sides is at most the best gap is not extended, since no extension can
-    beat it."""
+    """tuples.tuple_distance_lb re-derived without trace.explore,
+    tuples._effect or the search's outcome table: a plain breadth-first
+    search over reference_actions, scored in Fraction arithmetic. Each
+    word's pair of distributions is built from its parent's with
+    reference_tuple_step, mass included, never cancelled. A word that
+    reaches a pair an earlier word reached is skipped, since it has the
+    same future and comes later; actions acting alike are still tried one
+    by one. A word whose mass on both sides is at most the best gap is not
+    extended, since no extension can beat it."""
     best, witness = ZERO, ()
-    frontier = [((), *(eval_big(t).map_elems(lambda v: (v,)) for t in (m, n)))]
+    start = tuple(eval_big(t).map_elems(lambda v: (v,)) for t in (m, n))
+    frontier, reached = [((), *start)], {start}
     for length in range(max_len + 1):
         extend = []
         for word, da, db in frontier:
@@ -808,11 +813,13 @@ def reference_tuple_search(m: Term, n: Term, templates, max_len: int) -> tuple:
                 extend.append((word, da, db))
         if length == max_len:
             break
-        frontier = [
-            (word + (a,), *(d.bind(lambda s: _reference_or_zero(s, a)) for d in (da, db)))
-            for word, da, db in extend
-            for a in reference_actions(set(da.support()) | set(db.support()), templates)
-        ]
+        frontier = []
+        for word, da, db in extend:
+            for a in reference_actions({*da.support(), *db.support()}, templates):
+                pair = tuple(d.bind(lambda s: _reference_or_zero(s, a)) for d in (da, db))
+                if pair not in reached:
+                    reached.add(pair)
+                    frontier.append((word + (a,), *pair))
     return best, witness
 
 
@@ -885,7 +892,9 @@ def interrogate(t: Term, actions) -> list:
     Dist of programs), ...]. Each action moves t by its own template, not
     by its effect, so this is the reference that bisim.build_lmc's shared
     moves are tested against (reference_lmc)."""
-    return [(a, _move(t, a)) for a in actions if _fits(t, a)]
+    return [
+        (a, _move(t if type(a) is AppAction else _halves(t), a)) for a in actions if _fits(t, a)
+    ]
 
 
 def reference_lmc(m: Term, n: Term, universe, max_depth: int, tensor_templates=()) -> LmcFragment:

@@ -150,6 +150,9 @@ class TestAgainstReference:
         new = Dist(raw).bind(lambda e: Dist(kernel.get(e, ())))
         ref = gen.ReferenceDist(raw).bind(lambda e: gen.ReferenceDist(kernel.get(e, ())))
         assert_same(new, ref)
+        # the weight of the bind, read without building it
+        total, den = Dist(raw).bind_weight_parts(lambda e: Dist(kernel.get(e, ())))
+        assert den > 0 and Fraction(total, den) == ref.weight()
 
     @given(entries, st.dictionaries(elem, elem))
     def test_map_elems(self, raw, f):

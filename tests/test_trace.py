@@ -933,6 +933,120 @@ class TestIntegerVisitor:
             assert fast == ref, (pretty(m), pretty(n), max_len)
 
 
+# Toy walk for the successor floor, over denominators 3, 5 and 7. The root
+# has gap 0, so length 1 is built over floor 0 and drops only "c", which
+# empties both sides. ("a",) opens 3/5, the floor of length 2. There:
+# - ("a", "a") weighs 3/5 and 2/5 before cancelling, both at most 3/5,
+#   one of them equal to it, so it is not built;
+# - ("a", "b") weighs 6/7 and 2/35: one side is above the floor, so it is
+#   built, and its gap 4/5 is the answer;
+# - ("b", "c") weighs 61/105 on side one, over 1/3 · 3/5 + 2/3 · 4/7, the
+#   weights of two states with denominators 5 and 7, and 1 on side two, so
+#   it is built; after state 6 cancels it weighs 0 and 44/105, both at
+#   most 3/5, but it is visited all the same;
+# - every other successor is empty.
+TOY_FLOOR = {
+    (0, "a"): dirac(1),
+    (10, "a"): Dist({11: Fraction(2, 5)}),
+    (0, "b"): Dist({2: Fraction(1, 3), 5: Fraction(2, 3)}),
+    (10, "b"): dirac(12),
+    (1, "a"): Dist({3: Fraction(3, 5)}),
+    (11, "a"): dirac(13),
+    (1, "b"): Dist({4: Fraction(6, 7)}),
+    (11, "b"): Dist({14: Fraction(1, 7)}),
+    (2, "c"): Dist({6: Fraction(3, 5)}),
+    (5, "c"): Dist({6: Fraction(4, 7)}),
+    (12, "c"): Dist({6: Fraction(2, 3), 7: Fraction(1, 3)}),
+}
+
+
+def toy_floor_step(s, a):
+    return TOY_FLOOR.get((s, a), Dist())
+
+
+class TestSuccessorFloor:
+    START = (dirac(0), dirac(10))
+
+    def test_only_pairs_at_most_the_best_gap_on_both_sides_are_skipped(self, monkeypatch):
+        visited = []
+        real = trace.explore
+
+        def recording(start, actions, effect, step, max_len, visit, floor):
+            def seen(word, da, db):
+                visited.append((word, da.weight(), db.weight()))
+                return visit(word, da, db)
+
+            return real(start, actions, effect, step, max_len, seen, floor)
+
+        monkeypatch.setattr(trace, "explore", recording)
+        got = widest_gap(self.START, lambda _: "abc", move, toy_floor_step, 2)
+        assert got == (Fraction(4, 5), ("a", "b"))
+        assert got == first_maximiser(self.START, "abc", toy_floor_step, 2)
+        assert got == gen.fraction_widest_gap(self.START, lambda _: "abc", move, toy_floor_step, 2)
+        assert visited == [
+            ((), 1, 1),
+            (("a",), 1, Fraction(2, 5)),
+            (("b",), 1, 1),
+            (("a", "b"), Fraction(6, 7), Fraction(2, 35)),
+            (("b", "c"), 0, Fraction(44, 105)),
+        ]
+
+    def test_the_pruned_searches_agree_with_the_walk_that_builds_every_pair(self, monkeypatch):
+        # gen.fraction_widest_gap walks the same explore without a floor,
+        # so it builds every successor pair; the floor skips some of them.
+        built = [0, 0]
+        real_cancel = Dist.cancel
+
+        def counting(a, b):
+            built[which] += 1
+            return real_cancel(a, b)
+
+        monkeypatch.setattr(Dist, "cancel", counting)
+        rng = random.Random(20261021)
+        universes = ((I,), (I, parse("\\a. \\b. a")))
+        tuple_templates = default_templates()
+        for i in range(300):
+            m = gen.random_program(rng, max_size=12, fuel=3)
+            n = gen.random_program(rng, max_size=12, fuel=3)
+            universe = universes[i % 2]
+            tensor = tuple(rng.sample(default_tensor_templates(universe), i % 9))
+            max_len = i % 6
+            for search in (
+                lambda: trace_distance_lb(m, n, universe, max_len, tensor),
+                lambda: tuple_distance_lb(m, n, tuple_templates, max_len),
+            ):
+                which = 0
+                pruned = search()
+                with monkeypatch.context() as patch:
+                    patch.setattr(trace, "widest_gap", gen.fraction_widest_gap)
+                    patch.setattr(tuples, "widest_gap", gen.fraction_widest_gap)
+                    which = 1
+                    assert pruned == search(), (pretty(m), pretty(n), universe, tensor, max_len)
+        assert built[0] < built[1]
+
+    def test_the_shared_halves_step_equals_the_trace_step(self, monkeypatch, search_step):
+        # One trace search keeps each pair state's halves for the rest of
+        # the walk and moves them by every tensor effect.
+        rng = random.Random(20261022)
+        tensor = default_tensor_templates((I, parse("\\a. \\b. a")))
+        step = search_step(lambda: trace_distance_lb(I, I, (I,), 1, tensor))
+        halves = []
+        real = trace.eval_pair
+        monkeypatch.setattr(trace, "eval_pair", lambda p, f: halves.append(p) or real(p, f))
+        pairs = [random_pair(rng, i) for i in range(12)]
+        for p in pairs:
+            for t in tensor:
+                a = TensorAction(t)
+                assert list(step(p, a).items()) == list(_trace_step(p, a).items()), (p, t)
+            for _ in range(3):  # the search steps an abstraction by app actions alone
+                f, v = (gen.random_value(rng, max_size=8, prefix=x) for x in "fv")
+                if type(f) is Abs:
+                    a = AppAction(v)
+                    assert list(step(f, a).items()) == list(_trace_step(f, a).items()), (f, v)
+        # _trace_step evaluates the halves for every template, the step once
+        assert len(halves) == len(pairs) * (len(tensor) + 1)
+
+
 class TestLtsView:
     def test_agrees_with_the_program_view(self):
         rng = random.Random(20260332)

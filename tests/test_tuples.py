@@ -32,6 +32,8 @@ from metricwb.tuples import (
     Appl,
     Cut,
     _effect,
+    _operands,
+    _outcome,
     _successor,
     default_templates,
     format_tuple_trace,
@@ -399,7 +401,8 @@ class TestDistinctEffects:
                     want, effect = gen.reference_tuple_step(k, a), _effect(k, a)
                     assert (effect is None) == (want is None), (k, a)
                     if effect is not None:
-                        assert _successor(k, effect) == want, (k, a)
+                        got = _successor(k, effect, _outcome(*_operands(k, effect)))
+                        assert got == want, (k, a)
                         by_effect.setdefault(effect, []).append(a)
                 for effect, group in by_effect.items():
                     if len(group) > 1:
@@ -439,7 +442,9 @@ class TestDistinctEffects:
         rng = random.Random(20261019)
         templates = default_templates()
         real, calls = tuples._successor, collections.Counter()
-        monkeypatch.setattr(tuples, "_successor", lambda k, e: calls.update([(k, e)]) or real(k, e))
+        monkeypatch.setattr(
+            tuples, "_successor", lambda k, e, out: calls.update([(k, e)]) or real(k, e, out)
+        )
         for i in range(200):
             m = gen.random_program(rng, max_size=12, fuel=3)
             n = gen.random_program(rng, max_size=12, fuel=3)
@@ -455,8 +460,6 @@ class TestDistinctEffects:
         # before it. D = \a. \b. b discards its argument, so \y. D y and
         # \y. D $j normalise to D, but only the first is in D's class; the
         # last set puts \y. K y $j, whose normal form is I, before I.
-        # The reference builds every word, so max-len 5 runs on smaller
-        # programs.
         rng = random.Random(20260403)
         template_sets = (
             *(default_templates(u) for u in ((I,), (K,), (I, K), (DISCARD,))),
@@ -466,9 +469,8 @@ class TestDistinctEffects:
         separated = 0
         for i in range(300):
             max_len = 1 + i // 6 % 5
-            size = 12 if max_len < 5 else 8
-            m = gen.random_program(rng, max_size=size, fuel=3)
-            n = gen.random_program(rng, max_size=size, fuel=3)
+            m = gen.random_program(rng, max_size=12, fuel=3)
+            n = gen.random_program(rng, max_size=12, fuel=3)
             templates = template_sets[i % 6]
             got = tuple_distance_lb(m, n, templates, max_len)
             want = gen.reference_tuple_search(m, n, templates, max_len)
@@ -476,39 +478,24 @@ class TestDistinctEffects:
             separated += got[0] > 0
         assert separated >= 200
 
-    def test_paper_families_match_the_reference_enumeration(self, monkeypatch):
+    def test_paper_families_match_the_reference_enumeration(self):
         # The tower's components are abstractions ignoring their variable,
         # where the search lists one argument per consumed set. The
-        # reference builds every word, which takes seconds on the worked
-        # pair at max-len 4 and minutes at 5; past the lengths it reaches,
-        # the search is held to the same search offering every template.
+        # reference merges only the pairs it reaches again, with their
+        # mass, and tries every template, so it reaches the lengths where
+        # the families separate: the tower at max-len 2n and 2n + 1 and
+        # the worked pair from 3 to 6, each in well under a second.
         templates = default_templates()
-        for (m, n), max_len in (
-            (build_mn_nn(1), 2),
-            (build_mn_nn(1), 3),
-            (build_mn_nn(2), 4),
-            (build_expair(), 3),
-        ):
-            got = tuple_distance_lb(m, n, templates, max_len)
-            assert got == gen.reference_tuple_search(m, n, templates, max_len)
-            assert got[0] > 0
-        for max_len in range(3, 7):
-            got = tuple_distance_lb(NOISY, CLEAN, templates, max_len)
-            assert got == searched_with_every_template(monkeypatch, NOISY, CLEAN, templates, max_len)
-            assert got == (F(3, 4), WITNESS)
         for level in range(1, 5):
             m, n = build_mn_nn(level)
             for max_len in (2 * level, 2 * level + 1):
                 got = tuple_distance_lb(m, n, templates, max_len)
-                assert got == searched_with_every_template(monkeypatch, m, n, templates, max_len)
+                assert got == gen.reference_tuple_search(m, n, templates, max_len)
                 assert got == (1 - u_seq(level), build_sn(level)), (level, max_len)
-
-
-def searched_with_every_template(monkeypatch, m, n, templates, max_len):
-    """tuple_distance_lb offering every template, not one per class."""
-    with monkeypatch.context() as patch:
-        patch.setattr(tuples, "_class_firsts", tuple)
-        return tuple_distance_lb(m, n, templates, max_len)
+        for max_len in range(3, 7):
+            got = tuple_distance_lb(NOISY, CLEAN, templates, max_len)
+            assert got == gen.reference_tuple_search(NOISY, CLEAN, templates, max_len)
+            assert got == (F(3, 4), WITNESS)
 
 
 class TestTemplateClasses:
@@ -810,7 +797,7 @@ class TestCancellation:
         counts = []
         real = trace.explore
 
-        def counting(start, actions, effect, step, max_len, visit):
+        def counting(start, actions, effect, step, max_len, visit, floor):
             def counted(*node):
                 keep = visit(*node)
                 counts[-1][0] += 1
@@ -818,7 +805,7 @@ class TestCancellation:
                 return keep
 
             counts.append([0, 0])
-            return real(start, actions, effect, step, max_len, counted)
+            return real(start, actions, effect, step, max_len, counted, floor)
 
         monkeypatch.setattr(trace, "explore", counting)
         searched_both_ways(monkeypatch, lambda: tuple_distance_lb(NOISY, CLEAN, None, 5))
@@ -832,12 +819,12 @@ class TestCancellation:
         supports = []
         real = trace.explore
 
-        def recording(start, actions, effect, step, max_len, visit):
+        def recording(start, actions, effect, step, max_len, visit, floor):
             def listed(support):
                 supports.append(support)
                 return actions(support)
 
-            return real(start, listed, effect, step, max_len, visit)
+            return real(start, listed, effect, step, max_len, visit, floor)
 
         monkeypatch.setattr(trace, "explore", recording)
         templates, tensor, universe = default_templates(), default_tensor_templates(), (I,)
@@ -880,6 +867,77 @@ class TestCancellation:
             by_trace = trace_distance_lb(m, n, arguments, 3, tensor)[0]
             by_tuple = tuple_distance_lb(m, n, templates, 3)[0]
             assert by_trace == by_tuple, (pretty(m), pretty(n))
+
+
+class TestSharedWork:
+    def test_the_shared_outcome_step_equals_step_or_zero(self, monkeypatch, search_step):
+        # One search's step computes each outcome once for the rest of the
+        # walk. The states of a round hold the same components, reversed
+        # or as alpha-variants, so most steps find their outcome computed.
+        rng = random.Random(20261023)
+        templates = default_templates((I, K))
+        step = search_step(lambda: tuple_distance_lb(I, I, templates, 0))
+        outcomes = []
+        real = tuples._outcome
+        monkeypatch.setattr(
+            tuples, "_outcome", lambda comp, arg: outcomes.append(comp) or real(comp, arg)
+        )
+        steps = 0
+        for _ in range(40):
+            k = random_tuple_state(rng, rng.randint(1, 3))
+            states = [k, k[::-1], tuple(gen.alpha_variant(rng, c) for c in k)]
+            for state in states:
+                for a in gen.reference_actions(states, templates):
+                    e = _effect(state, a)
+                    if e is not None:
+                        got, want = step(state, e), step_or_zero(state, a)
+                        assert list(got.items()) == list(want.items()), (state, a)
+                        steps += 1
+        # step_or_zero computes an outcome for every step, the search step
+        # only for those it has not seen
+        shared = steps - (len(outcomes) - steps)
+        assert shared > steps // 2, (shared, steps)
+
+    def test_the_tower_search_skips_pairs_and_shares_outcomes(self, monkeypatch):
+        # Tower n = 1..5 at max-len 2n, per query: successor pairs built
+        # (each is cancelled once; the root is not counted), words visited,
+        # steps, and outcomes computed. Building every pair came to
+        # [5, 22, 74, 222, 622] pairs and [6, 21, 61, 161, 401] visits, and
+        # computing every step's outcome afresh to one outcome per step.
+        counts = collections.Counter()
+        real_cancel, real_explore = Dist.cancel, trace.explore
+        real_outcome, real_successor = tuples._outcome, tuples._successor
+
+        def counting(start, actions, effect, step, max_len, visit, floor):
+            counts["built"] -= 1  # the root's cancel
+
+            def counted(*node):
+                counts["visits"] += 1
+                return visit(*node)
+
+            return real_explore(start, actions, effect, step, max_len, counted, floor)
+
+        monkeypatch.setattr(Dist, "cancel", lambda a, b: counts.update(["built"]) or real_cancel(a, b))
+        monkeypatch.setattr(trace, "explore", counting)
+        monkeypatch.setattr(
+            tuples, "_outcome", lambda *key: counts.update(["outcomes"]) or real_outcome(*key)
+        )
+        monkeypatch.setattr(
+            tuples, "_successor", lambda *step: counts.update(["steps"]) or real_successor(*step)
+        )
+        got = []
+        for level in range(1, 6):
+            counts.clear()
+            m, n = build_mn_nn(level)
+            assert tuple_distance_lb(m, n, default_templates(), 2 * level)[0] == 1 - u_seq(level)
+            got.append([counts[key] for key in ("built", "visits", "steps", "outcomes")])
+        assert got == [
+            [5, 6, 10, 6],
+            [17, 16, 44, 11],
+            [33, 28, 136, 16],
+            [81, 60, 362, 21],
+            [161, 108, 897, 26],
+        ]
 
 
 class TestFormatting:
