@@ -1,5 +1,14 @@
 """Command-line interface.
 
+The first word names the command; _COMMANDS declares each command's
+positionals and flags. After the command, a word that starts with "-" is
+a flag, matched by its exact name and written --flag VALUE or
+--flag=VALUE; a flag's value is the next word, whatever it starts with,
+and a switch takes none. Flags may come before, between or after the
+positionals, each at most once. -h or --help anywhere prints help, built
+from the same table, to stdout and exits 0. Any misuse of the command
+line is one "error: ..." line naming the word at fault, exit code 1.
+
 Output is JSON on stdout, deterministic byte-for-byte for a fixed input:
 keys are sorted and every probability is printed as num/den. Diagnostics
 and logging go to stderr; set METRIC_WB_LOG=debug|info|warning|error|critical
@@ -10,13 +19,12 @@ limit), 2 internal error.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import logging
 import os
 import sys
 import traceback
+from types import SimpleNamespace
 
 from .bisim import bisim_distance
 from .dist import frac_str
@@ -202,47 +210,137 @@ def _natural(text: str) -> int:
     except ValueError:
         n = -1
     if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+        raise ValueError(f"expected a nonnegative integer, got {text!r}")
     return n
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process. Commands are looked up by name at dispatch
-    # time, so rebinding a _cmd_* function takes effect.
-    p = argparse.ArgumentParser(
-        prog="metricwb",
-        description="Exact distances between affine probabilistic lambda-terms.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of a flag that must be given
 
-    c = sub.add_parser("check", help="parse a term and check affinity")
-    c.add_argument("term")
-    c.add_argument("--ctx", default="", help="comma-separated free variables")
-    c.add_argument("--typed", action="store_true", help="also infer a simple type")
+# Every command the command line takes: name -> (help, positionals in
+# order, flags), and each flag: name -> (the attribute it sets, its reader,
+# its default, its help). A reader is str, which keeps the text, _natural,
+# a tuple of choices, or None for a switch, which takes no value and is
+# True when given. Commands are dispatched to the module global
+# _cmd_<name> at call time, so rebinding one takes effect.
+_COMMANDS = {
+    "check": (
+        "parse a term and check affinity",
+        ("term",),
+        {
+            "--ctx": ("ctx", str, "", "comma-separated free variables"),
+            "--typed": ("typed", None, False, "also infer a simple type"),
+        },
+    ),
+    "eval": ("value distribution of a closed program", ("term",), {}),
+    "trace-prob": (
+        "probability of passing a trace: eps, app(V); ... or cut(i); appl(i; g; C); ...",
+        ("term", "trace"),
+        {},
+    ),
+    "distance": (
+        "distance between two programs",
+        ("term_a", "term_b"),
+        {
+            "--kind": ("kind", ("trace", "bisim", "tuple"), _REQUIRED, "which distance"),
+            "--universe": ("universe", str, "I", "comma-separated closed values"),
+            # no defaults here: _cmd_distance rejects the bounds its kind ignores
+            "--max-len": ("max_len", _natural, None, "trace, tuple (default 4)"),
+            "--depth": ("depth", _natural, None, "bisim (default 6)"),
+            "--state-cap": ("state_cap", _natural, None, "bisim (default 10000)"),
+        },
+    ),
+    "examples": (
+        "reproduce the worked example families",
+        (),
+        {
+            "--which": ("which", ("expair", "mn-nn", "all"), "all", "which families"),
+            "--n": ("n", _natural, None, "largest tower level, mn-nn and all (default 4)"),
+        },
+    ),
+}
+_NAMES = ", ".join(_COMMANDS)
 
-    e = sub.add_parser("eval", help="value distribution of a closed program")
-    e.add_argument("term")
 
-    t = sub.add_parser("trace-prob", help="probability of passing a trace")
-    t.add_argument("term")
-    t.add_argument("trace", help="eps, app(V); ... or cut(i); appl(i; g; C); ...")
+def _read_argv(argv: list[str]) -> SimpleNamespace:
+    """The command, positionals and flags of argv, read against _COMMANDS;
+    any misuse raises ValueError naming the word at fault."""
+    if not argv:
+        raise ValueError(f"missing command; expected one of {_NAMES}")
+    name = argv[0]
+    if name not in _COMMANDS:
+        raise ValueError(f"unknown command {name!r}; expected one of {_NAMES}")
+    _, expected, flags = _COMMANDS[name]
+    values = {}
+    positionals = []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        flag, eq, text = word.partition("=")
+        if flag not in flags:
+            raise ValueError(f"{name}: unknown flag {flag}")
+        dest, read, _, _ = flags[flag]
+        if dest in values:
+            raise ValueError(f"{flag}: given twice")
+        if read is None:
+            if eq:
+                raise ValueError(f"{flag}: a switch takes no value, got {word!r}")
+            values[dest] = True
+            continue
+        if not eq:
+            text = next(words, None)
+            if text is None:
+                raise ValueError(f"{flag}: missing its value")
+        if type(read) is tuple:
+            if text not in read:
+                raise ValueError(f"{flag}: expected one of {', '.join(read)}, got {text!r}")
+            values[dest] = text
+            continue
+        try:
+            values[dest] = read(text)
+        except ValueError as e:
+            raise ValueError(f"{flag}: {e}") from None
+    if len(positionals) < len(expected):
+        raise ValueError(f"{name}: missing {expected[len(positionals)]}")
+    if len(positionals) > len(expected):
+        raise ValueError(f"{name}: unexpected word {positionals[len(expected)]!r}")
+    for flag, (dest, _, default, _) in flags.items():
+        if dest not in values:
+            if default is _REQUIRED:
+                raise ValueError(f"{name}: missing {flag}")
+            values[dest] = default
+    return SimpleNamespace(command=name, **dict(zip(expected, positionals)), **values)
 
-    d = sub.add_parser("distance", help="distance between two programs")
-    d.add_argument("--kind", required=True, choices=("trace", "bisim", "tuple"))
-    d.add_argument("term_a")
-    d.add_argument("term_b")
-    d.add_argument("--universe", default="I", help="comma-separated closed values")
-    # no defaults here: _cmd_distance rejects the bounds its kind ignores
-    d.add_argument("--max-len", type=_natural, dest="max_len", help="trace, tuple (default 4)")
-    d.add_argument("--depth", type=_natural, help="bisim (default 6)")
-    d.add_argument("--state-cap", type=_natural, dest="state_cap", help="bisim (default 10000)")
 
-    x = sub.add_parser("examples", help="reproduce the worked example families")
-    x.add_argument("--which", default="all", choices=("expair", "mn-nn", "all"))
-    x.add_argument("--n", type=_natural, help="largest tower level, mn-nn and all (default 4)")
-
-    return p
+def _help(name: str) -> str:
+    """Help for the command name, or the list of commands if there is none
+    of that name."""
+    if name not in _COMMANDS:
+        usage = "metricwb COMMAND ...  (flags: metricwb COMMAND --help)"
+        about = (
+            "Exact distances between affine probabilistic lambda-terms. Flags go anywhere\n"
+            "after the command, by exact name, as --flag VALUE or --flag=VALUE, at most once."
+        )
+        title, rows = "commands", {n: c[0] for n, c in _COMMANDS.items()}
+    else:
+        about, positionals, flags = _COMMANDS[name]
+        usage = " ".join(("metricwb", name, *positionals, "[flags]"))
+        title, rows = "flags", {}
+        for flag, (_, read, default, text) in flags.items():
+            if type(read) is tuple:
+                flag += f" {{{','.join(read)}}}"
+            elif read is not None:
+                flag += " N" if read is _natural else " TEXT"
+            if default is _REQUIRED:
+                text += " (required)"
+            elif default not in (None, False, ""):
+                text += f" (default {default})"
+            rows[flag] = text
+        rows["-h, --help"] = "show this help"
+    width = max(map(len, rows))
+    body = "".join(f"\n  {left:<{width}}  {text}" for left, text in rows.items())
+    return f"usage: {usage}\n\n{about}\n\n{title}:{body}\n"
 
 
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
@@ -259,13 +357,14 @@ def _configure_logging() -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help(argv[0]))
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 1
-    clear_memo()  # memo hits carry the binder names of earlier evaluations
-    try:
+        args = _read_argv(argv)
+        clear_memo()  # memo hits carry the binder names of earlier evaluations
         _configure_logging()
         out = globals()["_cmd_" + args.command.replace("-", "_")](args)
         code = 0

@@ -622,9 +622,61 @@ class TestRobustness:
         assert code == 1
 
     def test_help_exits_cleanly(self, capsys):
-        code, out, _ = run(capsys, "--help")
-        assert code == 0
-        assert "distance" in out
+        for argv in (("--help",), ("-h",)):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert all(name in out for name in cli._COMMANDS)
+        for name, (_, _, flags) in cli._COMMANDS.items():
+            code, out, err = run(capsys, name, "--help")
+            assert (code, err) == (0, ""), name
+            assert out.startswith(f"usage: metricwb {name}")
+            assert all(flag in out for flag in flags), name
+
+    @pytest.mark.parametrize(
+        "argv, word",
+        [
+            ((), "command"),
+            (("nope", "I"), "'nope'"),
+            (("eval", "I", "--typed"), "--typed"),
+            (("distance", "--kind", "trace", "I", "omega", "--frob", "1"), "--frob"),
+            (("distance", "--kind", "trace", "I", "omega", "--max-len"), "--max-len"),
+            (("check", "I", "--typed=yes"), "--typed=yes"),
+            (("distance", "--kind", "trace", "I"), "term_b"),
+            (("eval", "I", "omega"), "'omega'"),
+            (("distance", "I", "omega"), "--kind"),
+            (("distance", "--kind", "nope", "I", "omega"), "'nope'"),
+            # repeats and abbreviations are refused, not silently resolved
+            (("distance", "--kind", "trace", "I", "omega", "--max-len", "2", "--max-len", "3"),
+             "--max-len"),
+            (("distance", "--kind", "trace", "I", "omega", "--max", "2"), "--max"),
+        ],
+        ids=[
+            "no-command", "unknown-command", "flag-of-another-command", "unknown-flag",
+            "missing-value", "switch-with-value", "missing-positional", "extra-positional",
+            "missing-kind", "kind-outside-choices", "repeated-flag", "abbreviated-flag",
+        ],
+    )
+    def test_a_misused_command_line_is_one_error_line(self, capsys, argv, word):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert word in err
+
+    def test_a_flag_value_may_follow_an_equals_sign(self, capsys):
+        argv = ("distance", "--kind", "trace", "I", "(\\x. x) (+) omega")
+        spaced = run(capsys, *argv, "--max-len", "3")
+        assert spaced[0] == 0
+        assert run(capsys, *argv, "--max-len=3") == spaced
+
+    def test_flags_may_come_before_the_positionals(self, capsys):
+        after = run(capsys, "distance", "--kind", "trace", "I", "omega", "--max-len", "2")
+        assert after[0] == 0
+        assert run(capsys, "distance", "--kind", "trace", "--max-len", "2", "I", "omega") == after
+
+    def test_commands_are_looked_up_when_dispatched(self, capsys, monkeypatch):
+        # perfbench/workloads.py wraps the _cmd_* functions this way
+        monkeypatch.setattr(cli, "_cmd_eval", lambda args: {"term": args.term})
+        assert run(capsys, "eval", "I") == (0, '{\n  "term": "I"\n}\n', "")
 
     @pytest.mark.parametrize(
         "argv, offset",
