@@ -39,8 +39,10 @@ finds its pairs at distance 0, and policy iteration over optimal
 couplings on the rest, with one exact linear solve per set of couplings
 (after Tang and van Breugel, CONCUR 2016). Liftings where one support has
 at most one point have a closed form; larger supports go through
-kantorovich.lift_primal's exact simplex. apply_F and bisim_metric keep
-the all-pairs Kleene iteration from zero as the oracle.
+kantorovich.lift_primal. Liftings and linear solves are both packing
+programs for kantorovich.solve_lp_exact, the package's one exact simplex.
+apply_F and bisim_metric keep the all-pairs Kleene iteration from zero as
+the oracle.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ from operator import itemgetter
 from typing import Sequence
 
 from .dist import Dist
-from .errors import BudgetExceeded, NonConvergence
-from .kantorovich import PseudoMetric, lift_primal
+from .errors import BudgetExceeded, NonConvergence, Unbounded
+# bound here once: tracing kantorovich.solve_lp_exact counts lifting LPs only
+from .kantorovich import PseudoMetric, lift_primal, solve_lp_exact
 from .semantics import _eval, _require_program, eval_pair
 from .terms import Pair, Term
 from .trace import _kind_table, _move, _plug, alphabet
@@ -359,42 +362,39 @@ def _least_solution(
     mu: PseudoMetric, keys: list[Key], choice: dict[Key, Succ], plans: dict[Key, dict]
 ) -> None:
     """Values on keys of fixed labels and plans, into mu: the solution of
-    x_k = c_k + Σ_j h_kj·x_j, where plan k ships h_kj to pair j of keys and
-    c_k is the rest of its cost (unmatched mass, and mass shipped to pairs
-    outside keys, read from mu), by exact Gauss-Jordan elimination.
+    x = c + H·x, where plan k ships h_kj to pair j of keys and c_k is the
+    rest of its cost (unmatched mass, and mass shipped to pairs outside
+    keys, read from mu), as the optimum of the packing program: maximise
+    Σ x_k subject to (I - H)·x ≤ c and x ≥ 0.
 
     keys lie outside the zero set of their chosen labels (_refine), so
     from every pair of keys the plans reach a positive c_k: pairs that
     reached none would cost 0 when read as 0, and the zero set would not
     be the largest. A row with c_k > 0 ships less than all its mass within
-    keys, so the plans form a transient Markov chain on keys and the
-    system is regular."""
+    keys, so the plans form a transient Markov chain on keys, and
+    (I - H)⁻¹ = Σ Hⁿ ≥ 0: every feasible x lies below the solution
+    (I - H)⁻¹·c. A plan ships at most the lighter side's mass, so c ≥ 0,
+    the slack basis is feasible, and so is the solution, the one optimum.
+    Were this to fail, the simplex's error would be a fault here, not in
+    the input: it is raised as an internal error."""
     inside = set(keys)
-    eqs: dict[Key, tuple[Fraction, dict[Key, Fraction]]] = {}
+    rows = []
     for key in keys:
         ds, dt = choice[key]
-        c, h = ds.weight() + dt.weight(), {}
+        c, row = ds.weight() + dt.weight(), {key: _ONE}
         for (s, t), x in plans[key].items():
             c -= 2 * x
             j = mu.key(s, t)
             if j in inside:
-                h[j] = h.get(j, _ZERO) + x
+                row[j] = row.get(j, _ZERO) - x
             else:
                 c += x * mu.get(s, t)
-        eqs[key] = (c, h)
-    for k in eqs:
-        c, h = eqs[k]
-        scale = 1 / (1 - h.pop(k, _ZERO))
-        c, h = c * scale, {j: x * scale for j, x in h.items()}
-        eqs[k] = (c, h)
-        for other, (oc, oh) in eqs.items():
-            b = oh.pop(k, None)
-            if b is not None:
-                for j, x in h.items():
-                    oh[j] = oh.get(j, _ZERO) + b * x
-                eqs[other] = (oc + b * c, oh)
-    for key, (c, _) in eqs.items():
-        mu.values[key] = c
+        rows.append((row, c))
+    try:
+        _, x = solve_lp_exact(dict.fromkeys(keys, _ONE), rows)
+    except (Unbounded, ValueError) as e:
+        raise AssertionError(f"cyclic linear system: {e}") from e
+    mu.values.update(x)
 
 
 def _evaluate(mu: PseudoMetric, keys: list[Key], choice: dict[Key, Succ]) -> None:

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from .bisim import bisim_distance
 from .dist import frac_str
 from .errors import MetricWbError
-from .parser import parse, parse_terms, read_name
+from .parser import parse, parse_names, parse_terms
 from .semantics import clear_memo, eval_big
 from .terms import Abs, affine_violation, identity, pretty
 from .trace import format_trace, parse_trace, trace_accept, trace_distance_lb
@@ -56,7 +56,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_check(args) -> tuple[dict, int]:
     t = parse(args.term)
-    ctx = parse_terms(args.ctx, read_name)
+    ctx = parse_names(args.ctx)
     reason = affine_violation(ctx, t)
     payload = {
         "term": pretty(t),
@@ -344,16 +344,24 @@ def _help(name: str) -> str:
 
 
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+_HANDLER = "metricwb.cli"  # the name of the root handler the CLI installs
 
 
 def _configure_logging() -> None:
     """Log to stderr at the level METRIC_WB_LOG names, in any case, warning
-    when it is unset; any other value is bad input, like a bad flag."""
+    when it is unset; any other value is bad input, like a bad flag. Each
+    call applies the level and the current sys.stderr anew, unless the root
+    logger has handlers the CLI did not install: logging is then left to
+    whoever installed them."""
     name = os.environ.get("METRIC_WB_LOG", "warning")
     if name.lower() not in _LOG_LEVELS:
         levels = ", ".join(_LOG_LEVELS)
         raise ValueError(f"METRIC_WB_LOG is {name!r}, not one of the log levels {levels}")
-    logging.basicConfig(stream=sys.stderr, level=name.upper())
+    if any(h.name != _HANDLER for h in logging.getLogger().handlers):
+        return
+    handler = logging.StreamHandler(sys.stderr)
+    handler.name = _HANDLER
+    logging.basicConfig(handlers=[handler], level=name.upper(), force=True)
 
 
 def main(argv=None) -> int:

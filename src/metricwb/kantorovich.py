@@ -1,14 +1,18 @@
-"""Exact transport lifting of a state metric to subdistributions.
+"""Exact transport lifting of a state metric to subdistributions, and the
+package's one exact simplex.
 
-Both routes solve a packing program: maximise c.x subject to A.x <= b and
-x >= 0, with b >= 0. Such a program is feasible at x = 0, so the simplex
-starts from the slack basis, where every constraint's slack is basic, and
-needs no first phase. The primal ships mass between the supports to save
-the unit price of unmatched mass; the dual is built from its own
+solve_lp_exact solves packing programs only: maximise c.x subject to
+A.x <= b and x >= 0, with b >= 0. Such a program is feasible at x = 0, so
+the simplex starts from the slack basis, where every constraint's slack
+is basic, and needs no first phase. It has three callers. Both lifting
+routes are packing programs: the primal ships mass between the supports
+to save the unit price of unmatched mass; the dual is built from its own
 constraints, after shifting its variables to be nonnegative, rather than
 read off the primal solution, so the two routes genuinely cross-check.
-All arithmetic is over Fraction; the simplex uses Bland's rule, so it
-terminates on degenerate instances too.
+The third is bisim._least_solution, which solves a cyclic component's
+linear system x = c + H.x as the packing program max Σ x subject to
+(I - H).x <= c. All arithmetic is over Fraction; the simplex uses
+Bland's rule, so it terminates on degenerate instances too.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ it would capture.
 Lists share the term tokens, plus ";" and natural numbers:
 
     terms  := empty | term ("," term)*               parse_terms
-    names  := empty | ident ("," ident)*             parse_terms, read_name
+    names  := empty | ident ("," ident)*             parse_names, no name twice
     items  := "eps" | item (";" item)*               parse_items
 
 An item reader (the trace and tuple-trace actions) takes the token stream
@@ -120,9 +120,21 @@ def parse_terms(text: str, read_item: Callable[[Tokens], T] | None = None) -> li
     return out
 
 
-def read_name(ts: Tokens) -> str:
-    """Read one bare identifier, a free variable's name."""
-    return ts.expect("ident")
+def parse_names(text: str) -> list[str]:
+    """Parse a comma-separated list of distinct bare identifiers, the free
+    variables of a context; empty text is the empty list. A repeated name
+    is an error at its second entry."""
+    names: list[str] = []
+
+    def read_new_name(ts: Tokens) -> str:
+        i = ts.i
+        name = ts.expect("ident")
+        if name in names:
+            raise ParseError(f"repeated name {name!r}", ts.offset(i))
+        names.append(name)
+        return name
+
+    return parse_terms(text, read_new_name)
 
 
 def parse_items(text: str, read_item: Callable[[Tokens], T]) -> list[T]:

@@ -179,12 +179,6 @@ def _step(t: Term) -> Dist[Term]:
             raise TypeError(f"cannot step: {t!r}")
 
 
-def _lifted_step(d: Dist[Term]) -> Dist[Term]:
-    """One lifted small step: every non-value of d reduces at once, values
-    stay. Unchecked; callers vouch for the programs in d."""
-    return d.bind(lambda e: dirac(e) if is_value(e) else _step(e))
-
-
 def support_measure(d: Dist[Term]) -> int:
     """Sum of 3^size over the support; strictly decreases per lifted step."""
     return sum(3 ** size(e) for e in d.support())
@@ -195,23 +189,34 @@ def step_count_bound(t: Term) -> int:
     return 3 ** size(t)
 
 
+def _rounds(d: Dist[Term]) -> Iterator[Dist[Term]]:
+    """Yield the distribution after each lifted small step from d, every
+    non-value of the support reducing at once and values staying, until
+    only values remain: the one reduction loop. Checks as it goes that the
+    support measure strictly decreases, which bounds the steps by d's
+    measure, step_count_bound(t) for d = dirac(t). Unchecked; callers vouch
+    for the programs in d."""
+    while any(not is_value(e) for e in d.support()):
+        before = support_measure(d)
+        d = d.bind(lambda e: dirac(e) if is_value(e) else _step(e))
+        after = support_measure(d)
+        if after >= before:
+            raise AssertionError(f"measure failed to decrease: {before} -> {after}")
+        yield d
+
+
+def _reduce_small(d: Dist[Term]) -> Dist[Term]:
+    """The value distribution the checked programs of d reduce to."""
+    for d in _rounds(d):
+        pass
+    return d
+
+
 def small_step_rounds(t: Term) -> Iterator[Dist[Term]]:
     """Yield the distribution after each lifted step, reducing every
     non-value support element simultaneously, until only values remain."""
     _require_program(t)
-    d = dirac(t)
-    bound = step_count_bound(t)
-    steps = 0
-    while any(not is_value(e) for e in d.support()):
-        before = support_measure(d)
-        d = _lifted_step(d)
-        steps += 1
-        after = support_measure(d)
-        if after >= before:
-            raise AssertionError(f"measure failed to decrease: {before} -> {after}")
-        if steps > bound:
-            raise AssertionError(f"exceeded step bound {bound}")
-        yield d
+    yield from _rounds(dirac(t))
 
 
 def eval_small(t: Term) -> Dist[Term]:
@@ -219,7 +224,5 @@ def eval_small(t: Term) -> Dist[Term]:
 
     Agrees with eval_big on every closed affine program.
     """
-    d = dirac(t)
-    for d in small_step_rounds(t):
-        pass
-    return d
+    _require_program(t)
+    return _reduce_small(dirac(t))

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .dist import EMPTY, Dist, dirac
 from .errors import NotAffine, NotClosed, ParseError
 from .parser import Tokens, format_items, parse_items, read_term
-from .semantics import _eval, _lifted_step, _require_program, eval_pair
+from .semantics import _eval, _reduce_small, _require_program, eval_pair
 from .terms import (
     Abs,
     App,
@@ -166,13 +166,6 @@ def _trace_step(t: Term, a) -> Dist[Term]:
     return _move(t if type(a) is AppAction else _halves(t), a).bind(_eval)
 
 
-def reduce_to_values(d: Dist[Term]) -> Dist[Term]:
-    """Close a program distribution under internal reduction."""
-    while any(not is_value(e) for e in d.support()):
-        d = _lifted_step(d)
-    return d
-
-
 def lts_trace_accept(d: Dist[Term], s: Sequence) -> Fraction:
     """Trace probability computed on the transition system over program
     distributions: silently reduce, fire the action on every abstraction,
@@ -183,14 +176,14 @@ def lts_trace_accept(d: Dist[Term], s: Sequence) -> Fraction:
     for a in s:
         if not isinstance(a, AppAction):
             raise ValueError("the distribution transition system handles app actions only")
-        d = reduce_to_values(d)
+        d = _reduce_small(d)
         v = a.value
         d = d.bind(
             lambda t: dirac(substitute(t.body, t.var, v))
             if isinstance(t, Abs)
             else EMPTY
         )
-    return reduce_to_values(d).weight()
+    return _reduce_small(d).weight()
 
 
 def dedupe_values(values: Iterable[Term]) -> tuple[Term, ...]:

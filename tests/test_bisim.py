@@ -619,7 +619,52 @@ def _kleene(states, graph, rounds):
     return mu.values, False
 
 
+def _linear_system(mu, keys, choice, plans):
+    """The square system (I - H)x = c that _least_solution solves, read
+    from its arguments: plan k ships h_kj to pair j of keys, and c_k is the
+    rest of its cost, unmatched mass and mass shipped outside keys."""
+    index = {key: i for i, key in enumerate(keys)}
+    a = [[Fraction(i == j) for j in range(len(keys))] for i in range(len(keys))]
+    c = []
+    for i, key in enumerate(keys):
+        ds, dt = choice[key]
+        rest = ds.weight() + dt.weight()
+        for (s, t), x in plans[key].items():
+            rest -= 2 * x
+            j = index.get(mu.key(s, t))
+            if j is None:
+                rest += x * mu.get(s, t)
+            else:
+                a[i][j] -= x
+        c.append(rest)
+    return a, c
+
+
 class TestCycles:
+    @pytest.fixture(autouse=True)
+    def solves(self, monkeypatch):
+        """Checks every linear solve of a cyclic component against the
+        Gauss-Jordan elimination of gen._solve_square on the same system:
+        the values must be equal exactly. Lists the sizes solved, and the
+        errors any solve raised, which a caller must not hide."""
+        least_solution = bisim._least_solution
+        record = {"sizes": [], "raised": []}
+
+        def checked(mu, keys, choice, plans):
+            a, c = _linear_system(mu, keys, choice, plans)
+            want = gen._solve_square(a, c)
+            try:
+                least_solution(mu, keys, choice, plans)
+            except Exception as e:
+                record["raised"].append(e)
+                raise
+            assert want is not None and [mu.values[key] for key in keys] == want
+            record["sizes"].append(len(keys))
+
+        monkeypatch.setattr(bisim, "_least_solution", checked)
+        yield record
+        assert not record["raised"]
+
     # Universe values that return abstractions re-enter the fragment: a
     # value applied to one of them can come back to a state seen before,
     # so pair graphs have cycles and Kleene iteration may never stop.
@@ -636,7 +681,7 @@ class TestCycles:
         )
     )
 
-    def test_agrees_with_the_dense_iteration_on_cyclic_pair_graphs(self):
+    def test_agrees_with_the_dense_iteration_on_cyclic_pair_graphs(self, solves):
         # Where bisim_metric's loop stops, the root values agree. Where it
         # has not stopped after 32 rounds, the answer is at least its last
         # iterate, and the solved pair graph is a fixpoint of apply_F.
@@ -677,8 +722,9 @@ class TestCycles:
                 for key, v in mu.values.items():
                     assert image.values.get(key, 0) == v
         assert unconverged >= 5
+        assert len(solves["sizes"]) >= 40 and max(solves["sizes"]) >= 20
 
-    def test_random_pair_graphs_against_kleene_iteration(self, monkeypatch):
+    def test_random_pair_graphs_against_kleene_iteration(self, monkeypatch, solves):
         # Pair graphs over plain states, where every pair answers to up
         # to three labels with supports of up to three points: cycles mix
         # the choice of label with the choice of coupling. The answer is a
@@ -745,8 +791,9 @@ class TestCycles:
                 else:
                     assert iterate[key] <= v < iterate[key] + Fraction(1, 100)
         assert stopped_early >= 10
+        assert len(solves["sizes"]) >= 50
 
-    def test_a_label_that_only_loops_back_adds_nothing(self):
+    def test_a_label_that_only_loops_back_adds_nothing(self, solves):
         # Pair (0, 1) answers to one label leading back to itself and one
         # worth 1/2. Every value in [1/2, 1] is a fixpoint; the least is 1/2.
         stay = (Dist([(0, 1)]), Dist([(1, 1)]))
@@ -755,6 +802,7 @@ class TestCycles:
             mu = PseudoMetric(range(3))
             _solve(mu, {(0, 1): (succ, [(0, 1)])}, (0, 1))
             assert mu.values == {(0, 1): HALF}
+        assert solves["sizes"] == [1, 1]
 
 
     def test_a_coupling_that_only_loops_back_is_found_from_any_start(self):

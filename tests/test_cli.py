@@ -1,4 +1,6 @@
+import io
 import json
+import logging
 import os
 import shlex
 from fractions import Fraction
@@ -8,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from metricwb import cli
+from metricwb import bisim, cli
 from metricwb.cli import main
+from metricwb.errors import Unbounded
 from metricwb.parser import parse
 from metricwb.terms import pretty
 from metricwb.semantics import eval_big
@@ -88,13 +91,18 @@ class TestCheck:
         assert payload["type_error"]
 
     @pytest.mark.parametrize(
-        "ctx, offset", [("x,,y", 2), ("x,", 2), ("x y", 2), ("I", 0), (",x", 0)]
+        "ctx, offset",
+        [("x,,y", 2), ("x,", 2), ("x y", 2), ("I", 0), (",x", 0), ("x, x", 3), ("y, x,x", 5)],
     )
     def test_context_entries_must_be_names(self, capsys, ctx, offset):
+        # a name given twice is one entry too many, like a doubled comma
         code, out, err = run(capsys, "check", "x", "--ctx", ctx)
         assert code == 1
         assert out == ""
         assert f"(at offset {offset})" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if ctx.count("x") == 2:
+            assert err == f"error: repeated name 'x' (at offset {offset})\n"
 
     def test_context_reaches_type_inference(self, capsys):
         payload = payload_of(capsys, "check", "x y", "--ctx", " x , y ", "--typed")
@@ -281,6 +289,21 @@ class TestDistance:
             "--universe", CYCLE_PARTNER, "--depth", depth,
         )
         assert payload["distance"] == want
+
+    @pytest.mark.parametrize("error", [Unbounded("objective is unbounded"), ValueError("b < 0")])
+    def test_a_failed_cycle_solve_is_an_internal_error(self, capsys, monkeypatch, error):
+        # the cycle's linear program is bounded and feasible by construction,
+        # so a simplex error there is a fault of the solver, not bad input
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(bisim, "solve_lp_exact", failing)
+        code, out, err = run(
+            capsys,
+            "distance", "--kind", "bisim", CYCLE, CYCLE_PARTNER, "--universe", CYCLE_PARTNER,
+        )
+        assert (code, out) == (2, "")
+        assert "AssertionError: cyclic linear system" in err
 
     def test_bisim_kind_rejects_a_universe_entry_that_is_not_a_value(self, capsys):
         code, out, err = run(
@@ -574,8 +597,8 @@ class TestEntryPoint:
         assert (payload["distance"], payload["witness"]) == ("1/1", "eps")
 
     def test_warnings_print_by_default_and_metric_wb_log_silences_them(self):
-        # in a fresh interpreter: pytest's root handlers make the CLI's
-        # logging.basicConfig a no-op in-process
+        # in a fresh interpreter: in-process, the CLI leaves pytest's root
+        # handlers alone
         done = run_module("eval", "<I, I> I")
         assert done.returncode == 0
         assert done.stderr.startswith(
@@ -596,6 +619,37 @@ class TestEntryPoint:
     def test_a_log_level_is_read_in_any_case(self):
         done = run_module("eval", "<I, I> I", log="Error")
         assert (done.returncode, done.stderr) == (0, "")
+
+    def test_each_call_logs_at_its_own_level_to_its_own_stderr(self, monkeypatch):
+        # pytest's root handlers are not the CLI's, so it leaves them alone:
+        # with none left, the CLI installs its own and resets it each call
+        monkeypatch.setattr(logging.root, "handlers", [])
+        monkeypatch.setattr(logging.root, "level", logging.root.level)
+
+        def stderr_of(log):
+            monkeypatch.setenv("METRIC_WB_LOG", log)
+            monkeypatch.setattr(sys, "stderr", io.StringIO())
+            assert main(["eval", "<I, I> I"]) == 0
+            return sys.stderr.getvalue()
+
+        warning = "WARNING:metricwb:discarding stuck application of a pair: "
+        assert stderr_of("error") == ""
+        for _ in range(3):
+            err = stderr_of("warning")
+            assert err.startswith(warning) and err.count("\n") == 1
+        assert stderr_of("critical") == ""
+        assert len(logging.root.handlers) == 1
+
+    def test_root_handlers_the_cli_did_not_install_are_left_alone(self, monkeypatch):
+        theirs = logging.NullHandler()
+        monkeypatch.setattr(logging.root, "handlers", [theirs])
+        monkeypatch.setattr(logging.root, "level", logging.CRITICAL)
+        monkeypatch.setenv("METRIC_WB_LOG", "debug")
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        assert main(["eval", "<I, I> I"]) == 0
+        assert logging.root.handlers == [theirs]
+        assert logging.root.level == logging.CRITICAL
+        assert sys.stderr.getvalue() == ""
 
     def test_module_exits_with_the_command_code(self):
         done = run_module("eval", "x")
