@@ -58,7 +58,7 @@ from .dist import Dist
 from .errors import BudgetExceeded, NonConvergence, Unbounded
 # bound here once: tracing kantorovich.solve_lp_exact counts lifting LPs only
 from .kantorovich import PseudoMetric, lift_primal, solve_lp_exact
-from .semantics import _eval, _require_program, eval_pair
+from .semantics import _eval, _require_program, eval_halves
 from .terms import Pair, Term
 from .trace import _kind_table, _move, _plug, alphabet
 
@@ -115,8 +115,8 @@ def build_lmc(
     effects are equal, such as tensor templates with one normal form,
     share one successor distribution. Which labels fit, and which effect
     each has, is worked out at the first value of each kind
-    (trace._kind_table). A pair state
-    evaluates its halves once, and each tensor effect plugs their values
+    (trace._kind_table). A pair state reads its halves from the eval memo
+    (semantics.eval_halves), and each tensor effect plugs their values
     into its template (trace._plug); an abstraction state moves by
     trace._move. The inputs are checked once here, and states are
     evaluated without checking them again: reduction keeps a checked
@@ -162,7 +162,7 @@ def build_lmc(
             if type(s) not in kinds:
                 kinds[type(s)] = _kind_table(type(s), actions)
             labels[s], effects, _, slot = kinds[type(s)]
-            halves = eval_pair(s, lambda v, w: (v, w)) if type(s) is Pair and effects else None
+            halves = eval_halves(s) if type(s) is Pair and effects else None
             moved = []  # successors, once per effect
             for e in effects:
                 if halves is None:

@@ -110,6 +110,14 @@ _KIND_BOUNDS = {
     "tuple": {"max_len": 4},
     "bisim": {"depth": 6, "state_cap": 10000},
 }
+_TOWER = 4  # the largest tower level examples reports by default
+
+
+def _bound_help(name: str) -> str:
+    """The kinds that honour the bound name and the default they share."""
+    kinds = [kind for kind, own in _KIND_BOUNDS.items() if name in own]
+    (default,) = {_KIND_BOUNDS[kind][name] for kind in kinds}
+    return f"{', '.join(kinds)} (default {default})"
 
 
 def _cmd_distance(args) -> dict:
@@ -200,7 +208,7 @@ def _cmd_examples(args) -> dict:
     if args.which in ("expair", "all"):
         payload["expair"] = _expair_report()
     if args.which in ("mn-nn", "all"):
-        payload["mn-nn"] = _mn_nn_report(4 if args.n is None else args.n)
+        payload["mn-nn"] = _mn_nn_report(_TOWER if args.n is None else args.n)
     return payload
 
 
@@ -244,9 +252,9 @@ _COMMANDS = {
             "--kind": ("kind", ("trace", "bisim", "tuple"), _REQUIRED, "which distance"),
             "--universe": ("universe", str, "I", "comma-separated closed values"),
             # no defaults here: _cmd_distance rejects the bounds its kind ignores
-            "--max-len": ("max_len", _natural, None, "trace, tuple (default 4)"),
-            "--depth": ("depth", _natural, None, "bisim (default 6)"),
-            "--state-cap": ("state_cap", _natural, None, "bisim (default 10000)"),
+            "--max-len": ("max_len", _natural, None, _bound_help("max_len")),
+            "--depth": ("depth", _natural, None, _bound_help("depth")),
+            "--state-cap": ("state_cap", _natural, None, _bound_help("state_cap")),
         },
     ),
     "examples": (
@@ -254,7 +262,7 @@ _COMMANDS = {
         (),
         {
             "--which": ("which", ("expair", "mn-nn", "all"), "all", "which families"),
-            "--n": ("n", _natural, None, "largest tower level, mn-nn and all (default 4)"),
+            "--n": ("n", _natural, None, f"largest tower level, mn-nn and all (default {_TOWER})"),
         },
     ),
 }

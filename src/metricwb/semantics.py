@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator
+from typing import Iterator
 
 from .dist import EMPTY, Dist, dirac
 from .errors import IsValue, NotAffine, NotClosed
@@ -34,10 +34,14 @@ logger = logging.getLogger("metricwb")
 
 _HALF = Fraction(1, 2)
 
-_memo: dict[Term, Dist[Term]] = {}
+# a program -> its value distribution, and the observation entries (f, v) ->
+# eval_app(f, v) and p -> eval_halves(p) for a pair p; keys compare up to alpha
+_memo: dict = {}
 
 
 def clear_memo() -> None:
+    """Empty the eval memo: every program's value distribution, and the
+    observation entries of eval_app and eval_halves."""
     _memo.clear()
 
 
@@ -55,11 +59,12 @@ def eval_big(t: Term) -> Dist[Term]:
     The total weight is the probability of convergence; mass lost to
     divergence or stuck redexes simply disappears.
 
-    Values come from a process-wide memo keyed up to alpha, so a memo hit
-    returns the values with the binder names of the first alpha-variant
-    the process evaluated. The answer is alpha-equal either way; call
-    clear_memo() first to get values named after the query itself, as
-    cli.main does for each command.
+    Values come from a process-wide memo keyed up to alpha, which also
+    holds the observation entries (eval_app, eval_halves) that evaluation
+    never reads. A memo hit returns the values with the binder names of
+    the first alpha-variant the process evaluated. The answer is
+    alpha-equal either way; call clear_memo() first to get values named
+    after the query itself, as cli.main does for each command.
     """
     _require_program(t)
     return _eval(t)
@@ -101,9 +106,9 @@ def _eval(t: Term) -> Dist[Term]:
 
             def split(mv: Term) -> Dist[Term]:
                 if isinstance(mv, Pair):
-                    return eval_pair(
-                        mv, lambda v1, v2: substitute(substitute(b, x, v1), y, v2)
-                    ).bind(_eval)
+                    return _halves(mv).bind(
+                        lambda vw: _eval(substitute(substitute(b, x, vw[0]), y, vw[1]))
+                    )
                 logger.warning(
                     "discarding stuck let on an abstraction: %s destructured as a pair"
                     " drops mass %s",
@@ -121,17 +126,40 @@ def _eval(t: Term) -> Dist[Term]:
     return d
 
 
-def eval_pair(p: Pair, f: Callable[[Term, Term], Hashable]) -> Dist:
-    """Evaluate both halves of the pair p and combine each value v of the
-    first with each value w of the second into f(v, w), with weight the
-    product of theirs; colliding results are merged. The one place where a
-    let, a tensor action and a tuple cut take a pair apart. Halves run left
-    to right, so a first half that diverges leaves the second unevaluated."""
+# The two observations of a value (app and appl, tensor and cut) read their
+# outcomes from the memo. _eval's App and LetPair rules never do: a hit hands
+# back the first alpha-variant's values, and a rule must give the value it reaches.
+
+
+def eval_app(f: Abs, v: Term | None) -> Dist[Term]:
+    """The value distribution of the abstraction f applied to the closed
+    value v, or of f's body alone where v is None, an argument f's body
+    does not use. Memoised under (f, v), up to alpha."""
+    d = _memo.get((f, v))
+    if d is None:
+        d = _memo[f, v] = _eval(f.body if v is None else substitute(f.body, f.var, v))
+    return d
+
+
+def eval_halves(p: Pair) -> Dist[tuple]:
+    """The pairs (v, w) of values of the two halves of the pair p, each
+    with the product of their weights: what a tensor action and a tuple cut
+    take apart. Memoised under p, up to alpha."""
+    d = _memo.get(p)
+    if d is None:
+        d = _memo[p] = _halves(p)
+    return d
+
+
+def _halves(p: Pair) -> Dist[tuple]:
+    """eval_halves(p), computed afresh: the one place where a pair is
+    taken apart. Halves run left to right, so a first half that diverges
+    leaves the second unevaluated."""
     d1 = _eval(p.first)
     if not d1:
         return EMPTY
     d2 = _eval(p.second)
-    return d1.bind(lambda v: d2.map_elems(lambda w: f(v, w)))
+    return d1.bind(lambda v: d2.map_elems(lambda w: (v, w)))
 
 
 def step_one(t: Term) -> Dist[Term]:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .dist import EMPTY, Dist, dirac
 from .errors import NotAffine, NotClosed, ParseError
 from .parser import Tokens, format_items, parse_items, read_term
-from .semantics import _eval, _reduce_small, _require_program, eval_pair
+from .semantics import _eval, _reduce_small, _require_program, eval_app, eval_halves
 from .terms import (
     Abs,
     App,
@@ -137,18 +137,12 @@ def trace_accept(m: Term, s: Sequence) -> Fraction:
 def _move(t, a) -> Dist[Term]:
     """The programs the checked action a moves a value to, before
     evaluation. app(V) substitutes V into the body of the abstraction t;
-    tensor(L) plugs each (v, w) of t, the halves of a pair (_halves), into
-    L (_plug), so a walk that keeps a pair's halves moves it by every
-    template without evaluating them again."""
+    tensor(L) plugs each (v, w) of t, the halves of a pair
+    (semantics.eval_halves), into L (_plug), so a pair's halves, evaluated
+    once, move it by every template."""
     if type(a) is AppAction:
         return dirac(substitute(t.body, t.var, a.value))
     return t.map_elems(lambda vw: _plug(a.body, *vw))
-
-
-def _halves(p: Pair) -> Dist[tuple]:
-    """The pairs (v, w) of values of the two halves of the pair p, as
-    semantics.eval_pair combines them."""
-    return eval_pair(p, lambda v, w: (v, w))
 
 
 def _plug(body: Term, v: Term, w: Term) -> Term:
@@ -159,11 +153,16 @@ def _plug(body: Term, v: Term, w: Term) -> Term:
 
 def _trace_step(t: Term, a) -> Dist[Term]:
     """Value distribution after playing the checked action a against the
-    value t: the programs _move gives, evaluated, and EMPTY where a's kind
-    does not fit t, which loses all mass."""
+    value t, and EMPTY where a's kind does not fit t, which loses all mass:
+    the one step of the replay (trace_accept) and the search. app(V) reads
+    t applied to V from the eval memo (semantics.eval_app); tensor(L)
+    evaluates the programs _move plugs t's halves into, which it reads
+    from the memo (semantics.eval_halves)."""
     if not _fits(t, a):
         return EMPTY
-    return _move(t if type(a) is AppAction else _halves(t), a).bind(_eval)
+    if type(a) is AppAction:
+        return eval_app(t, a.value)
+    return _move(eval_halves(t), a).bind(_eval)
 
 
 def lts_trace_accept(d: Dist[Term], s: Sequence) -> Fraction:
@@ -349,13 +348,13 @@ def trace_distance_lb(
     A node is offered one candidate per effect class (_kind_table) of the
     kinds its support holds, in alphabet order: a later label of a class
     moves the node's states as its first label does, so it adds no word.
-    The witness names each class by its first label. A pair state's
-    halves are evaluated once per search, for all its tensor effects, and
-    each effect moves them by _move, as _trace_step does."""
+    The witness names each class by its first label. Each state moves by
+    _trace_step, the replay's own step, whose outcomes the eval memo keeps
+    for the query: a pair state's halves are evaluated once for all its
+    tensor effects."""
     _require_program(m)
     _require_program(n)
     actions = alphabet(universe, tensor_templates)
-    halves: dict = {}  # pair state -> _halves, once the search first moves it
     tables: dict[type, tuple] = {}  # value kind -> _kind_table, once a value of it is held
 
     def offer(support: list) -> list:
@@ -367,16 +366,8 @@ def trace_distance_lb(
                 out += tables[kind][1]
         return out
 
-    def step(t: Term, e) -> Dist[Term]:
-        if type(e) is TensorAction:
-            h = halves.get(t)
-            if h is None:
-                h = halves[t] = _halves(t)
-            t = h
-        return _move(t, e).bind(_eval)
-
     effect = lambda s, e: e if _fits(s, e) else None
-    gap, word = widest_gap((_eval(m), _eval(n)), offer, effect, step, max_len)
+    gap, word = widest_gap((_eval(m), _eval(n)), offer, effect, _trace_step, max_len)
     first = {e: a for _, effects, firsts, _ in tables.values() for e, a in zip(effects, firsts)}
     return gap, tuple(first[e] for e in word)
 

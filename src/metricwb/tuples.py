@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .dist import EMPTY, Dist
 from .errors import InvalidAction, NotAffine, NotClosed, ParseError
 from .parser import Tokens, format_items, parse_items, read_term
-from .semantics import _eval, _require_program, eval_big
+from .semantics import _require_program, eval_app, eval_big, eval_halves
 from .terms import (
     Abs,
     Choice,
@@ -31,7 +31,6 @@ from .terms import (
     substitute,
 )
 from .trace import (
-    _halves,
     app_combinations,
     dedupe_values,
     normal_form,
@@ -125,37 +124,20 @@ def _effect(k: TupleState, a):
     return a.pos, a.consumed, arg
 
 
-def _operands(k: TupleState, e) -> tuple:
-    """What a step of effect e (not None) on tuple k acts on: the
-    component at its position, and the argument fed to it, None for a cut
-    and for an application whose abstraction ignores its variable. The
-    step's outcome (_outcome) depends on these alone."""
-    if isinstance(e, int):
-        return k[e - 1], None
-    return k[e[0] - 1], e[2]
-
-
-def _outcome(comp: Term, arg) -> Dist:
-    """The outcome of a step on the component comp with the argument arg,
-    as _operands gives them: for a pair, a cut, the pairs (v, w) of values
-    of its halves (trace._halves); for an abstraction, the value
-    distribution of its body with arg for its variable."""
-    if type(comp) is Pair:
-        return _halves(comp)
-    return _eval(comp.body if arg is None else substitute(comp.body, comp.var, arg))
-
-
-def _successor(k: TupleState, e, outcome: Dist) -> Dist[TupleState]:
+def _step(k: TupleState, e) -> Dist[TupleState]:
     """Successor distribution of tuple k under an action whose effect on k
-    is e, as _effect gives it, e not None, with the outcome of the step
-    (_outcome of _operands(k, e)) placed into k: a cut puts the two halves
-    in place of the pair, and an application puts each value in place of
+    is e, as _effect gives it, e not None: the one step of the replay
+    (step_or_zero) and the search. The outcome depends on one component
+    and the argument fed to it, not on the rest of the tuple, and comes
+    from the eval memo: a cut puts the two halves (semantics.eval_halves)
+    in place of the pair, and an application puts each value of the
+    abstraction applied to its argument (semantics.eval_app) in place of
     the abstraction and drops the consumed components."""
     if isinstance(e, int):
         head, tail = k[: e - 1], k[e:]
-        return outcome.map_elems(lambda vw: head + vw + tail)
-    pos, consumed, _ = e
-    return outcome.map_elems(
+        return eval_halves(k[e - 1]).map_elems(lambda vw: head + vw + tail)
+    pos, consumed, arg = e
+    return eval_app(k[pos - 1], arg).map_elems(
         lambda w: tuple(
             w if i == pos else k[i - 1]
             for i in range(1, len(k) + 1)
@@ -165,15 +147,14 @@ def _successor(k: TupleState, e, outcome: Dist) -> Dist[TupleState]:
 
 
 def step_or_zero(k: TupleState, a) -> Dist[TupleState]:
-    """Successor distribution of tuple k under action a, built by _effect,
-    _outcome and _successor as the search builds it; the 0 distribution
-    where a does not apply to k. A structurally malformed action raises
-    InvalidAction."""
+    """Successor distribution of tuple k under action a, by _effect and
+    _step as the search steps it; the 0 distribution where a does not
+    apply to k. A structurally malformed action raises InvalidAction."""
     err = _shape_error(a)
     if err is not None:
         raise InvalidAction(err)
     e = _effect(k, a)
-    return EMPTY if e is None else _successor(k, e, _outcome(*_operands(k, e)))
+    return EMPTY if e is None else _step(k, e)
 
 
 def _replay(m: Term, s: Sequence) -> list[Dist[TupleState]]:
@@ -395,11 +376,10 @@ def tuple_distance_lb(
     built, and branches with identical joint distributions are explored
     once. An unbuilt pair could not beat the best gap nor be extended, and
     a later word that reaches it has cancelled sides no heavier, so it
-    cannot either (widest_gap). A step's outcome (_outcome) depends on
-    one component and the argument fed to it (_operands), not on the rest
-    of the tuple, so the search computes each outcome once and places it
-    into every state that holds the component (_successor), as
-    step_or_zero does for one state. The outcomes are keyed up to
+    cannot either (widest_gap). The search steps by _step, as step_or_zero
+    does: a step's outcome depends on one component and the argument fed
+    to it, so the eval memo computes it once per query and every state
+    that holds the component reads it there. The memo is keyed up to
     alpha-equivalence, as states are, so an alpha-variant of a component
     gets the values of the first one's outcome, binder names and all.
     Templates are checked
@@ -438,18 +418,9 @@ def tuple_distance_lb(
             by_width[width] = _arguments(templates, width)
         return enumerate_actions(support, by_width[width])
 
-    outcomes: dict = {}  # _operands -> _outcome, once per search
-
-    def step(k: TupleState, e) -> Dist[TupleState]:
-        key = _operands(k, e)
-        out = outcomes.get(key)
-        if out is None:
-            out = outcomes[key] = _outcome(*key)
-        return _successor(k, e, out)
-
     dm = eval_big(m).map_elems(lambda v: (v,))
     dn = eval_big(n).map_elems(lambda v: (v,))
-    return widest_gap((dm, dn), actions, _effect, step, max_len)
+    return widest_gap((dm, dn), actions, _effect, _step, max_len)
 
 
 # --- surface syntax for tuple traces ------------------------------------

@@ -18,7 +18,7 @@ hypothesis.settings.load_profile("ci")
 def search_step(monkeypatch):
     """search_step(search) is the step function that search(), a trace or
     tuple distance query, hands trace.widest_gap, taken before the search
-    makes its first step, so the tables the step keeps start empty."""
+    makes its first step."""
 
     def take_step(search):
         handed = []

@@ -35,16 +35,15 @@ from metricwb.terms import (
     size,
     substitute,
 )
+from metricwb import semantics
 from metricwb.semantics import _eval, eval_big
-from metricwb.trace import AppAction, TensorAction, _fits, _halves, _move, alphabet, explore
+from metricwb.trace import AppAction, TensorAction, _fits, _move, alphabet, explore
 from metricwb.tuples import (
     Appl,
     Cut,
     _arguments,
     _effect,
-    _operands,
-    _outcome,
-    _successor,
+    _step,
     build_mn_nn,
     enumerate_actions,
     skewed_choice,
@@ -286,6 +285,22 @@ def naive_eval(t: Term) -> dict:
                         out[rv] = out.get(rv, ZERO) + p * q1 * q2 * r
         return out
     raise TypeError(f"not a closed program: {t!r}")
+
+
+def reference_halves(p: Pair) -> Dist:
+    """The pairs (v, w) of values of the halves of the pair p, with the
+    product of their weights, from _eval of each half: no observation
+    entry of the eval memo is read or made."""
+    d1, d2 = _eval(p.first), _eval(p.second)
+    return Dist(((v, w), x * y) for v, x in d1.items() for w, y in d2.items())
+
+
+def observations() -> list:
+    """The keys of the observation entries the eval memo holds, in the
+    order they were made: (f, v) for an abstraction applied to a value
+    (semantics.eval_app), the pair itself for its halves
+    (semantics.eval_halves). Every other key is a program."""
+    return [key for key in semantics._memo if type(key) is tuple or type(key) is Pair]
 
 
 # --- reference distributions: every weight a Fraction ---------------------
@@ -690,7 +705,7 @@ def sided_walk(k_state: tuple, h_state: tuple, templates, max_len: int, visit) -
 
     def step(s, e) -> Dist:
         side, k = s
-        return _successor(k, e, _outcome(*_operands(k, e))).map_elems(lambda k2: (side, k2))
+        return _step(k, e).map_elems(lambda k2: (side, k2))
 
     explore(
         (dirac(("K", k_state)), dirac(("H", h_state))),
@@ -762,7 +777,7 @@ def reference_tuple_step(k: tuple, a) -> "Dist | None":
     """Successor distribution of tuple k under action a, or None where a
     does not apply to k. Decides applicability from the action itself, as
     tuples._effect does from the state, and always substitutes the argument,
-    which tuples._successor skips for an abstraction ignoring its variable.
+    which tuples._step skips for an abstraction ignoring its variable.
     Evaluates without the affinity re-check, like the search."""
     width = len(k)
     target = k[a.pos - 1] if a.pos <= width else None
@@ -893,7 +908,9 @@ def interrogate(t: Term, actions) -> list:
     by its effect, so this is the reference that bisim.build_lmc's shared
     moves are tested against (reference_lmc)."""
     return [
-        (a, _move(t if type(a) is AppAction else _halves(t), a)) for a in actions if _fits(t, a)
+        (a, _move(t if type(a) is AppAction else reference_halves(t), a))
+        for a in actions
+        if _fits(t, a)
     ]
 
 

@@ -13,6 +13,7 @@ from metricwb import (
     build_expair,
     build_mn_nn,
     parse,
+    semantics,
     trace,
     trace_distance_lb,
     u_seq,
@@ -33,7 +34,7 @@ from metricwb.bisim import (
 )
 from metricwb.dist import Dist, dirac
 from metricwb.kantorovich import PseudoMetric, lift_dual, lift_primal
-from metricwb.semantics import _eval, eval_pair
+from metricwb.semantics import _eval, clear_memo
 from metricwb.terms import OMEGA, Pair, Term, identity
 from metricwb.trace import AppAction, TensorAction, _move, _plug, default_tensor_templates
 
@@ -434,10 +435,11 @@ class TestMerging:
         # halves once and plugs their one pair of values twice.
         m, n = parse("<\\a. \\b. a, \\x. x>"), parse("<\\x. x, \\a. \\b. a>")
         templates = tuple(map(parse, ("y", "x", "(\\z. z) x", "(\\z. z) y")))
-        halves, plugs = _count_tensor_work(monkeypatch)
+        plugs = _count_plugs(monkeypatch)
+        clear_memo()
         frag = build_lmc(m, n, (), 1, tensor_templates=templates)
-        assert halves == [m, n]
-        assert plugs == {(m, K, I): 2, (n, I, K): 2}
+        assert gen.observations() == [m, n]
+        assert plugs == {(K, I): 2, (I, K): 2}
         assert len(frag.labels[m]) == len(frag.labels[n]) == 4
         assert _shared(frag, m, n) == [
             (dirac(_eval(I)), dirac(_eval(K))),
@@ -532,16 +534,22 @@ class TestMerging:
 
     def test_a_pair_state_moves_once_per_class_of_templates(self, monkeypatch):
         # The 96 default templates over {I} have 27 normal forms. The
-        # fragment evaluates each pair state's halves once and plugs each
-        # pair of their values once per normal form; the trace search
-        # moves each pair state once per normal form.
+        # fragment evaluates each pair state's halves once, one observation
+        # entry each, and plugs each pair of their values once per normal
+        # form; the trace search moves each pair state once per normal form.
         m, n = build_expair()
         tensor = default_tensor_templates((I,))
         assert len(tensor) == 96
         with monkeypatch.context() as patch:
-            halves, plugs = _count_tensor_work(patch)
+            plugs = _count_plugs(patch)
+            clear_memo()
             bisim_distance(m, n, (I,), 3, tensor_templates=tensor)
-        assert halves and len(set(halves)) == len(halves)
+        halves = gen.observations()
+        frag = build_lmc(m, n, (I,), 3, tensor_templates=tensor)
+        moved = [s for s in frag.states if type(s) is Pair and frag.labels[s]]
+        assert halves and halves == moved == gen.observations()
+        values = sum(len(semantics._memo[p]) for p in halves)
+        assert sum(plugs.values()) == 27 * values
         assert max(plugs.values()) == 27
         moves = Counter()
 
@@ -566,23 +574,17 @@ class TestMerging:
             bisim_distance(m, nn, (I,), 3, state_cap=21, tensor_templates=tensor)
 
 
-def _count_tensor_work(patch):
-    """Patches build_lmc's tensor moves to count them: the pair states
-    whose halves are evaluated, in order, and the plugs of each template
-    per (pair state, pair of values of its halves)."""
-    halves, plugs = [], Counter()
-
-    def evaluating(p, f):
-        halves.append(p)
-        return eval_pair(p, f)
+def _count_plugs(patch):
+    """Patches build_lmc's tensor moves to count the plugs of each
+    template per pair (v, w) of values of a pair state's halves."""
+    plugs = Counter()
 
     def plugging(body, v, w):
-        plugs[(halves[-1], v, w)] += 1
+        plugs[(v, w)] += 1
         return _plug(body, v, w)
 
-    patch.setattr(bisim, "eval_pair", evaluating)
     patch.setattr(bisim, "_plug", plugging)
-    return halves, plugs
+    return plugs
 
 
 def _least_depths(frag, roots):

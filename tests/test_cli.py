@@ -686,6 +686,20 @@ class TestRobustness:
             assert out.startswith(f"usage: metricwb {name}")
             assert all(flag in out for flag in flags), name
 
+    def test_help_names_the_defaults_the_commands_use(self, capsys):
+        # each bound's flag names the kinds that honour it and their
+        # default, as _KIND_BOUNDS holds them, and examples --n its default
+        _, out, _ = run(capsys, "distance", "--help")
+        rows = {line.split()[0]: line for line in out.splitlines() if line.startswith("  --")}
+        for kind, bounds in cli._KIND_BOUNDS.items():
+            for name, default in bounds.items():
+                row = rows["--" + name.replace("_", "-")]
+                assert kind in row and f"(default {default})" in row, row
+        _, out, _ = run(capsys, "examples", "--help")
+        assert f"level, mn-nn and all (default {cli._TOWER})" in out
+        _, out, _ = run(capsys, "examples", "--which", "mn-nn")
+        assert [row["n"] for row in json.loads(out)["mn-nn"]] == list(range(cli._TOWER + 1))
+
     @pytest.mark.parametrize(
         "argv, word",
         [

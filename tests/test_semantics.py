@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,15 +13,27 @@ from metricwb import (
     IsValue,
     NotAffine,
     NotClosed,
+    build_expair,
     dirac,
     eval_big,
     eval_small,
     parse,
+    semantics,
     step_count_bound,
     step_one,
+    trace_distance_lb,
+    tuple_distance_lb,
 )
 from metricwb.dist import EMPTY, Dist
-from metricwb.semantics import _eval, clear_memo, small_step_rounds, support_measure
+from metricwb.semantics import (
+    _eval,
+    clear_memo,
+    eval_app,
+    eval_halves,
+    small_step_rounds,
+    support_measure,
+)
+from metricwb.trace import default_tensor_templates
 from metricwb.terms import Abs, App, Choice, OMEGA, Pair, Var, identity, is_value, pretty
 
 I = identity()
@@ -283,3 +300,127 @@ class TestTotalMass:
             n_total += 1
             n_full += full
         assert 0 < n_full < n_total
+
+
+def _observation_cases(rng, n: int) -> list:
+    """n triples (f, v, p): an abstraction, a value to apply it to, and a
+    pair whose halves are values or programs."""
+
+    def half(prefix):
+        if rng.random() < 0.5:
+            return gen.random_value(rng, max_size=8, prefix=prefix)
+        return gen.random_program(rng, max_size=10, fuel=3, prefix=prefix)
+
+    return [
+        (
+            gen.random_value(rng, max_size=10, prefix=f"f{i}"),
+            gen.random_value(rng, max_size=8, prefix=f"v{i}"),
+            Pair(half(f"p{i}"), half(f"q{i}")),
+        )
+        for i in range(n)
+    ]
+
+
+class TestObservations:
+    def test_memoised_observations_equal_the_reference_evaluator(self):
+        # eval_app(f, v) against gen.naive_eval of f v, eval_halves(p)
+        # against naive_eval of each half, on the cases and their
+        # alpha-variants, each from a cold memo and then all from one warm
+        # memo, where the variants find the cases' entries
+        rng = random.Random(20261024)
+        cases = _observation_cases(rng, 80)
+        variants = [tuple(gen.alpha_variant(rng, t) for t in case) for case in cases]
+
+        def check(f, v, p):
+            assert dict(eval_app(f, v).items()) == gen.naive_eval(App(f, v)), (f, v)
+            if f.var not in f.body.free_vars:  # None stands for an unused argument
+                assert eval_app(f, None) == eval_app(f, v)
+            halves = {
+                (a, b): x * y
+                for a, x in gen.naive_eval(p.first).items()
+                for b, y in gen.naive_eval(p.second).items()
+            }
+            assert dict(eval_halves(p).items()) == halves, p
+
+        for case in (*cases, *variants):
+            clear_memo()
+            check(*case)
+        clear_memo()
+        for case in cases:
+            check(*case)
+        entries = len(gen.observations())
+        for case in (*variants, *cases):
+            check(*case)
+        assert len(gen.observations()) == entries > len(cases)
+        clear_memo()
+
+    def test_clear_memo_leaves_no_observation_entry(self):
+        clear_memo()
+        noisy, clean = build_expair()
+        tuple_distance_lb(noisy, clean, None, 3)
+        trace_distance_lb(noisy, clean, (I,), 2, default_tensor_templates((I,)))
+        assert gen.observations()
+        clear_memo()
+        assert not gen.observations() and not semantics._memo
+
+    def test_evaluation_reads_no_observation_entry(self):
+        # An entry is keyed up to alpha, so a hit hands back the values of
+        # the first alpha-variant; _eval's App and LetPair rules give the
+        # value a step reaches, named as the query names it.
+        clear_memo()
+        a = parse("\\a. a")
+        assert eval_app(parse("\\x. x"), a) == dirac(a)
+        out = eval_big(parse("(\\x. x) (\\b. b)"))
+        assert [pretty(v) for v in out.support()] == ["\\b. b"]
+        clear_memo()
+        assert eval_halves(Pair(a, I)) == dirac((a, I))
+        out = eval_big(parse("let <x, y> = <\\b. b, \\z. z> in x"))
+        assert [pretty(v) for v in out.support()] == ["\\b. b"]
+        clear_memo()
+
+
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from metricwb.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def _run_commands(commands: list) -> list:
+    """[exit code, stdout, stderr] of each cli.main command, run in order
+    in one fresh interpreter on this checkout, with METRIC_WB_LOG unset."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("METRIC_WB_LOG", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+class TestQueryScope:
+    def test_commands_in_one_process_print_what_each_prints_alone(self):
+        # The first and last evaluate alpha-variants, each with a stuck
+        # application that warns; the middle one makes observation
+        # entries. cli.main empties the memo before each command.
+        commands = [
+            ["eval", "(\\x. x) (\\a. a) (+) (<\\d. d, I> I)"],
+            ["distance", "--kind", "trace", "\\x. x", "\\x. x (+) omega",
+             "--universe", "\\a. a", "--max-len", "2"],
+            ["eval", "(\\y. y) (\\b. b) (+) (<\\c. c, I> I)"],
+        ]
+        together = _run_commands(commands)
+        assert together == [_run_commands([argv])[0] for argv in commands]
+        assert [code for code, _, _ in together] == [0, 0, 0]
+        assert "stuck application" in together[0][2] and "stuck application" in together[2][2]
+        assert json.loads(together[2][1])["support"][0]["elem"] == "\\b. b"

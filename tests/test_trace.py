@@ -26,6 +26,7 @@ from metricwb import (
 )
 from metricwb.dist import Dist
 from metricwb.parser import parse_terms
+from metricwb.semantics import _eval, clear_memo
 from metricwb.terms import (
     Abs,
     App,
@@ -1024,27 +1025,32 @@ class TestSuccessorFloor:
                     assert pruned == search(), (pretty(m), pretty(n), universe, tensor, max_len)
         assert built[0] < built[1]
 
-    def test_the_shared_halves_step_equals_the_trace_step(self, monkeypatch, search_step):
-        # One trace search keeps each pair state's halves for the rest of
-        # the walk and moves them by every tensor effect.
+    def test_the_shared_halves_step_equals_the_trace_step(self, search_step):
+        # The search steps by the replay's own step, whose outcomes the
+        # eval memo keeps for the query: each pair state's halves are
+        # evaluated once and moved by every tensor effect.
         rng = random.Random(20261022)
         tensor = default_tensor_templates((I, parse("\\a. \\b. a")))
         step = search_step(lambda: trace_distance_lb(I, I, (I,), 1, tensor))
-        halves = []
-        real = trace.eval_pair
-        monkeypatch.setattr(trace, "eval_pair", lambda p, f: halves.append(p) or real(p, f))
-        pairs = [random_pair(rng, i) for i in range(12)]
-        for p in pairs:
+        assert step is _trace_step
+        clear_memo()
+        made = []  # the keys of the observation entries, as the steps make them
+        for p in (random_pair(rng, i) for i in range(12)):
+            made.append(p)
             for t in tensor:
                 a = TensorAction(t)
-                assert list(step(p, a).items()) == list(_trace_step(p, a).items()), (p, t)
+                want = _move(gen.reference_halves(p), a).bind(_eval)
+                assert list(step(p, a).items()) == list(want.items()), (p, t)
             for _ in range(3):  # the search steps an abstraction by app actions alone
                 f, v = (gen.random_value(rng, max_size=8, prefix=x) for x in "fv")
                 if type(f) is Abs:
                     a = AppAction(v)
-                    assert list(step(f, a).items()) == list(_trace_step(f, a).items()), (f, v)
-        # _trace_step evaluates the halves for every template, the step once
-        assert len(halves) == len(pairs) * (len(tensor) + 1)
+                    want = _move(f, a).bind(_eval)
+                    assert list(step(f, a).items()) == list(want.items()), (f, v)
+                    made.append((f, v))
+        # one halves entry per pair, for all the templates, and one entry
+        # per application
+        assert gen.observations() == list(dict.fromkeys(made))
 
 
 class TestLtsView:

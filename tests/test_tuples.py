@@ -26,15 +26,14 @@ from metricwb import (
 )
 from metricwb import trace, tuples
 from metricwb.dist import EMPTY, Dist
+from metricwb.semantics import clear_memo
 from metricwb.terms import Abs, App, Choice, OMEGA, Pair, Var, identity, pretty, substitute
 from metricwb.trace import AppAction, default_tensor_templates, trace_distance_lb
 from metricwb.tuples import (
     Appl,
     Cut,
     _effect,
-    _operands,
-    _outcome,
-    _successor,
+    _step,
     default_templates,
     format_tuple_trace,
     skewed_choice,
@@ -401,7 +400,7 @@ class TestDistinctEffects:
                     want, effect = gen.reference_tuple_step(k, a), _effect(k, a)
                     assert (effect is None) == (want is None), (k, a)
                     if effect is not None:
-                        got = _successor(k, effect, _outcome(*_operands(k, effect)))
+                        got = _step(k, effect)
                         assert got == want, (k, a)
                         by_effect.setdefault(effect, []).append(a)
                 for effect, group in by_effect.items():
@@ -441,10 +440,8 @@ class TestDistinctEffects:
         # every length, the last included, steps through the walk's memo
         rng = random.Random(20261019)
         templates = default_templates()
-        real, calls = tuples._successor, collections.Counter()
-        monkeypatch.setattr(
-            tuples, "_successor", lambda k, e, out: calls.update([(k, e)]) or real(k, e, out)
-        )
+        real, calls = tuples._step, collections.Counter()
+        monkeypatch.setattr(tuples, "_step", lambda k, e: calls.update([(k, e)]) or real(k, e))
         for i in range(200):
             m = gen.random_program(rng, max_size=12, fuel=3)
             n = gen.random_program(rng, max_size=12, fuel=3)
@@ -870,18 +867,16 @@ class TestCancellation:
 
 
 class TestSharedWork:
-    def test_the_shared_outcome_step_equals_step_or_zero(self, monkeypatch, search_step):
-        # One search's step computes each outcome once for the rest of the
-        # walk. The states of a round hold the same components, reversed
-        # or as alpha-variants, so most steps find their outcome computed.
+    def test_the_shared_outcome_step_equals_step_or_zero(self, search_step):
+        # The search steps by step_or_zero's own step, whose outcomes the
+        # eval memo keeps for the query. The states of a round hold the
+        # same components, reversed or as alpha-variants, so most steps
+        # find their outcome computed.
         rng = random.Random(20261023)
         templates = default_templates((I, K))
         step = search_step(lambda: tuple_distance_lb(I, I, templates, 0))
-        outcomes = []
-        real = tuples._outcome
-        monkeypatch.setattr(
-            tuples, "_outcome", lambda comp, arg: outcomes.append(comp) or real(comp, arg)
-        )
+        assert step is _step
+        clear_memo()
         steps = 0
         for _ in range(40):
             k = random_tuple_state(rng, rng.randint(1, 3))
@@ -890,23 +885,24 @@ class TestSharedWork:
                 for a in gen.reference_actions(states, templates):
                     e = _effect(state, a)
                     if e is not None:
-                        got, want = step(state, e), step_or_zero(state, a)
-                        assert list(got.items()) == list(want.items()), (state, a)
+                        got, want = step(state, e), gen.reference_tuple_step(state, a)
+                        assert got == want == step_or_zero(state, a), (state, a)
                         steps += 1
-        # step_or_zero computes an outcome for every step, the search step
-        # only for those it has not seen
-        shared = steps - (len(outcomes) - steps)
+        # one observation entry per outcome computed, and the reference
+        # steps add none: the rest of the steps found theirs in the memo
+        shared = steps - len(gen.observations())
         assert shared > steps // 2, (shared, steps)
 
     def test_the_tower_search_skips_pairs_and_shares_outcomes(self, monkeypatch):
-        # Tower n = 1..5 at max-len 2n, per query: successor pairs built
-        # (each is cancelled once; the root is not counted), words visited,
-        # steps, and outcomes computed. Building every pair came to
-        # [5, 22, 74, 222, 622] pairs and [6, 21, 61, 161, 401] visits, and
-        # computing every step's outcome afresh to one outcome per step.
+        # Tower n = 1..5 at max-len 2n, per query from a cleared memo:
+        # successor pairs built (each is cancelled once; the root is not
+        # counted), words visited, steps, and outcomes computed, which are
+        # the observation entries the memo holds after the query. Building
+        # every pair came to [5, 22, 74, 222, 622] pairs and
+        # [6, 21, 61, 161, 401] visits, and computing every step's outcome
+        # afresh to one outcome per step.
         counts = collections.Counter()
-        real_cancel, real_explore = Dist.cancel, trace.explore
-        real_outcome, real_successor = tuples._outcome, tuples._successor
+        real_cancel, real_explore, real_step = Dist.cancel, trace.explore, tuples._step
 
         def counting(start, actions, effect, step, max_len, visit, floor):
             counts["built"] -= 1  # the root's cancel
@@ -919,17 +915,14 @@ class TestSharedWork:
 
         monkeypatch.setattr(Dist, "cancel", lambda a, b: counts.update(["built"]) or real_cancel(a, b))
         monkeypatch.setattr(trace, "explore", counting)
-        monkeypatch.setattr(
-            tuples, "_outcome", lambda *key: counts.update(["outcomes"]) or real_outcome(*key)
-        )
-        monkeypatch.setattr(
-            tuples, "_successor", lambda *step: counts.update(["steps"]) or real_successor(*step)
-        )
+        monkeypatch.setattr(tuples, "_step", lambda k, e: counts.update(["steps"]) or real_step(k, e))
         got = []
         for level in range(1, 6):
             counts.clear()
+            clear_memo()
             m, n = build_mn_nn(level)
             assert tuple_distance_lb(m, n, default_templates(), 2 * level)[0] == 1 - u_seq(level)
+            counts["outcomes"] = len(gen.observations())
             got.append([counts[key] for key in ("built", "visits", "steps", "outcomes")])
         assert got == [
             [5, 6, 10, 6],
