@@ -103,6 +103,7 @@ def build_lmc(
     max_depth: int,
     state_cap: int = 10000,
     tensor_templates: Sequence[Term] = (),
+    actions: list | None = None,
 ) -> LmcFragment:
     """Fragment reachable from programs m and n.
 
@@ -118,17 +119,13 @@ def build_lmc(
     (trace._kind_table). A pair state reads its halves from the eval memo
     (semantics.eval_halves), and each tensor effect plugs their values
     into its template (trace._plug); an abstraction state moves by
-    trace._move. The inputs are checked once here, and states are
-    evaluated without checking them again: reduction keeps a checked
-    program affine, whatever binder names it repeats.
+    trace._move. The inputs are checked once here (_checked), unless the
+    caller has checked them and hands in the alphabet it got as actions,
+    and states are evaluated without checking them again: reduction keeps
+    a checked program affine, whatever binder names it repeats.
     """
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
-    if state_cap < 0:
-        raise ValueError(f"state_cap must be nonnegative, got {state_cap}")
-    actions = alphabet(universe, tensor_templates)
-    _require_program(m)
-    _require_program(n)
+    if actions is None:
+        actions = _checked(m, n, universe, max_depth, state_cap, tensor_templates)
 
     depth: dict[State, int] = {}  # each state at its least depth, in discovery order
     labels: dict[State, tuple] = {}
@@ -177,6 +174,26 @@ def build_lmc(
             labels[s] = succ[s] = ()
 
     return LmcFragment(list(depth), labels, succ)
+
+
+def _checked(
+    m: Term,
+    n: Term,
+    universe: Sequence[Term],
+    max_depth: int,
+    state_cap: int,
+    tensor_templates: Sequence[Term],
+) -> list:
+    """The alphabet (trace.alphabet), once the bounds and then both
+    programs pass their checks, in that order."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
+    if state_cap < 0:
+        raise ValueError(f"state_cap must be nonnegative, got {state_cap}")
+    actions = alphabet(universe, tensor_templates)
+    _require_program(m)
+    _require_program(n)
+    return actions
 
 
 def _coupling(mu: PseudoMetric, ds: Dist, dt: Dist) -> tuple[Fraction, dict]:
@@ -481,18 +498,25 @@ def bisim_distance(
     reachable within max_depth interaction rounds: the least fixpoint of
     the functional, read at (_eval(m), _eval(n)), equal to bisim_metric's
     value there wherever that converges. Only the root's pair graph is
-    solved, by _solve."""
-    frag = build_lmc(
-        m,
-        n,
-        universe,
-        max_depth,
-        state_cap=state_cap,
-        tensor_templates=tensor_templates,
-    )
+    solved, by _solve.
+
+    A root whose value distributions, less the mass they share
+    (Dist.cancel), leave one side empty is settled without a fragment: its
+    value is |w_m - w_n|, the gap between their weights, whatever the
+    metric. The root's one label is eval, which lifts the two
+    distributions. Every coupling ships at most min(w_m, w_n) and leaves
+    the rest of both sides unmatched, at unit price, so it costs at least
+    |w_m - w_n|; where one side is empty after cancelling, it lies below
+    the other, and shipping the shared mass along the diagonal, at
+    distance 0, leaves exactly |w_m - w_n| unmatched. So a settled root
+    builds no fragment, and the state cap cannot bind there."""
+    actions = _checked(m, n, universe, max_depth, state_cap, tensor_templates)
+    dm, dn = _eval(m), _eval(n)
+    da, db = dm.cancel(dn)
+    if not da or not db:
+        return abs(dm.weight() - dn.weight())
+    frag = build_lmc(m, n, universe, max_depth, state_cap, tensor_templates, actions=actions)
     mu = PseudoMetric(frag.states)
-    root = mu.key(_eval(m), _eval(n))
-    if root is None:
-        return _ZERO
+    root = mu.key(dm, dn)
     _solve(mu, _pair_graph(frag, mu, root), root)
     return mu.values[root]

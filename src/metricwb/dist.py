@@ -3,11 +3,11 @@
 A Dist stores positive integer numerators over one shared positive
 denominator, in lowest terms (gcd(den, *numerators) == 1), so each
 distribution has exactly one representation and equality and hashing
-compare it directly. bind, map_elems, cancel and dirac work on the
-integers, and distributions combine through bind alone. Fraction appears
-only at the interface: the constructor, weight, get, items, to_json and
-printed messages; weight_parts and bind_weight_parts read weights as
-integers.
+compare it directly. bind, map_elems, cancel, dirac and fair work on
+the integers, and distributions combine through bind alone. Fraction
+appears only at the interface: the constructor, weight, get, items,
+to_json and printed messages; weight_parts and bind_weight_parts read
+weights as integers.
 """
 
 from __future__ import annotations
@@ -201,6 +201,13 @@ def frac_str(p: Rational) -> str:
 
 def dirac(elem: T) -> Dist[T]:
     return _make({elem: 1}, 1)
+
+
+def fair(a: T, b: T) -> Dist[T]:
+    """The fair choice 1/2·a + 1/2·b, built from integers: equal elements
+    are one point of weight 1. a comes first, as Dist(((a, 1/2), (b, 1/2)))
+    gives it."""
+    return dirac(a) if a == b else _make({a: 1, b: 1}, 2)
 
 
 EMPTY: Dist = Dist()

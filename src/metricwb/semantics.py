@@ -10,10 +10,9 @@ are only ruled out by the optional type discipline.
 from __future__ import annotations
 
 import logging
-from fractions import Fraction
 from typing import Iterator
 
-from .dist import EMPTY, Dist, dirac
+from .dist import EMPTY, Dist, dirac, fair
 from .errors import IsValue, NotAffine, NotClosed
 from .terms import (
     Abs,
@@ -31,8 +30,6 @@ from .terms import (
 )
 
 logger = logging.getLogger("metricwb")
-
-_HALF = Fraction(1, 2)
 
 # a program -> its value distribution, and the observation entries (f, v) ->
 # eval_app(f, v) and p -> eval_halves(p) for a pair p; keys compare up to alpha
@@ -82,7 +79,7 @@ def _eval(t: Term) -> Dist[Term]:
         case Choice(l, r):
             # the one-step distribution, evaluated. Alpha-equal branches
             # merge into one point of weight 1, which binds to _eval(l)
-            d = Dist(((l, _HALF), (r, _HALF))).bind(_eval)
+            d = fair(l, r).bind(_eval)
         case App(f, a):
             df, da = _eval(f), _eval(a)
 
@@ -177,7 +174,7 @@ def _step(t: Term) -> Dist[Term]:
         case Omega():
             return EMPTY
         case Choice(l, r):
-            return Dist(((l, _HALF), (r, _HALF)))
+            return fair(l, r)
         case App(f, a):
             if not is_value(f):
                 return _step(f).map_elems(lambda g: App(g, a))

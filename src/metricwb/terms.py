@@ -127,7 +127,9 @@ class Abs(Term):
 
 
 class App(Term):
-    __slots__ = ("fn", "arg")
+    # _nf caches trace.normal_form: the node's normal form, or True where
+    # that is the node itself, so a node never refers to itself
+    __slots__ = ("fn", "arg", "_nf")
     __match_args__ = ("fn", "arg")
 
     def __init__(self, fn: Term, arg: Term):
@@ -135,6 +137,7 @@ class App(Term):
         self.fn = fn
         self.arg = arg
         self.free_vars = fn.free_vars | arg.free_vars
+        self._nf: "Term | bool | None" = None
 
     def _compute_skel(self, binders):
         return _intern(("A", self.fn._skel_id(binders), self.arg._skel_id(binders)))

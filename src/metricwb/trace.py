@@ -88,16 +88,29 @@ def normal_form(t: Term) -> Term:
     closed value), so it evaluates as B s [V s/z], which is B[V/z] s:
     substitute renames a binder of B that would capture a free variable of
     V, and the values of s are closed. ((\z. z) M) s evaluates M s, then
-    each of its values to itself."""
+    each of its values to itself.
+
+    The result is cached on the App node, as skeleton ids and scope
+    summaries are, so subtrees that templates share, and templates that
+    queries share, are normalised once. An App in normal form holds True,
+    not itself, so nodes stay acyclic; every App that normal_form returns
+    holds it."""
     if type(t) is not App:
         return t
-    fn, arg = normal_form(t.fn), normal_form(t.arg)
-    if type(fn) is Abs:
-        if type(fn.body) is Var and fn.body.name == fn.var:
-            return arg
-        if type(arg) in (Abs, Pair, Var):
-            return normal_form(substitute(fn.body, fn.var, arg))
-    return t if fn is t.fn and arg is t.arg else App(fn, arg)
+    nf = t._nf
+    if nf is None:
+        fn, arg = normal_form(t.fn), normal_form(t.arg)
+        if type(fn) is Abs and type(fn.body) is Var and fn.body.name == fn.var:
+            nf = arg
+        elif type(fn) is Abs and type(arg) in (Abs, Pair, Var):
+            nf = normal_form(substitute(fn.body, fn.var, arg))
+        elif fn is t.fn and arg is t.arg:
+            nf = True
+        else:
+            nf = App(fn, arg)
+            nf._nf = True
+        t._nf = nf
+    return t if nf is True else nf
 
 
 def check_trace(s: Sequence) -> None:
@@ -385,25 +398,24 @@ def _kind_table(kind: type, actions: Sequence) -> tuple[tuple, list, list, list[
     """Which of the checked actions fit the values of kind (Abs or Pair),
     and which of those act alike: the fitting labels in order, their
     effects in order of first label, each effect's first label, and each
-    label's effect index. An app action is its own effect, and a tensor
-    action's is the action with its template in normal form (normal_form),
-    the action itself where the template is one already. Every label
-    steps each value of the kind as its effect does (_trace_step)."""
+    label's effect index. A class is keyed by a term: an app action's
+    value, a tensor action's template in normal form (normal_form). Its
+    effect is its first label where that holds the key itself, else the
+    one action built for the class, with the template in normal form.
+    Every label steps each value of the kind as its effect does
+    (_trace_step)."""
     fit = _KIND.get(kind)
-    labels, effects, firsts, slot = [], {}, [], []
+    labels, classes, effects, firsts, slot = [], {}, [], [], []
     for a in actions:
         if type(a) is fit:
-            e = a
-            if fit is TensorAction:
-                body = normal_form(a.body)
-                if body is not a.body:
-                    e = TensorAction(body)
-            i = effects.setdefault(e, len(effects))
+            key = a.value if fit is AppAction else normal_form(a.body)
+            i = classes.setdefault(key, len(classes))
             if i == len(firsts):
+                effects.append(a if fit is AppAction or key is a.body else TensorAction(key))
                 firsts.append(a)
             labels.append(a)
             slot.append(i)
-    return tuple(labels), list(effects), firsts, slot
+    return tuple(labels), effects, firsts, slot
 
 
 def app_combinations(

@@ -898,6 +898,47 @@ def best_context(m: Term, n: Term, max_size: int) -> tuple:
     return best, witness
 
 
+# --- reference normal forms and class tables: nothing cached --------------
+
+
+def reference_normal_form(t: Term) -> Term:
+    r"""trace.normal_form worked out afresh at every node: beta_v along the
+    application spine, (\z. B) V -> B[V/z] for V an Abs, Pair or Var, and
+    (\z. z) M -> M."""
+    if type(t) is not App:
+        return t
+    fn, arg = reference_normal_form(t.fn), reference_normal_form(t.arg)
+    if type(fn) is Abs:
+        if fn.body == Var(fn.var):
+            return arg
+        if type(arg) in (Abs, Pair, Var):
+            return reference_normal_form(substitute(fn.body, fn.var, arg))
+    return t if fn is t.fn and arg is t.arg else App(fn, arg)
+
+
+def reference_kind_table(kind: type, actions) -> tuple:
+    """trace._kind_table with one effect built per label: an app action is
+    its own effect, and a tensor action's is the action with its template
+    in normal form (reference_normal_form), the action itself where the
+    template is one already. Classes are the distinct effects."""
+    fit = {Abs: AppAction, Pair: TensorAction}.get(kind)
+    labels, effects, firsts, slot = [], {}, [], []
+    for a in actions:
+        if type(a) is not fit:
+            continue
+        e = a
+        if type(a) is TensorAction:
+            body = reference_normal_form(a.body)
+            if body is not a.body:
+                e = TensorAction(body)
+        i = effects.setdefault(e, len(effects))
+        if i == len(firsts):
+            firsts.append(a)
+        labels.append(a)
+        slot.append(i)
+    return tuple(labels), list(effects), firsts, slot
+
+
 # --- reference bisimulation fragment: one program state per program ------
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -368,6 +369,95 @@ class TestDistance:
 
     def test_symmetry_of_the_front_end(self):
         assert bisim_distance(I, COIN, (I,), 2) == bisim_distance(COIN, I, (I,), 2)
+
+
+def full_path(m, n, universe, depth, tensor_templates=()) -> Fraction:
+    """The bisimulation distance with no settled root: build_lmc, then the
+    root's pair graph, solved."""
+    frag = build_lmc(m, n, universe, depth, tensor_templates=tensor_templates)
+    mu = PseudoMetric(frag.states)
+    root = mu.key(_eval(m), _eval(n))
+    if root is None:
+        return Fraction(0)
+    _solve(mu, _pair_graph(frag, mu, root), root)
+    return mu.values[root]
+
+
+def settles(m, n) -> bool:
+    da, db = _eval(m).cancel(_eval(n))
+    return not da or not db
+
+
+class TestSettledRoot:
+    # a root whose value distributions, less their shared mass, leave one
+    # side empty is worth the gap between their weights, with no fragment
+
+    SETTLED = (
+        (COIN, I, HALF),
+        (I, OMEGA, Fraction(1)),
+        (OMEGA, OMEGA, Fraction(0)),
+        (parse("(\\x. x) (+) (\\y. \\z. z)"), parse("(\\a. \\b. b) (+) omega"), HALF),
+    )
+
+    def test_agrees_with_the_full_path_on_random_pairs(self):
+        rng = random.Random(20261106)
+        settled = unsettled = gaps = 0
+        for i in range(240):
+            m = gen.random_program(rng, max_size=12, fuel=3, prefix="m")
+            n = gen.random_program(rng, max_size=12, fuel=3, prefix="n") if i % 4 else m
+            universe = (I,) if i % 2 else (I, K)
+            depth = 1 + i % 4
+            clear_memo()
+            want = full_path(m, n, universe, depth)
+            clear_memo()
+            assert bisim_distance(m, n, universe, depth) == want
+            if settles(m, n):
+                settled += 1
+                assert want == abs(_eval(m).weight() - _eval(n).weight())
+                gaps += want > 0
+            else:
+                unsettled += 1
+        assert settled >= 150 and gaps >= 70 and unsettled >= 50
+
+    def test_a_settled_root_builds_no_fragment(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("a settled root built a fragment")
+
+        monkeypatch.setattr(bisim, "build_lmc", unused)
+        for m, n, want in self.SETTLED:
+            assert settles(m, n)
+            assert bisim_distance(m, n, (I,), 3) == want
+            assert bisim_distance(n, m, (I,), 3) == want
+        with pytest.raises(AssertionError, match="settled root"):
+            bisim_distance(INNER, OUTER, (I,), 3)
+
+    def test_the_state_cap_cannot_bind_a_settled_root(self):
+        for m, n, want in self.SETTLED:
+            assert bisim_distance(m, n, (I,), 3, state_cap=0) == want
+        with pytest.raises(BudgetExceeded):
+            build_lmc(I, OMEGA, (I,), 2, state_cap=2)
+        with pytest.raises(BudgetExceeded):
+            bisim_distance(INNER, OUTER, (I,), 3, state_cap=0)
+
+    def test_the_inputs_are_checked_once_in_build_lmc_order(self, monkeypatch):
+        bad_universe, open_term, not_affine = (OMEGA,), parse("\\x. y"), parse("\\x. x x")
+        for args in (
+            (open_term, I, bad_universe, -1, -1),
+            (open_term, I, bad_universe, 1, -1),
+            (open_term, I, bad_universe, 1, 5),
+            (I, open_term, (I,), 1, 5),
+            (not_affine, open_term, (I,), 1, 5),
+            (open_term, not_affine, (I,), 1, 5),
+        ):
+            with pytest.raises(Exception) as raised:
+                build_lmc(*args[:4], state_cap=args[4])
+            with pytest.raises(type(raised.value), match=re.escape(str(raised.value))):
+                bisim_distance(*args[:4], state_cap=args[4])
+        calls = []
+        monkeypatch.setattr(bisim, "alphabet", lambda *a: calls.append(a) or trace.alphabet(*a))
+        assert bisim_distance(INNER, OUTER, (I,), 3) == HALF
+        assert bisim_distance(COIN, I, (I,), 3) == HALF
+        assert len(calls) == 2
 
 
 class TestAdequacy:

@@ -24,7 +24,7 @@ from metricwb import (
     trace_distance_lb,
     tuple_distance_lb,
 )
-from metricwb.dist import EMPTY, Dist
+from metricwb.dist import EMPTY, Dist, fair
 from metricwb.semantics import (
     _eval,
     clear_memo,
@@ -224,6 +224,21 @@ class TestFairChoice:
         assert kinds == {"programs", "values", "diverging", "alpha-equal"}
         assert renamed
         clear_memo()
+
+    def test_the_one_step_distribution_is_the_constructors(self):
+        # dist.fair builds 1/2·l + 1/2·r from integers, for _eval's and
+        # _step's Choice rules, as the Fraction constructor does
+        rng = random.Random(20261107)
+        merged = 0
+        for _ in range(200):
+            _, (l, r) = self.branches(rng)
+            want = Dist(((l, HALF), (r, HALF)))
+            for got in (fair(l, r), step_one(Choice(l, r))):
+                assert got == want
+                assert all(a is b for a, b in zip(got.support(), want.support()))
+                assert len(got.support()) == len(want.support())
+            merged += len(want) == 1
+        assert merged >= 20
 
 
 LOSS = object()

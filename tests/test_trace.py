@@ -297,6 +297,65 @@ class TestNormalForm:
                 assert size(nf) <= size(t)
                 assert (size(nf) < size(t)) == (nf is not t)
 
+    @staticmethod
+    def seeded_templates() -> list:
+        """Fresh tensor templates over {I} and {I, K}, and the bodies of
+        fresh tuple templates over the same universes."""
+        out = []
+        for universe in ((I,), (I, parse("\\a. \\b. a"))):
+            out += default_tensor_templates(universe)
+            out += [t.body for t in default_templates(universe) if isinstance(t, Abs)]
+        return out
+
+    def test_the_cached_normal_form_is_the_reference_one(self):
+        templates = self.seeded_templates()
+        want = [gen.reference_normal_form(t) for t in templates]
+        got = [normal_form(t) for t in templates]
+        assert got == want
+        assert sum(g is not t for g, t in zip(got, templates)) >= 100
+        for t, nf in zip(templates, got):
+            assert normal_form(t) is nf and normal_form(nf) is nf
+            # a node caches its normal form, or True for itself: never itself
+            for sub in subterms(t):
+                if type(sub) is App:
+                    assert sub._nf is True or sub._nf is not sub
+
+    def test_a_second_pass_reads_every_normal_form_from_its_node(self, monkeypatch):
+        templates = self.seeded_templates()
+        got = [normal_form(t) for t in templates]
+
+        def unused(*args):
+            raise AssertionError("a cached normal form is worked out again")
+
+        monkeypatch.setattr(trace, "substitute", unused)
+        # a normal form worked out again without a rewrite would be a new node
+        assert all(normal_form(t) is nf for t, nf in zip(templates, got))
+
+    def test_the_kind_table_is_the_reference_one(self):
+        # one effect per class against one effect per rewritten label, on
+        # seeded template samples with repeats and the app actions of each
+        # universe, for both value kinds
+        rng = random.Random(20261105)
+        k = parse("\\a. \\b. a")
+        tensor = {u: default_tensor_templates(u) for u in ((I,), (I, k))}
+        built = 0
+        for i in range(60):
+            universe = (I,) if i % 2 else (I, k)
+            templates = rng.choices(tensor[universe], k=1 + i % 20)
+            actions = alphabet(universe, templates)
+            for kind in (Abs, Pair):
+                labels, effects, firsts, slot = _kind_table(kind, actions)
+                ref_labels, ref_effects, ref_firsts, ref_slot = gen.reference_kind_table(kind, actions)
+                assert all(a is b for a, b in zip(labels, ref_labels)) and labels == ref_labels
+                assert effects == ref_effects and slot == ref_slot
+                assert all(a is b for a, b in zip(firsts, ref_firsts)) and firsts == ref_firsts
+                # an effect is its first label exactly where the reference's is
+                assert [e is a for e, a in zip(effects, firsts)] == [
+                    e is a for e, a in zip(ref_effects, firsts)
+                ]
+                built += sum(e is not a for e, a in zip(effects, firsts))
+        assert built >= 50
+
     def test_the_effect_steps_every_pair_as_the_template_does(self):
         # The fast path (a template's normal form) against the slow path
         # (the template itself), on every default template over {I} and
