@@ -12,14 +12,15 @@ value's labels are the trace actions that fit its kind, app of a
 universe value or tensor through a template, in alphabet order: one
 label tuple per kind, shared by every value of it. Each moves it to the
 states of the programs it gives, by the move rules the trace distance
-plays too (trace._move, trace._plug). A value is moved once per effect
-class of its kind (trace._kind_table, which the trace search reads too):
-tensor templates with one call-by-value normal form move it alike, so
-their labels share one successor distribution, and a pair's halves are
-evaluated once for all of them. A fragment keeps each state's
-successors in the order of its labels, so two states, whose labels are
-equal or disjoint, pair their successors by position. gen.interrogate in
-the tests, which moves by every label's own template, is the reference.
+plays too (trace._move, trace.eval_tensor). A value is moved once per
+effect class of its kind (trace._kind_table, which the trace search
+reads too): tensor templates with one call-by-value normal form move it
+alike, so their labels share one successor distribution, a pair's halves
+are evaluated once for all of them, and each part their normal forms
+share once per pair of values. A fragment keeps each state's successors
+in the order of its labels, so two states, whose labels are equal or
+disjoint, pair their successors by position. gen.interrogate in the
+tests, which moves by every label's own template, is the reference.
 The metric functional takes, for each pair of states, the largest lifted
 distance over the actions available to both; its least fixpoint is the
 bisimulation distance.
@@ -60,7 +61,7 @@ from .errors import BudgetExceeded, NonConvergence, Unbounded
 from .kantorovich import PseudoMetric, lift_primal, solve_lp_exact
 from .semantics import _eval, _require_program, eval_halves
 from .terms import Pair, Term
-from .trace import _kind_table, _move, _plug, alphabet
+from .trace import _kind_table, _move, alphabet, eval_tensor
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -117,12 +118,13 @@ def build_lmc(
     share one successor distribution. Which labels fit, and which effect
     each has, is worked out at the first value of each kind
     (trace._kind_table). A pair state reads its halves from the eval memo
-    (semantics.eval_halves), and each tensor effect plugs their values
-    into its template (trace._plug); an abstraction state moves by
-    trace._move. The inputs are checked once here (_checked), unless the
-    caller has checked them and hands in the alphabet it got as actions,
-    and states are evaluated without checking them again: reduction keeps
-    a checked program affine, whatever binder names it repeats.
+    (semantics.eval_halves), and each tensor effect the values of its
+    template with each pair of theirs in the holes (trace.eval_tensor);
+    an abstraction state moves by trace._move. The inputs are checked
+    once here (_checked), unless the caller has checked them and hands in
+    the alphabet it got as actions, and states are evaluated without
+    checking them again: reduction keeps a checked program affine,
+    whatever binder names it repeats.
     """
     if actions is None:
         actions = _checked(m, n, universe, max_depth, state_cap, tensor_templates)
@@ -165,7 +167,7 @@ def build_lmc(
                 if halves is None:
                     out = _move(s, e).map_elems(_eval)
                 else:
-                    out = halves.map_elems(lambda vw: _eval(_plug(e.body, *vw)))
+                    out = halves.map_elems(lambda vw: eval_tensor(e.body, *vw))
                 for t in out.support():
                     discover(t, d + 1)
                 moved.append(out)

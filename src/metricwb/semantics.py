@@ -32,13 +32,14 @@ from .terms import (
 logger = logging.getLogger("metricwb")
 
 # a program -> its value distribution, and the observation entries (f, v) ->
-# eval_app(f, v) and p -> eval_halves(p) for a pair p; keys compare up to alpha
+# eval_app(f, v), p -> eval_halves(p) for a pair p and (body, v, w) ->
+# trace.eval_tensor(body, v, w); keys compare up to alpha
 _memo: dict = {}
 
 
 def clear_memo() -> None:
     """Empty the eval memo: every program's value distribution, and the
-    observation entries of eval_app and eval_halves."""
+    observation entries of eval_app, eval_halves and trace.eval_tensor."""
     _memo.clear()
 
 
@@ -57,11 +58,12 @@ def eval_big(t: Term) -> Dist[Term]:
     divergence or stuck redexes simply disappears.
 
     Values come from a process-wide memo keyed up to alpha, which also
-    holds the observation entries (eval_app, eval_halves) that evaluation
-    never reads. A memo hit returns the values with the binder names of
-    the first alpha-variant the process evaluated. The answer is
-    alpha-equal either way; call clear_memo() first to get values named
-    after the query itself, as cli.main does for each command.
+    holds the observation entries (eval_app, eval_halves,
+    trace.eval_tensor) that evaluation never reads. A memo hit returns
+    the values with the binder names of the first alpha-variant the
+    process evaluated. The answer is alpha-equal either way; call
+    clear_memo() first to get values named after the query itself, as
+    cli.main does for each command.
     """
     _require_program(t)
     return _eval(t)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .dist import EMPTY, Dist, dirac
 from .errors import NotAffine, NotClosed, ParseError
 from .parser import Tokens, format_items, parse_items, read_term
-from .semantics import _eval, _reduce_small, _require_program, eval_app, eval_halves
+from .semantics import _eval, _memo, _reduce_small, _require_program, eval_app, eval_halves
 from .terms import (
     Abs,
     App,
@@ -147,21 +147,50 @@ def trace_accept(m: Term, s: Sequence) -> Fraction:
     return d.weight()
 
 
-def _move(t, a) -> Dist[Term]:
-    """The programs the checked action a moves a value to, before
-    evaluation. app(V) substitutes V into the body of the abstraction t;
-    tensor(L) plugs each (v, w) of t, the halves of a pair
-    (semantics.eval_halves), into L (_plug), so a pair's halves, evaluated
-    once, move it by every template."""
-    if type(a) is AppAction:
-        return dirac(substitute(t.body, t.var, a.value))
-    return t.map_elems(lambda vw: _plug(a.body, *vw))
+def _move(t: Abs, a: AppAction) -> Dist[Term]:
+    """The program the checked action app(V) moves the abstraction t to,
+    before evaluation: V substituted into t's body."""
+    return dirac(substitute(t.body, t.var, a.value))
 
 
 def _plug(body: Term, v: Term, w: Term) -> Term:
     """The tensor template body with the values v and w in its holes x and
-    y: the one substitution rule of a tensor move."""
+    y: the one substitution rule of a tensor move, whose program
+    eval_tensor builds only where it cannot take the template apart."""
     return substitute(substitute(body, TENSOR_HOLE_1, v), TENSOR_HOLE_2, w)
+
+
+def eval_tensor(body: Term, v: Term, w: Term) -> Dist[Term]:
+    """The value distribution of _eval(_plug(body, v, w)), support order
+    and weights, mostly without building that program: the checked tensor
+    template body with the closed values v and w in its holes. A hole
+    gives its value and a closed subterm its values (_eval). An App
+    applies each abstraction its function part gives to each value of its
+    argument, as _eval's App rule does. One whose function part gives a
+    pair is stuck and is evaluated plugged, as is any other node with a
+    hole (a let, a choice, an abstraction), so _eval logs a stuck
+    application once per program, as it did when every template was
+    plugged. An App's values are an observation entry of the eval memo
+    under (body, v, w), a key that no program, pair or (f, v) equals: the
+    normal forms of a kind share their subterms, so one pair of values
+    evaluates each shared part once for all the templates. A hit hands
+    back the values of the first alpha-variant, as eval_app's do."""
+    if not body.free_vars:
+        return _eval(body)
+    if type(body) is App:
+        key = (body, v, w)
+        d = _memo.get(key)
+        if d is None:
+            df, da = eval_tensor(body.fn, v, w), eval_tensor(body.arg, v, w)
+            if da and Pair in map(type, df.support()):  # a pair applied: stuck
+                d = _eval(_plug(body, v, w))
+            else:
+                d = df.bind(lambda f: da.bind(lambda a: _eval(substitute(f.body, f.var, a))))
+            _memo[key] = d
+        return d
+    if type(body) is Var:
+        return dirac(v if body.name == TENSOR_HOLE_1 else w)
+    return _eval(_plug(body, v, w))
 
 
 def _trace_step(t: Term, a) -> Dist[Term]:
@@ -169,13 +198,13 @@ def _trace_step(t: Term, a) -> Dist[Term]:
     value t, and EMPTY where a's kind does not fit t, which loses all mass:
     the one step of the replay (trace_accept) and the search. app(V) reads
     t applied to V from the eval memo (semantics.eval_app); tensor(L)
-    evaluates the programs _move plugs t's halves into, which it reads
-    from the memo (semantics.eval_halves)."""
+    reads the values of t's halves (semantics.eval_halves), and those of L
+    with each pair of them in its holes (eval_tensor), from the memo."""
     if not _fits(t, a):
         return EMPTY
     if type(a) is AppAction:
         return eval_app(t, a.value)
-    return _move(eval_halves(t), a).bind(_eval)
+    return eval_halves(t).bind(lambda vw: eval_tensor(a.body, *vw))
 
 
 def lts_trace_accept(d: Dist[Term], s: Sequence) -> Fraction:

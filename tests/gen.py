@@ -37,7 +37,7 @@ from metricwb.terms import (
 )
 from metricwb import semantics
 from metricwb.semantics import _eval, eval_big
-from metricwb.trace import AppAction, TensorAction, _fits, _move, alphabet, explore
+from metricwb.trace import AppAction, TensorAction, _fits, _move, _plug, alphabet, explore
 from metricwb.tuples import (
     Appl,
     Cut,
@@ -296,11 +296,33 @@ def reference_halves(p: Pair) -> Dist:
 
 
 def observations() -> list:
-    """The keys of the observation entries the eval memo holds, in the
-    order they were made: (f, v) for an abstraction applied to a value
-    (semantics.eval_app), the pair itself for its halves
-    (semantics.eval_halves). Every other key is a program."""
-    return [key for key in semantics._memo if type(key) is tuple or type(key) is Pair]
+    """The keys of the eval memo's entries for app observations and for
+    halves, in the order they were made: (f, v) for an abstraction applied
+    to a value (semantics.eval_app), the pair itself for its halves
+    (semantics.eval_halves). It leaves out the (body, v, w) entries of
+    tensor templates (tensor_entries) and the programs."""
+    return [
+        key for key in semantics._memo if type(key) is Pair or type(key) is tuple and len(key) == 2
+    ]
+
+
+def tensor_entries() -> list:
+    """The keys (body, v, w) of the eval memo's entries for the App nodes
+    of tensor templates with the values v and w in their holes
+    (trace.eval_tensor), in the order they were made."""
+    return [key for key in semantics._memo if type(key) is tuple and len(key) == 3]
+
+
+def move(t, a) -> Dist:
+    """The programs the checked action a moves a value to, before
+    evaluation: app(V) substitutes V into the body of the abstraction t
+    (trace._move); tensor(L) plugs each (v, w) of t, the halves of a pair,
+    into L (trace._plug). Evaluating them (_eval) is the reference for the
+    trace step and the fragment's moves, which evaluate a template with
+    values in its holes by trace.eval_tensor."""
+    if type(a) is AppAction:
+        return _move(t, a)
+    return t.map_elems(lambda vw: _plug(a.body, *vw))
 
 
 # --- reference distributions: every weight a Fraction ---------------------
@@ -944,12 +966,12 @@ def reference_kind_table(kind: type, actions) -> tuple:
 
 def interrogate(t: Term, actions) -> list:
     """Each of the checked actions whose kind fits the value t, in order,
-    with the distribution of programs it moves t to (trace._move): [(a,
+    with the distribution of programs it moves t to (move): [(a,
     Dist of programs), ...]. Each action moves t by its own template, not
     by its effect, so this is the reference that bisim.build_lmc's shared
     moves are tested against (reference_lmc)."""
     return [
-        (a, _move(t if type(a) is AppAction else reference_halves(t), a))
+        (a, move(t if type(a) is AppAction else reference_halves(t), a))
         for a in actions
         if _fits(t, a)
     ]

@@ -37,7 +37,13 @@ from metricwb.dist import Dist, dirac
 from metricwb.kantorovich import PseudoMetric, lift_dual, lift_primal
 from metricwb.semantics import _eval, clear_memo
 from metricwb.terms import OMEGA, Pair, Term, identity
-from metricwb.trace import AppAction, TensorAction, _move, _plug, default_tensor_templates
+from metricwb.trace import (
+    AppAction,
+    TensorAction,
+    _trace_step,
+    default_tensor_templates,
+    eval_tensor,
+)
 
 I = identity()
 K = parse("\\a. \\b. a")
@@ -522,14 +528,15 @@ class TestMerging:
         # x and (\z. z) x lead to programs that evaluate alike, and so do
         # y and (\z. z) y: each side has four labels but two successors.
         # The templates have two normal forms, so each state evaluates its
-        # halves once and plugs their one pair of values twice.
+        # halves once and evaluates a template with their one pair of
+        # values in its holes twice.
         m, n = parse("<\\a. \\b. a, \\x. x>"), parse("<\\x. x, \\a. \\b. a>")
         templates = tuple(map(parse, ("y", "x", "(\\z. z) x", "(\\z. z) y")))
-        plugs = _count_plugs(monkeypatch)
+        moves = _count_tensor_moves(monkeypatch)
         clear_memo()
         frag = build_lmc(m, n, (), 1, tensor_templates=templates)
         assert gen.observations() == [m, n]
-        assert plugs == {(K, I): 2, (I, K): 2}
+        assert moves == {(K, I): 2, (I, K): 2}
         assert len(frag.labels[m]) == len(frag.labels[n]) == 4
         assert _shared(frag, m, n) == [
             (dirac(_eval(I)), dirac(_eval(K))),
@@ -625,13 +632,14 @@ class TestMerging:
     def test_a_pair_state_moves_once_per_class_of_templates(self, monkeypatch):
         # The 96 default templates over {I} have 27 normal forms. The
         # fragment evaluates each pair state's halves once, one observation
-        # entry each, and plugs each pair of their values once per normal
-        # form; the trace search moves each pair state once per normal form.
+        # entry each, and evaluates each normal form once per pair of their
+        # values (trace.eval_tensor); the trace search steps each pair
+        # state once per normal form.
         m, n = build_expair()
         tensor = default_tensor_templates((I,))
         assert len(tensor) == 96
         with monkeypatch.context() as patch:
-            plugs = _count_plugs(patch)
+            evaluated = _count_tensor_moves(patch)
             clear_memo()
             bisim_distance(m, n, (I,), 3, tensor_templates=tensor)
         halves = gen.observations()
@@ -639,16 +647,16 @@ class TestMerging:
         moved = [s for s in frag.states if type(s) is Pair and frag.labels[s]]
         assert halves and halves == moved == gen.observations()
         values = sum(len(semantics._memo[p]) for p in halves)
-        assert sum(plugs.values()) == 27 * values
-        assert max(plugs.values()) == 27
+        assert sum(evaluated.values()) == 27 * values
+        assert max(evaluated.values()) == 27
         moves = Counter()
 
         def counting(t, a):
             moves[t] += type(a) is TensorAction
-            return _move(t, a)
+            return _trace_step(t, a)
 
         with monkeypatch.context() as patch:
-            patch.setattr(trace, "_move", counting)
+            patch.setattr(trace, "_trace_step", counting)
             trace_distance_lb(m, n, (I,), 2, tensor)
         assert max(moves.values()) == 27
 
@@ -664,17 +672,17 @@ class TestMerging:
             bisim_distance(m, nn, (I,), 3, state_cap=21, tensor_templates=tensor)
 
 
-def _count_plugs(patch):
-    """Patches build_lmc's tensor moves to count the plugs of each
-    template per pair (v, w) of values of a pair state's halves."""
-    plugs = Counter()
+def _count_tensor_moves(patch):
+    """Patches build_lmc's tensor moves to count the templates it
+    evaluates per pair (v, w) of values of a pair state's halves."""
+    moves = Counter()
 
-    def plugging(body, v, w):
-        plugs[(v, w)] += 1
-        return _plug(body, v, w)
+    def evaluating(body, v, w):
+        moves[(v, w)] += 1
+        return eval_tensor(body, v, w)
 
-    patch.setattr(bisim, "_plug", plugging)
-    return plugs
+    patch.setattr(bisim, "eval_tensor", evaluating)
+    return moves
 
 
 def _least_depths(frag, roots):

@@ -33,7 +33,7 @@ from metricwb.semantics import (
     small_step_rounds,
     support_measure,
 )
-from metricwb.trace import default_tensor_templates
+from metricwb.trace import TensorAction, _trace_step, default_tensor_templates
 from metricwb.terms import Abs, App, Choice, OMEGA, Pair, Var, identity, is_value, pretty
 
 I = identity()
@@ -377,6 +377,28 @@ class TestObservations:
         assert gen.observations()
         clear_memo()
         assert not gen.observations() and not semantics._memo
+
+    def test_tensor_entries_leave_the_other_observations_alone(self):
+        # A tensor step on <f, v>, f an abstraction, makes entries under
+        # (body, f, v) whose values are not those of f applied to v, nor
+        # the pair's halves; eval_app(f, v), eval_halves(<f, v>) and the
+        # steps must each give their own, and clear_memo must empty the
+        # new entries.
+        rng = random.Random(20261025)
+        templates = [TensorAction(parse(t)) for t in ("y x", "x (y I)", "y (x I) (\\a. a)")]
+        differ = 0
+        for f, v, _ in _observation_cases(rng, 60):
+            p = Pair(f, v)
+            clear_memo()
+            outcomes = [_trace_step(p, a) for a in templates]
+            assert dict(eval_app(f, v).items()) == gen.naive_eval(App(f, v)), (f, v)
+            assert eval_halves(p) == dirac((f, v))
+            assert outcomes == [gen.move(dirac((f, v)), a).bind(_eval) for a in templates]
+            assert len(gen.tensor_entries()) >= len(templates)
+            differ += any(d != eval_app(f, v) for d in outcomes)
+            clear_memo()
+            assert not gen.tensor_entries() and not semantics._memo
+        assert differ >= 40
 
     def test_evaluation_reads_no_observation_entry(self):
         # An entry is keyed up to alpha, so a hit hands back the values of

@@ -51,10 +51,11 @@ from metricwb.trace import (
     default_tensor_templates,
     encode_theta_trace,
     _kind_table,
-    _move,
+    _plug,
     _trace_step,
     alphabet,
     enumerate_traces,
+    eval_tensor,
     explore,
     format_trace,
     normal_form,
@@ -395,8 +396,14 @@ class TestNormalForm:
             templates = tuple(rng.sample(default_tensor_templates(universe), 2 + i % 12))
             m, n = random_pair(rng, 2 * i), random_pair(rng, 2 * i + 1)
             cases.append((m, n, universe, 1 + i % 3, templates))
-        moves = []
-        monkeypatch.setattr(trace, "_move", lambda t, a: moves.append(a) or _move(t, a))
+        moves = []  # the tensor steps the searches take
+
+        def stepping(t, a):
+            if type(a) is TensorAction:
+                moves.append(a)
+            return _trace_step(t, a)
+
+        monkeypatch.setattr(trace, "_trace_step", stepping)
         offers = []  # (support, candidates) at each node the search extends
 
         def counting(start, actions, *rest):
@@ -1087,29 +1094,126 @@ class TestSuccessorFloor:
     def test_the_shared_halves_step_equals_the_trace_step(self, search_step):
         # The search steps by the replay's own step, whose outcomes the
         # eval memo keeps for the query: each pair state's halves are
-        # evaluated once and moved by every tensor effect.
+        # evaluated once and moved by every tensor effect, and each App
+        # node of a template that holds a hole is evaluated once per pair
+        # of values (trace.eval_tensor), however many templates share it.
         rng = random.Random(20261022)
         tensor = default_tensor_templates((I, parse("\\a. \\b. a")))
         step = search_step(lambda: trace_distance_lb(I, I, (I,), 1, tensor))
         assert step is _trace_step
         clear_memo()
         made = []  # the keys of the observation entries, as the steps make them
+        reached = []  # the keys of the templates' App entries, likewise
+
+        def apps(t):  # App nodes that hold a hole, each after its parts
+            if type(t) is App and t.free_vars:
+                yield from apps(t.fn)
+                yield from apps(t.arg)
+                yield t
+
         for p in (random_pair(rng, i) for i in range(12)):
             made.append(p)
             for t in tensor:
                 a = TensorAction(t)
-                want = _move(gen.reference_halves(p), a).bind(_eval)
+                want = gen.move(gen.reference_halves(p), a).bind(_eval)
                 assert list(step(p, a).items()) == list(want.items()), (p, t)
+                reached += ((u, *vw) for vw in gen.reference_halves(p).support() for u in apps(t))
             for _ in range(3):  # the search steps an abstraction by app actions alone
                 f, v = (gen.random_value(rng, max_size=8, prefix=x) for x in "fv")
                 if type(f) is Abs:
                     a = AppAction(v)
-                    want = _move(f, a).bind(_eval)
+                    want = gen.move(f, a).bind(_eval)
                     assert list(step(f, a).items()) == list(want.items()), (f, v)
                     made.append((f, v))
         # one halves entry per pair, for all the templates, and one entry
         # per application
         assert gen.observations() == list(dict.fromkeys(made))
+        assert gen.tensor_entries() == list(dict.fromkeys(reached))
+        assert len(reached) > 2 * len(gen.tensor_entries())
+
+
+class TestEvalTensor:
+    # trace.eval_tensor against the evaluation of the plugged program
+    # (trace._plug, then _eval), each from a cleared memo: the values in
+    # support order with their weights, and the messages logged, in order.
+    K = parse("\\a. \\b. a")
+
+    @staticmethod
+    def check(caplog, body, v, w) -> tuple:
+        runs = []
+        for evaluate in (lambda: _eval(_plug(body, v, w)), lambda: eval_tensor(body, v, w)):
+            clear_memo()
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="metricwb"):
+                values = list(evaluate().items())
+            runs.append((values, [r.getMessage() for r in caplog.records]))
+        assert runs[1] == runs[0], (pretty(body), pretty(v), pretty(w))
+        return runs[0]
+
+    @staticmethod
+    def values(rng, i) -> tuple:
+        return tuple(gen.random_value(rng, max_size=8, prefix=f"{h}{i}") for h in "pq")
+
+    def test_the_default_templates_evaluate_as_plugged(self, caplog):
+        rng = random.Random(20261105)
+        partial = empty = 0
+        for universe in ((I,), (I, self.K)):
+            for i, t in enumerate(default_tensor_templates(universe)):
+                values, _ = self.check(caplog, t, *self.values(rng, i))
+                weight = sum(p for _, p in values)
+                partial += 0 < weight < 1
+                empty += not values
+        assert partial >= 30 and empty >= 10
+
+    def test_bodies_that_are_not_all_applications(self, caplog):
+        # a let over a hole, a choice, the normal form of (\a. \b. a) x,
+        # closed constants applied to a hole, and such nodes under an App
+        bodies = [
+            parse(t)
+            for t in (
+                "let <a, b> = x in a y",
+                "x (+) y",
+                "\\b. x",
+                "(\\a. \\b. a) y",
+                "(\\a. a (+) omega) x",
+                "y (let <a, b> = x in b)",
+                "(x (+) y) (\\a. a)",
+                "(\\a. \\b. a) x y",
+            )
+        ]
+        assert normal_form(parse("(\\a. \\b. a) x")) == bodies[2]
+        rng = random.Random(20261106)
+        stuck = 0
+        for i in range(40):
+            v, w = self.values(rng, i)
+            if i % 2:
+                v = Pair(*self.values(rng, f"h{i}"))  # a let needs a pair in x
+            for body in bodies:
+                _, logged = self.check(caplog, body, v, w)
+                stuck += bool(logged)
+        assert stuck >= 20
+
+    def test_a_pair_half_at_the_head_is_stuck_as_plugged(self, caplog):
+        bodies = [parse(t) for t in ("x I", "y (x I)", "(x I) (y I)", "x y", "x (y I)")]
+        pair = parse("<I, I>")
+        rng = random.Random(20261107)
+        logged = []
+        for i in range(30):
+            v, w = self.values(rng, i)
+            if i % 3 == 0:
+                v, w = pair, Pair(*self.values(rng, f"h{i}"))
+            elif i % 3 == 1:
+                v = Pair(v, w)
+            for body in bodies:
+                logged += self.check(caplog, body, v, w)[1]
+        assert sum("stuck application of a pair" in m for m in logged) >= 50
+        # <I, I> in both holes: the second stuck application is the first's
+        # program again, so it is logged once, as its evaluation plugged is
+        _, logged = self.check(caplog, bodies[2], pair, parse("<\\b. b, \\c. c>"))
+        assert logged == [
+            "discarding stuck application of a pair: <\\x. x, \\x1. x1> applied to \\x. x"
+            " drops mass 1"
+        ]
 
 
 class TestLtsView:
