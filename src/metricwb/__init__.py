@@ -41,6 +41,7 @@ from .terms import (
 from .trace import (
     AppAction,
     TensorAction,
+    TensorTemplates,
     encode_theta_trace,
     enumerate_traces,
     format_trace,
@@ -53,6 +54,7 @@ from .bisim import LmcFragment, apply_F, bisim_distance, bisim_metric, build_lmc
 from .tuples import (
     Appl,
     Cut,
+    TupleTemplates,
     build_expair,
     build_mn_nn,
     build_sn,

@@ -60,8 +60,8 @@ from .errors import BudgetExceeded, NonConvergence, Unbounded
 # bound here once: tracing kantorovich.solve_lp_exact counts lifting LPs only
 from .kantorovich import PseudoMetric, lift_primal, solve_lp_exact
 from .semantics import _eval, _require_program, eval_halves
-from .terms import Pair, Term
-from .trace import _kind_table, _move, alphabet, eval_tensor
+from .terms import Abs, Pair, Term
+from .trace import TensorTemplates, _kind_table, _move, alphabet, eval_tensor
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -116,23 +116,26 @@ def build_lmc(
     moved once per distinct effect, in order of first label: labels whose
     effects are equal, such as tensor templates with one normal form,
     share one successor distribution. Which labels fit, and which effect
-    each has, is worked out at the first value of each kind
-    (trace._kind_table). A pair state reads its halves from the eval memo
-    (semantics.eval_halves), and each tensor effect the values of its
-    template with each pair of theirs in the holes (trace.eval_tensor);
-    an abstraction state moves by trace._move. The inputs are checked
-    once here (_checked), unless the caller has checked them and hands in
-    the alphabet it got as actions, and states are evaluated without
-    checking them again: reduction keeps a checked program affine,
-    whatever binder names it repeats.
+    each has, is trace._kind_table: the abstraction kind's once per call,
+    the pair kind's once per template set (TensorTemplates.pair_table),
+    at the first pair value of the first query that holds one; plain
+    templates are wrapped in a set of this call's own. A pair state reads
+    its halves from the eval memo (semantics.eval_halves), and each tensor
+    effect the values of its template with each pair of theirs in the
+    holes (trace.eval_tensor); an abstraction state moves by trace._move.
+    The inputs are checked once here (_checked), unless the caller has
+    checked them and hands in the alphabet it got as actions, and states
+    are evaluated without checking them again: reduction keeps a checked
+    program affine, whatever binder names it repeats.
     """
+    tensor = TensorTemplates.of(tensor_templates)
     if actions is None:
-        actions = _checked(m, n, universe, max_depth, state_cap, tensor_templates)
+        actions = _checked(m, n, universe, max_depth, state_cap, tensor)
+    apps = _kind_table(Abs, actions)
 
     depth: dict[State, int] = {}  # each state at its least depth, in discovery order
     labels: dict[State, tuple] = {}
     succ: dict[State, tuple] = {}
-    kinds: dict[type, tuple] = {}  # value kind -> trace._kind_table
     queue: deque[State] = deque()
 
     def discover(s: State, d: int) -> None:
@@ -158,9 +161,7 @@ def build_lmc(
                 discover(t, d)
             labels[s], succ[s] = _EVAL_LABELS, (s,)  # its own value distribution
         elif d < max_depth:
-            if type(s) not in kinds:
-                kinds[type(s)] = _kind_table(type(s), actions)
-            labels[s], effects, _, slot = kinds[type(s)]
+            labels[s], effects, _, slot = tensor.pair_table() if type(s) is Pair else apps
             halves = eval_halves(s) if type(s) is Pair and effects else None
             moved = []  # successors, once per effect
             for e in effects:
@@ -187,7 +188,8 @@ def _checked(
     tensor_templates: Sequence[Term],
 ) -> list:
     """The alphabet (trace.alphabet), once the bounds and then both
-    programs pass their checks, in that order."""
+    programs pass their checks, in that order. The templates' part of
+    the check is done once per template set."""
     if max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if state_cap < 0:
@@ -245,10 +247,13 @@ def _shared(frag: LmcFragment, s: State, t: State) -> list[Succ]:
     each distinct pair once, in s's label order. Labels are fixed by a
     state's kind and whether it lies at the depth cut, so two states
     share all their labels or none, and their successors pair up by
-    position."""
+    position. Labels of one effect class share one Dist object, so the
+    pairs are told apart by identity first, and only the distinct ones are
+    compared (and hashed) by value."""
     if frag.labels[s] != frag.labels[t]:
         return []
-    return list(dict.fromkeys(zip(frag.succ[s], frag.succ[t])))
+    by_id = {(id(a), id(b)): (a, b) for a, b in zip(frag.succ[s], frag.succ[t])}
+    return list(dict.fromkeys(by_id.values()))
 
 
 def _best_lift(mu: PseudoMetric, succ: list[Succ]) -> tuple[Fraction, Succ | None]:
@@ -511,13 +516,17 @@ def bisim_distance(
     |w_m - w_n|; where one side is empty after cancelling, it lies below
     the other, and shipping the shared mass along the diagonal, at
     distance 0, leaves exactly |w_m - w_n| unmatched. So a settled root
-    builds no fragment, and the state cap cannot bind there."""
-    actions = _checked(m, n, universe, max_depth, state_cap, tensor_templates)
+    builds no fragment, and the state cap cannot bind there.
+
+    The tensor templates are prepared once per set (trace.TensorTemplates),
+    and this query hands the fragment the set it checked."""
+    tensor = TensorTemplates.of(tensor_templates)
+    actions = _checked(m, n, universe, max_depth, state_cap, tensor)
     dm, dn = _eval(m), _eval(n)
     da, db = dm.cancel(dn)
     if not da or not db:
         return abs(dm.weight() - dn.weight())
-    frag = build_lmc(m, n, universe, max_depth, state_cap, tensor_templates, actions=actions)
+    frag = build_lmc(m, n, universe, max_depth, state_cap, tensor, actions=actions)
     mu = PseudoMetric(frag.states)
     root = mu.key(dm, dn)
     _solve(mu, _pair_graph(frag, mu, root), root)

@@ -200,7 +200,11 @@ def frac_str(p: Rational) -> str:
 
 
 def dirac(elem: T) -> Dist[T]:
-    return _make({elem: 1}, 1)
+    """The point mass of weight 1 on elem, its slots set directly: it is in
+    lowest terms and within mass 1 as it stands."""
+    d = object.__new__(Dist)
+    d._num, d._den, d._total, d._weight, d._hash = {elem: 1}, 1, 1, None, None
+    return d
 
 
 def fair(a: T, b: T) -> Dist[T]:

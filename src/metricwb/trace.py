@@ -10,6 +10,7 @@ compare these probabilities pointwise.
 from __future__ import annotations
 
 import itertools
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -393,34 +394,121 @@ def trace_distance_lb(
     The witness names each class by its first label. Each state moves by
     _trace_step, the replay's own step, whose outcomes the eval memo keeps
     for the query: a pair state's halves are evaluated once for all its
-    tensor effects."""
+    tensor effects. The tensor classes are the template set's
+    (TensorTemplates.pair_table), worked out once per set, at the first
+    query that holds a pair; plain templates are wrapped in a set of this
+    query's own. Each app action is its own class."""
     _require_program(m)
     _require_program(n)
-    actions = alphabet(universe, tensor_templates)
-    tables: dict[type, tuple] = {}  # value kind -> _kind_table, once a value of it is held
+    tensor = TensorTemplates.of(tensor_templates)
+    actions = alphabet(universe, tensor)
+    apps = _kind_table(Abs, actions)[1]
 
     def offer(support: list) -> list:
         out = []
         for kind in _KIND:  # Abs first, as app actions come first in the alphabet
             if any(type(s) is kind for s in support):
-                if kind not in tables:
-                    tables[kind] = _kind_table(kind, actions)
-                out += tables[kind][1]
+                out += apps if kind is Abs else tensor.pair_table()[1]
         return out
 
     effect = lambda s, e: e if _fits(s, e) else None
     gap, word = widest_gap((_eval(m), _eval(n)), offer, effect, _trace_step, max_len)
-    first = {e: a for _, effects, firsts, _ in tables.values() for e, a in zip(effects, firsts)}
-    return gap, tuple(first[e] for e in word)
+    if any(type(e) is TensorAction for e in word):  # so the pair table is built
+        _, effects, firsts, _ = tensor.pair_table()
+        first = dict(zip(effects, firsts))
+        word = tuple(first.get(e, e) for e in word)  # an app effect is its own first label
+    return gap, word
 
 
 def alphabet(universe: Iterable[Term], tensor_templates: Sequence[Term] = ()) -> list:
     """The actions of the one-action traces over universe and templates, in
     order and checked: what the trace search and the bisimulation fragment
-    play against a value."""
-    actions = [s[0] for s in enumerate_traces(universe, 1, tensor_templates) if s]
+    play against a value. The app actions are built and checked per call;
+    the tensor actions are the template set's (TensorTemplates.actions),
+    checked once per set, after the app actions."""
+    actions = [AppAction(v) for v in dedupe_values(universe)]
     check_trace(actions)
+    actions += TensorTemplates.of(tensor_templates).actions()
     return actions
+
+
+class TemplateSet(abc.Sequence):
+    """Observer templates in order, as given, carrying what the queries
+    derive from them. A subclass works each part out on first use and
+    keeps it on the set, so every query handed the same set reuses it, and
+    it dies with the set. A part whose working out raises is not kept, so
+    every query raises alike. A query wraps any other sequence in a set of
+    its own (of), prepared for that query alone. Slices are plain tuples,
+    and a set equals the tuple of its templates."""
+
+    __slots__ = ("_source", "__weakref__")
+
+    def __init__(self, templates: Iterable[Term] = ()):
+        self._source = tuple(templates)
+
+    @classmethod
+    def of(cls, templates):
+        """templates itself where it is a set of this class, else a new one."""
+        return templates if isinstance(templates, cls) else cls(templates)
+
+    @property
+    def _items(self) -> tuple:
+        items = self._source
+        if type(items) is not tuple:  # a function that derives them (TupleTemplates)
+            items = self._source = tuple(items())
+        return items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    def __iter__(self) -> Iterator[Term]:
+        return iter(self._items)
+
+    def __eq__(self, other):
+        if isinstance(other, TemplateSet):
+            other = other._items
+        return self._items == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._items!r})"
+
+
+class TensorTemplates(TemplateSet):
+    """Tensor templates with, once per set, what the trace search and the
+    bisimulation fragment derive from them: their checked actions
+    (actions), and the pair kind's effect classes (pair_table)."""
+
+    __slots__ = ("_actions", "_table")
+
+    def __init__(self, templates: Iterable[Term] = ()):
+        super().__init__(templates)
+        self._actions = self._table = None
+
+    def actions(self) -> tuple:
+        """The distinct templates as tensor actions, in order, checked
+        (check_trace)."""
+        actions = self._actions
+        if actions is None:
+            actions = tuple(TensorAction(b) for b in dedupe_values(self._items))
+            check_trace(actions)
+            self._actions = actions
+        return actions
+
+    def pair_table(self) -> tuple:
+        """_kind_table(Pair, ...) over the actions, its parts as tuples,
+        since every query shares them: which act alike on pairs. Worked out
+        when first asked, which a query does at the first pair value it
+        holds."""
+        table = self._table
+        if table is None:
+            table = self._table = tuple(map(tuple, _kind_table(Pair, self.actions())))
+        return table
 
 
 def _kind_table(kind: type, actions: Sequence) -> tuple[tuple, list, list, list[int]]:
@@ -495,11 +583,12 @@ def template_constants(universe: Sequence[Term]) -> tuple[Term, ...]:
     return dedupe_values(universe) if universe else (identity(),)
 
 
-def default_tensor_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
+def default_tensor_templates(universe: Sequence[Term] = ()) -> TensorTemplates:
     """Two-hole contexts for pair observations: let-free applicative
-    combinations of x, y, and the universe values, of size at most 6."""
+    combinations of x, y, and the universe values, of size at most 6, as
+    one set, which the queries handed it prepare once."""
     consts = template_constants(universe)
-    return tuple(app_combinations([Var(TENSOR_HOLE_1), Var(TENSOR_HOLE_2)], consts, 6))
+    return TensorTemplates(app_combinations([Var(TENSOR_HOLE_1), Var(TENSOR_HOLE_2)], consts, 6))
 
 
 def encode_theta_trace(s: Sequence) -> Trace:

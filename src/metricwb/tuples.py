@@ -31,6 +31,7 @@ from .terms import (
     substitute,
 )
 from .trace import (
+    TemplateSet,
     app_combinations,
     dedupe_values,
     normal_form,
@@ -263,14 +264,15 @@ def u_seq(n: int) -> Fraction:
 # --- action templates and the distance lower bound ----------------------
 
 
-def default_templates(universe: Sequence[Term] = ()) -> tuple[Term, ...]:
+def default_templates(universe: Sequence[Term] = ()) -> "TupleTemplates":
     """What the observer feeds an abstraction component, in order and each
     once: the universe values, the slot '$j' alone (hand over a consumed
     component directly), then small abstractions applying their own
-    argument, the slot and universe values, up to body size 5."""
+    argument, the slot and universe values, up to body size 5. One set,
+    which the searches handed it prepare once."""
     consts = template_constants(universe)
     bodies = app_combinations([Var("y"), Var(_SLOT)], consts, 5)
-    return dedupe_values((*consts, Var(_SLOT), *(Abs("y", b) for b in bodies)))
+    return TupleTemplates(dedupe_values((*consts, Var(_SLOT), *(Abs("y", b) for b in bodies))))
 
 
 def check_templates(templates: Iterable[Term]) -> tuple[Term, ...]:
@@ -307,25 +309,60 @@ def _class_firsts(templates: Iterable[Term]) -> tuple[Term, ...]:
     return tuple(firsts.values())
 
 
-def _arguments(templates: Iterable[Term], width: int) -> list:
-    """(consumed, argument) for each template in order: one with '$j' once
-    per component x1 .. x<width>, any other as it is, consuming nothing."""
-    out: list = []
-    for t in templates:
-        if _SLOT in t.free_vars:
-            out += (((j,), rename_free(t, {_SLOT: component_name(j)})) for j in range(1, width + 1))
+class TupleTemplates(TemplateSet):
+    """Tuple templates with, once per set, what the tuple search derives
+    from them: the first of each call-by-value class, once every template
+    passes check_templates (firsts), and the (consumed, argument) table of
+    each tuple width (arguments). A function of no arguments in place of
+    the templates derives them when first needed."""
+
+    __slots__ = ("_firsts", "_renames", "_by_width")
+
+    def __init__(self, templates: Union[Iterable[Term], Callable[[], Iterable[Term]]] = ()):
+        if callable(templates):
+            self._source = templates  # TemplateSet._items calls it once
         else:
-            out.append(((), t))
-    return out
+            super().__init__(templates)
+        self._firsts = self._renames = None
+        self._by_width: dict[int, tuple] = {}
+
+    def firsts(self) -> tuple[Term, ...]:
+        """_class_firsts of the checked templates."""
+        firsts = self._firsts
+        if firsts is None:
+            firsts = _class_firsts(check_templates(self._items))
+            # each first that takes '$j': its arguments for x1, x2, ... so far
+            self._renames = [[] if _SLOT in t.free_vars else None for t in firsts]
+            self._firsts = firsts
+        return firsts
+
+    def arguments(self, width: int) -> tuple:
+        """(consumed, argument) for each first in order: one with '$j' once
+        per component x1 .. x<width>, any other as it is, consuming
+        nothing. Built once per width; each '$j' template is renamed once
+        per component index, for all widths."""
+        out = self._by_width.get(width)
+        if out is None:
+            out = []
+            for t, renamed in zip(self.firsts(), self._renames):
+                if renamed is None:
+                    out.append(((), t))
+                    continue
+                for j in range(len(renamed) + 1, width + 1):
+                    renamed.append(rename_free(t, {_SLOT: component_name(j)}))
+                out += (((j,), a) for j, a in enumerate(renamed[:width], 1))
+            out = self._by_width[width] = tuple(out)
+        return out
 
 
 def enumerate_actions(states: Iterable[TupleState], arguments: Sequence[tuple]) -> list:
     """Deterministically ordered candidate actions for the given support: a
     cut wherever some state holds a pair, and an application of each
-    (consumed, argument) of arguments, which _arguments lists for the
-    support's width, wherever some state holds an abstraction outside the
-    consumed set. One that acts like an earlier one steps nothing new and
-    reaches that one's pair, so the search adds no word for it.
+    (consumed, argument) of arguments, which TupleTemplates.arguments
+    lists for the support's width, wherever some state holds an
+    abstraction outside the consumed set. One that acts like an earlier
+    one steps nothing new and reaches that one's pair, so the search adds
+    no word for it.
 
     Where no state's abstraction uses its variable, an application's effect
     (_effect) does not depend on its argument, so only the first argument of
@@ -382,14 +419,17 @@ def tuple_distance_lb(
     that holds the component reads it there. The memo is keyed up to
     alpha-equivalence, as states are, so an alpha-variant of a component
     gets the values of the first one's outcome, binder names and all.
-    Templates are checked
-    once per search, so the steps skip the affinity check: given templates
-    at entry, and derived ones when the search first lists actions, which
-    a search whose start pair is settled at once never does. The checked
-    templates are cut to the first of each call-by-value class
-    (_class_firsts) before the (consumed, argument) table of _arguments is
-    built, once per tuple width for the whole search; enumerate_actions
-    lists one argument per consumed set where the argument cannot matter.
+
+    The templates are prepared once per set (TupleTemplates): checked, so
+    the steps skip the affinity check, cut to the first of each
+    call-by-value class (_class_firsts), and made into the (consumed,
+    argument) table of each tuple width. A search handed a TupleTemplates
+    reuses what earlier searches prepared on it; other templates, or a
+    function, are wrapped in a set of the search's own. Given templates
+    are checked at entry, and derived ones when the search first lists
+    actions, which a search whose start pair is settled at once never
+    does. enumerate_actions lists one argument per consumed set where the
+    argument cannot matter.
 
     Offering class firsts alone is exact. The search steps and names each
     class by its first template as written, so a witness replays to the
@@ -406,17 +446,12 @@ def tuple_distance_lb(
     """
     if template_set is None:
         template_set = default_templates
-    templates = None if callable(template_set) else _class_firsts(check_templates(template_set))
-    by_width: dict[int, list] = {}
+    templates = TupleTemplates.of(template_set)
+    if not callable(template_set):
+        templates.firsts()
 
     def actions(support):
-        nonlocal templates
-        if templates is None:
-            templates = _class_firsts(check_templates(template_set()))
-        width = max(map(len, support), default=0)
-        if width not in by_width:
-            by_width[width] = _arguments(templates, width)
-        return enumerate_actions(support, by_width[width])
+        return enumerate_actions(support, templates.arguments(max(map(len, support), default=0)))
 
     dm = eval_big(m).map_elems(lambda v: (v,))
     dn = eval_big(n).map_elems(lambda v: (v,))

@@ -41,10 +41,11 @@ from metricwb.trace import AppAction, TensorAction, _fits, _move, _plug, alphabe
 from metricwb.tuples import (
     Appl,
     Cut,
-    _arguments,
+    _SLOT,
     _effect,
     _step,
     build_mn_nn,
+    component_name,
     enumerate_actions,
     skewed_choice,
 )
@@ -760,6 +761,20 @@ def fraction_widest_gap(
     return best, witness
 
 
+def arguments(templates, width: int) -> list:
+    """(consumed, argument) for each template in order: one with '$j' once
+    per component x1 .. x<width>, renamed afresh, any other as it is,
+    consuming nothing. The reference for tuples.TupleTemplates.arguments,
+    which keeps one table per width and each rename once."""
+    out: list = []
+    for t in templates:
+        if _SLOT in t.free_vars:
+            out += (((j,), rename_free(t, {_SLOT: component_name(j)})) for j in range(1, width + 1))
+        else:
+            out.append(((), t))
+    return out
+
+
 def search_actions(states, templates) -> list:
     """The candidates enumerate_actions lists at a node whose support is
     states, over the argument table of its width built from every one of
@@ -768,7 +783,7 @@ def search_actions(states, templates) -> list:
     the first template of each class alone (tuples._class_firsts)."""
     states = list(states)
     width = max((len(k) for k in states), default=0)
-    return enumerate_actions(states, _arguments(templates, width))
+    return enumerate_actions(states, arguments(templates, width))
 
 
 # --- reference tuple actions: duplicates removed by action equality only --

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,26 @@ class TestConstruction:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             Dist([(I, Fraction(-1, 4))])
+
+
+    def test_dirac_is_the_constructors_point_mass(self):
+        # dirac sets its slots directly; the constructor goes through the
+        # lowest-terms and overflow checks
+        rng = random.Random(20261106)
+        terms = [I, K] + [gen.random_program(rng, max_size=12, fuel=3) for _ in range(100)]
+        terms += [gen.random_value(rng, max_size=8) for _ in range(100)]
+        kernels = [lambda t: EMPTY, dirac, lambda t: Dist(((t, HALF), (I, QUARTER)))]
+        for t in terms:
+            fast, slow = dirac(t), Dist(((t, 1),))
+            assert fast == slow and slow == fast and hash(fast) == hash(slow)
+            assert fast.weight_parts() == slow.weight_parts() == (1, 1)
+            assert fast.support() == slow.support() == (t,) and fast.support()[0] is t
+            assert list(fast.items()) == list(slow.items()) == [(t, 1)]
+            assert fast.weight() == 1 and fast.get(t) == 1
+            for k in kernels:
+                outs = []  # what k handed back, once per call
+                got = fast.bind(lambda e: outs.append(k(e)) or outs[-1])
+                assert len(outs) == 1 and got is outs[0] and got == k(t)
 
 
 class TestOperations:

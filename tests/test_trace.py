@@ -265,7 +265,9 @@ class TestNormalForm:
 
     def test_a_query_normalises_only_for_the_pairs_it_holds(self, monkeypatch):
         # the branching pair holds no pair value, so neither distance works
-        # out a tensor class; the worked pair's do, each template once
+        # out a tensor class; the first query on the worked pair works out
+        # each template once, on the set, and a later query on the same set
+        # none. A plain tuple of the same templates is prepared per query.
         calls = self.outer_calls(monkeypatch)
         tensor = default_tensor_templates()
         assert len(tensor) == 96
@@ -273,13 +275,14 @@ class TestNormalForm:
         assert bisim_distance(m, n, (I,), 4, tensor_templates=tensor) == HALF
         assert trace_distance_lb(m, n, (I,), 3, tensor) == (0, EPS)
         assert not calls
-        for query in (
-            lambda: bisim_distance(*build_expair(), (I,), 3, tensor_templates=tensor),
-            lambda: trace_distance_lb(*build_expair(), (I,), 2, tensor)[0],
-        ):
-            assert query() == Fraction(3, 4)
-            assert len(calls) == 96 and all(c is t for c, t in zip(calls, tensor))
-            calls.clear()
+        for templates, first, later in ((tensor, 96, 0), (tuple(tensor), 96, 96)):
+            for want, query in (
+                (first, lambda: bisim_distance(*build_expair(), (I,), 3, tensor_templates=templates)),
+                (later, lambda: trace_distance_lb(*build_expair(), (I,), 2, templates)[0]),
+            ):
+                assert query() == Fraction(3, 4)
+                assert len(calls) == want and all(c is t for c, t in zip(calls, tensor))
+                calls.clear()
 
     def test_a_rewrite_that_would_capture_renames_the_binder(self):
         # (\z. \x. z) x is \w. x, not \x. x, and steps every pair alike

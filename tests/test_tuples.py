@@ -355,8 +355,9 @@ class TestActionEnumeration:
 
     def test_a_search_renames_each_slot_template_once_per_component(self, monkeypatch):
         # Only class firsts are renamed: 12 of the 16 take '$j', against 24
-        # of the 35 templates. The tower reaches widths 1 to 4, so each is
-        # renamed once per component of each width, 1 + 2 + 3 + 4 times.
+        # of the 35 templates. The tower reaches widths 1 to 4, and a set
+        # renames each once per component index, for every width: 4 times,
+        # not 1 + 2 + 3 + 4. A later search on the set renames nothing.
         templates = default_templates()
         slots = sum("$j" in t.free_vars for t in tuples._class_firsts(templates))
         assert slots == 12
@@ -365,7 +366,9 @@ class TestActionEnumeration:
         monkeypatch.setattr(tuples, "rename_free", lambda t, m: calls.append(m) or real(t, m))
         got = tuple_distance_lb(*build_mn_nn(3), templates, 6)
         assert got[0] == 1 - u_seq(3)
-        assert len(calls) == slots * (1 + 2 + 3 + 4)
+        assert len(calls) == slots * 4
+        assert tuple_distance_lb(*build_mn_nn(3), templates, 6) == got
+        assert len(calls) == slots * 4
 
 
 def random_tuple_state(rng, width: int) -> tuple:
@@ -542,13 +545,20 @@ class TestTemplateClasses:
                 ), (pretty(t), universe)
 
     def test_given_and_derived_templates_are_cut_to_class_firsts(self, monkeypatch):
+        # every argument table the search lists is the reference one over
+        # the class firsts, for the width of the node's support
         tables = []
-        real = tuples._arguments
-        monkeypatch.setattr(tuples, "_arguments", lambda t, width: tables.append(t) or real(t, width))
+        real = tuples.enumerate_actions
+
+        def listing(states, arguments):
+            tables.append((max(map(len, states)), arguments))
+            return real(states, arguments)
+
+        monkeypatch.setattr(tuples, "enumerate_actions", listing)
         firsts = tuples._class_firsts(default_templates())
         for template_set in (default_templates(), None):
             assert tuple_distance_lb(NOISY, CLEAN, template_set, 4) == (F(3, 4), WITNESS)
-            assert tables and all(t == firsts for t in tables)
+            assert tables and all(list(t) == gen.arguments(firsts, width) for width, t in tables)
             tables.clear()
 
 
